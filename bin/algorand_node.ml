@@ -65,7 +65,6 @@ type opts = {
   crypto : Harness.crypto;
   wall_timeout : float;  (** wall-clock seconds before a run is abandoned *)
   linger : float;  (** wall seconds to keep serving peers after finishing *)
-  flood_limits : bool;
 }
 
 let params_of (o : opts) : Params.t =
@@ -174,7 +173,7 @@ let run_daemon (o : opts) ~(index : int) ~(report_path : string option)
     WG.create ~engine ~transport:tcp ~handlers ~self:index
       ~roster:(Array.map (fun id -> id.Identity.pk) identities)
       ~limits:(Codec.limits_of_params ~block_bytes:o.block_bytes params)
-      ?flood:(if o.flood_limits then Some Gossip.default_limits else None)
+      ~flood:Gossip.default_limits
       ~fanout:o.fanout ~retry:retry_policy
       ~rng:(Rng.split rng (Printf.sprintf "wire-%d" index))
       ~registry ()
@@ -243,7 +242,6 @@ let run_daemon (o : opts) ~(index : int) ~(report_path : string option)
       (List.init tip.Chain.height (fun i -> i + 1))
   in
   let cnt name = Option.value ~default:0 (Registry.counter_value registry name) in
-  let stats = WG.stats wg in
   (match report_path with
   | None -> ()
   | Some path ->
@@ -262,13 +260,13 @@ let run_daemon (o : opts) ~(index : int) ~(report_path : string option)
     Buffer.add_string b
       (Printf.sprintf
          "\"decode_failures\":%d,\"handshake_failures\":%d,\"quota_drops\":%d,\"bans\":%d,"
-         stats.Wire_gossip.decode_failures
+         (cnt "gossip.decode_fail")
          (cnt "transport.handshake_failures")
-         stats.Wire_gossip.quota_drops stats.Wire_gossip.bans);
+         (cnt "gossip.quota_drops") (cnt "gossip.banned_peers"));
     Buffer.add_string b
       (Printf.sprintf
          "\"delivered\":%d,\"relayed\":%d,\"reconnects\":%d,\"bytes_sent\":%d,\"bytes_received\":%d}"
-         stats.Wire_gossip.delivered stats.Wire_gossip.relayed
+         (cnt "gossip.delivered") (cnt "gossip.relayed")
          (cnt "transport.reconnects") (cnt "transport.bytes_sent")
          (cnt "transport.bytes_received"));
     let tmp = path ^ ".tmp" in
@@ -586,11 +584,8 @@ let opts_term =
     Arg.(value & opt float 2.0
          & info [ "linger" ] ~doc:"Wall seconds to keep serving peers after finishing.")
   in
-  let no_flood_limits =
-    Arg.(value & flag & info [ "no-flood-limits" ] ~doc:"Disable per-peer quotas and ban scoring.")
-  in
   let make users rounds seed port_base block_bytes committee_scale time_scale fanout
-      store real_crypto wall_timeout linger no_flood_limits =
+      store real_crypto wall_timeout linger =
     {
       users;
       rounds;
@@ -604,13 +599,11 @@ let opts_term =
       crypto = (if real_crypto then Harness.Real_crypto else Harness.Sim_crypto);
       wall_timeout;
       linger;
-      flood_limits = not no_flood_limits;
     }
   in
   Term.(
     const make $ users $ rounds $ seed $ port_base $ block_bytes $ committee_scale
-    $ time_scale $ fanout $ store $ real_crypto $ wall_timeout $ linger
-    $ no_flood_limits)
+    $ time_scale $ fanout $ store $ real_crypto $ wall_timeout $ linger)
 
 let run_cmd =
   let index = Arg.(value & opt int 0 & info [ "index" ] ~docv:"I" ~doc:"This node's roster index.") in

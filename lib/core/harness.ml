@@ -417,10 +417,7 @@ let build (config : config) : t =
       validate = (fun node msg -> Node.gossip_validate nodes.(node) msg);
       deliver = (fun node ~src msg -> Node.deliver nodes.(node) ~src msg);
       fanout = config.fanout;
-      point_to_point =
-        (function
-        | Message.Round_request _ | Message.Round_reply _ -> true
-        | _ -> false);
+      point_to_point = Message.point_to_point;
     }
   in
   (* Hostile-wire mode: every message crosses the WAN as Codec bytes,

@@ -38,5 +38,9 @@ val id : t -> string
     block per (round, proposer), per section 8.4. Retried requests
     carry their attempt number so re-issues are not deduped away. *)
 
+val point_to_point : t -> bool
+(** Addressed messages (catch-up requests and their replies): delivered
+    and deduplicated like everything else, never relayed onward. *)
+
 val size_bytes : t -> int
 val kind : t -> string

@@ -1,37 +1,15 @@
-(* Gossip over a real transport; see the interface. The ingress
-   pipeline deliberately tracks lib/netsim/gossip.ml step for step so
-   the two overlays stay behaviorally interchangeable - any divergence
-   here is a bug in the sim-vs-wire equivalence claim. *)
+(* Gossip over a real transport; see the interface. The ingress policy
+   is the simulated overlay's own Ingress core; this module owns only
+   connections: who a frame came from, redials, the disconnect on a
+   ban, and relaying to ring successors. *)
 
 module Engine = Algorand_sim.Engine
 module Retry = Algorand_sim.Retry
 module Rng = Algorand_sim.Rng
-module Gossip = Algorand_netsim.Gossip
+module Ingress = Algorand_netsim.Ingress
 module Registry = Algorand_obs.Registry
 module Transport = Algorand_transport.Transport
 module Handshake = Algorand_transport.Handshake
-
-type stats = {
-  originated : int;
-  delivered : int;
-  relayed : int;
-  duplicates : int;
-  invalid : int;
-  decode_failures : int;
-  quota_drops : int;
-  bans : int;
-}
-
-(* Per-peer flood-defense state: a message quota over a sliding window
-   plus a misbehavior score. The netsim overlay also models a leaky
-   ingress queue; on a real transport the socket's receive buffer and
-   the sender-side write queue play that role, so only the quota and
-   scoring layers are reimplemented here. *)
-type pstate = {
-  mutable window_start : float;
-  mutable window_count : int;
-  mutable score : int;
-}
 
 module Make (T : Transport.S) = struct
   type t = {
@@ -40,43 +18,20 @@ module Make (T : Transport.S) = struct
     self : int;
     roster : string array;
     pk_index : (string, int) Hashtbl.t;
-    limits : Codec.limits;
-    flood : Gossip.limits option;
     fanout : int;
     retry_policy : Retry.policy;
     rng : Rng.t;
     registry : Registry.t option;
     tm : Transport.metrics option;  (** for the reconnects counter *)
-    c_originated : Registry.counter option;
-    c_delivered : Registry.counter option;
-    c_relayed : Registry.counter option;
-    c_duplicates : Registry.counter option;
-    c_invalid : Registry.counter option;
-    c_decode_fail : Registry.counter option;
-    c_quota_drops : Registry.counter option;
-    c_banned : Registry.counter option;
-    c_p2p : Registry.counter option;
-    seen : (string, unit) Hashtbl.t;
+    ingress : (string, Message.t) Ingress.t;
     conn_index : (int, int) Hashtbl.t;  (** conn id -> roster index *)
     dial_addrs : (int, string) Hashtbl.t;  (** links we are responsible for *)
     addr_index : (string, int) Hashtbl.t;
     redials : (int, Retry.t) Hashtbl.t;
-    peer_state : (int, pstate) Hashtbl.t;
-    banned_tbl : (int, unit) Hashtbl.t;
     mutable validate : Message.t -> bool;
     mutable deliver : src:int -> Message.t -> unit;
-    mutable n_originated : int;
-    mutable n_delivered : int;
-    mutable n_relayed : int;
-    mutable n_duplicates : int;
-    mutable n_invalid : int;
-    mutable n_decode_fail : int;
-    mutable n_quota_drops : int;
-    mutable n_bans : int;
     mutable stopped : bool;
   }
-
-  let bump = function Some c -> Registry.incr c | None -> ()
 
   let index_of_conn (t : t) (conn : int) : int option =
     Hashtbl.find_opt t.conn_index conn
@@ -91,8 +46,7 @@ module Make (T : Transport.S) = struct
     Hashtbl.fold (fun _ i acc -> if List.mem i acc then acc else i :: acc) t.conn_index []
     |> List.sort compare
 
-  let banned (t : t) : int list =
-    Hashtbl.fold (fun i () acc -> i :: acc) t.banned_tbl [] |> List.sort compare
+  let banned (t : t) : int list = Ingress.banned_peers t.ingress
 
   (* The deterministic relay overlay: our [fanout] ring successors. *)
   let gossip_neighbors (t : t) : int list =
@@ -115,102 +69,31 @@ module Make (T : Transport.S) = struct
     List.iter
       (fun index ->
         if index <> except && index <> t.self then
-          if send_frame t ~index frame then begin
-            t.n_relayed <- t.n_relayed + 1;
-            bump t.c_relayed
-          end)
+          if send_frame t ~index frame then Ingress.sent t.ingress Relayed)
       (gossip_neighbors t)
 
-  (* ---------------- flood defense ---------------- *)
+  let cancel_redial (t : t) (index : int) : unit =
+    match Hashtbl.find_opt t.redials index with
+    | Some r ->
+      Retry.cancel r;
+      Hashtbl.remove t.redials index
+    | None -> ()
 
-  let pstate_of (t : t) (src : int) : pstate =
-    match Hashtbl.find_opt t.peer_state src with
-    | Some p -> p
-    | None ->
-      let p = { window_start = Engine.now t.engine; window_count = 0; score = 0 } in
-      Hashtbl.replace t.peer_state src p;
-      p
-
-  let ban (t : t) (src : int) : unit =
-    if not (Hashtbl.mem t.banned_tbl src) then begin
-      Hashtbl.replace t.banned_tbl src ();
-      t.n_bans <- t.n_bans + 1;
-      bump t.c_banned;
-      (match Hashtbl.find_opt t.redials src with
-      | Some r ->
-        Retry.cancel r;
-        Hashtbl.remove t.redials src
-      | None -> ());
-      List.iter (fun conn -> T.disconnect t.transport ~conn) (conns_to t src)
-    end
-
-  let score (t : t) ~(limits : Gossip.limits) (src : int) (s : int) : unit =
-    let p = pstate_of t src in
-    p.score <- p.score + s;
-    if p.score >= limits.ban_threshold then ban t src
-
-  let admit (t : t) (src : int) : bool =
-    match t.flood with
-    | None -> true
-    | Some l ->
-      let p = pstate_of t src in
-      let now = Engine.now t.engine in
-      if now -. p.window_start >= l.quota_window_s then begin
-        p.window_start <- now;
-        p.window_count <- 0
-      end;
-      if p.window_count >= l.quota_msgs then begin
-        t.n_quota_drops <- t.n_quota_drops + 1;
-        bump t.c_quota_drops;
-        score t ~limits:l src l.quota_score;
-        false
-      end
-      else begin
-        p.window_count <- p.window_count + 1;
-        true
-      end
-
-  (* ---------------- ingress ---------------- *)
-
-  let point_to_point : Message.t -> bool = function
-    | Message.Round_request _ | Message.Round_reply _ -> true
-    | _ -> false
-
-  (* Strict netsim ingress order: ban, admission, decode, dedup,
-     validate, deliver + relay. Raw frames relay as the bytes that
-     arrived. Not marked seen on validation failure, for the same
-     reasons as the simulated overlay (stateful validation; corrupted
-     copies must not poison dedup). *)
+  (* Raw frames relay as the bytes that arrived. A ban stops our redials
+     to the peer and closes its links; [accept_peer] refuses it from now
+     on. *)
   let on_frame (t : t) ~(conn : int) (frame : string) : unit =
     match index_of_conn t conn with
     | None -> ()
-    | Some src ->
-      if not (Hashtbl.mem t.banned_tbl src) && admit t src then begin
-        match Codec.decode ~limits:t.limits frame with
-        | None ->
-          t.n_decode_fail <- t.n_decode_fail + 1;
-          bump t.c_decode_fail;
-          (match t.flood with
-          | Some l -> score t ~limits:l src l.decode_fail_score
-          | None -> ())
-        | Some msg ->
-          let id = Message.id msg in
-          if Hashtbl.mem t.seen id then begin
-            t.n_duplicates <- t.n_duplicates + 1;
-            bump t.c_duplicates
-          end
-          else if not (t.validate msg) then begin
-            t.n_invalid <- t.n_invalid + 1;
-            bump t.c_invalid
-          end
-          else begin
-            Hashtbl.replace t.seen id ();
-            t.n_delivered <- t.n_delivered + 1;
-            bump t.c_delivered;
-            t.deliver ~src msg;
-            if not (point_to_point msg) then relay t ~except:src frame
-          end
-      end
+    | Some src -> (
+      match Ingress.receive t.ingress ~now:(Engine.now t.engine) ~src ~validate:t.validate frame with
+      | Ingress.Drop -> ()
+      | Ingress.Ban ->
+        cancel_redial t src;
+        List.iter (fun conn -> T.disconnect t.transport ~conn) (conns_to t src)
+      | Ingress.Deliver msg ->
+        t.deliver ~src msg;
+        if not (Message.point_to_point msg) then relay t ~except:src frame)
 
   (* ---------------- connection management ---------------- *)
 
@@ -222,7 +105,7 @@ module Make (T : Transport.S) = struct
     | Some addr ->
       if
         (not t.stopped)
-        && (not (Hashtbl.mem t.banned_tbl index))
+        && (not (Ingress.banned t.ingress index))
         && (not (Hashtbl.mem t.redials index))
         && not (connected_to t index)
       then begin
@@ -231,7 +114,7 @@ module Make (T : Transport.S) = struct
             ~attempt:(fun n ->
               if
                 (not t.stopped)
-                && (not (Hashtbl.mem t.banned_tbl index))
+                && (not (Ingress.banned t.ingress index))
                 && not (connected_to t index)
               then begin
                 (* The very first dial to a peer is not a reconnect;
@@ -254,11 +137,7 @@ module Make (T : Transport.S) = struct
     | None -> T.disconnect t.transport ~conn (* roster race; accept_peer gates *)
     | Some index ->
       Hashtbl.replace t.conn_index conn index;
-      (match Hashtbl.find_opt t.redials index with
-      | Some r ->
-        Retry.cancel r;
-        Hashtbl.remove t.redials index
-      | None -> ())
+      cancel_redial t index
 
   let on_peer_down (t : t) ~(conn : int) (_reason : Transport.reason) : unit =
     let index =
@@ -276,7 +155,7 @@ module Make (T : Transport.S) = struct
 
   let accept_peer (t : t) (hello : Handshake.hello) : bool =
     match Hashtbl.find_opt t.pk_index hello.pk with
-    | Some index -> not (Hashtbl.mem t.banned_tbl index)
+    | Some index -> not (Ingress.banned t.ingress index)
     | None -> false
 
   let create ~engine ~transport ~(handlers : Transport.handlers) ~self ~roster
@@ -284,7 +163,6 @@ module Make (T : Transport.S) = struct
       : t =
     let pk_index = Hashtbl.create (Array.length roster) in
     Array.iteri (fun i pk -> Hashtbl.replace pk_index pk i) roster;
-    let c name = Option.map (fun r -> Registry.counter r ("gossip." ^ name)) registry in
     let t =
       {
         engine;
@@ -292,39 +170,20 @@ module Make (T : Transport.S) = struct
         self;
         roster;
         pk_index;
-        limits;
-        flood;
         fanout;
         retry_policy = retry;
         rng;
         registry;
         tm = Option.map Transport.metrics registry;
-        c_originated = c "originated";
-        c_delivered = c "delivered";
-        c_relayed = c "relayed";
-        c_duplicates = c "duplicates_dropped";
-        c_invalid = c "invalid_dropped";
-        c_decode_fail = c "decode_fail";
-        c_quota_drops = c "quota_drops";
-        c_banned = c "banned_peers";
-        c_p2p = c "p2p_sends";
-        seen = Hashtbl.create 1024;
+        ingress =
+          Ingress.create ?registry ?limits:flood ~msg_id:Message.id
+            ~decode:(Codec.decode ~limits) ();
         conn_index = Hashtbl.create 16;
         dial_addrs = Hashtbl.create 16;
         addr_index = Hashtbl.create 16;
         redials = Hashtbl.create 8;
-        peer_state = Hashtbl.create 16;
-        banned_tbl = Hashtbl.create 4;
         validate = (fun _ -> true);
         deliver = (fun ~src:_ _ -> ());
-        n_originated = 0;
-        n_delivered = 0;
-        n_relayed = 0;
-        n_duplicates = 0;
-        n_invalid = 0;
-        n_decode_fail = 0;
-        n_quota_drops = 0;
-        n_bans = 0;
         stopped = false;
       }
     in
@@ -350,32 +209,13 @@ module Make (T : Transport.S) = struct
   let as_net (t : t) : Node.net =
     {
       Node.net_broadcast =
-        (fun msg ->
-          let id = Message.id msg in
-          if not (Hashtbl.mem t.seen id) then begin
-            Hashtbl.replace t.seen id ();
-            t.n_originated <- t.n_originated + 1;
-            bump t.c_originated;
-            relay t (Codec.encode msg)
-          end);
+        (fun msg -> if Ingress.originate t.ingress msg then relay t (Codec.encode msg));
       net_send_to =
         (fun ~dst msg ->
-          bump t.c_p2p;
+          Ingress.sent t.ingress P2p;
           ignore (send_frame t ~index:dst (Codec.encode msg)));
       net_peers = (fun () -> List.filter (fun i -> i <> t.self) (connected t));
-      net_mark_seen = (fun msg -> Hashtbl.replace t.seen (Message.id msg) ());
-    }
-
-  let stats (t : t) : stats =
-    {
-      originated = t.n_originated;
-      delivered = t.n_delivered;
-      relayed = t.n_relayed;
-      duplicates = t.n_duplicates;
-      invalid = t.n_invalid;
-      decode_failures = t.n_decode_fail;
-      quota_drops = t.n_quota_drops;
-      bans = t.n_bans;
+      net_mark_seen = Ingress.mark_seen t.ingress;
     }
 
   let stop (t : t) : unit =

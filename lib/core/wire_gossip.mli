@@ -5,13 +5,13 @@
     testable) and over {!Algorand_transport.Tcp_transport} (the
     multi-process deployment).
 
-    The untrusted-ingress pipeline mirrors the simulated overlay frame
-    for frame: ban check, flood admission (per-peer message quotas and
-    ban scores from a {!Gossip.limits}; the leaky ingress queue is the
-    socket's own buffer here), bounded {!Codec.decode}, dedup by
-    message id, validate-before-relay, then deliver and relay the raw
-    bytes onward - a hop never re-encodes. Peers are identified by the
-    handshake public key, which must appear in the roster.
+    Ingress runs through the same {!Algorand_netsim.Ingress} core as
+    the simulated overlay, with per-peer quotas and ban scores from
+    [flood] and bounded {!Codec.decode}; only the leaky ingress queue
+    is left out, since the socket's own buffer plays that role here.
+    Peers are identified by the handshake public key, which must
+    appear in the roster. A ban cancels our redials to the peer,
+    closes its links and refuses its handshakes from then on.
 
     Connection management: {!dial} makes this endpoint responsible for
     a peer link; if the dial fails or an established link drops, it is
@@ -28,21 +28,8 @@
 module Engine = Algorand_sim.Engine
 module Retry = Algorand_sim.Retry
 module Rng = Algorand_sim.Rng
-module Gossip = Algorand_netsim.Gossip
+module Ingress = Algorand_netsim.Ingress
 module Registry = Algorand_obs.Registry
-
-(** Plain-int mirror of the [gossip.*] registry counters, for tests
-    and reports. *)
-type stats = {
-  originated : int;
-  delivered : int;
-  relayed : int;
-  duplicates : int;
-  invalid : int;
-  decode_failures : int;
-  quota_drops : int;
-  bans : int;
-}
 
 module Make (T : Algorand_transport.Transport.S) : sig
   type t
@@ -54,7 +41,7 @@ module Make (T : Algorand_transport.Transport.S) : sig
     self:int ->
     roster:string array ->
     limits:Codec.limits ->
-    ?flood:Gossip.limits ->
+    ?flood:Ingress.limits ->
     ?fanout:int ->
     ?retry:Retry.policy ->
     rng:Rng.t ->
@@ -64,7 +51,10 @@ module Make (T : Algorand_transport.Transport.S) : sig
   (** Install this overlay into [handlers] (the record the transport
       endpoint was created with). [roster.(i)] is the public key of
       global index [i]; [self] is our index. Defaults: [fanout = 4],
-      [retry = Retry.default_policy], no flood limits. *)
+      [retry = Retry.default_policy], no flood limits. The [gossip.*]
+      counters live in [registry] (a private one when absent); here
+      "gossip.relayed" also counts the sends of a {!as_net}
+      broadcast. *)
 
   val install :
     t -> validate:(Message.t -> bool) -> deliver:(src:int -> Message.t -> unit) -> unit
@@ -82,8 +72,6 @@ module Make (T : Algorand_transport.Transport.S) : sig
   (** Roster indices with an established connection, ascending. *)
 
   val banned : t -> int list
-
-  val stats : t -> stats
 
   val stop : t -> unit
   (** Cancel all redial schedules; existing connections stay up. *)

@@ -16,12 +16,11 @@
    them in flight and malicious peers can inject arbitrary garbage
    ({!inject_raw}).
 
-   Flood defense ([limits]): each node meters its ingress per peer.
-   A leaky-bucket ingress queue bounds total inflow, a per-peer window
-   quota bounds any single peer, and a ban score - fed by undecodable
-   frames and quota violations - disconnects a peer that keeps
-   misbehaving and re-draws a replacement link. All bookkeeping is
-   deterministic (driven by sim-time and the overlay's own RNG). *)
+   Flood defense ([limits]) and the whole ingress pipeline live in
+   {!Ingress}, shared with the wire overlay; this module keeps what is
+   simulated: the stake-weighted peer graph, its redraws, the
+   replacement link drawn on a ban, and the leaky ingress queue that
+   models each node's service rate. *)
 
 open Algorand_sim
 module Registry = Algorand_obs.Registry
@@ -39,31 +38,9 @@ type 'msg codec = {
   dec : string -> 'msg option;
 }
 
-(* Per-peer flood-defense policy. All quantities are per receiving
-   node. The ingress queue is a leaky bucket: depth drains at
-   [drain_per_s] and every arrival adds one; arrivals that would push
-   the depth past [queue_capacity] are tail-dropped (deterministic drop
-   policy: the latest frame loses). *)
-type limits = {
-  queue_capacity : int;  (** max ingress-queue depth per node *)
-  drain_per_s : float;  (** ingress-queue service rate, messages/second *)
-  quota_window_s : float;  (** per-peer quota window length *)
-  quota_msgs : int;  (** max messages accepted from one peer per window *)
-  ban_threshold : int;  (** ban score at which a peer is disconnected *)
-  decode_fail_score : int;  (** score added per undecodable frame *)
-  quota_score : int;  (** score added per per-peer quota violation *)
-}
+type limits = Ingress.limits
 
-let default_limits : limits =
-  {
-    queue_capacity = 512;
-    drain_per_s = 2_000.0;
-    quota_window_s = 1.0;
-    quota_msgs = 200;
-    ban_threshold = 100;
-    decode_fail_score = 10;
-    quota_score = 1;
-  }
+let default_limits : limits = Ingress.default_limits
 
 type 'msg config = {
   msg_id : 'msg -> string;
@@ -77,61 +54,22 @@ type 'msg config = {
           relayed onward *)
 }
 
-(* Overlay-health counters. Registry-backed when a registry is wired
-   in (so the CLI's metrics snapshot carries them); always mirrored in
-   plain ints for the in-process accessors. *)
-type counters = {
-  mutable duplicates_dropped : int;
-  mutable invalid_dropped : int;
-  mutable decode_failures : int;
-  mutable quota_drops : int;
-  mutable banned_links : int;
-  c_delivered : Registry.counter option;
-  c_duplicates : Registry.counter option;
-  c_invalid : Registry.counter option;
-  c_relayed : Registry.counter option;  (** fan-out sends while relaying *)
-  c_originated : Registry.counter option;
-  c_p2p : Registry.counter option;
-  c_decode_fail : Registry.counter option;
-  c_quota_drops : Registry.counter option;
-  c_banned : Registry.counter option;
-  h_ingress_depth : Registry.histogram option;
-}
-
-(* Per-(receiver, sender) flood-defense bookkeeping. *)
-type peer_meter = {
-  mutable window_start : float;
-  mutable window_count : int;
-  mutable ban_score : int;
-}
-
 type 'msg t = {
   net : 'msg packet Network.t;
   config : 'msg config;
   codec : 'msg codec option;
-  limits : limits option;
   rng : Rng.t;
   trace : Trace.t option;
-  counters : counters;
+  registry : Registry.t;
+  ingress : ('msg packet, 'msg) Ingress.t array;  (** one core per receiving node *)
   mutable peers : int list array;
   mutable weights : float array;  (** last weights, for ban-replacement draws *)
-  seen : (string, unit) Hashtbl.t array;
-  banned : (int, unit) Hashtbl.t array;  (** [banned.(node)]: peers node cut off *)
-  meters : (int * int, peer_meter) Hashtbl.t;  (** (receiver, sender) *)
-  queue_depth : float array;  (** leaky-bucket ingress depth per node *)
-  queue_drained_at : float array;
 }
-
-let bump (c : Registry.counter option) : unit =
-  match c with Some c -> Registry.incr c | None -> ()
-
-let observe (h : Registry.histogram option) (v : float) : unit =
-  match h with Some h -> Registry.observe h v | None -> ()
 
 (* A is severed from B when either side banned the other: links are
    bidirectional, so a ban cuts the pair both ways. *)
 let link_banned (t : 'msg t) a b =
-  Hashtbl.mem t.banned.(a) b || Hashtbl.mem t.banned.(b) a
+  Ingress.banned t.ingress.(a) b || Ingress.banned t.ingress.(b) a
 
 (* Draw peers for every node, weighted by stake. Each node initiates
    [fanout] connections; like the paper's TCP links these are
@@ -173,195 +111,76 @@ let trace_instant ?detail (t : 'msg t) ~(node : int) (name : string) : unit =
     Trace.instant tr ~node ~ts:(Network.now t.net) ~cat:"gossip" ~name ?detail ()
   | _ -> ()
 
-let meter (t : 'msg t) ~(node : int) ~(src : int) : peer_meter =
-  match Hashtbl.find_opt t.meters (node, src) with
-  | Some m -> m
-  | None ->
-    let m = { window_start = Network.now t.net; window_count = 0; ban_score = 0 } in
-    Hashtbl.replace t.meters (node, src) m;
-    m
-
-(* Disconnect [src] from [node]'s neighborhood: sever the (mutual) link,
-   remember the ban so no redraw re-links the pair, and draw [node] one
-   weighted replacement peer so its degree (and the overlay's
-   connectivity) survives the cut. *)
+(* [node]'s core has just banned [src]: sever the (mutual) link - the
+   ban itself keeps any redraw from re-linking the pair - and draw
+   [node] one weighted replacement peer so its degree (and the
+   overlay's connectivity) survives the cut. *)
 let ban_peer (t : 'msg t) ~(node : int) ~(src : int) : unit =
-  if not (Hashtbl.mem t.banned.(node) src) then begin
-    Hashtbl.replace t.banned.(node) src ();
-    t.counters.banned_links <- t.counters.banned_links + 1;
-    bump t.counters.c_banned;
-    trace_instant t ~node "ban" ~detail:[ ("peer", string_of_int src) ];
-    t.peers.(node) <- List.filter (fun p -> p <> src) t.peers.(node);
-    t.peers.(src) <- List.filter (fun p -> p <> node) t.peers.(src);
-    let n = Network.nodes t.net in
-    if Array.length t.weights = n then begin
-      let attempts = ref 0 in
-      let found = ref false in
-      while (not !found) && !attempts < 200 do
-        incr attempts;
-        let candidate = Rng.weighted_index t.rng t.weights in
-        if
-          candidate <> node && candidate <> src
-          && (not (List.mem candidate t.peers.(node)))
-          && not (link_banned t node candidate)
-        then begin
-          t.peers.(node) <- candidate :: t.peers.(node);
-          if not (List.mem node t.peers.(candidate)) then
-            t.peers.(candidate) <- node :: t.peers.(candidate);
-          found := true
-        end
-      done
-    end
+  trace_instant t ~node "ban" ~detail:[ ("peer", string_of_int src) ];
+  t.peers.(node) <- List.filter (fun p -> p <> src) t.peers.(node);
+  t.peers.(src) <- List.filter (fun p -> p <> node) t.peers.(src);
+  let n = Network.nodes t.net in
+  if Array.length t.weights = n then begin
+    let attempts = ref 0 in
+    let found = ref false in
+    while (not !found) && !attempts < 200 do
+      incr attempts;
+      let candidate = Rng.weighted_index t.rng t.weights in
+      if
+        candidate <> node && candidate <> src
+        && (not (List.mem candidate t.peers.(node)))
+        && not (link_banned t node candidate)
+      then begin
+        t.peers.(node) <- candidate :: t.peers.(node);
+        if not (List.mem node t.peers.(candidate)) then
+          t.peers.(candidate) <- node :: t.peers.(candidate);
+        found := true
+      end
+    done
   end
 
-let score (t : 'msg t) ~(limits : limits) ~(node : int) ~(src : int) (points : int) :
-    unit =
-  let m = meter t ~node ~src in
-  m.ban_score <- m.ban_score + points;
-  if m.ban_score >= limits.ban_threshold then ban_peer t ~node ~src
-
-(* Ingress admission: leaky-bucket queue for the node as a whole, then
-   the per-peer window quota. Returns false when the frame must be
-   dropped (already counted). *)
-let admit (t : 'msg t) ~(limits : limits) ~(node : int) ~(src : int) : bool =
-  let now = Network.now t.net in
-  (* Leaky bucket: depth decays at the service rate between arrivals. *)
-  let drained = (now -. t.queue_drained_at.(node)) *. limits.drain_per_s in
-  t.queue_depth.(node) <- Float.max 0.0 (t.queue_depth.(node) -. drained);
-  t.queue_drained_at.(node) <- now;
-  observe t.counters.h_ingress_depth t.queue_depth.(node);
-  if t.queue_depth.(node) +. 1.0 > float_of_int limits.queue_capacity then begin
-    (* Tail drop, counted but NOT scored: the queue is shared across
-       peers, so overflow does not implicate the sender of the frame
-       that happened to arrive last - a flooder filling the queue must
-       not get honest peers banned. Attribution comes from the per-peer
-       quota and the decode-failure score. *)
-    t.counters.quota_drops <- t.counters.quota_drops + 1;
-    bump t.counters.c_quota_drops;
-    false
-  end
-  else begin
-    let m = meter t ~node ~src in
-    if now -. m.window_start >= limits.quota_window_s then begin
-      m.window_start <- now;
-      m.window_count <- 0
-    end;
-    if m.window_count >= limits.quota_msgs then begin
-      t.counters.quota_drops <- t.counters.quota_drops + 1;
-      bump t.counters.c_quota_drops;
-      score t ~limits ~node ~src limits.quota_score;
-      false
-    end
-    else begin
-      m.window_count <- m.window_count + 1;
-      t.queue_depth.(node) <- t.queue_depth.(node) +. 1.0;
-      true
-    end
-  end
-
-let create ?registry ?trace ?codec ?limits ~(net : 'msg packet Network.t)
-    ~(rng : Rng.t) ~(weights : float array) (config : 'msg config) : 'msg t =
+let create ?(registry = Registry.create ()) ?trace ?codec ?limits
+    ~(net : 'msg packet Network.t) ~(rng : Rng.t) ~(weights : float array)
+    (config : 'msg config) : 'msg t =
   let n = Network.nodes net in
-  let c name = Option.map (fun r -> Registry.counter r ("gossip." ^ name)) registry in
-  let h name =
-    Option.map
-      (fun r -> Registry.histogram r ~lo:1.0 ~growth:2.0 ~buckets:16 ("gossip." ^ name))
-      registry
+  let decode = function
+    | Plain msg -> Some msg
+    | Raw frame -> ( match codec with None -> None | Some c -> c.dec frame)
   in
   let t =
     {
       net;
       config;
       codec;
-      limits;
       rng;
       trace;
-      counters =
-        {
-          duplicates_dropped = 0;
-          invalid_dropped = 0;
-          decode_failures = 0;
-          quota_drops = 0;
-          banned_links = 0;
-          c_delivered = c "delivered";
-          c_duplicates = c "duplicates_dropped";
-          c_invalid = c "invalid_dropped";
-          c_relayed = c "relayed";
-          c_originated = c "originated";
-          c_p2p = c "p2p_sends";
-          c_decode_fail = c "decode_fail";
-          c_quota_drops = c "quota_drops";
-          c_banned = c "banned_peers";
-          h_ingress_depth = h "ingress_queue_depth";
-        };
+      registry;
+      ingress =
+        Array.init n (fun _ ->
+            Ingress.create ~registry ?limits ~queue:true ~msg_id:config.msg_id ~decode ());
       peers = Array.make n [];
       weights = Array.copy weights;
-      seen = Array.init n (fun _ -> Hashtbl.create 64);
-      banned = Array.init n (fun _ -> Hashtbl.create 4);
-      meters = Hashtbl.create 64;
-      queue_depth = Array.make n 0.0;
-      queue_drained_at = Array.make n 0.0;
     }
   in
   draw_peers t ~weights;
-  (* The untrusted-ingress pipeline, in strict order: (1) ban check -
-     frames from a cut-off peer are ignored outright; (2) flood
-     admission (queue + quota); (3) decode, for Raw frames - only now
-     do the bytes become a message; (4) dedup; (5) validate; (6)
-     deliver + relay. Raw frames relay as the bytes that arrived, so a
-     hop never re-encodes. *)
-  let handle node ~src ~bytes:sz pkt =
-    if Hashtbl.mem t.banned.(node) src then ()
-    else begin
-      let admitted =
-        match t.limits with None -> true | Some l -> admit t ~limits:l ~node ~src
-      in
-      if admitted then begin
-        let decoded =
-          match pkt with
-          | Plain msg -> Some msg
-          | Raw frame -> (
-            match t.codec with None -> None | Some c -> c.dec frame)
-        in
-        match decoded with
-        | None ->
-          t.counters.decode_failures <- t.counters.decode_failures + 1;
-          bump t.counters.c_decode_fail;
-          (match t.limits with
-          | Some l -> score t ~limits:l ~node ~src l.decode_fail_score
-          | None -> ())
-        | Some msg ->
-          let id = config.msg_id msg in
-          if Hashtbl.mem t.seen.(node) id then begin
-            t.counters.duplicates_dropped <- t.counters.duplicates_dropped + 1;
-            bump t.counters.c_duplicates
-          end
-          else if not (config.validate node msg) then begin
-            (* Not marked seen: validation is stateful (e.g. the priority-
-               based block discard of section 6), so a copy arriving later -
-               when this node knows more - gets a fresh chance. Marking
-               seen only AFTER validation also means an invalid variant
-               that shares a gossip id with an honest message (a
-               corrupted copy racing the original) cannot poison the
-               dedup cache and suppress the real one. *)
-            t.counters.invalid_dropped <- t.counters.invalid_dropped + 1;
-            bump t.counters.c_invalid
-          end
-          else begin
-            Hashtbl.replace t.seen.(node) id ();
-            bump t.counters.c_delivered;
-            config.deliver node ~src msg;
-            if not (config.point_to_point msg) then
-              List.iter
-                (fun peer ->
-                  if peer <> src then begin
-                    bump t.counters.c_relayed;
-                    Network.send net ~src:node ~dst:peer ~bytes:sz pkt
-                  end)
-                t.peers.(node)
-          end
-      end
-    end
+  (* Raw frames relay as the bytes that arrived, so a hop never
+     re-encodes. *)
+  let handle node =
+    let validate = config.validate node in
+    fun ~src ~bytes:sz pkt ->
+      match Ingress.receive t.ingress.(node) ~now:(Network.now net) ~src ~validate pkt with
+      | Ingress.Drop -> ()
+      | Ingress.Ban -> ban_peer t ~node ~src
+      | Ingress.Deliver msg ->
+        config.deliver node ~src msg;
+        if not (config.point_to_point msg) then
+          List.iter
+            (fun peer ->
+              if peer <> src then begin
+                Ingress.sent t.ingress.(node) Relayed;
+                Network.send net ~src:node ~dst:peer ~bytes:sz pkt
+              end)
+            t.peers.(node)
   in
   for node = 0 to n - 1 do
     Network.set_handler net node (handle node)
@@ -373,12 +192,9 @@ let create ?registry ?trace ?codec ?limits ~(net : 'msg packet Network.t)
 let pack (t : 'msg t) (msg : 'msg) : 'msg packet =
   match t.codec with None -> Plain msg | Some c -> Raw (c.enc msg)
 
-(* Originate a message at [node]: mark seen, deliver locally, forward. *)
+(* Originate a message at [node]: mark seen, forward. *)
 let broadcast (t : 'msg t) ~(node : int) ~(bytes : int) (msg : 'msg) : unit =
-  let id = t.config.msg_id msg in
-  if not (Hashtbl.mem t.seen.(node) id) then begin
-    Hashtbl.replace t.seen.(node) id ();
-    bump t.counters.c_originated;
+  if Ingress.originate t.ingress.(node) msg then begin
     let pkt = pack t msg in
     List.iter
       (fun peer -> Network.send t.net ~src:node ~dst:peer ~bytes pkt)
@@ -390,14 +206,10 @@ let broadcast (t : 'msg t) ~(node : int) ~(bytes : int) (msg : 'msg) : unit =
    treat whatever arrives as untrusted bytes; garbage is counted,
    scored and dropped at their ingress. *)
 let inject_raw (t : 'msg t) ~(node : int) ~(bytes : int) (frame : string) : unit =
-  bump t.counters.c_originated;
+  Ingress.sent t.ingress.(node) Originated;
   List.iter
     (fun peer -> Network.send t.net ~src:node ~dst:peer ~bytes (Raw frame))
     t.peers.(node)
-
-(* Forget dedup state older than the current round to bound memory; the
-   protocol never re-gossips old-round messages anyway. *)
-let flush_seen (t : 'msg t) : unit = Array.iter Hashtbl.reset t.seen
 
 (* Re-draw the whole peer graph (section 8.4: "Algorand replaces gossip
    peers each round", healing nodes that landed in a disconnected
@@ -414,13 +226,7 @@ let redraw (t : 'msg t) ~(weights : float array) : unit =
 let relink (t : 'msg t) ~(node : int) ~(weights : float array) : unit =
   trace_instant t ~node "relink";
   t.weights <- Array.copy weights;
-  Hashtbl.reset t.seen.(node);
-  Hashtbl.reset t.banned.(node);
-  Hashtbl.filter_map_inplace
-    (fun (recv, _) m -> if recv = node then None else Some m)
-    t.meters;
-  t.queue_depth.(node) <- 0.0;
-  t.queue_drained_at.(node) <- Network.now t.net;
+  Ingress.reset t.ingress.(node) ~now:(Network.now t.net);
   let n = Network.nodes t.net in
   for i = 0 to n - 1 do
     if i <> node then t.peers.(i) <- List.filter (fun p -> p <> node) t.peers.(i)
@@ -441,24 +247,25 @@ let relink (t : 'msg t) ~(node : int) ~(weights : float array) : unit =
       if not (List.mem node t.peers.(peer)) then t.peers.(peer) <- node :: t.peers.(peer))
     links
 
-let duplicates_dropped (t : 'msg t) : int = t.counters.duplicates_dropped
-let invalid_dropped (t : 'msg t) : int = t.counters.invalid_dropped
-let decode_failures (t : 'msg t) : int = t.counters.decode_failures
-let quota_drops (t : 'msg t) : int = t.counters.quota_drops
-let banned_links (t : 'msg t) : int = t.counters.banned_links
+let count (t : 'msg t) (name : string) : int =
+  Option.value ~default:0 (Registry.counter_value t.registry ("gossip." ^ name))
 
-let banned_by (t : 'msg t) (node : int) : int list =
-  Hashtbl.fold (fun p () acc -> p :: acc) t.banned.(node) [] |> List.sort compare
+let duplicates_dropped (t : 'msg t) : int = count t "duplicates_dropped"
+let invalid_dropped (t : 'msg t) : int = count t "invalid_dropped"
+let decode_failures (t : 'msg t) : int = count t "decode_fail"
+let quota_drops (t : 'msg t) : int = count t "quota_drops"
+let banned_links (t : 'msg t) : int = count t "banned_peers"
+let banned_by (t : 'msg t) (node : int) : int list = Ingress.banned_peers t.ingress.(node)
 
 let peers (t : 'msg t) (node : int) : int list = t.peers.(node)
 
 (* Point-to-point send outside the overlay: block-fetch replies, and
    byzantine senders that show different messages to different peers. *)
 let send_to (t : 'msg t) ~(src : int) ~(dst : int) ~(bytes : int) (msg : 'msg) : unit =
-  bump t.counters.c_p2p;
+  Ingress.sent t.ingress.(src) P2p;
   Network.send t.net ~src ~dst ~bytes (pack t msg)
 
 (* Mark a message as seen at [node] without delivering it (used by
    originators of direct sends so their own relays stay consistent). *)
 let mark_seen (t : 'msg t) ~(node : int) (msg : 'msg) : unit =
-  Hashtbl.replace t.seen.(node) (t.config.msg_id msg) ()
+  Ingress.mark_seen t.ingress.(node) msg

@@ -1,13 +1,17 @@
-(** The gossip overlay (section 4): stake-weighted bidirectional peer
-    links, validate-before-relay, at-most-once relay per message id.
+(** The simulated gossip overlay (section 4): stake-weighted
+    bidirectional peer links over {!Network}, with one {!Ingress} core
+    per node doing validate-before-relay and at-most-once relay per
+    message id. The wire overlay drives the same core over a real
+    transport.
 
     With a {!codec} installed, the overlay runs bytes-on-the-wire:
     every message is encoded at the sender and decoded at each
     receiving hop before anything else looks at it; undecodable frames
     are dropped and counted. With {!limits}, each node meters its
-    ingress per peer (bounded leaky-bucket queue, per-peer window
-    quotas) and bans peers whose ban score — fed by undecodable frames
-    and quota violations — crosses the threshold. *)
+    ingress per peer and bans peers whose ban score crosses the
+    threshold; a ban cuts the link both ways and draws the banning
+    node a replacement peer. Only this overlay puts the leaky ingress
+    queue in front of each core. *)
 
 open Algorand_sim
 
@@ -21,22 +25,9 @@ type 'msg codec = {
   dec : string -> 'msg option;
 }
 
-type limits = {
-  queue_capacity : int;  (** max ingress-queue depth per node *)
-  drain_per_s : float;  (** ingress-queue service rate, messages/second *)
-  quota_window_s : float;  (** per-peer quota window length *)
-  quota_msgs : int;  (** max messages accepted from one peer per window *)
-  ban_threshold : int;  (** ban score at which a peer is disconnected *)
-  decode_fail_score : int;  (** score added per undecodable frame *)
-  quota_score : int;
-      (** score added per per-peer quota violation (queue tail drops are
-          counted but unscored: shared-queue overflow does not
-          implicate the frame's sender) *)
-}
+type limits = Ingress.limits
 
 val default_limits : limits
-(** Generous for honest traffic at paper scale; a deliberate flooder
-    crosses the ban threshold within a few simulated seconds. *)
 
 type 'msg config = {
   msg_id : 'msg -> string;
@@ -61,16 +52,12 @@ val create :
   weights:float array ->
   'msg config ->
   'msg t
-(** With [registry], the overlay maintains "gossip.delivered",
-    "gossip.duplicates_dropped", "gossip.invalid_dropped",
-    "gossip.relayed" (fan-out sends while relaying),
-    "gossip.originated", "gossip.p2p_sends", "gossip.decode_fail",
-    "gossip.quota_drops" and "gossip.banned_peers" counters plus a
-    "gossip.ingress_queue_depth" histogram. With an enabled [trace],
-    peer-graph changes ({!redraw}, {!relink}, bans) emit instant
-    events. Ingress pipeline order: ban check, flood admission,
-    decode, dedup, validate, deliver + relay (a hop relays the [Raw]
-    bytes it received — no re-encode). *)
+(** The [gossip.*] counters of {!Ingress.create} plus the
+    "gossip.ingress_queue_depth" histogram live in [registry] (a
+    private one when absent); "gossip.relayed" counts fan-out sends
+    while relaying. With an enabled [trace], peer-graph changes
+    ({!redraw}, {!relink}, bans) emit instant events. A hop relays the
+    [Raw] bytes it received: no re-encode. *)
 
 val broadcast : 'msg t -> node:int -> bytes:int -> 'msg -> unit
 (** Originate a message at [node] (encoded first when in wire mode). *)
@@ -102,7 +89,6 @@ val relink : 'msg t -> node:int -> weights:float array -> unit
     meters), and draw it fresh weighted bidirectional peers. Everyone
     else's links — and their bans against it — are untouched. *)
 
-val flush_seen : 'msg t -> unit
 val duplicates_dropped : 'msg t -> int
 val invalid_dropped : 'msg t -> int
 val decode_failures : 'msg t -> int

@@ -13,6 +13,7 @@ module Harness = Algorand_core.Harness
 module Disk_store = Algorand_core.Disk_store
 module History = Algorand_core.History
 module Wire_gossip = Algorand_core.Wire_gossip
+module Gossip = Algorand_netsim.Gossip
 module Chain = Algorand_ledger.Chain
 module Genesis = Algorand_ledger.Genesis
 module Params = Algorand_ba.Params
@@ -310,7 +311,7 @@ let loopback_cluster ~users ~rounds ~seed ~seg =
   ignore (Engine.run engine ~until:1.0 ());
   Array.iter (fun (node, _, _) -> Node.start node) nodes_and_overlays;
   ignore (Engine.run engine ~until:2_000.0 ());
-  (engine, nodes_and_overlays)
+  (registry, nodes_and_overlays)
 
 let hashes_of node ~rounds =
   let chain = Node.chain node in
@@ -322,13 +323,31 @@ let hashes_of node ~rounds =
         (Chain.ancestor_at chain ~hash:tip.Chain.hash ~height:r))
     (List.init (min rounds tip.Chain.height) (fun k -> k + 1))
 
+(* Every quoted "gossip.*" name in the overlays' interface docs. *)
+let documented_gossip_names () =
+  List.concat_map
+    (fun file ->
+      In_channel.with_open_bin file In_channel.input_all
+      |> String.split_on_char '"'
+      |> List.filter (fun w ->
+             String.starts_with ~prefix:"gossip." w
+             && String.for_all
+                  (fun c -> c = '_' || c = '.' || (c >= 'a' && c <= 'z') || (c >= '0' && c <= '9'))
+                  w))
+    (List.map
+       (Filename.concat (Filename.dirname Sys.executable_name))
+       [ "../lib/netsim/ingress.mli"; "../lib/netsim/gossip.mli" ])
+  |> List.sort_uniq compare
+
 (* The in-sim wire leg of the determinism triple: the same seed and
    params produce the same ledger whether messages cross the simulated
    overlay as typed values or a byte transport as framed, segmented,
-   reassembled, codec-decoded streams. *)
+   reassembled, codec-decoded streams. Both overlays also register the
+   same documented gossip.* family; only the simulated one keeps the
+   ingress-queue histogram. *)
 let consensus_over_loopback () =
   let users = 4 and rounds = 3 and seed = 21 in
-  let _, cluster = loopback_cluster ~users ~rounds ~seed ~seg:(`Chunk 7) in
+  let wire_registry, cluster = loopback_cluster ~users ~rounds ~seed ~seg:(`Chunk 7) in
   let wire_hashes = hashes_of (let n, _, _ = cluster.(0) in n) ~rounds in
   Alcotest.(check int) "wire cluster completed" rounds (List.length wire_hashes);
   Array.iteri
@@ -353,7 +372,20 @@ let consensus_over_loopback () =
   in
   Alcotest.(check int) "no forks in sim" 0 (List.length sim.Harness.safety.Harness.forked_rounds);
   let sim_hashes = hashes_of sim.Harness.harness.Harness.nodes.(0) ~rounds in
-  Alcotest.(check bool) "sim and wire ledgers identical" true (sim_hashes = wire_hashes)
+  Alcotest.(check bool) "sim and wire ledgers identical" true (sim_hashes = wire_hashes);
+  let gossip_names reg =
+    List.filter (String.starts_with ~prefix:"gossip.") (Registry.names reg)
+  in
+  let queue = "gossip.ingress_queue_depth" in
+  let sim_names = gossip_names (Metrics.registry sim.Harness.harness.Harness.metrics) in
+  Alcotest.(check (list string)) "wire registers the sim's gossip.* family minus the queue"
+    (List.filter (( <> ) queue) sim_names) (gossip_names wire_registry);
+  let documented = documented_gossip_names () in
+  Alcotest.(check bool) "documented names found" true (List.length documented >= 10);
+  List.iter
+    (fun name ->
+      Alcotest.(check bool) (name ^ " documented and registered") true (List.mem name sim_names))
+    documented
 
 (* Segmentation must be invisible: dribble and random splits give the
    same ledger as whole-frame delivery. *)
@@ -402,6 +434,80 @@ let loopback_redial () =
   Alcotest.(check (list int)) "b accepted the redial" [ 0 ] (WGL.connected wg_b);
   let cnt name = Option.value ~default:0 (Registry.counter_value registry name) in
   Alcotest.(check bool) "reconnects counted" true (cnt "transport.reconnects" >= 1)
+
+(* Two flood-defended overlays, each with its own registry; B dials A.
+   B's transport is returned so a test can write frames onto the link
+   directly, bypassing B's overlay: a roster peer gone hostile. *)
+let flood_pair () =
+  let engine = Engine.create () in
+  let hub = Loopback.hub ~engine () in
+  let roster = [| "pk-0"; "pk-1" |] in
+  let rng = Rng.create 9 in
+  let mk i =
+    let registry = Registry.create () in
+    let handlers = Transport.handlers () in
+    let tr =
+      Loopback.create ~hub ~addr:roster.(i) ~hello:(hello ~pk:roster.(i) ()) ~registry ~handlers ()
+    in
+    let wg =
+      WGL.create ~engine ~transport:tr ~handlers ~self:i ~roster ~limits:Codec.default_limits
+        ~flood:Gossip.default_limits ~rng:(Rng.split rng roster.(i)) ~registry ()
+    in
+    (tr, handlers, wg, registry)
+  in
+  let a = mk 0 and b = mk 1 in
+  let _, _, wg_b, _ = b in
+  WGL.dial wg_b ~index:0 ~addr:"pk-0";
+  ignore (Engine.run engine ~until:1.0 ());
+  (engine, a, b)
+
+let raw_send tr frames =
+  let conn = List.hd (Loopback.conns tr) in
+  List.iter (fun f -> ignore (Loopback.send tr ~conn f)) frames
+
+let wire_flood_bans_garbage () =
+  let engine, (_, _, wg_a, reg_a), (tr_b, hs_b, wg_b, _) = flood_pair () in
+  let cnt name = Option.value ~default:0 (Registry.counter_value reg_a name) in
+  let l = Gossip.default_limits in
+  let to_ban = l.ban_threshold / l.decode_fail_score in
+  let downs_b = ref [] in
+  let on_down = hs_b.on_peer_down in
+  hs_b.on_peer_down <-
+    (fun ~conn r ->
+      downs_b := r :: !downs_b;
+      on_down ~conn r);
+  Alcotest.(check (list int)) "linked" [ 1 ] (WGL.connected wg_a);
+  raw_send tr_b (List.init (to_ban - 1) (fun i -> Printf.sprintf "\xff garbage %d" i));
+  ignore (Engine.run engine ~until:1.5 ());
+  Alcotest.(check int) "garbage counted" (to_ban - 1) (cnt "gossip.decode_fail");
+  Alcotest.(check (list int)) "not banned below the threshold" [] (WGL.banned wg_a);
+  raw_send tr_b [ "\xff the last straw" ];
+  ignore (Engine.run engine ~until:2.0 ());
+  Alcotest.(check int) "every frame counted" to_ban (cnt "gossip.decode_fail");
+  Alcotest.(check (list int)) "banned" [ 1 ] (WGL.banned wg_a);
+  Alcotest.(check int) "ban counted" 1 (cnt "gossip.banned_peers");
+  Alcotest.(check (list int)) "link closed" [] (WGL.connected wg_a);
+  (* B redials on its backoff schedule; A refuses it at the handshake. *)
+  ignore (Engine.run engine ~until:30.0 ());
+  Alcotest.(check bool) "redial refused as banned" true
+    (List.mem (Transport.Handshake_rejected `Banned) !downs_b);
+  Alcotest.(check bool) "refusal counted" true (cnt "transport.handshake_failures" >= 1);
+  Alcotest.(check (list int)) "still cut off" [] (WGL.connected wg_b)
+
+let wire_flood_quota () =
+  let engine, (_, _, wg_a, reg_a), (tr_b, _, _, _) = flood_pair () in
+  let cnt name = Option.value ~default:0 (Registry.counter_value reg_a name) in
+  let quota = Gossip.default_limits.quota_msgs in
+  let excess = 5 in
+  (* Distinct, decodable frames, all landing within one quota window. *)
+  raw_send tr_b
+    (List.init (quota + excess) (fun attempt ->
+         Codec.encode (Message.Round_request { from_round = 1; requester = 1; attempt })));
+  ignore (Engine.run engine ~until:1.5 ());
+  Alcotest.(check int) "excess dropped" excess (cnt "gossip.quota_drops");
+  Alcotest.(check int) "quota delivered" quota (cnt "gossip.delivered");
+  Alcotest.(check int) "nothing undecodable" 0 (cnt "gossip.decode_fail");
+  Alcotest.(check (list int)) "a short burst is not a ban" [] (WGL.banned wg_a)
 
 (* -------------------------------- TCP ------------------------------ *)
 
@@ -701,6 +807,8 @@ let suite =
         ts "consensus over loopback equals the simulated overlay" consensus_over_loopback;
         ts "ledger invariant under segmentation policy" consensus_segmentation_invariant;
         ts "killed link redials with backoff" loopback_redial;
+        t "wire flood defense: garbage scored to a ban, redial refused" wire_flood_bans_garbage;
+        t "wire flood defense: per-peer quota drops a burst" wire_flood_quota;
         ts "tcp: handshake and reassembled frames" tcp_handshake_and_frames;
         ts "tcp: wrong params digest rejected with reason" tcp_digest_rejected;
         ts "tcp: peer death mid-frame" tcp_death_mid_frame;

@@ -204,7 +204,7 @@ let run_daemon (o : opts) ~(index : int) ~(report_path : string option)
     Node.start node;
     Realtime.run ~engine ~time_scale:o.time_scale
       ~poll:(fun ~timeout -> Tcp.poll tcp ~timeout)
-      ~until:(fun () -> !terminating || expired () || Node.is_stopped node)
+      ~until:(fun () -> !terminating || expired () || Node.status node = Stopped)
       ()
   end;
   (* Phase 3: drain. Persist everything certified (the SIGTERM path

@@ -298,12 +298,11 @@ let run_cmd =
           r.churn.max_rejoin_s r.churn.retries;
         Array.iteri
           (fun i n ->
-            if Node.is_down n || Node.is_resyncing n || Node.is_hung n || not (Node.is_stopped n)
-            then
-              Printf.printf
-                "churn: node %d unfinished: down=%b resync=%b hung=%b round=%d tip=%d \
-                 crashes=%d\n"
-                i (Node.is_down n) (Node.is_resyncing n) (Node.is_hung n) (Node.round n)
+            if Node.status n <> Stopped then
+              Printf.printf "churn: node %d unfinished: status=%s round=%d tip=%d crashes=%d\n"
+                i
+                (Node.status_to_string (Node.status n))
+                (Node.round n)
                 (Chain.tip (Node.chain n)).height (Node.crash_count n))
           r.harness.nodes;
         if r.churn.divergent_restarted <> [] then

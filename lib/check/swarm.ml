@@ -351,12 +351,8 @@ let run_episode (c : config) : episode =
              (List.map
                 (fun i ->
                   let n = r.harness.nodes.(i) in
-                  Printf.sprintf
-                    "n%d(down=%b stopped=%b resync=%b hung=%b round=%d tip=%d)" i
-                    (Algorand_core.Node.is_down n)
-                    (Algorand_core.Node.is_stopped n)
-                    (Algorand_core.Node.is_resyncing n)
-                    (Algorand_core.Node.is_hung n)
+                  Printf.sprintf "n%d(status=%s round=%d tip=%d)" i
+                    Algorand_core.Node.(status_to_string (status n))
                     (Algorand_core.Node.round n)
                     (Algorand_ledger.Chain.tip
                        (Algorand_core.Node.chain n))

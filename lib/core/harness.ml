@@ -625,15 +625,15 @@ let build (config : config) : t =
       | Crash_churn plan ->
         let churn_rng = Rng.split rng (lbl idx "churn") in
         let crash_one ~down_for i =
-          if (not (Node.is_down nodes.(i))) && not (Node.is_stopped nodes.(i))
-          then begin
+          match Node.status nodes.(i) with
+          | Down | Stopped -> ()
+          | Idle | Running | Hung | Recovering | Resyncing ->
             Node.crash nodes.(i);
             Network.set_up network i false;
             Engine.schedule engine ~delay:down_for (fun () ->
                 Network.set_up network i true;
                 Gossip.relink gossip ~node:i ~weights;
                 Node.restart nodes.(i))
-          end
         in
         let pick fraction =
           let k =
@@ -653,7 +653,7 @@ let build (config : config) : t =
               List.iter (crash_one ~down_for) (pick fraction))
         | Periodic { start; period; fraction; down_for; until } ->
           let rec tick time () =
-            if time <= until && not (Array.for_all Node.is_stopped nodes) then begin
+            if time <= until && not (Array.for_all (fun n -> Node.status n = Stopped) nodes) then begin
               if Trace.enabled trace then
                 Trace.instant trace ~ts:time ~cat:"harness" ~name:"churn.tick" ();
               List.iter (crash_one ~down_for) (pick fraction);
@@ -841,10 +841,7 @@ let audit_churn (t : t) : churn_report =
   let unfinished = ref [] in
   Array.iteri
     (fun i n ->
-      if
-        Node.is_down n || Node.is_resyncing n || Node.is_hung n
-        || not (Node.is_stopped n)
-      then unfinished := i :: !unfinished)
+      if Node.status n <> Stopped then unfinished := i :: !unfinished)
     t.nodes;
   let m = t.metrics in
   let lat = Metrics.rejoin_latencies m in

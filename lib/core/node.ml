@@ -146,15 +146,15 @@ type recovery_state = {
   mutable rbuffered : Vote.t list;
 }
 
-(* Live catch-up after a restart (or after falling behind): request
-   certified rounds from rotating peers on a retry schedule until our
-   tip reaches the round the network is working on (section 8.3 made
-   into an online protocol). *)
 (* Recovery BA* votes are tagged with synthetic rounds above this base
    ([base * attempt + fork_round]) so they can never collide with - or
    be mistaken for - regular-round traffic. *)
 let recovery_round_base = 1_000_000
 
+(* Live catch-up after a restart (or after falling behind): request
+   certified rounds from rotating peers on a retry schedule until our
+   tip reaches the round the network is working on (section 8.3 made
+   into an online protocol). *)
 type resync_state = {
   started_at : float;
   mutable target_round : int;  (** tip height to reach before rejoining BA* *)
@@ -165,6 +165,42 @@ type resync_state = {
           replies graft nothing (our tip sits on a dead tentative fork,
           so the divergence point must be rediscovered) *)
 }
+
+(* The node's lifecycle (DESIGN.md section 8): exactly one phase at a
+   time, changed only by [transition] along the edges [legal] allows.
+   [current]/[previous] are separate: a Hung node keeps its dead round
+   and still relays against it. *)
+type phase =
+  | Idle  (** no round in flight; the next [start_round] begins one *)
+  | Running
+  | Hung  (** MaxSteps with recovery on (or catch-up off): waits for a tick *)
+  | Recovering of recovery_state
+  | Resyncing of resync_state
+  | Stopped  (** finished [max_round] *)
+  | Down  (** crashed and not yet restarted *)
+
+type status = Idle | Running | Hung | Recovering | Resyncing | Stopped | Down
+
+let status_of_phase : phase -> status = function
+  | Idle -> Idle | Running -> Running | Hung -> Hung | Recovering _ -> Recovering
+  | Resyncing _ -> Resyncing | Stopped -> Stopped | Down -> Down
+
+let status_to_string : status -> string = function
+  | Idle -> "idle" | Running -> "running" | Hung -> "hung" | Recovering -> "recovering"
+  | Resyncing -> "resyncing" | Stopped -> "stopped" | Down -> "down"
+
+(* The edge table; DESIGN.md section 8 names what drives each edge. *)
+let legal (from : status) (to_ : status) : bool =
+  match (from, to_) with
+  | Down, Down -> false
+  | _, Down (* crash *) | Down, Idle (* restart *)
+  | Idle, (Running | Resyncing | Recovering | Stopped)
+  | Running, (Hung | Resyncing | Recovering | Stopped)
+  | Hung, (Resyncing | Recovering)
+  | Recovering, (Recovering | Idle | Resyncing | Stopped)
+  | Resyncing, (Idle | Stopped) ->
+    true
+  | _ -> false
 
 (* The node's entire view of the network. The four operations are all
    the protocol ever needs, which is what lets one node core run over
@@ -200,9 +236,7 @@ type t = {
   certificates : (int, Certificate.t) Hashtbl.t;
   final_certificates : (int, Certificate.t) Hashtbl.t;
   mutable cpu_free_at : float;
-  mutable hung : bool;
-  mutable stopped : bool;
-  mutable recovering : recovery_state option;
+  mutable phase : phase;  (** written only by [transition] *)
   mutable recovery_generation : int;
   mutable recoveries_completed : int;
   mutable on_round_complete : (t -> round:int -> final:bool -> unit) option;
@@ -210,9 +244,7 @@ type t = {
       (** bumped on crash, restart and resync teardown; every timer and
           deferred CPU-model delivery captures the value it was armed
           under and is ignored if the node has since moved on *)
-  mutable down : bool;  (** crashed and not yet restarted *)
   mutable crash_count : int;
-  mutable resync : resync_state option;
   mutable last_checkpoint : int;  (** highest round persisted to [store_dir] *)
 }
 
@@ -235,16 +267,12 @@ let create ~(index : int) ~(identity : Identity.t) ~(config : config)
     certificates = Hashtbl.create 8;
     final_certificates = Hashtbl.create 8;
     cpu_free_at = 0.0;
-    hung = false;
-    stopped = false;
-    recovering = None;
+    phase = Idle;
     recovery_generation = 0;
     recoveries_completed = 0;
     on_round_complete = None;
     incarnation = 0;
-    down = false;
     crash_count = 0;
-    resync = None;
     last_checkpoint = 0;
   }
 
@@ -258,6 +286,18 @@ let trace_instant (t : t) ?round ?detail (name : string) : unit =
   if Trace.enabled tr then
     Trace.instant tr ~node:t.index ~incarnation:t.incarnation ?round ?detail
       ~ts:(Engine.now t.engine) ~cat:"node" ~name ()
+
+(* The one writer of [t.phase]. Leaving Resyncing stops its requests. *)
+let transition (t : t) (next : phase) : unit =
+  let from = status_of_phase t.phase and to_ = status_of_phase next in
+  if not (legal from to_) then
+    Printf.ksprintf invalid_arg "Node.transition: node %d: %s -> %s" t.index
+      (status_to_string from) (status_to_string to_);
+  (match t.phase with Resyncing { retry = Some r; _ } -> Retry.cancel r | _ -> ());
+  t.phase <- next;
+  if Trace.enabled (tracer t) then
+    trace_instant t "node.lifecycle"
+      ~detail:[ ("from", status_to_string from); ("to", status_to_string to_) ]
 
 let set_net (t : t) (n : net) : unit = t.net <- Some n
 let net (t : t) : net = Option.get t.net
@@ -280,7 +320,7 @@ let set_gossip (t : t) (g : Message.t Gossip.t) : unit =
 let pk (t : t) : string = t.identity.pk
 let chain (t : t) : Chain.t = t.chain
 let round (t : t) : int = match t.current with Some rs -> rs.round | None -> 0
-let is_hung (t : t) : bool = t.hung
+let status (t : t) : status = status_of_phase t.phase
 let certificate (t : t) ~(round : int) : Certificate.t option =
   Hashtbl.find_opt t.certificates round
 let final_certificate (t : t) ~(round : int) : Certificate.t option =
@@ -304,6 +344,12 @@ let sched (t : t) ~(delay : float) (f : unit -> unit) : unit =
 let cancel_fetch (rs : round_state) : unit =
   (match rs.fetch with Some r -> Retry.cancel r | None -> ());
   rs.fetch <- None
+
+(* Abandon the round in flight: its fetch stops and no message routes
+   to it any more. *)
+let drop_round (t : t) : unit =
+  (match t.current with Some rs -> cancel_fetch rs | None -> ());
+  t.current <- None
 
 (* Durable checkpoint: persist every certified round above the last
    checkpoint, but only as a contiguous run - a gap on disk would
@@ -367,6 +413,34 @@ let weight_entry (t : t) ~(seed_entry : Chain.entry) : Chain.entry =
   in
   back seed_entry
 
+let tau_of_step (p : Params.t) : Vote.step -> float = function
+  | Vote.Final -> p.tau_final
+  | _ -> p.tau_step
+
+(* Vote validation and signing against one committee draw: [seed] and
+   look-back [weights] (section 5.3) on top of [prev_hash]. Regular
+   rounds and recovery attempts differ only in these inputs. *)
+let vote_ctx (t : t) ~seed ~(weights : Balances.t) ~total_weight ~prev_hash :
+    Vote.validation_ctx =
+  {
+    sig_scheme = t.config.sig_scheme;
+    vrf_scheme = t.config.vrf_scheme;
+    sig_pk_of = Identity.sig_pk;
+    vrf_pk_of = Identity.vrf_pk;
+    seed;
+    total_weight;
+    weight_of = Balances.balance weights;
+    last_block_hash = prev_hash;
+    tau_of_step = tau_of_step t.config.params;
+  }
+
+let sign_vote (t : t) ~seed ~(weights : Balances.t) ~total_weight ~round ~prev_hash
+    ~(step : Vote.step) ~(value : string) : Vote.t option =
+  Vote.make ~signer:t.identity.signer ~prover:t.identity.prover ~pk:t.identity.pk ~seed
+    ~tau:(tau_of_step t.config.params step)
+    ~w:(Balances.balance weights t.identity.pk)
+    ~total_weight ~round ~step ~prev_hash ~value
+
 let make_round_state (t : t) ~(r : int) : round_state =
   let tip = Chain.tip t.chain in
   assert (tip.height = r - 1);
@@ -374,20 +448,7 @@ let make_round_state (t : t) ~(r : int) : round_state =
   let weights = (weight_entry t ~seed_entry).balances_after in
   let total_weight = Balances.total weights in
   let prev_hash = tip.hash in
-  let p = t.config.params in
-  let vctx : Vote.validation_ctx =
-    {
-      sig_scheme = t.config.sig_scheme;
-      vrf_scheme = t.config.vrf_scheme;
-      sig_pk_of = Identity.sig_pk;
-      vrf_pk_of = Identity.vrf_pk;
-      seed = seed_entry.seed;
-      total_weight;
-      weight_of = Balances.balance weights;
-      last_block_hash = prev_hash;
-      tau_of_step = (function Vote.Final -> p.tau_final | _ -> p.tau_step);
-    }
-  in
+  let vctx = vote_ctx t ~seed:seed_entry.seed ~weights ~total_weight ~prev_hash in
   {
     round = r;
     record = Metrics.start_round t.metrics ~user:t.index ~round:r ~now:(Engine.now t.engine);
@@ -420,11 +481,8 @@ let make_round_state (t : t) ~(r : int) : round_state =
 
 let make_vote (t : t) (rs : round_state) ~(step : Vote.step) ~(value : string) :
     Vote.t option =
-  let p = t.config.params in
-  let tau = match step with Vote.Final -> p.tau_final | _ -> p.tau_step in
-  Vote.make ~signer:t.identity.signer ~prover:t.identity.prover
-    ~pk:t.identity.pk ~seed:rs.seed ~tau ~w:(Balances.balance rs.weights t.identity.pk)
-    ~total_weight:rs.total_weight ~round:rs.round ~step ~prev_hash:rs.prev_hash ~value
+  sign_vote t ~seed:rs.seed ~weights:rs.weights ~total_weight:rs.total_weight
+    ~round:rs.round ~prev_hash:rs.prev_hash ~step ~value
 
 (* An alternative value for double-voting: some other proposed block,
    or the empty block if the primary vote already names a block. *)
@@ -517,11 +575,7 @@ let rec apply_ba_actions (t : t) (rs : round_state) (actions : Ba_star.action li
           Log.debug (fun m ->
               m "node %d: round %d classification timed out (stays tentative)"
                 t.index rs.round)
-        else if
-          t.config.resync_enabled
-          && (not t.config.recovery_enabled)
-          && t.resync = None
-        then begin
+        else if t.config.resync_enabled && not t.config.recovery_enabled then begin
           (* MaxSteps without the section 8.2 protocol: treat it as
              having fallen behind and rejoin via live catch-up. *)
           Log.warn (fun m ->
@@ -529,7 +583,7 @@ let rec apply_ba_actions (t : t) (rs : round_state) (actions : Ba_star.action li
           begin_resync t
         end
         else begin
-          t.hung <- true;
+          transition t Hung;
           Log.warn (fun m -> m "node %d hung in round %d (MaxSteps)" t.index rs.round)
         end)
     actions
@@ -555,9 +609,7 @@ and start_ba (t : t) (rs : round_state) ~(hblock : string) : unit =
         params = t.config.params;
         round = rs.round;
         empty_hash = rs.empty_hash;
-        my_votes =
-          (fun ~step ~value ->
-            match make_vote t rs ~step ~value with None -> [] | Some v -> [ v ]);
+        my_votes = (fun ~step ~value -> Option.to_list (make_vote t rs ~step ~value));
         validate = (fun v -> vote_weight t rs v);
       }
     in
@@ -728,7 +780,7 @@ and complete_round (t : t) (rs : round_state) (block : Block.t) : unit =
   | None -> ());
   maybe_checkpoint t;
   if rs.round >= t.config.max_round then begin
-    t.stopped <- true;
+    transition t Stopped;
     t.current <- None
   end
   else sched t ~delay:0.0 (fun () -> start_round t ~r:(rs.round + 1))
@@ -815,7 +867,7 @@ and build_block (t : t) (rs : round_state) ~(variant : int) : Block.t =
     padding;
   }
 
-and record_proposed_block (t : t) (rs : round_state) (b : Block.t) : unit =
+and record_proposed_block (rs : round_state) (b : Block.t) : unit =
   let h = Block.hash b in
   let proposer = b.header.proposer_pk in
   (match Hashtbl.find_opt rs.blocks_by_proposer proposer with
@@ -825,8 +877,7 @@ and record_proposed_block (t : t) (rs : round_state) (b : Block.t) : unit =
     Hashtbl.replace rs.equivocators proposer ()
   | _ -> ());
   Hashtbl.replace rs.blocks_by_proposer proposer h;
-  Hashtbl.replace rs.proposed_blocks h b;
-  ignore t
+  Hashtbl.replace rs.proposed_blocks h b
 
 and try_propose (t : t) (rs : round_state) : unit =
   match
@@ -837,8 +888,8 @@ and try_propose (t : t) (rs : round_state) : unit =
   | None -> ()
   | Some prio ->
     let block = build_block t rs ~variant:0 in
-    record_proposed_block t rs block;
-    consider_priority t rs prio;
+    record_proposed_block rs block;
+    consider_priority rs prio;
     broadcast t (Message.Priority prio);
     let equivocate =
       match t.config.byzantine with Some b -> b.equivocate_proposal | None -> false
@@ -858,8 +909,7 @@ and try_propose (t : t) (rs : round_state) : unit =
         (nt.net_peers ())
     end
 
-and consider_priority (t : t) (rs : round_state) (p : Proposal.priority_msg) : unit =
-  ignore t;
+and consider_priority (rs : round_state) (p : Proposal.priority_msg) : unit =
   match rs.best_priority with
   | Some best when not (Proposal.higher p best) -> ()
   | _ -> rs.best_priority <- Some p
@@ -897,8 +947,10 @@ and on_proposal_window_closed (t : t) (rs : round_state) : unit =
   end
 
 and start_round (t : t) ~(r : int) : unit =
-  if t.stopped || t.hung || t.down || t.resync <> None then ()
-  else begin
+  match t.phase with
+  | Hung | Recovering _ | Resyncing _ | Stopped | Down -> ()
+  | Idle | Running ->
+    if t.phase = Idle then transition t Running;
     let rs = make_round_state t ~r in
     t.current <- Some rs;
     trace_instant t ~round:r "round.start";
@@ -915,7 +967,6 @@ and start_round (t : t) ~(r : int) : unit =
       let replay = List.rev !msgs in
       Hashtbl.remove t.pending r;
       List.iter (fun m -> process_message t m) replay
-  end
 
 (* ------------------------------------------------------------------ *)
 (* Block validation (section 8.1).                                     *)
@@ -952,62 +1003,47 @@ and validate_block (t : t) (rs : round_state) (b : Block.t) : bool =
 (* ------------------------------------------------------------------ *)
 
 and process_message (t : t) (msg : Message.t) : unit =
-  if t.down then ()
-  else begin
-    match msg with
-    | Message.Round_request { from_round; requester; attempt = _ } ->
-      (* Served from any live state except our own resync: chain and
-         certificates survive round and recovery transitions. *)
-      if t.resync = None then serve_round_request t ~from_round ~requester
-    | Message.Round_reply { to_; current_round; items } -> (
-      if to_ = t.index then begin
-        match t.resync with
-        | Some st -> process_round_reply t st ~current_round ~items
-        | None -> ()
-      end)
-    | Message.Block_request { round; block_hash; requester; attempt = _ } ->
-      (* Served independently of round state: a node that already
-         stopped (or moved on) must still answer a straggler's fetch,
-         or the last round's late deciders can never learn the block
-         they agreed on. *)
-      let reply b = (net t).net_send_to ~dst:requester (Message.Block_reply b) in
-      (match t.current with
-      | Some rs when round = rs.round -> (
-        match Hashtbl.find_opt rs.proposed_blocks block_hash with
-        | Some b -> reply b
-        | None -> ())
-      | _ -> (
-        (* Old rounds come out of sharded storage (section 8.3). *)
-        match Chain.find t.chain block_hash with
-        | Some e when serves_round t ~round:e.height -> reply e.block
-        | Some _ | None -> ()))
+  match (t.phase, msg) with
+  | Down, _ -> ()
+  | Resyncing _, Message.Round_request _ -> ()
+  | _, Message.Round_request { from_round; requester; attempt = _ } ->
+    (* Served from any live state except our own resync: chain and
+       certificates survive round and recovery transitions. *)
+    serve_round_request t ~from_round ~requester
+  | Resyncing st, Message.Round_reply { to_; current_round; items } ->
+    if to_ = t.index then process_round_reply t st ~current_round ~items
+  | _, Message.Round_reply _ -> ()
+  | _, Message.Block_request { round; block_hash; requester; attempt = _ } -> (
+    (* Served independently of round state: a node that already
+       stopped (or moved on) must still answer a straggler's fetch, or
+       the last round's late deciders can never learn the block they
+       agreed on. *)
+    let reply b = (net t).net_send_to ~dst:requester (Message.Block_reply b) in
+    match t.current with
+    | Some rs when round = rs.round -> (
+      match Hashtbl.find_opt rs.proposed_blocks block_hash with
+      | Some b -> reply b
+      | None -> ())
     | _ -> (
-      match t.resync with
-      | Some _ -> (
-        (* Catching up: bank round-tagged traffic for replay once we
-           rejoin; everything else waits for the next request. *)
-        match msg with
-        | Message.Tx tx -> ignore (Txpool.add t.txpool tx)
-        | Message.Ba_vote v -> buffer t v.round msg
-        | Message.Priority p -> buffer t p.round msg
-        | Message.Block_gossip b | Message.Block_reply b ->
-          buffer t (Block.round b) msg
-        | _ -> ())
-      | None -> (
-        match t.recovering with
-        | Some recovery -> process_recovery_message t recovery msg
-        | None -> (
-          match t.current with
-          | None -> (
-            (* Stopped - but a pipelined final round may still be
-               awaiting its classification votes. *)
-            match (msg, t.previous) with
-            | Message.Ba_vote v, Some p when p.round = v.round && not p.classified
-              ->
-              deliver_to_ba t p v
-            | _ -> ())
-          | Some rs -> process_normal_message t rs msg)))
-  end
+      (* Old rounds come out of sharded storage (section 8.3). *)
+      match Chain.find t.chain block_hash with
+      | Some e when serves_round t ~round:e.height -> reply e.block
+      | Some _ | None -> ()))
+  | Resyncing _, _ -> (
+    (* Catching up: bank round-tagged traffic for replay once we
+       rejoin; everything else waits for the next request. *)
+    match msg with
+    | Message.Tx tx -> ignore (Txpool.add t.txpool tx)
+    | Message.Ba_vote v -> buffer t v.round msg
+    | Message.Priority p -> buffer t p.round msg
+    | Message.Block_gossip b | Message.Block_reply b -> buffer t (Block.round b) msg
+    | _ -> ())
+  | Recovering recovery, _ -> process_recovery_message t recovery msg
+  | (Idle | Running | Hung | Stopped), _ -> (
+    match (t.current, msg) with
+    | Some rs, _ -> process_normal_message t rs msg
+    | None, Message.Ba_vote v -> deliver_to_previous t v
+    | None, _ -> ())
 
 and process_normal_message (t : t) (rs : round_state) (msg : Message.t) : unit =
   match msg with
@@ -1021,14 +1057,14 @@ and process_normal_message (t : t) (rs : round_state) (msg : Message.t) : unit =
             ~weight_of:(Balances.balance rs.weights) ~total_weight:rs.total_weight p
         then begin
           note_remote_priority t rs;
-          consider_priority t rs p
+          consider_priority rs p
         end
       end
     | Message.Block_gossip b | Message.Block_reply b ->
       if Block.round b > rs.round then buffer t (Block.round b) msg
       else if Block.round b = rs.round then begin
         if validate_block t rs b then begin
-          record_proposed_block t rs b;
+          record_proposed_block rs b;
           let h = Block.hash b in
           (* A node blocked on the proposal, or one that already agreed
              on this hash, can now make progress. *)
@@ -1054,7 +1090,6 @@ and process_normal_message (t : t) (rs : round_state) (msg : Message.t) : unit =
         if
           t.config.resync_enabled && v.round > rs.round + 1
           && v.round < recovery_round_base
-          && t.resync = None && t.recovering = None
         then begin
           Log.debug (fun m ->
               m "node %d saw round-%d traffic while in round %d; resyncing"
@@ -1063,24 +1098,24 @@ and process_normal_message (t : t) (rs : round_state) (msg : Message.t) : unit =
         end
       end
       else if v.round = rs.round then deliver_to_ba t rs v
-      else begin
-        (* With pipelining, the previous round's final-step votes are
-           still relevant until it is classified. *)
-        match t.previous with
-        | Some p when p.round = v.round && not p.classified -> deliver_to_ba t p v
-        | _ -> ()
-      end
-    | Message.Block_request _ ->
-      (* Served in the state-independent dispatch above. *)
-      ()
+      else deliver_to_previous t v
+    | Message.Block_request _ | Message.Round_request _ | Message.Round_reply _
     | Message.Fork_proposal _ ->
-      (* Recovery ticks are clock-synchronized, so by the time a fork
-         proposal arrives we are either recovering (handled above) or
-         healthy and not interested. *)
+      (* Requests are served before the per-round dispatch. Recovery
+         ticks are clock-synchronized, so a fork proposal finds us
+         either recovering (handled there) or healthy and not
+         interested. *)
       ()
-    | Message.Round_request _ | Message.Round_reply _ ->
-      (* Handled before the per-round dispatch. *)
-      ()
+
+(* With pipelining, the previous round's final-step votes still count
+   until it is classified - also once the node has stopped. *)
+and open_previous (t : t) ~(round : int) : round_state option =
+  match t.previous with
+  | Some p when p.round = round && not p.classified -> Some p
+  | _ -> None
+
+and deliver_to_previous (t : t) (v : Vote.t) : unit =
+  Option.iter (fun p -> deliver_to_ba t p v) (open_previous t ~round:v.round)
 
 and buffer (t : t) (round : int) (msg : Message.t) : unit =
   match Hashtbl.find_opt t.pending round with
@@ -1102,10 +1137,8 @@ and begin_resync (t : t) : unit =
      timer armed for it, so the abandoned round cannot fire into the
      rejoin. *)
   t.incarnation <- t.incarnation + 1;
-  (match t.current with Some rs -> cancel_fetch rs | None -> ());
-  t.current <- None;
+  drop_round t;
   t.previous <- None;
-  t.hung <- false;
   let st =
     {
       started_at = Engine.now t.engine;
@@ -1115,8 +1148,7 @@ and begin_resync (t : t) : unit =
       backtrack = 0;
     }
   in
-  t.resync <- Some st;
-  trace_instant t "resync.start";
+  transition t (Resyncing st);
   arm_resync_retry t st
 
 and arm_resync_retry (t : t) (st : resync_state) : unit =
@@ -1126,8 +1158,8 @@ and arm_resync_retry (t : t) (st : resync_state) : unit =
     Some
       (Retry.start ~engine:t.engine ~rng:t.rng ~policy:t.config.retry
          ~attempt:(fun _ ->
-           match t.resync with
-           | Some st' when st' == st && t.incarnation = inc ->
+           match t.phase with
+           | Resyncing st' when st' == st && t.incarnation = inc ->
              if st.requests_sent > 0 then Metrics.record_retry t.metrics;
              send_round_request t st
            | _ -> ())
@@ -1232,10 +1264,21 @@ and graft_certified (t : t) (b : Block.t) (c : Certificate.t) : unit =
     | _ -> () (* unknown parent: backtracking will find the fork point *)
   end
 
+(* Back from a catch-up or a recovery attempt: stop if the tip already
+   reaches [max_round], else start the round after it once the current
+   event settles (unless something else claimed the node first). *)
+and rejoin (t : t) : unit =
+  if (Chain.tip t.chain).height >= t.config.max_round then transition t Stopped
+  else begin
+    transition t Idle;
+    sched t ~delay:0.0 (fun () ->
+        match t.phase with
+        | Idle -> start_round t ~r:((Chain.tip t.chain).height + 1)
+        | _ -> ())
+  end
+
 and finish_resync (t : t) (st : resync_state) : unit =
-  (match st.retry with Some r -> Retry.cancel r | None -> ());
-  st.retry <- None;
-  t.resync <- None;
+  rejoin t;
   let latency = Engine.now t.engine -. st.started_at in
   Metrics.record_rejoin t.metrics latency;
   let tr = tracer t in
@@ -1245,18 +1288,9 @@ and finish_resync (t : t) (st : resync_state) : unit =
       ~detail:[ ("requests", string_of_int st.requests_sent) ]
       ();
   maybe_checkpoint t;
-  let tip = Chain.tip t.chain in
   Log.debug (fun m ->
-      m "node %d resynced to round %d in %.2fs (%d requests)" t.index tip.height
-        latency st.requests_sent);
-  if tip.height >= t.config.max_round then begin
-    t.stopped <- true;
-    t.current <- None
-  end
-  else if t.recovering = None && not t.stopped then
-    sched t ~delay:0.0 (fun () ->
-        if t.resync = None && t.recovering = None && t.current = None then
-          start_round t ~r:((Chain.tip t.chain).height + 1))
+      m "node %d resynced to round %d in %.2fs (%d requests)" t.index
+        (Chain.tip t.chain).height latency st.requests_sent)
 
 (* ------------------------------------------------------------------ *)
 (* Fork recovery (section 8.2).                                        *)
@@ -1303,9 +1337,7 @@ and longest_leaf_above (t : t) (stable : Chain.entry) : Chain.entry =
       first rest
 
 and engage_recovery (t : t) ~(attempt : int) : unit =
-  t.hung <- false;
-  (match t.current with Some rs -> cancel_fetch rs | None -> ());
-  t.current <- None;
+  drop_round t;
   t.recovery_generation <- t.recovery_generation + 1;
   let stable = deepest_final t in
   let rseed = Sha256.digest_concat [ "recovery"; stable.seed; string_of_int attempt ] in
@@ -1328,7 +1360,7 @@ and engage_recovery (t : t) ~(attempt : int) : unit =
       rbuffered = [];
     }
   in
-  t.recovering <- Some rs;
+  transition t (Recovering rs);
   let p = t.config.params in
   (* Fork proposal, if sortition selects us. *)
   let sel =
@@ -1360,8 +1392,8 @@ and engage_recovery (t : t) ~(attempt : int) : unit =
     consider_fork rs f;
     broadcast t (Message.Fork_proposal f));
   sched t ~delay:(p.lambda_priority +. p.lambda_stepvar) (fun () ->
-      match t.recovering with
-      | Some rs' when rs'.generation = rs.generation -> adopt_fork t rs
+      match t.phase with
+      | Recovering rs' when rs'.generation = rs.generation -> adopt_fork t rs
       | _ -> ())
 
 and consider_fork (rs : recovery_state) (f : Message.fork_proposal) : unit =
@@ -1424,40 +1456,22 @@ and adopt_fork (t : t) (rs : recovery_state) : unit =
       rs.rvote_round <- (recovery_round_base * rs.attempt) + rs.fork_round;
       rs.rtip_hash <- tip.hash;
       rs.rempty_hash <- Proposal.empty_hash ~round:rs.fork_round ~prev_hash:tip.hash;
-      let p = t.config.params in
-      let vctx : Vote.validation_ctx =
-        {
-          sig_scheme = t.config.sig_scheme;
-          vrf_scheme = t.config.vrf_scheme;
-          sig_pk_of = Identity.sig_pk;
-          vrf_pk_of = Identity.vrf_pk;
-          seed = rs.rseed;
-          total_weight = rs.rtotal_weight;
-          weight_of = Balances.balance rs.rweights;
-          last_block_hash = tip.hash;
-          tau_of_step = (function Vote.Final -> p.tau_final | _ -> p.tau_step);
-        }
+      let vctx =
+        vote_ctx t ~seed:rs.rseed ~weights:rs.rweights ~total_weight:rs.rtotal_weight
+          ~prev_hash:tip.hash
       in
       rs.rvctx <- Some vctx;
       let ctx : Ba_star.ctx =
         {
-          params = p;
+          params = t.config.params;
           round = rs.rvote_round;
           empty_hash = rs.rempty_hash;
           my_votes =
             (fun ~step ~value ->
-              let tau =
-                match step with Vote.Final -> p.tau_final | _ -> p.tau_step
-              in
-              match
-                Vote.make ~signer:t.identity.signer ~prover:t.identity.prover
-                  ~pk:t.identity.pk ~seed:rs.rseed ~tau
-                  ~w:(Balances.balance rs.rweights t.identity.pk)
-                  ~total_weight:rs.rtotal_weight ~round:rs.rvote_round ~step
-                  ~prev_hash:rs.rtip_hash ~value
-              with
-              | Some v -> [ v ]
-              | None -> []);
+              Option.to_list
+                (sign_vote t ~seed:rs.rseed ~weights:rs.rweights
+                   ~total_weight:rs.rtotal_weight ~round:rs.rvote_round
+                   ~prev_hash:rs.rtip_hash ~step ~value));
           validate = (fun v -> Vote.validate vctx v);
         }
       in
@@ -1481,8 +1495,8 @@ and apply_recovery_actions (t : t) (rs : recovery_state) (actions : Ba_star.acti
         deliver_to_recovery_ba t rs v
       | Ba_star.Set_timer { token; delay } ->
         sched t ~delay (fun () ->
-            match (t.recovering, rs.rba) with
-            | Some rs', Some ba when rs'.generation = rs.generation ->
+            match (t.phase, rs.rba) with
+            | Recovering rs', Some ba when rs'.generation = rs.generation ->
               apply_recovery_actions t rs (Ba_star.handle ba (Ba_star.Timer token))
             | _ -> ())
       | Ba_star.Bin_decided _ -> ()
@@ -1506,22 +1520,17 @@ and finish_recovery (t : t) (rs : recovery_state) ~(value : string) : unit =
     (match Chain.find t.chain (Block.hash b) with
     | Some e -> Chain.set_tip t.chain e.hash
     | None -> ());
-    t.recovering <- None;
     t.recoveries_completed <- t.recoveries_completed + 1;
     Log.debug (fun m ->
         m "node %d recovered to round %d at %.1fs" t.index rs.fork_round
           (Engine.now t.engine));
     maybe_checkpoint t;
-    if rs.fork_round >= t.config.max_round then t.stopped <- true
-    else
-      sched t ~delay:0.0 (fun () ->
-          if t.recovering = None && not t.stopped && t.current = None then
-            start_round t ~r:(rs.fork_round + 1))
+    rejoin t
   end
 
 and abandon_recovery (t : t) (rs : recovery_state) : unit =
-  if t.recovering <> None then begin
-    t.recovering <- None;
+  match t.phase with
+  | Recovering _ ->
     Log.debug (fun m ->
         m "node %d abandoned recovery attempt %d" t.index rs.attempt);
     (* Resume the stalled round; the next synchronized tick retries.
@@ -1530,24 +1539,24 @@ and abandon_recovery (t : t) (rs : recovery_state) : unit =
        network finished this round without us and moved on - peers
        that already stopped never join recovery, so retrying the tick
        forever strands us. Rejoin by certified history instead. *)
-    if not t.stopped then begin
-      let tip = Chain.tip t.chain in
-      if tip.height >= t.config.max_round then t.stopped <- true
+    let tip = Chain.tip t.chain in
+    if tip.height >= t.config.max_round then transition t Stopped
+    else begin
+      let restart = tip.height + 1 in
+      let observed_ahead =
+        (* Synthetic recovery rounds in the buffer are evidence of
+           peers *recovering*, not of the network being ahead. *)
+        Hashtbl.fold
+          (fun r _ acc -> acc || (r > restart && r < recovery_round_base))
+          t.pending false
+      in
+      if t.config.resync_enabled && observed_ahead then begin_resync t
       else begin
-        let restart = tip.height + 1 in
-        let observed_ahead =
-          (* Synthetic recovery rounds in the buffer are evidence of
-             peers *recovering*, not of the network being ahead. *)
-          Hashtbl.fold
-            (fun r _ acc -> acc || (r > restart && r < recovery_round_base))
-            t.pending false
-        in
-        if t.config.resync_enabled && observed_ahead && t.resync = None then
-          begin_resync t
-        else start_round t ~r:restart
+        transition t Idle;
+        start_round t ~r:restart
       end
     end
-  end
+  | _ -> ()
 
 and process_recovery_message (t : t) (rs : recovery_state) (msg : Message.t) : unit =
   match msg with
@@ -1571,47 +1580,40 @@ let vote_plausible (t : t) (v : Vote.t) : bool =
     ~pk:(Identity.sig_pk v.voter_pk)
     ~msg:(Vote.signed_body v) ~signature:v.signature
 
+let previous_vote_valid (t : t) (v : Vote.t) : bool =
+  match open_previous t ~round:v.round with Some p -> vote_weight t p v > 0 | None -> false
+
 (* Gossip relay gating (section 8.4): validate what can be validated at
    our current round; relay plausible near-future messages so laggards
    do not partition the overlay; drop stale rounds. *)
 let gossip_validate (t : t) (msg : Message.t) : bool =
-  if t.down then false
-  else
-  match msg with
-  | Message.Round_request _ | Message.Round_reply _ ->
+  match (t.phase, msg) with
+  | Down, _ -> false
+  | _, (Message.Round_request _ | Message.Round_reply _) ->
     (* Point-to-point catch-up traffic: never relayed by the overlay,
        but delivery still requires passing validation. *)
     true
-  | Message.Ba_vote v when t.resync <> None -> vote_plausible t v
-  | _ when t.resync <> None ->
+  | (Resyncing _ | Recovering _), Message.Ba_vote v -> vote_plausible t v
+  | Resyncing _, _ ->
     (* We are behind: everything current is plausibly ahead of us.
        Relay it rather than partition the overlay around a laggard. *)
     true
-  | _ -> (
-  match (t.recovering, t.current) with
-  | Some _, _ ->
-    (* During recovery, relay recovery traffic and anything we cannot
-       judge yet; regular-round traffic is stale by construction. *)
-    (match msg with
-    | Message.Ba_vote v -> vote_plausible t v
-    | Message.Tx _ | Message.Fork_proposal _
-    | Message.Block_request _ | Message.Block_reply _
-    | Message.Round_request _ | Message.Round_reply _ ->
-      true
-    | Message.Priority _ | Message.Block_gossip _ -> false)
-  | None, None -> (
+  (* During recovery, relay recovery traffic and anything we cannot
+     judge yet; regular-round traffic is stale by construction. *)
+  | Recovering _, (Message.Priority _ | Message.Block_gossip _) -> false
+  | Recovering _, _ -> true
+  | (Idle | Running | Hung | Stopped), _ -> (
+  match t.current with
+  | None -> (
     match msg with
     | Message.Fork_proposal _ -> true
-    | Message.Ba_vote v -> (
-      match t.previous with
-      | Some p when p.round = v.round && not p.classified -> vote_weight t p v > 0
-      | _ -> false)
+    | Message.Ba_vote v -> previous_vote_valid t v
     | Message.Block_request _ ->
       (* A stopped node still serves block fetches: the last round's
          late deciders depend on someone answering. *)
       true
     | _ -> false)
-  | None, Some rs -> (
+  | Some rs -> (
     match msg with
     | Message.Tx _ -> true
     | Message.Priority p -> p.round >= rs.round
@@ -1628,13 +1630,10 @@ let gossip_validate (t : t) (msg : Message.t) : bool =
     | Message.Ba_vote v ->
       if v.round > rs.round then vote_plausible t v
       else if v.round = rs.round then vote_weight t rs v > 0
-      else (
-        match t.previous with
-        | Some p when p.round = v.round && not p.classified -> vote_weight t p v > 0
-        | _ -> false)
-    | Message.Block_request _ | Message.Block_reply _ -> true
-    | Message.Fork_proposal _ -> true
-    | Message.Round_request _ | Message.Round_reply _ -> true))
+      else previous_vote_valid t v
+    | Message.Block_request _ | Message.Block_reply _ | Message.Fork_proposal _
+    | Message.Round_request _ | Message.Round_reply _ ->
+      true))
 
 (* CPU model: message processing is serialized through one core with a
    per-kind cost; with the default sub-millisecond costs this matters
@@ -1650,10 +1649,10 @@ let cpu_cost (t : t) (msg : Message.t) : float =
   | Message.Round_request _ ->
     0.0
 
-let deliver (t : t) ~(src : int) (msg : Message.t) : unit =
-  ignore src;
-  if t.down then ()
-  else begin
+let deliver (t : t) ~src:(_ : int) (msg : Message.t) : unit =
+  match t.phase with
+  | Down -> ()
+  | _ ->
     let cost = cpu_cost t msg in
     if cost <= 0.0 then process_message t msg
     else begin
@@ -1664,7 +1663,6 @@ let deliver (t : t) ~(src : int) (msg : Message.t) : unit =
          when the node crashes must not surface after the restart. *)
       sched t ~delay:(start +. cost -. now) (fun () -> process_message t msg)
     end
-  end
 
 let start (t : t) : unit =
   if t.config.recovery_enabled && t.config.params.recovery_interval > 0.0 then begin
@@ -1672,13 +1670,14 @@ let start (t : t) : unit =
        same absolute multiples of the interval (section 8.2). *)
     let interval = t.config.params.recovery_interval in
     let rec tick k () =
-      if not t.stopped then begin
-        (* A crashed node misses its ticks; a resyncing one rejoins
-           through catch-up instead. The tick chain itself persists
-           across crashes (it belongs to the node, not a round). *)
-        if (not t.down) && t.resync = None then engage_recovery t ~attempt:k;
+      (* A crashed node misses its ticks; a resyncing one rejoins
+         through catch-up instead. The tick chain itself persists
+         across crashes (it belongs to the node, not a round). *)
+      match t.phase with
+      | Stopped -> ()
+      | phase ->
+        (match phase with Down | Resyncing _ -> () | _ -> engage_recovery t ~attempt:k);
         Engine.at t.engine ~time:(float_of_int (k + 1) *. interval) (tick (k + 1))
-      end
     in
     Engine.at t.engine ~time:interval (tick 1)
   end;
@@ -1688,17 +1687,16 @@ let start (t : t) : unit =
    handed a clone of the canonical certified prefix and starts at the
    round after its tip, instead of replaying from genesis. *)
 let adopt_chain (t : t) (chain : Chain.t) : unit =
-  if t.current <> None || t.stopped then
-    invalid_arg "Node.adopt_chain: node already running";
-  t.chain <- chain
+  match t.phase with
+  | Idle -> t.chain <- chain
+  | _ -> invalid_arg "Node.adopt_chain: node not idle"
 
 let start_from_tip (t : t) : unit =
   let tip = Chain.tip t.chain in
-  if tip.height >= t.config.max_round then t.stopped <- true
+  if tip.height >= t.config.max_round then transition t Stopped
   else start_round t ~r:(tip.height + 1)
 
 let recoveries_completed (t : t) : int = t.recoveries_completed
-let is_recovering (t : t) : bool = t.recovering <> None
 
 let set_on_round_complete (t : t) f : unit = t.on_round_complete <- Some f
 
@@ -1715,8 +1713,9 @@ let set_byzantine (t : t) (b : byzantine option) : unit =
 (* Submit a transaction at this node (entering its pool and the gossip
    network), as a wallet would. *)
 let submit_tx (t : t) (tx : Transaction.t) : unit =
-  if t.down then ()
-  else if Txpool.add t.txpool tx then broadcast t (Message.Tx tx)
+  match t.phase with
+  | Down -> ()
+  | _ -> if Txpool.add t.txpool tx then broadcast t (Message.Tx tx)
 
 (* ------------------------------------------------------------------ *)
 (* Crash and restart.                                                  *)
@@ -1728,43 +1727,35 @@ let submit_tx (t : t) (tx : Transaction.t) : unit =
    incarnation bump makes every armed timer and queued CPU delivery
    from this life a no-op. *)
 let crash (t : t) : unit =
-  if not t.down then begin
-    t.down <- true;
+  match t.phase with
+  | Down -> ()
+  | _ ->
+    transition t Down;
     t.crash_count <- t.crash_count + 1;
     t.incarnation <- t.incarnation + 1;
-    (match t.current with Some rs -> cancel_fetch rs | None -> ());
-    (match t.resync with
-    | Some st -> (match st.retry with Some r -> Retry.cancel r | None -> ())
-    | None -> ());
-    t.resync <- None;
-    t.current <- None;
+    drop_round t;
     t.previous <- None;
-    t.recovering <- None;
     Hashtbl.reset t.pending;
     Hashtbl.reset t.certificates;
     Hashtbl.reset t.final_certificates;
     t.chain <- Chain.create t.genesis;
     t.txpool <- Txpool.create ();
     t.cpu_free_at <- 0.0;
-    t.hung <- false;
-    t.stopped <- false;
     t.last_checkpoint <- 0;
     Metrics.record_crash t.metrics;
-    trace_instant t "crash";
     Log.debug (fun m -> m "node %d crashed at %.2fs" t.index (Engine.now t.engine))
-  end
 
 (* Restart: reload the durable checkpoint (never trusted - every
    certificate is re-validated by History.replay, and a corrupt or
    truncated tail costs only the tail), then rejoin through live
    catch-up. *)
 let restart (t : t) : unit =
-  if t.down then begin
-    t.down <- false;
+  match t.phase with
+  | Down ->
+    transition t Idle;
     t.incarnation <- t.incarnation + 1;
     t.cpu_free_at <- Engine.now t.engine;
     Metrics.record_restart t.metrics;
-    trace_instant t "restart";
     (match t.config.store_dir with
     | None -> ()
     | Some dir ->
@@ -1810,15 +1801,8 @@ let restart (t : t) : unit =
           (Engine.now t.engine)
           (Chain.tip t.chain).height);
     if t.config.resync_enabled then begin_resync t
-    else begin
-      let tip = Chain.tip t.chain in
-      if tip.height >= t.config.max_round then t.stopped <- true
-      else start_round t ~r:(tip.height + 1)
-    end
-  end
+    else start_from_tip t
+  | _ -> ()
 
-let is_down (t : t) : bool = t.down
-let is_resyncing (t : t) : bool = t.resync <> None
-let is_stopped (t : t) : bool = t.stopped
 let crash_count (t : t) : int = t.crash_count
 let incarnation (t : t) : int = t.incarnation

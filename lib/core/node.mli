@@ -105,12 +105,12 @@ val adopt_chain : t -> Algorand_ledger.Chain.t -> unit
     certified canonical prefix) before it starts. The population
     engine's join path: a node materialized for round r receives the
     height-(r-1) prefix instead of replaying from genesis.
-    @raise Invalid_argument once the node is running. *)
+    @raise Invalid_argument unless the node is [Idle]. *)
 
 val start_from_tip : t -> unit
 (** Begin at the round after the current tip (recovery ticks are
-    [start]'s job; population rounds do not use them). Marks the node
-    stopped if the tip already reaches [max_round]. *)
+    [start]'s job; population rounds do not use them). Stops the node
+    if the tip already reaches [max_round]. *)
 
 val pk : t -> string
 val chain : t -> Chain.t
@@ -118,8 +118,26 @@ val chain : t -> Chain.t
 val round : t -> int
 (** Current round, or 0 when idle/stopped. *)
 
-val is_hung : t -> bool
-val is_recovering : t -> bool
+(** Where a node is in its life: exactly one holds at a time. The
+    edges between them, and what drives each, are in DESIGN.md
+    section 8. *)
+type status =
+  | Idle  (** no round in flight: new, restarted, or back from catch-up/recovery *)
+  | Running  (** running BA* rounds *)
+  | Hung  (** hit MaxSteps with recovery on: waits for a tick, still relays *)
+  | Recovering  (** running section 8.2 fork recovery *)
+  | Resyncing  (** catching up from certified history (section 8.3) *)
+  | Stopped  (** finished [max_round]; still serves fetches *)
+  | Down  (** crashed and not yet restarted *)
+
+val status : t -> status
+val status_to_string : status -> string
+
+val legal : status -> status -> bool
+(** [legal from to_]: the edge table every phase change is checked
+    against ([Invalid_argument] otherwise). Each change emits a
+    ["node.lifecycle"] trace instant with [from]/[to] detail. *)
+
 val recoveries_completed : t -> int
 
 val crash : t -> unit
@@ -133,10 +151,6 @@ val restart : t -> unit
     checkpoint (a corrupt or truncated tail costs only the tail), then
     rejoin via live catch-up ([resync_enabled]) or by starting the next
     round directly. No-op if not down. *)
-
-val is_down : t -> bool
-val is_resyncing : t -> bool
-val is_stopped : t -> bool
 
 val crash_count : t -> int
 (** Crashes suffered so far. *)

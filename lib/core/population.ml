@@ -353,7 +353,7 @@ let run (config : config) : result =
     Array.iter (fun (_, node) -> Node.start_from_tip node) roster;
     ignore (Engine.run engine ~until:(t0 +. round_ceiling) ());
     let events = Engine.events_processed engine - events_before in
-    let all_stopped = Array.for_all (fun (_, node) -> Node.is_stopped node) roster in
+    let all_stopped = Array.for_all (fun (_, node) -> Node.status node = Stopped) roster in
     (* Audit: every materialized node must have certified the same
        block at this height. *)
     let hashes =
@@ -382,7 +382,7 @@ let run (config : config) : result =
          undebuggable. *)
       let unstopped =
         Array.fold_left
-          (fun acc (_, node) -> if Node.is_stopped node then acc else acc + 1)
+          (fun acc (_, node) -> if Node.status node = Stopped then acc else acc + 1)
           0 roster
       in
       let missing = Array.fold_left (fun acc h -> if h = None then acc + 1 else acc) 0 hashes in

@@ -7,7 +7,7 @@
    crash, (a) no round ever sees two different FINAL blocks, and (b) a
    restarted node's chain re-converges with the strict-majority chain.
    The liveness bar: every crashed node that gets a restart finishes
-   the experiment's rounds (is_stopped) - rejoin must not wedge. *)
+   the experiment's rounds (status Stopped) - rejoin must not wedge. *)
 
 module Harness = Algorand_core.Harness
 module Node = Algorand_core.Node
@@ -17,8 +17,11 @@ module Engine = Algorand_sim.Engine
 module Retry = Algorand_sim.Retry
 module Rng = Algorand_sim.Rng
 module Network = Algorand_netsim.Network
+module Trace = Algorand_obs.Trace
+module Swarm = Algorand_check.Swarm
 
 let ts name f = Alcotest.test_case name `Slow f
+let status n = Node.status_to_string (Node.status n)
 
 let fast_params ~max_steps =
   {
@@ -233,7 +236,7 @@ let incarnation_guards_timers () =
       let inc0 = Node.incarnation victim in
       Node.crash victim;
       Network.set_up t.network 2 false;
-      Alcotest.(check bool) "down" true (Node.is_down victim);
+      Alcotest.(check string) "down" "down" (status victim);
       Alcotest.(check int) "crash counted" 1 (Node.crash_count victim);
       Alcotest.(check bool) "incarnation bumped" true (Node.incarnation victim > inc0);
       (* Old-life timers fire into the void while the node is down. *)
@@ -247,7 +250,7 @@ let incarnation_guards_timers () =
       Alcotest.(check bool) "restart bumps incarnation" true
         (Node.incarnation victim > inc1);
       ignore (Engine.run t.engine ());
-      Alcotest.(check bool) "victim finished all rounds" true (Node.is_stopped victim);
+      Alcotest.(check string) "victim finished all rounds" "stopped" (status victim);
       let tip0 = (Chain.tip (Node.chain t.nodes.(0))).hash in
       Alcotest.(check bool) "victim re-converged" true
         (String.equal tip0 (Chain.tip (Node.chain victim)).hash))
@@ -266,7 +269,7 @@ let truncated_store_recovered () =
       ignore (Engine.run t.engine ());
       (* Everyone finished; node 4's store holds rounds 1..3. *)
       let victim = t.nodes.(4) in
-      Alcotest.(check bool) "run completed" true (Node.is_stopped victim);
+      Alcotest.(check string) "run completed" "stopped" (status victim);
       Node.crash victim;
       Network.set_up t.network 4 false;
       let dir = Filename.concat root "node-004" in
@@ -278,10 +281,100 @@ let truncated_store_recovered () =
       Network.set_up t.network 4 true;
       Node.restart victim;
       ignore (Engine.run t.engine ());
-      Alcotest.(check bool) "recovered despite torn tail" true (Node.is_stopped victim);
+      Alcotest.(check string) "recovered despite torn tail" "stopped" (status victim);
       let tip0 = (Chain.tip (Node.chain t.nodes.(0))).hash in
       Alcotest.(check bool) "re-converged" true
         (String.equal tip0 (Chain.tip (Node.chain victim)).hash))
+
+(* --------------------------- lifecycle ---------------------------- *)
+
+let adopt_chain_only_when_idle () =
+  (* The population engine hands a fresh node a certified prefix; a
+     crashed or finished node must refuse one. *)
+  let t =
+    Harness.build (base ~seed:707 ~users:8 ~rounds:1 ~attack:Harness.No_attack ~loss:0.0)
+  in
+  Fun.protect ~finally:(fun () -> Harness.cleanup_stores t) @@ fun () ->
+  let chain n = Chain.clone (Node.chain n) in
+  Alcotest.(check string) "fresh node" "idle" (status t.nodes.(0));
+  Node.adopt_chain t.nodes.(0) (chain t.nodes.(0));
+  let raises ctx n =
+    match Node.adopt_chain n (chain n) with
+    | () -> Alcotest.failf "adopt_chain accepted a %s node" ctx
+    | exception Invalid_argument _ -> ()
+  in
+  Array.iter Node.start t.nodes;
+  ignore (Engine.run t.engine ());
+  Alcotest.(check string) "finished node" "stopped" (status t.nodes.(0));
+  raises "stopped" t.nodes.(0);
+  Node.crash t.nodes.(1);
+  Alcotest.(check string) "crashed node" "down" (status t.nodes.(1));
+  raises "down" t.nodes.(1)
+
+let all_status = Node.[ Idle; Running; Hung; Recovering; Resyncing; Stopped; Down ]
+
+let status_of_string s =
+  match List.find_opt (fun st -> Node.status_to_string st = s) all_status with
+  | Some st -> st
+  | None -> Alcotest.failf "unknown status %S" s
+
+let lifecycle_trace_deterministic () =
+  (* Every phase change emits one node.lifecycle instant. Under
+     periodic churn the edges must all be in the legal table, crash
+     and restart must both show up, and a second run with the same
+     seed must emit the identical edge sequence. *)
+  let traced_run () =
+    let tr = Trace.create () in
+    Trace.enable tr;
+    let edges = ref [] in
+    Trace.add_callback tr (fun (e : Trace.event) ->
+        if e.name = "node.lifecycle" then
+          edges :=
+            ( e.ts,
+              e.node,
+              e.incarnation,
+              List.assoc "from" e.detail,
+              List.assoc "to" e.detail )
+            :: !edges);
+    let r =
+      Harness.run
+        {
+          (base ~seed:303 ~users:10 ~rounds:3
+             ~attack:
+               (Harness.Crash_churn
+                  (Harness.Periodic
+                     { start = 5.0; period = 12.0; fraction = 0.3; down_for = 8.0; until = 80.0 }))
+             ~loss:0.05)
+          with
+          trace = Some tr;
+        }
+    in
+    Harness.cleanup_stores r.harness;
+    List.rev !edges
+  in
+  let a = traced_run () in
+  let b = traced_run () in
+  List.iter
+    (fun (_, node, _, from, to_) ->
+      if not (Node.legal (status_of_string from) (status_of_string to_)) then
+        Alcotest.failf "node %d: illegal edge %s -> %s" node from to_)
+    a;
+  let has f = List.exists f a in
+  Alcotest.(check bool) "a crash edge" true (has (fun (_, _, _, _, to_) -> to_ = "down"));
+  Alcotest.(check bool) "a restart edge" true (has (fun (_, _, _, from, _) -> from = "down"));
+  Alcotest.(check bool) "same edges on the same seed" true (a = b)
+
+(* The swarm's first streams found three liveness wedges in the
+   recovery/resync seam (DESIGN.md section 14), each fixed in node.ml.
+   Each replay line below leaves a node unfinished at quiescence when
+   its fix is reverted. *)
+let wedge_replay line () =
+  match Swarm.of_string line with
+  | Error e -> Alcotest.failf "bad replay line %S: %s" line e
+  | Ok c -> (
+    match (Swarm.run_episode c).violation with
+    | None -> ()
+    | Some inv -> Alcotest.failf "%s: %s violated" line inv)
 
 (* -------------------------- retry unit --------------------------- *)
 
@@ -393,6 +486,22 @@ let suite =
         ts "deterministic per seed" deterministic_per_seed;
         ts "incarnation guards stale timers" incarnation_guards_timers;
         ts "truncated checkpoint recovered" truncated_store_recovered;
+        Alcotest.test_case "adopt_chain only when idle" `Quick adopt_chain_only_when_idle;
+        ts "lifecycle trace legal and deterministic" lifecycle_trace_deterministic;
+        (* A straggler whose peers all stopped never gets a recovery
+           quorum; abandon_recovery falls back to catch-up. *)
+        ts "wedge: straggler stranded by stopped peers"
+          (wedge_replay "seed=318696;users=8;rounds=3;st=partition,undecidable:0.15");
+        (* Buffered recovery votes (synthetic rounds above
+           recovery_round_base) must not count as the network being
+           ahead, or every node resyncs and nobody serves catch-up. *)
+        ts "wedge: recovery rounds poison the ahead-check"
+          (wedge_replay "seed=38;users=8;rounds=3;st=partition,churn:0.1:8");
+        (* A recovery tick abandons the running round without a new
+           incarnation, so its BA* timers still fire; its MaxSteps must
+           not mark the node Hung (it used to, stopped nodes included). *)
+        ts "wedge: stale round's timeout sets the node-wide hung flag"
+          (wedge_replay "seed=5;users=8;rounds=3;st=partition,churn:0.2:8");
         Alcotest.test_case "retry backoff schedule" `Quick retry_backoff_schedule;
         Alcotest.test_case "retry cancel" `Quick retry_cancel_stops;
         ts "torture: lossless churn x100" (torture ~seeds:100 ~loss:0.0);

@@ -129,7 +129,11 @@ type round_state = {
 type recovery_state = {
   generation : int;  (** invalidates stale recovery timers *)
   attempt : int;  (** the synchronized recovery tick that started this engagement *)
-  stable : Chain.entry;  (** deepest final entry: seed/weights come from before any fork *)
+  stable : Chain.entry;  (** deepest entry this node knows final: no fork may revert it *)
+  anchor : Chain.entry;
+      (** seed-refresh boundary at or below [stable]: seed and weights
+          come from it, so nodes that disagree on which block is final
+          still draw the same recovery committee *)
   rseed : string;
   rweights : Balances.t;
   rtotal_weight : int;
@@ -241,7 +245,8 @@ type t = {
   mutable recoveries_completed : int;
   mutable on_round_complete : (t -> round:int -> final:bool -> unit) option;
   mutable incarnation : int;
-      (** bumped on crash, restart and resync teardown; every timer and
+      (** bumped on crash, restart, and the round teardown that starts
+          a resync or a recovery attempt; every timer and
           deferred CPU-model delivery captures the value it was armed
           under and is ignored if the node has since moved on *)
   mutable crash_count : int;
@@ -335,8 +340,9 @@ let serves_round (t : t) ~(round : int) : bool =
 let broadcast (t : t) (msg : Message.t) : unit = (net t).net_broadcast msg
 
 (* Schedule a timer that dies with the node's current life: crash,
-   restart and resync teardown bump [t.incarnation], so a closure armed
-   in a previous life finds a different value and does nothing. *)
+   restart and round teardown ([drop_round]) bump [t.incarnation], so a
+   closure armed in a previous life finds a different value and does
+   nothing. *)
 let sched (t : t) ~(delay : float) (f : unit -> unit) : unit =
   let inc = t.incarnation in
   Engine.schedule t.engine ~delay (fun () -> if t.incarnation = inc then f ())
@@ -345,11 +351,15 @@ let cancel_fetch (rs : round_state) : unit =
   (match rs.fetch with Some r -> Retry.cancel r | None -> ());
   rs.fetch <- None
 
-(* Abandon the round in flight: its fetch stops and no message routes
-   to it any more. *)
+(* Abandon the rounds in flight (the current one and a pipelined
+   previous one): the incarnation bump silences every timer armed for
+   them, so they cannot fire into whatever the node does next; the
+   fetch stops and no message routes to them any more. *)
 let drop_round (t : t) : unit =
+  t.incarnation <- t.incarnation + 1;
   (match t.current with Some rs -> cancel_fetch rs | None -> ());
-  t.current <- None
+  t.current <- None;
+  t.previous <- None
 
 (* Durable checkpoint: persist every certified round above the last
    checkpoint, but only as a contiguous run - a gap on disk would
@@ -1005,10 +1015,10 @@ and validate_block (t : t) (rs : round_state) (b : Block.t) : bool =
 and process_message (t : t) (msg : Message.t) : unit =
   match (t.phase, msg) with
   | Down, _ -> ()
-  | Resyncing _, Message.Round_request _ -> ()
   | _, Message.Round_request { from_round; requester; attempt = _ } ->
-    (* Served from any live state except our own resync: chain and
-       certificates survive round and recovery transitions. *)
+    (* Served from every live state, our own catch-up included: chain
+       and certificates survive round, recovery and resync transitions,
+       and nodes catching up from each other must not deadlock. *)
     serve_round_request t ~from_round ~requester
   | Resyncing st, Message.Round_reply { to_; current_round; items } ->
     if to_ = t.index then process_round_reply t st ~current_round ~items
@@ -1133,12 +1143,7 @@ and buffer (t : t) (round : int) (msg : Message.t) : unit =
 (* ------------------------------------------------------------------ *)
 
 and begin_resync (t : t) : unit =
-  (* Tear down any in-flight round: the incarnation bump silences every
-     timer armed for it, so the abandoned round cannot fire into the
-     rejoin. *)
-  t.incarnation <- t.incarnation + 1;
   drop_round t;
-  t.previous <- None;
   let st =
     {
       started_at = Engine.now t.engine;
@@ -1300,10 +1305,10 @@ and finish_resync (t : t) (st : resync_state) : unit =
 (* under a recovery seed derived from a pre-fork block) propose their  *)
 (* longest fork, everyone adopts the highest-priority proposal, and    *)
 (* BA* decides on an empty block extending that fork. Seeds and        *)
-(* weights come from the deepest *final* block - our stand-in for the  *)
-(* paper's next-to-last b-period quantization; both pick a block from  *)
-(* before any live fork (finality implies uniqueness), which is the    *)
-(* property the protocol needs.                                        *)
+(* weights come from the seed-refresh boundary at or below the deepest *)
+(* final block ([recovery_anchor]): a block from before any live fork  *)
+(* (finality implies uniqueness) that nodes agree on even when they    *)
+(* disagree on which recent blocks are final.                          *)
 (* ------------------------------------------------------------------ *)
 
 and fork_proposer_role ~(attempt : int) : string =
@@ -1336,17 +1341,30 @@ and longest_leaf_above (t : t) (stable : Chain.entry) : Chain.entry =
         else best)
       first rest
 
+(* Finality is a local observation: a node that missed the final-step
+   votes, or restarted from a store that does not keep them, holds the
+   same block as tentative. So the recovery seed and weights come from
+   the seed-refresh boundary at or below the deepest final block, the
+   quantization regular rounds already use for their seeds (section
+   5.2), which every node whose final blocks fall in one refresh
+   interval agrees on. *)
+and recovery_anchor (t : t) (stable : Chain.entry) : Chain.entry =
+  let height = stable.height - (stable.height mod t.config.params.seed_refresh_interval) in
+  Option.value ~default:stable (Chain.ancestor_at t.chain ~hash:stable.hash ~height)
+
 and engage_recovery (t : t) ~(attempt : int) : unit =
   drop_round t;
   t.recovery_generation <- t.recovery_generation + 1;
   let stable = deepest_final t in
-  let rseed = Sha256.digest_concat [ "recovery"; stable.seed; string_of_int attempt ] in
-  let rweights = stable.balances_after in
+  let anchor = recovery_anchor t stable in
+  let rseed = Sha256.digest_concat [ "recovery"; anchor.seed; string_of_int attempt ] in
+  let rweights = anchor.balances_after in
   let rs =
     {
       generation = t.recovery_generation;
       attempt;
       stable;
+      anchor;
       rseed;
       rweights;
       rtotal_weight = Balances.total rweights;
@@ -1419,23 +1437,30 @@ and validate_fork_proposal (t : t) (rs : recovery_state) (f : Message.fork_propo
       | Some pr -> String.equal pr f.priority
       | None -> false)
   &&
-  match f.suffix with
-  | [] -> String.equal f.tip_hash rs.stable.hash
-  | first :: _ -> (
-    (* The proposed fork must graft onto a descendant of the stable
-       (final) block - anything branching below finality is rejected -
-       and form a linked chain ending at the claimed tip. *)
-    match Chain.find t.chain (Block.prev_hash first) with
-    | None -> false
-    | Some parent ->
-      Chain.descends_from t.chain ~hash:parent.hash ~ancestor:rs.stable.hash
-      &&
-      let rec linked prev = function
-        | [] -> String.equal prev f.tip_hash
-        | (b : Block.t) :: rest ->
-          String.equal (Block.prev_hash b) prev && linked (Block.hash b) rest
-      in
-      linked (Block.prev_hash first) f.suffix)
+  (* The proposed fork grafts onto a block we hold above the anchor and
+     forms a linked chain ending at the claimed tip, and that chain
+     keeps every block we know final: a proposer that saw less finality
+     than we did still proposes a valid fork as long as it does not
+     revert ours. *)
+  let keeps_final (parent : Chain.entry) =
+    Chain.descends_from t.chain ~hash:parent.hash ~ancestor:rs.stable.hash
+    || List.exists (fun b -> String.equal (Block.hash b) rs.stable.hash) f.suffix
+  in
+  let graft_point =
+    match f.suffix with [] -> f.tip_hash | first :: _ -> Block.prev_hash first
+  in
+  match Chain.find t.chain graft_point with
+  | None -> false
+  | Some parent ->
+    Chain.descends_from t.chain ~hash:parent.hash ~ancestor:rs.anchor.hash
+    && keeps_final parent
+    &&
+    let rec linked prev = function
+      | [] -> String.equal prev f.tip_hash
+      | (b : Block.t) :: rest ->
+        String.equal (Block.prev_hash b) prev && linked (Block.hash b) rest
+    in
+    linked graft_point f.suffix
 
 and adopt_fork (t : t) (rs : recovery_state) : unit =
   match rs.best_fork with
@@ -1533,28 +1558,19 @@ and abandon_recovery (t : t) (rs : recovery_state) : unit =
   | Recovering _ ->
     Log.debug (fun m ->
         m "node %d abandoned recovery attempt %d" t.index rs.attempt);
-    (* Resume the stalled round; the next synchronized tick retries.
-       Exception: a recovery attempt that found no quorum while we
-       hold buffered traffic for rounds past the restart means the
-       network finished this round without us and moved on - peers
-       that already stopped never join recovery, so retrying the tick
-       forever strands us. Rejoin by certified history instead. *)
+    (* An attempt that found no quorum cannot tell a network that is
+       stuck with us from one that finished without us: peers that
+       already stopped never join recovery, and a crash or a partition
+       can have kept every sign of their progress from us. So ask them:
+       catch-up grafts whatever certified rounds they hold and rejoins
+       at once when they hold none. Without catch-up, resume the
+       stalled round; the next synchronized tick retries. *)
     let tip = Chain.tip t.chain in
     if tip.height >= t.config.max_round then transition t Stopped
+    else if t.config.resync_enabled then begin_resync t
     else begin
-      let restart = tip.height + 1 in
-      let observed_ahead =
-        (* Synthetic recovery rounds in the buffer are evidence of
-           peers *recovering*, not of the network being ahead. *)
-        Hashtbl.fold
-          (fun r _ acc -> acc || (r > restart && r < recovery_round_base))
-          t.pending false
-      in
-      if t.config.resync_enabled && observed_ahead then begin_resync t
-      else begin
-        transition t Idle;
-        start_round t ~r:restart
-      end
+      transition t Idle;
+      start_round t ~r:(tip.height + 1)
     end
   | _ -> ()
 
@@ -1732,9 +1748,7 @@ let crash (t : t) : unit =
   | _ ->
     transition t Down;
     t.crash_count <- t.crash_count + 1;
-    t.incarnation <- t.incarnation + 1;
     drop_round t;
-    t.previous <- None;
     Hashtbl.reset t.pending;
     Hashtbl.reset t.certificates;
     Hashtbl.reset t.final_certificates;

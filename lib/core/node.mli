@@ -156,8 +156,9 @@ val crash_count : t -> int
 (** Crashes suffered so far. *)
 
 val incarnation : t -> int
-(** Bumped on crash, restart and resync teardown; timers armed under an
-    older incarnation never fire. *)
+(** Bumped on crash, restart, and the round teardown that starts a
+    resync or a recovery attempt; timers armed under an older
+    incarnation never fire. *)
 
 val certificate : t -> round:int -> Certificate.t option
 (** The certificate assembled for an agreed round (section 8.3). *)

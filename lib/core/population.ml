@@ -221,10 +221,12 @@ let run (config : config) : result =
     | `Linear -> None
   in
   (* Evaluate one role for every user; returns how many are selected.
-     This is the engine's hot loop: one short SHA-256 per (user, role)
-     via the sim VRF's public-key evaluation path, then the equal-stake
-     fast path compares the hash fraction against the precomputed
-     P(j = 0) before paying for the CDF inversion. *)
+     This is the engine's hot loop: one sim-VRF evaluation per (user,
+     role) via its public-key path, a 64-bit mix of the user's pk with
+     the role input's key (hashed once per role, then cached inside
+     [Vrf.sim]), then the equal-stake fast path compares the hash
+     fraction against the precomputed P(j = 0) before paying for the
+     CDF inversion. *)
   let sweep_role ~(seed : string) ~(role : string) ~(tau : float) : int =
     let input = Sortition.vrf_input ~seed ~role in
     let prob = tau /. float_of_int total_weight in

@@ -3,7 +3,7 @@
 
     Two implementations share one closure-record interface: [ecvrf] is
     a real ECVRF-style construction over the ed25519 curve; [sim] is a
-    hash-based stand-in with the same output distribution but no
+    keyed-mixer stand-in with the same output distribution but no
     secrecy, used for large-scale simulations (the paper itself elides
     verification cost when simulating 500,000 users, section 10.1). *)
 
@@ -28,4 +28,7 @@ val ecvrf : scheme
 
 val sim : scheme
 (** Distribution-faithful simulation VRF (outputs derivable from the
-    public key; zero-length proofs). See DESIGN.md, substitution 3. *)
+    public key; zero-length proofs): one SHA-256 per input, cached for
+    the last input, then a 64-bit mix per public key. Rejects a
+    non-empty proof or a public key that is not 32 bytes. See
+    DESIGN.md, substitution 3. *)

@@ -263,7 +263,11 @@ let peers (t : 'msg t) (node : int) : int list = t.peers.(node)
    byzantine senders that show different messages to different peers. *)
 let send_to (t : 'msg t) ~(src : int) ~(dst : int) ~(bytes : int) (msg : 'msg) : unit =
   Ingress.sent t.ingress.(src) P2p;
-  Network.send t.net ~src ~dst ~bytes (pack t msg)
+  (* A reply's destination is read off the request, which a hostile
+     frame can fill with any integer. Like a send to an unknown peer on
+     the real wire, a send to no node goes nowhere. *)
+  if dst >= 0 && dst < Array.length t.ingress then
+    Network.send t.net ~src ~dst ~bytes (pack t msg)
 
 (* Mark a message as seen at [node] without delivering it (used by
    originators of direct sends so their own relays stay consistent). *)

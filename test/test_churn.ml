@@ -364,10 +364,10 @@ let lifecycle_trace_deterministic () =
   Alcotest.(check bool) "a restart edge" true (has (fun (_, _, _, from, _) -> from = "down"));
   Alcotest.(check bool) "same edges on the same seed" true (a = b)
 
-(* The swarm's first streams found three liveness wedges in the
-   recovery/resync seam (DESIGN.md section 14), each fixed in node.ml.
-   Each replay line below leaves a node unfinished at quiescence when
-   its fix is reverted. *)
+(* The swarm found four liveness wedges in the recovery/resync seam
+   (DESIGN.md section 14), each fixed in node.ml. Each replay line
+   below leaves a node unfinished at quiescence when its fix is
+   reverted. *)
 let wedge_replay line () =
   match Swarm.of_string line with
   | Error e -> Alcotest.failf "bad replay line %S: %s" line e
@@ -492,16 +492,32 @@ let suite =
            quorum; abandon_recovery falls back to catch-up. *)
         ts "wedge: straggler stranded by stopped peers"
           (wedge_replay "seed=318696;users=8;rounds=3;st=partition,undecidable:0.15");
-        (* Buffered recovery votes (synthetic rounds above
-           recovery_round_base) must not count as the network being
-           ahead, or every node resyncs and nobody serves catch-up. *)
+        (* Recovery votes (synthetic rounds above recovery_round_base)
+           must not count as the network being ahead, or a whole
+           cluster talks itself into resync. *)
         ts "wedge: recovery rounds poison the ahead-check"
           (wedge_replay "seed=38;users=8;rounds=3;st=partition,churn:0.1:8");
-        (* A recovery tick abandons the running round without a new
-           incarnation, so its BA* timers still fire; its MaxSteps must
-           not mark the node Hung (it used to, stopped nodes included). *)
+        (* A round the node has left can still time out (a pipelined
+           previous round; before recovery ticks bumped the
+           incarnation, also the round a tick dropped); its MaxSteps
+           must not mark the node Hung (it used to, stopped nodes
+           included). *)
         ts "wedge: stale round's timeout sets the node-wide hung flag"
           (wedge_replay "seed=5;users=8;rounds=3;st=partition,churn:0.2:8");
+        (* Finality is local: restarted nodes hold the last final block
+           as tentative. Recovery seeded from each node's own deepest
+           final block split the cluster into committees that never
+           reached quorum together; the seed now comes from the
+           seed-refresh boundary below it. *)
+        ts "wedge: recovery seeded by local finality"
+          (wedge_replay "seed=777430;users=8;rounds=3;st=partition,churn:0.1:16");
+        ts "wedge: local-finality recovery split, equivocators"
+          (wedge_replay "seed=12067;users=8;rounds=4;st=equivocate:0.1,churn:0.2:16");
+        (* A lone straggler whose peers all stopped, with no buffered
+           traffic to show it, retried recovery ticks forever; a failed
+           attempt now asks peers through catch-up. *)
+        ts "wedge: failed recovery never asks stopped peers"
+          (wedge_replay "seed=777430;users=11;rounds=3;st=partition,churn:0.1:16");
         Alcotest.test_case "retry backoff schedule" `Quick retry_backoff_schedule;
         Alcotest.test_case "retry cancel" `Quick retry_cancel_stops;
         ts "torture: lossless churn x100" (torture ~seeds:100 ~loss:0.0);

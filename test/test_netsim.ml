@@ -147,6 +147,11 @@ let gossip_direct_send () =
   in
   let g = Gossip.create ~net ~rng:(Rng.create 11) ~weights:(Array.make 3 1.0) config in
   Gossip.send_to g ~src:0 ~dst:2 ~bytes:10 "direct";
+  (* A destination read off a hostile request may name no node: the
+     send goes nowhere, as on the real wire, instead of raising. *)
+  Gossip.send_to g ~src:0 ~dst:3 ~bytes:10 "nobody";
+  Gossip.send_to g ~src:0 ~dst:(-1) ~bytes:10 "nobody";
+  Gossip.send_to g ~src:0 ~dst:max_int ~bytes:10 "nobody";
   ignore (Engine.run engine ());
   Alcotest.(check string) "delivered" "direct" !got
 

@@ -88,17 +88,34 @@ let test_equivalence_audit () =
 
 let test_abstraction_materializes_minority () =
   (* At tiny N every user lands in some committee, so the minority
-     property only shows at scale: with 512 users and the same scaled
-     taus, the whole role window should select well under half. *)
-  let r =
-    Population.run { (population_config ~seed:11) with users = 512; rounds = 1 }
+     property only shows at scale. A user escapes a role of expected
+     size tau with probability B(0; w, tau/W), independently across the
+     window's roles (proposer, both reductions, [bin_window] bins,
+     final) and across users, so the materialized count is binomial
+     with a mean computed from [params]: about 15 % of 2,048 users. *)
+  let cfg = { (population_config ~seed:11) with users = 2_048; rounds = 1 } in
+  let p = cfg.params in
+  let total = cfg.users * cfg.stake_per_user in
+  let escape tau =
+    Algorand_sortition.Binomial.cdf ~k:0 ~n:cfg.stake_per_user ~p:(tau /. float_of_int total)
   in
+  let roles =
+    (p.tau_proposer :: p.tau_final :: List.init (2 + cfg.bin_window) (fun _ -> p.tau_step))
+  in
+  let q = 1.0 -. List.fold_left (fun acc tau -> acc *. escape tau) 1.0 roles in
+  let n = float_of_int cfg.users in
+  let mean = n *. q and sd = sqrt (n *. q *. (1.0 -. q)) in
+  let r = Population.run cfg in
   Alcotest.(check bool) "agreement" true r.agreement;
-  Alcotest.(check bool) "some users materialized" true (r.max_materialized > 0);
+  let m = float_of_int r.max_materialized in
   Alcotest.(check bool)
-    (Printf.sprintf "materialized %d < 256" r.max_materialized)
+    (Printf.sprintf "materialized %d < 1/3 of %d" r.max_materialized cfg.users)
     true
-    (r.max_materialized < 256)
+    (m < n /. 3.0);
+  Alcotest.(check bool)
+    (Printf.sprintf "materialized %d within 4 sd of %.1f (sd %.1f)" r.max_materialized mean sd)
+    true
+    (Float.abs (m -. mean) <= 4.0 *. sd)
 
 let test_population_determinism () =
   let a = Population.run (population_config ~seed:7) in

@@ -6,6 +6,7 @@ module Harness = Algorand_core.Harness
 module Node = Algorand_core.Node
 module Chain = Algorand_ledger.Chain
 module Block = Algorand_ledger.Block
+module Trace = Algorand_obs.Trace
 
 let ts name f = Alcotest.test_case name `Slow f
 
@@ -134,6 +135,52 @@ let recovery_preserves_finality () =
         (Chain.ancestry chain (Chain.tip chain).hash))
     r.harness.nodes
 
+let dropped_round_timers_silent () =
+  (* A recovery tick drops the round in flight. Its BA* timers must die
+     with it: while a node is recovering, no regular-round step may
+     run. A partition stalls BA* on step timeouts, so the tick at 20 s
+     finds nodes Running with timers armed. *)
+  let tr = Trace.create () in
+  Trace.enable tr;
+  let recovering = Hashtbl.create 16 in
+  let from_running = ref 0 and stale_steps = ref [] in
+  Trace.add_callback tr (fun (e : Trace.event) ->
+      if e.name = "node.lifecycle" then begin
+        let from = List.assoc "from" e.detail and to_ = List.assoc "to" e.detail in
+        if to_ = "recovering" then begin
+          Hashtbl.replace recovering e.node ();
+          if from = "running" then incr from_running
+        end
+        else if from = "recovering" then Hashtbl.remove recovering e.node
+      end
+      else if e.cat = "step" && Hashtbl.mem recovering e.node then
+        stale_steps := (e.node, e.round, e.ts) :: !stale_steps);
+  let r =
+    Harness.run
+      {
+        Harness.default with
+        users = 12;
+        rounds = 6;
+        params = fast_params ~recovery_interval:20.0 ~max_steps:6;
+        block_bytes = 10_000;
+        tx_rate_per_s = 0.0;
+        recovery_enabled = true;
+        max_sim_time = 400.0;
+        rng_seed = 13;
+        trace = Some tr;
+        stressors = [ Harness.Partition { from_ = 4.0; until = 40.0 } ];
+      }
+  in
+  Alcotest.(check (list int)) "no double finals" [] r.safety.double_final;
+  Alcotest.(check bool)
+    (Printf.sprintf "ticks dropped running rounds (%d)" !from_running)
+    true (!from_running > 0);
+  match List.rev !stale_steps with
+  | [] -> ()
+  | (node, round, ts) :: _ ->
+    Alcotest.failf "%d steps ran during recovery; first: node %d round %d at %.2fs"
+      (List.length !stale_steps) node round ts
+
 let suite =
   [
     ( "recovery",
@@ -141,5 +188,6 @@ let suite =
         ts "healthy-network checkpoint" healthy_checkpoint;
         ts "DoS then recovery" dos_then_recovery;
         ts "recovery preserves finality" recovery_preserves_finality;
+        ts "dropped round's timers stay silent" dropped_round_timers_silent;
       ] );
   ]

@@ -119,6 +119,162 @@ let priorities () =
   Alcotest.(check string) "deterministic" p5
     (Option.get (Sortition.best_priority ~vrf_hash ~j:5))
 
+(* -------------------- Distribution of the sim VRF ------------------ *)
+
+(* Sortition needs each user's VRF output for a role to be a fresh
+   uniform draw, independent across users and roles. The two
+   definitions below are tested alike: the sim VRF as shipped (a keyed
+   64-bit mixer) and the hash-per-user definition it replaced, kept
+   here as the reference. *)
+let sim_output ~pk ~input = Option.get (Vrf.sim.verify ~pk ~input ~proof:"")
+let sha_output ~pk ~input = Sha256.digest_concat [ "simvrf-out"; pk; input ]
+let definitions = [ ("sim", sim_output); ("sha256 reference", sha_output) ]
+let pks n = Array.init n (fun i -> snd (mk_user (Printf.sprintf "dist%d" i)))
+
+let j_of def ~pk ~input ~w ~p =
+  Binomial.select_j ~frac:(Sortition.hash_fraction (def ~pk ~input)) ~w ~p
+
+(* Pearson's chi-square of [counts] (indexed by k = 0..n) against
+   [trials] draws of B(n, p). Adjacent k are pooled left to right until
+   a bin expects at least 5; the leftover tail joins the last bin.
+   Returns the statistic and its degrees of freedom. *)
+let chi_square_binomial ~n ~p ~trials (counts : int array) : float * int =
+  let bins = ref [] and e = ref 0.0 and o = ref 0 in
+  for k = 0 to n do
+    e := !e +. (float_of_int trials *. Binomial.pmf ~k ~n ~p);
+    o := !o + counts.(k);
+    if !e >= 5.0 then begin
+      bins := (!o, !e) :: !bins;
+      e := 0.0;
+      o := 0
+    end
+  done;
+  let bins =
+    match !bins with (o', e') :: rest -> (o' + !o, e' +. !e) :: rest | [] -> [ (!o, !e) ]
+  in
+  ( List.fold_left (fun acc (o, e) -> acc +. (((float_of_int o -. e) ** 2.0) /. e)) 0.0 bins,
+    List.length bins - 1 )
+
+(* Upper 0.1 % point of chi-square with [df] degrees of freedom
+   (Wilson-Hilferty; z = 3.090). *)
+let chi_square_crit df =
+  let d = float_of_int df in
+  d *. ((1.0 -. (2.0 /. (9.0 *. d)) +. (3.090 *. sqrt (2.0 /. (9.0 *. d)))) ** 3.0)
+
+let check_chi_square name ~n ~p ~trials counts =
+  let chi2, df = chi_square_binomial ~n ~p ~trials counts in
+  let crit = chi_square_crit df in
+  Alcotest.(check bool)
+    (Printf.sprintf "%s: chi2 %.3f < %.1f (df %d)" name chi2 crit df)
+    true (chi2 < crit)
+
+let committee_sizes_binomial () =
+  (* 1,000 equal-stake users of weight 10 and tau = 20: by binomial
+     additivity a role's committee size (the sum of j) is
+     B(10,000, 0.002), over 1,000 role inputs. *)
+  let users = 1_000 and w = 10 and tau = 20.0 and inputs = 1_000 in
+  let pks = pks users in
+  let n = users * w in
+  let p = tau /. float_of_int n in
+  List.iter
+    (fun (name, def) ->
+      let counts = Array.make (n + 1) 0 in
+      for r = 1 to inputs do
+        let input = Sortition.vrf_input ~seed:"dist-seed" ~role:(Printf.sprintf "role-%d" r) in
+        let size = ref 0 in
+        Array.iter (fun pk -> size := !size + j_of def ~pk ~input ~w ~p) pks;
+        counts.(!size) <- counts.(!size) + 1
+      done;
+      check_chi_square name ~n ~p ~trials:inputs counts)
+    definitions
+
+let weighted_user_j_histogram () =
+  (* One user holding 200 of 1,000 units at tau = 20: its j over 2,000
+     role inputs is B(200, 0.02). *)
+  let w = 200 and total = 1_000 and tau = 20.0 and inputs = 2_000 in
+  let pk = (pks 1).(0) in
+  let p = tau /. float_of_int total in
+  List.iter
+    (fun (name, def) ->
+      let counts = Array.make (w + 1) 0 in
+      for r = 1 to inputs do
+        let input = Sortition.vrf_input ~seed:"whale" ~role:(string_of_int r) in
+        let j = j_of def ~pk ~input ~w ~p in
+        counts.(j) <- counts.(j) + 1
+      done;
+      check_chi_square name ~n:w ~p ~trials:inputs counts)
+    definitions
+
+let role_committees_independent () =
+  (* Two roles of one seed select 1-in-10 of 1,000 unit-stake users
+     each. Given the sizes a and b, independent draws overlap in a
+     hypergeometric count: mean ab/N, variance ab(N-a)(N-b)/(N^2(N-1)).
+     Over 200 seeds the total overlap must sit within 4 sd of the sum
+     of those means. *)
+  let users = 1_000 and seeds = 200 in
+  let pks = pks users in
+  let p = 0.1 in
+  let nf = float_of_int users in
+  List.iter
+    (fun (name, def) ->
+      let observed = ref 0 and mean = ref 0.0 and var = ref 0.0 in
+      for s = 1 to seeds do
+        let seed = Printf.sprintf "overlap-%d" s in
+        let member role pk =
+          j_of def ~pk ~input:(Sortition.vrf_input ~seed ~role) ~w:1 ~p > 0
+        in
+        let a = ref 0 and b = ref 0 in
+        Array.iter
+          (fun pk ->
+            let in_a = member "a" pk and in_b = member "b" pk in
+            if in_a then incr a;
+            if in_b then incr b;
+            if in_a && in_b then incr observed)
+          pks;
+        let a = float_of_int !a and b = float_of_int !b in
+        mean := !mean +. (a *. b /. nf);
+        var := !var +. (a *. b *. (nf -. a) *. (nf -. b) /. (nf *. nf *. (nf -. 1.0)))
+      done;
+      let o = float_of_int !observed in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: overlap %d vs %.1f +- 4 * %.1f" name !observed !mean (sqrt !var))
+        true
+        (Float.abs (o -. !mean) <= 4.0 *. sqrt !var))
+    definitions
+
+let sim_input_cache_never_stale () =
+  (* The sim VRF keeps the last input's key. Whatever input ran before,
+     an evaluation must match the one made right after its own input,
+     for fresh copies of the input too (no physical-equality shortcut
+     may help), and the empty input the cache starts with. *)
+  let users = Array.init 4 (fun i -> mk_user (Printf.sprintf "cache%d" i)) in
+  let pks = Array.map snd users in
+  let inputs =
+    [ ""; "a"; "b"; "ab"; "ba"; "seed|role-1"; "seed|role-2"; String.make 64 'x' ]
+  in
+  let reference input =
+    Array.map (fun pk -> ignore (sim_output ~pk ~input); sim_output ~pk ~input) pks
+  in
+  let refs = List.map (fun input -> (input, reference input)) inputs in
+  List.iter
+    (fun (before, _) ->
+      List.iter
+        (fun (input, expected) ->
+          Array.iteri
+            (fun k pk ->
+              ignore (sim_output ~pk:pks.(0) ~input:before);
+              Alcotest.(check string)
+                (Printf.sprintf "%S after %S, user %d" input before k)
+                (Hex.of_string expected.(k))
+                (Hex.of_string (sim_output ~pk ~input:(Bytes.to_string (Bytes.of_string input))));
+              ignore (sim_output ~pk:pks.(0) ~input:before);
+              Alcotest.(check string) "prove agrees with verify"
+                (Hex.of_string expected.(k))
+                (Hex.of_string (fst ((fst users.(k)).prove input))))
+            pks)
+        refs)
+    refs
+
 let suite =
   [
     ( "sortition",
@@ -131,5 +287,9 @@ let suite =
         t "selection proportional to weight" selection_proportional_to_weight;
         t "hash fraction in [0,1)" hash_fraction_range;
         t "proposer priorities" priorities;
+        t "sim VRF: committee sizes are binomial" committee_sizes_binomial;
+        t "sim VRF: one weighted user's j is binomial" weighted_user_j_histogram;
+        t "sim VRF: two roles' committees are independent" role_committees_independent;
+        t "sim VRF: input cache never stale" sim_input_cache_never_stale;
       ] );
   ]

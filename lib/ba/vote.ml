@@ -105,7 +105,7 @@ type validation_ctx = {
 (* The signature check as a (pk, msg, signature) triple, so certificate
    validation can defer it into one batched verification. *)
 let signature_triple (ctx : validation_ctx) (v : t) : string * string * string =
-  (ctx.sig_pk_of v.voter_pk, signed_body { v with signature = "" }, v.signature)
+  (ctx.sig_pk_of v.voter_pk, signed_body v, v.signature)
 
 (* Everything in Algorithm 6 except the signature: fork binding plus
    the sortition credential. Returns the weighted vote count, or 0. *)

@@ -30,6 +30,18 @@ let src = Logs.Src.create "algorand.node" ~doc:"Algorand node"
 
 module Log = (val Logs.src_log src : Logs.LOG)
 
+(* Votes keyed on their whole content: structural equality over every
+   field, so a corrupted variant that shares a gossip id with an honest
+   vote is a different key, while two decoded copies of one vote are
+   the same key. Each table draws its own hash seed, so a peer cannot
+   choose votes that pile into one bucket. *)
+module Vote_tbl = Hashtbl.MakeSeeded (struct
+  type t = Vote.t
+
+  let equal : t -> t -> bool = ( = )
+  let seeded_hash = Hashtbl.seeded_hash
+end)
+
 type byzantine = {
   equivocate_proposal : bool;  (** propose two block versions, one per half of peers *)
   double_vote : bool;  (** vote both values in committee steps *)
@@ -110,7 +122,7 @@ type round_state = {
   proposed_blocks : (string, Block.t) Hashtbl.t;  (** block hash -> block *)
   blocks_by_proposer : (string, string) Hashtbl.t;  (** proposer pk -> block hash *)
   equivocators : (string, unit) Hashtbl.t;
-  vote_weight_cache : (string, int) Hashtbl.t;  (** vote content digest -> weighted votes *)
+  vote_weight_cache : int Vote_tbl.t;  (** vote content -> weighted votes *)
   mutable best_priority : Proposal.priority_msg option;
   mutable first_priority_at : float option;
   mutable ba : Ba_star.t option;
@@ -471,7 +483,7 @@ let make_round_state (t : t) ~(r : int) : round_state =
     proposed_blocks = Hashtbl.create 8;
     blocks_by_proposer = Hashtbl.create 8;
     equivocators = Hashtbl.create 4;
-    vote_weight_cache = Hashtbl.create 256;
+    vote_weight_cache = Vote_tbl.create ~random:true 256;
     best_priority = None;
     first_priority_at = None;
     ba = None;
@@ -527,16 +539,15 @@ let send_vote (t : t) (rs : round_state) (v : Vote.t) : unit =
 (* ------------------------------------------------------------------ *)
 
 let vote_weight (_t : t) (rs : round_state) (v : Vote.t) : int =
-  (* The cache key covers the full vote content, not just the gossip
-     id (round, step, voter): a corrupted variant sharing an id with
-     an honest vote must not poison the cache with weight 0 and
-     suppress the honest copy when it arrives later. *)
-  let key = Sha256.digest_concat [ Vote.signed_body v; v.voter_pk; v.signature ] in
-  match Hashtbl.find_opt rs.vote_weight_cache key with
+  (* The cache key is the full vote content, not just the gossip id
+     (round, step, voter): a corrupted variant sharing an id with an
+     honest vote must not poison the cache with weight 0 and suppress
+     the honest copy when it arrives later. *)
+  match Vote_tbl.find_opt rs.vote_weight_cache v with
   | Some w -> w
   | None ->
     let w = Vote.validate rs.vctx v in
-    Hashtbl.replace rs.vote_weight_cache key w;
+    Vote_tbl.replace rs.vote_weight_cache v w;
     w
 
 let rec apply_ba_actions (t : t) (rs : round_state) (actions : Ba_star.action list) : unit =

@@ -204,20 +204,36 @@ let user_key (pk : string) : int64 =
 let input_key_uncached (input : string) : int64 =
   String.get_int64_le (Sha256.digest_concat [ "simvrf-in"; input ]) 0
 
-(* A sweep evaluates one input for every user, so the last input's key
-   is kept. The (input, key) pair is one immutable value behind one
-   ref: a domain racing on it reads either the old pair or the new one,
-   never one input with another's key. *)
-let input_key_cache = ref ("", input_key_uncached "")
+(* A sweep evaluates one input for every user, and the event loop
+   interleaves votes of the few steps a round has open at once, so the
+   keys of the last [input_key_entries] inputs are kept, most recently
+   used first. A hit below the head moves its entry to the front, under
+   the caller's copy of the input, so a sweep's every later evaluation
+   stops at the head, on physical equality; a miss drops the least
+   recently used entry. The list of (input, key) pairs is one immutable
+   value behind one ref: a domain racing on it reads either the old
+   list or the new one, never one input with another's key. *)
+let input_key_entries = 16
+
+let input_key_cache : (string * int64) list ref = ref []
+
+let rec take n = function x :: rest when n > 0 -> x :: take (n - 1) rest | _ -> []
+
+let rec find input = function
+  | [] -> None
+  | (cached, key) :: rest -> if String.equal cached input then Some key else find input rest
 
 let input_key (input : string) : int64 =
-  let cached, key = !input_key_cache in
-  if cached == input || String.equal cached input then key
-  else begin
-    let key = input_key_uncached input in
-    input_key_cache := (input, key);
+  match !input_key_cache with
+  | (cached, key) :: _ when cached == input || String.equal cached input -> key
+  | entries ->
+    let key, rest =
+      match find input entries with
+      | Some key -> (key, List.filter (fun (cached, _) -> not (String.equal cached input)) entries)
+      | None -> (input_key_uncached input, take (input_key_entries - 1) entries)
+    in
+    input_key_cache := (input, key) :: rest;
     key
-  end
 
 (* 32 output bytes from x = mix (user_key xor input_key): x itself
    big-endian first, so [Sortition.hash_fraction]'s top 56 bits are

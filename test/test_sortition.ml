@@ -242,38 +242,80 @@ let role_committees_independent () =
         (Float.abs (o -. !mean) <= 4.0 *. sqrt !var))
     definitions
 
+(* The sim VRF restated from its definition (DESIGN.md, substitution
+   3) with no cache: the oracle the cached evaluations must match. *)
+let sim_uncached ~pk ~input =
+  let mix z =
+    let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xbf58476d1ce4e5b9L in
+    let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94d049bb133111ebL in
+    Int64.logxor z (Int64.shift_right_logical z 31)
+  in
+  let user = ref 0L in
+  for i = 0 to 3 do
+    user := mix (Int64.logxor !user (String.get_int64_le pk (8 * i)))
+  done;
+  let key = String.get_int64_le (Sha256.digest_concat [ "simvrf-in"; input ]) 0 in
+  let x = mix (Int64.logxor !user key) in
+  let out = Bytes.create 32 in
+  Bytes.set_int64_be out 0 x;
+  for i = 1 to 3 do
+    Bytes.set_int64_be out (8 * i) (mix (Int64.add x (Int64.mul (Int64.of_int i) 0x9e3779b97f4a7c15L)))
+  done;
+  Bytes.to_string out
+
 let sim_input_cache_never_stale () =
-  (* The sim VRF keeps the last input's key. Whatever input ran before,
-     an evaluation must match the one made right after its own input,
-     for fresh copies of the input too (no physical-equality shortcut
-     may help), and the empty input the cache starts with. *)
+  (* The sim VRF keeps the keys of its 16 most recent inputs. Whatever
+     ran before, every evaluation must match the uncached definition:
+     over 20 distinct inputs (more than the cache holds, so entries are
+     evicted and come back), nine of them of equal length and differing
+     in one byte, for fresh copies of the input (no physical-equality
+     shortcut may help), and for the empty input. *)
   let users = Array.init 4 (fun i -> mk_user (Printf.sprintf "cache%d" i)) in
   let pks = Array.map snd users in
   let inputs =
     [ ""; "a"; "b"; "ab"; "ba"; "seed|role-1"; "seed|role-2"; String.make 64 'x' ]
+    @ List.init 12 (fun i -> Printf.sprintf "committee|7|bin-%d" (i + 1))
   in
-  let reference input =
-    Array.map (fun pk -> ignore (sim_output ~pk ~input); sim_output ~pk ~input) pks
+  Alcotest.(check int) "distinct inputs" 20 (List.length (List.sort_uniq compare inputs));
+  let expected = List.map (fun input -> (input, Array.map (fun pk -> sim_uncached ~pk ~input) pks)) inputs in
+  let check ~context input k =
+    let want = Hex.of_string (List.assoc input expected).(k) in
+    let copy = Bytes.to_string (Bytes.of_string input) in
+    Alcotest.(check string)
+      (Printf.sprintf "%S %s, user %d" input context k)
+      want
+      (Hex.of_string (sim_output ~pk:pks.(k) ~input:copy));
+    Alcotest.(check string)
+      (Printf.sprintf "prove %S %s, user %d" input context k)
+      want
+      (Hex.of_string (fst ((fst users.(k)).prove input)))
   in
-  let refs = List.map (fun input -> (input, reference input)) inputs in
+  (* Every ordered pair: one evaluation of [before], then [input]. *)
   List.iter
-    (fun (before, _) ->
+    (fun before ->
       List.iter
-        (fun (input, expected) ->
+        (fun input ->
           Array.iteri
-            (fun k pk ->
+            (fun k _ ->
               ignore (sim_output ~pk:pks.(0) ~input:before);
-              Alcotest.(check string)
-                (Printf.sprintf "%S after %S, user %d" input before k)
-                (Hex.of_string expected.(k))
-                (Hex.of_string (sim_output ~pk ~input:(Bytes.to_string (Bytes.of_string input))));
-              ignore (sim_output ~pk:pks.(0) ~input:before);
-              Alcotest.(check string) "prove agrees with verify"
-                (Hex.of_string expected.(k))
-                (Hex.of_string (fst ((fst users.(k)).prove input))))
+              check ~context:(Printf.sprintf "after %S" before) input k)
             pks)
-        refs)
-    refs
+        inputs)
+    inputs;
+  (* Round-robin walks: over all 20 inputs every lookup evicts, over
+     the first 16 every lookup after the first lap hits, and the walk
+     back reads the entries in the opposite order. *)
+  let walk ~context order =
+    for lap = 1 to 3 do
+      List.iter
+        (fun input ->
+          Array.iteri (fun k _ -> check ~context:(Printf.sprintf "%s, lap %d" context lap) input k) pks)
+        order
+    done
+  in
+  walk ~context:"walking 20" inputs;
+  walk ~context:"walking 16" (List.filteri (fun i _ -> i < 16) inputs);
+  walk ~context:"walking back" (List.rev inputs)
 
 let suite =
   [

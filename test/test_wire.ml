@@ -16,7 +16,9 @@ module Identity = Algorand_core.Identity
 module Params = Algorand_ba.Params
 module Vote = Algorand_ba.Vote
 module Chain = Algorand_ledger.Chain
+module Genesis = Algorand_ledger.Genesis
 module Engine = Algorand_sim.Engine
+module Metrics = Algorand_sim.Metrics
 module Rng = Algorand_sim.Rng
 module Gossip = Algorand_netsim.Gossip
 module Wirefuzz = Algorand_check.Wirefuzz
@@ -273,6 +275,86 @@ let poisoned_vote_then_honest () =
     Alcotest.(check bool) "honest vote still accepted" true
       (Node.gossip_validate node (Message.Ba_vote honest))
 
+(* Validation runs once per vote content. Two separately decoded
+   copies of one vote (equal content, distinct values), each through
+   gossip_validate and then deliver, must cost the node one signature
+   check: the cache must neither be missing nor keyed on physical
+   identity. A wrapped sim scheme counts the checks of the vote's
+   signed body. *)
+let vote_verified_once_per_content () =
+  let users = 6 in
+  let sig_scheme, vrf_scheme = Harness.schemes Harness.Sim_crypto in
+  let identities =
+    Array.init users (fun i ->
+        Identity.generate ~sig_scheme ~vrf_scheme ~seed:(Printf.sprintf "once-%d" i))
+  in
+  let genesis =
+    Genesis.make (Array.to_list (Array.map (fun id -> (id.Identity.pk, 1_000)) identities))
+  in
+  let checks = Hashtbl.create 64 in
+  let counting =
+    {
+      sig_scheme with
+      verify =
+        (fun ~pk ~msg ~signature ->
+          Hashtbl.replace checks msg (1 + Option.value ~default:0 (Hashtbl.find_opt checks msg));
+          sig_scheme.verify ~pk ~msg ~signature);
+    }
+  in
+  let engine = Engine.create () in
+  let config =
+    {
+      Node.default_config with
+      params = fast_params;
+      sig_scheme = counting;
+      vrf_scheme;
+      block_target_bytes = 10_000;
+      max_round = 2;
+    }
+  in
+  let node =
+    Node.create ~index:0 ~identity:identities.(0) ~config ~engine
+      ~metrics:(Metrics.create ~users ()) ~genesis ()
+  in
+  Node.set_net node
+    {
+      net_broadcast = ignore;
+      net_send_to = (fun ~dst:_ _ -> ());
+      net_peers = (fun () -> []);
+      net_mark_seen = ignore;
+    };
+  Node.start node;
+  ignore (Engine.run engine ~until:1.0 ());
+  let round = Node.round node in
+  let prev_hash = (Chain.tip (Node.chain node)).hash in
+  let vote =
+    List.find_map
+      (fun (id : Identity.t) ->
+        Vote.make ~signer:id.signer ~prover:id.prover ~pk:id.pk ~seed:genesis.seed0
+          ~tau:fast_params.tau_step ~w:1_000 ~total_weight:(users * 1_000) ~round
+          ~step:(Vote.Bin 1) ~prev_hash ~value:(Sha256.digest "candidate"))
+      (List.tl (Array.to_list identities))
+  in
+  match vote with
+  | None -> Alcotest.fail "no committee member among the other users"
+  | Some v ->
+    let frame = Codec.encode (Message.Ba_vote v) in
+    let decoded () =
+      match Codec.decode frame with
+      | Some (Message.Ba_vote v) -> v
+      | _ -> Alcotest.fail "vote frame does not decode"
+    in
+    let first = decoded () and second = decoded () in
+    Alcotest.(check bool) "copies are equal, distinct values" true (first = second && first != second);
+    List.iter
+      (fun copy ->
+        Alcotest.(check bool) "copy accepted" true (Node.gossip_validate node (Message.Ba_vote copy));
+        Node.deliver node ~src:1 (Message.Ba_vote copy);
+        ignore (Engine.run engine ~until:(Engine.now engine +. 1.0) ()))
+      [ first; second ];
+    Alcotest.(check int) "signature checks of the vote" 1
+      (Option.value ~default:0 (Hashtbl.find_opt checks (Vote.signed_body v)))
+
 (* Same attack against the future-round blind-relay path: a forged
    future vote must not be relayed (it would be marked seen and
    suppress the honest copy at every hop). *)
@@ -318,6 +400,7 @@ let suite =
         ts "flood contained: ban + bounded latency" flood_contained;
         ts "tight quotas degrade, not deadlock" quota_drops_engage;
         ts "vote cache immune to corrupted variant" poisoned_vote_then_honest;
+        t "one signature check per vote content" vote_verified_once_per_content;
         ts "future votes need a valid signature" future_vote_needs_signature;
       ] );
   ]

@@ -928,9 +928,9 @@ let ledger_stream ~(accounts : int) ~(zipf : float) ~(mix : Workload.mix)
    - assembly: sequential per-transaction apply over the raw stream,
      filtering what does not apply (the proposer's dry run) and
      chunking survivors into blocks;
-   - validation: [apply_block] over those blocks (per-shard parallel
-     conservative pass with sequential fallback), which must reproduce
-     the assembly-side final state. *)
+   - validation: [apply_block] over those blocks (per-shard
+     conservative pass with exact fallback), which must reproduce the
+     assembly-side final state. *)
 type ledger_point = {
   lp_assembly_tps : float;  (** raw stream txs through the filter per second *)
   lp_validate_tps : float;  (** committed txs through apply_block per second *)
@@ -939,7 +939,7 @@ type ledger_point = {
   lp_rejected : int;
 }
 
-let ledger_point ?(parallel = true) ~(wl : Workload.t) ~(shards : int)
+let ledger_point ~(wl : Workload.t) ~(shards : int)
     ~(block_txs : int) (stream : Transaction.t array) : ledger_point =
   let b0 = Workload.initial_balances wl ~stake:1_000 ~shards in
   let blocks = ref [] and cur = ref [] and cur_n = ref 0 in
@@ -967,7 +967,7 @@ let ledger_point ?(parallel = true) ~(wl : Workload.t) ~(shards : int)
   let st_v =
     List.fold_left
       (fun acc b ->
-        match Balances.apply_block ~parallel acc b with
+        match Balances.apply_block acc b with
         | Ok acc' -> acc'
         | Error e ->
           Format.kasprintf failwith "filtered block must apply: %a" Balances.pp_tx_error e)
@@ -1125,12 +1125,6 @@ let ledger () =
               ])
         [ 1; 8; 64 ])
     mixes;
-  (* Parallel vs sequential validation at the default shard count. *)
-  let wl, stream = ledger_stream ~accounts ~zipf ~mix:Workload.hostile ~n_txs in
-  let seq = ledger_point ~parallel:false ~wl ~shards:8 ~block_txs stream in
-  Printf.printf "  hostile  shards=8   validate %8.0f tx/s sequential (no domains)\n%!"
-    seq.lp_validate_tps;
-  rows := !rows @ [ ("ledger_tps_validate_shards8_hostile_seq", seq.lp_validate_tps) ];
   rows := !rows @ ledger_sig_rows ();
   rows := !rows @ ledger_lightclient_rows ();
   Printf.printf "  gate-scale point (100k accounts, 30k txs, shards=8, hostile)...\n%!";

@@ -314,8 +314,11 @@ let has_family (c : config) (name : string) : bool =
    that envelope still run and still audit safety - agreement held in
    every episode we have seen beyond it - but an unfinished node there
    is the expected outcome, not a violation. Flooders are likewise
-   excluded from the liveness audit: peers ban them by design
-   (section 8.4 gossip limits), and a banned node cannot finish. *)
+   excluded from the liveness audit, and the nodes a [Flood] chose are
+   excluded from the convergence audit: peers ban them by design
+   (section 8.4 gossip limits), and a banned node can neither finish
+   nor catch up. Other banned nodes stay audited, so an honest node
+   banned by mistake still shows up. *)
 let faulty_fraction (c : config) : float =
   List.fold_left
     (fun acc s ->
@@ -335,15 +338,17 @@ let run_episode (c : config) : episode =
   Harness.cleanup_stores r.harness;
   let fingerprint = Registry.fingerprint (Metrics.registry r.harness.metrics) in
   let ints l = String.concat "," (List.map string_of_int l) in
+  let divergent =
+    List.filter (fun i -> not (List.mem i r.harness.flooders)) r.churn.divergent_restarted
+  in
   let violation, detail =
     if r.safety.double_final <> [] then
       (Some "agreement", Printf.sprintf "double-final rounds [%s]" (ints r.safety.double_final))
     else if not r.txs.conservation_ok then
       ( Some "conservation",
         Printf.sprintf "money supply changed (%d txs committed)" r.txs.committed )
-    else if in_envelope c && r.churn.divergent_restarted <> [] then
-      ( Some "convergence",
-        Printf.sprintf "divergent restarted nodes [%s]" (ints r.churn.divergent_restarted) )
+    else if in_envelope c && divergent <> [] then
+      (Some "convergence", Printf.sprintf "divergent restarted nodes [%s]" (ints divergent))
     else if in_envelope c && (not (has_family c "flood")) && r.churn.unfinished <> [] then
       ( Some "liveness",
         Printf.sprintf "unfinished at quiescence: %s"

@@ -215,6 +215,7 @@ type t = {
   genesis : Genesis.t;
   store_root : string option;  (** resolved checkpoint root, if any *)
   owns_store : bool;  (** the root is a temp dir this harness created *)
+  flooders : int list;  (** nodes a [Flood] attack turned flooder, sorted *)
   mutable workload : Workload.t option;
       (** the profile-driven generator, when [tx_profile] is set *)
   mutable legacy_submitted : int;
@@ -594,28 +595,32 @@ let build (config : config) : t =
      frames at its peers for the window. Flooders keep running the
      protocol normally otherwise - the worst case for detection, since
      their honest traffic is interleaved with the garbage. *)
-  List.iteri
-    (fun idx a ->
-      match a with
-      | Flood { flooders; rate_per_s; frame_bytes; from_; until } ->
-        let k =
-          min (config.users - 1)
-            (max 1
-               (int_of_float (Float.round (flooders *. float_of_int config.users))))
-        in
-        let chosen =
-          Rng.sample_indices (Rng.split rng (lbl idx "flooders")) ~n:config.users ~k
-        in
-        let flood_rng = Rng.split rng (lbl idx "flood") in
-        Engine.at engine ~time:from_ (fun () ->
-            List.iter
-              (fun node ->
-                Adversary.flood ~engine
-                  ~rng:(Rng.split flood_rng (string_of_int node))
-                  ~gossip ~node ~rate_per_s ~bytes:frame_bytes ~until)
-              chosen)
-      | _ -> ())
-    attacks;
+  let flooders =
+    List.mapi
+      (fun idx a ->
+        match a with
+        | Flood { flooders; rate_per_s; frame_bytes; from_; until } ->
+          let k =
+            min (config.users - 1)
+              (max 1
+                 (int_of_float (Float.round (flooders *. float_of_int config.users))))
+          in
+          let chosen =
+            Rng.sample_indices (Rng.split rng (lbl idx "flooders")) ~n:config.users ~k
+          in
+          let flood_rng = Rng.split rng (lbl idx "flood") in
+          Engine.at engine ~time:from_ (fun () ->
+              List.iter
+                (fun node ->
+                  Adversary.flood ~engine
+                    ~rng:(Rng.split flood_rng (string_of_int node))
+                    ~gossip ~node ~rate_per_s ~bytes:frame_bytes ~until)
+                chosen);
+          chosen
+        | _ -> [])
+      attacks
+    |> List.concat |> List.sort_uniq compare
+  in
   (* Crash-restart churn: crash takes the node's network interface down
      too (in-flight packets to it are lost); restart re-links the node
      into the gossip overlay with fresh peers before it resyncs. *)
@@ -674,6 +679,7 @@ let build (config : config) : t =
     genesis;
     store_root;
     owns_store;
+    flooders;
     workload = None;
     legacy_submitted = 0;
   }

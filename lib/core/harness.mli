@@ -152,6 +152,7 @@ type t = {
   genesis : Genesis.t;
   store_root : string option;  (** resolved checkpoint root, if any *)
   owns_store : bool;  (** the root is a temp dir this harness created *)
+  flooders : int list;  (** nodes a [Flood] attack turned flooder, sorted *)
   mutable workload : Algorand_ledger.Workload.t option;
       (** the profile-driven generator, when [tx_profile] is set
           (populated by {!install_workload}) *)

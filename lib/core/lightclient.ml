@@ -122,8 +122,16 @@ let rec served_for (s : server) (b : Algorand_ledger.Block.t) : served =
   | None ->
     served_for_slow s b
 
+(* A miss maps [Transaction.id] over the block once and builds the tree
+   once: the summary's root, the cache key and the index all come from
+   those. *)
 and served_for_slow (s : server) (b : Algorand_ledger.Block.t) : served =
-  let h = Block.hash b in
+  let ids = List.map Algorand_ledger.Transaction.id b.txs in
+  let tree = Merkle.build ids in
+  let summary =
+    { Block.s_header = b.header; s_padding = b.padding; s_tx_root = Merkle.tree_root tree }
+  in
+  let h = Block.hash_of_summary summary in
   let remember sv =
     let keep =
       List.filteri (fun i _ -> i < max_ptr_entries - 1) s.by_ptr
@@ -137,15 +145,9 @@ and served_for_slow (s : server) (b : Algorand_ledger.Block.t) : served =
     remember sv
   | None ->
     s.misses <- s.misses + 1;
-    let index = Hashtbl.create (List.length b.txs) in
-    List.iteri
-      (fun i (tx : Algorand_ledger.Transaction.t) ->
-        let id = Algorand_ledger.Transaction.id tx in
-        if not (Hashtbl.mem index id) then Hashtbl.add index id i)
-      b.txs;
-    let sv =
-      { sv_summary = Block.summarize b; sv_tree = Block.tx_tree b; sv_index = index }
-    in
+    let index = Hashtbl.create (List.length ids) in
+    List.iteri (fun i id -> if not (Hashtbl.mem index id) then Hashtbl.add index id i) ids;
+    let sv = { sv_summary = summary; sv_tree = tree; sv_index = index } in
     while Queue.length s.order >= s.max_blocks do
       Hashtbl.remove s.cache (Queue.pop s.order)
     done;

@@ -33,9 +33,9 @@ let scaled_root ~k p =
 let mask32 = 0xFFFFFFFF
 
 (* Derived eagerly, once, at module initialization: a [lazy] would be
-   forced on every block, and forcing one from two domains at once
-   raises in OCaml 5 ([Balances] hashes from several domains). Both
-   arrays are read-only from here on. *)
+   forced on every block, a tag check the inner loop need not pay. Both
+   arrays are read-only from here on, so the kernel holds no mutable
+   state outside the call it serves. *)
 let k_table = Array.of_list (List.map (fun p -> scaled_root ~k:3 p land mask32) (first_primes 64))
 let h_init = Array.of_list (List.map (fun p -> scaled_root ~k:2 p land mask32) (first_primes 8))
 
@@ -110,8 +110,9 @@ let digest_length = 32
 (* The digest of the concatenation of [parts], streamed: whole blocks
    are compressed straight out of each part, and only bytes that
    straddle a part boundary, plus the padded tail, pass through [buf].
-   All state (chaining value, schedule, buffer) belongs to this call,
-   so domains may hash concurrently. *)
+   All state (chaining value, schedule, buffer) belongs to this call:
+   three minor-heap allocations buy a kernel with no module-level
+   state, which stays correct whoever calls it and needs no reset. *)
 let digest_concat (parts : string list) : string =
   let h = Array.copy h_init in
   let w = Array.make 64 0 in

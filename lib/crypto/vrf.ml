@@ -211,8 +211,9 @@ let input_key_uncached (input : string) : int64 =
    the caller's copy of the input, so a sweep's every later evaluation
    stops at the head, on physical equality; a miss drops the least
    recently used entry. The list of (input, key) pairs is one immutable
-   value behind one ref: a domain racing on it reads either the old
-   list or the new one, never one input with another's key. *)
+   value behind one ref, replaced by a single assignment: no update can
+   leave an input paired with another's key, and the cache needs no
+   lock. *)
 let input_key_entries = 16
 
 let input_key_cache : (string * int64) list ref = ref []

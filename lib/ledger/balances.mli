@@ -1,6 +1,6 @@
 (** Account state derived from a chain prefix: balances (the sortition
     weights of section 5.1) and per-key nonces, hash-partitioned into
-    shards so block validation can check shards in parallel. Purely
+    shards so block validation can check one shard at a time. Purely
     functional - fork branches share prefixes; the shard count never
     changes observable state. *)
 
@@ -33,10 +33,15 @@ val apply_tx : t -> Transaction.t -> (t, tx_error) result
 val apply_all : t -> Transaction.t list -> (t, tx_error) result
 
 val apply_block : ?parallel:bool -> t -> Transaction.t list -> (t, tx_error) result
-(** Exactly [apply_all], but large blocks are validated shard-parallel
-    (one domain per shard) with a conservative per-shard balance check
-    and a sequential fallback for blocks that spend intra-block
-    credits. Bit-identical results to [apply_all] in all cases. *)
+(** Exactly [apply_all], computed shard by shard: a conservative
+    per-shard debit check, then the credits, with a fallback to
+    [apply_all] for blocks that spend intra-block credits.
+    Bit-identical results to [apply_all] in all cases.
+
+    [parallel] is ignored. Validation runs on one domain: a domain pool
+    measured slower than this sequential pass. The argument stays so
+    existing callers that pass it, such as the benchmark harness, keep
+    compiling. *)
 
 val weights : t -> (string * int) list
 (** All (account, balance) pairs, sorted by key regardless of shard
@@ -52,5 +57,6 @@ val chaos_selfpay_inflation : bool ref
 (** Fault seeding for the simulation swarm: when set, [apply_tx]
     reintroduces the historical self-payment inflation bug (the credit
     reads the pre-debit balance, so paying yourself mints coins) that
-    the conservation audit must then find. Test-only; defaults to
+    the conservation audit must then find, and [apply_block] validates
+    every block through [apply_tx]. Test-only; defaults to
     [false]. *)

@@ -61,18 +61,13 @@ let summarize (b : t) : summary =
 let hash_of_summary (s : summary) : string =
   Sha256.digest_concat [ serialize_header s.s_header; Wire.u64 s.s_padding; s.s_tx_root ]
 
-(* The build-once tree over the block's transaction ids: its root is
-   [tx_root], and a proof server amortizes it across requests
-   (O(n + k log n) for k proofs instead of O(k n)). *)
-let tx_tree (b : t) : Merkle.tree = Merkle.build (List.map Transaction.id b.txs)
-
 let prove_tx (b : t) ~(tx_id : string) : Merkle.proof option =
   let ids = List.map Transaction.id b.txs in
   let rec find i = function
     | [] -> None
     | id :: rest -> if String.equal id tx_id then Some i else find (i + 1) rest
   in
-  Option.bind (find 0 ids) (fun index -> Merkle.prove_tree (tx_tree b) ~index)
+  Option.bind (find 0 ids) (fun index -> Merkle.prove_tree (Merkle.build ids) ~index)
 
 let summary_contains (s : summary) ~(tx_id : string) (proof : Merkle.proof) : bool =
   Merkle.verify ~root:s.s_tx_root ~leaf:tx_id proof

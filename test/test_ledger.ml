@@ -255,9 +255,10 @@ let conservation_oracle () =
       signers
   done
 
-(* [apply_block] must be observably identical to [apply_all] - both on
-   blocks big enough to take the parallel per-shard path and on blocks
-   that force the sequential fallback by spending intra-block credits. *)
+(* [apply_block] must be observably identical to [apply_all] - on
+   blocks of every size, at one shard and at eight, whether the
+   per-shard conservative pass succeeds or the block forces the exact
+   fallback by spending intra-block credits. *)
 let apply_block_equals_apply_all () =
   let n_accounts = 40 in
   let signers = Array.init n_accounts (fun i -> signer_of (Printf.sprintf "blk%d" i)) in
@@ -268,29 +269,22 @@ let apply_block_equals_apply_all () =
     && Array.for_all (fun (_, pk) -> Balances.nonce a pk = Balances.nonce b pk) signers
   in
   let check name base txs =
-    let seq = Balances.apply_all base txs in
-    let par = Balances.apply_block base txs in
-    let nopar = Balances.apply_block ~parallel:false base txs in
-    match (seq, par, nopar) with
-    | Ok s, Ok p, Ok np ->
-      Alcotest.(check bool) (name ^ ": parallel = sequential") true (equal_state s p);
-      Alcotest.(check bool) (name ^ ": no-domain = sequential") true (equal_state s np);
-      Alcotest.(check bool) (name ^ ": invariant") true (Balances.invariant p)
-    | Error e, _, _ -> Alcotest.failf "%s: apply_all failed: %a" name Balances.pp_tx_error e
-    | _, Error e, _ ->
-      Alcotest.failf "%s: apply_block failed: %a" name Balances.pp_tx_error e
-    | _, _, Error e ->
-      Alcotest.failf "%s: apply_block (seq) failed: %a" name Balances.pp_tx_error e
+    match (Balances.apply_all base txs, Balances.apply_block base txs) with
+    | Ok s, Ok b ->
+      Alcotest.(check bool) (name ^ ": apply_block = apply_all") true (equal_state s b);
+      Alcotest.(check bool) (name ^ ": invariant") true (Balances.invariant b)
+    | Error e, _ -> Alcotest.failf "%s: apply_all failed: %a" name Balances.pp_tx_error e
+    | _, Error e -> Alcotest.failf "%s: apply_block failed: %a" name Balances.pp_tx_error e
   in
   let base =
     Array.fold_left (fun b (_, pk) -> Balances.credit b pk 1000) Balances.empty signers
   in
-  (* A 400-tx block (over the 256 parallel threshold), each sender
-     staying within its starting balance: the conservative per-shard
-     path must succeed and match. *)
-  let nonces = Array.make n_accounts 0 in
-  let big_block =
-    List.init 400 (fun k ->
+  (* Blocks where each sender stays within its starting balance: the
+     conservative per-shard pass must succeed and match, from an empty
+     block up to 400 transactions, and on a one-shard state too. *)
+  let conservative n =
+    let nonces = Array.make n_accounts 0 in
+    List.init n (fun k ->
         let i = k mod n_accounts in
         let nonce = nonces.(i) in
         nonces.(i) <- nonce + 1;
@@ -298,7 +292,17 @@ let apply_block_equals_apply_all () =
           ~recipient:(pk ((i + 7) mod n_accounts))
           ~amount:2 ~nonce)
   in
+  let big_block = conservative 400 in
+  check "empty block" base [];
+  check "1-tx block" base (conservative 1);
+  check "13-tx block" base (conservative 13);
   check "conservative block" base big_block;
+  let base_1shard =
+    Array.fold_left
+      (fun b (_, pk) -> Balances.credit b pk 1000)
+      (Balances.create ~shards:1) signers
+  in
+  check "conservative block, 1 shard" base_1shard big_block;
   (* Credit-spending block: account 0 is broke and can only pay by
      spending coins received *earlier in the same block*. The
      conservative check fails, the fallback must get it right. *)
@@ -313,8 +317,8 @@ let apply_block_equals_apply_all () =
     nonces.(i) <- nonce + 1;
     Transaction.make ~signer:(fst signers.(i)) ~sender:(pk i) ~recipient ~amount ~nonce
   in
-  (* Funding first, then the broke account spends it; padded to cross
-     the parallel threshold. Built with explicit sequencing: [mk]
+  (* Funding first, then the broke account spends it; padded to a
+     300-tx block. Built with explicit sequencing: [mk]
      mutates the nonce counters, and [::] evaluates right to left. *)
   let funding = mk 1 (pk 0) 500 in
   let spend = mk 0 (pk 2) 400 in
@@ -325,7 +329,7 @@ let apply_block_equals_apply_all () =
   in
   let credit_spend = funding :: spend :: padding in
   check "credit-spending fallback" broke_base credit_spend;
-  (* And self-payments inside a parallel block conserve. *)
+  (* And self-payments inside a block conserve. *)
   let nonces = Array.make n_accounts 0 in
   let selfy =
     List.init 300 (fun k ->
@@ -336,7 +340,7 @@ let apply_block_equals_apply_all () =
         Transaction.make ~signer:(fst signers.(i)) ~sender:(pk i) ~recipient ~amount:5
           ~nonce)
   in
-  check "self-pays in parallel block" base selfy;
+  check "self-pays in one block" base selfy;
   (* An invalid transaction mid-block must fail identically. *)
   let bad =
     big_block

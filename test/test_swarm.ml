@@ -1,12 +1,14 @@
 (* Swarm tests (lib/check/swarm + gallery): the config codec
    round-trips, episodes and whole swarm runs are deterministic, a
    deliberately seeded ledger bug is found and shrunk to the same
-   minimal composition twice, the adversary gallery audits pass, and a
-   six-family composition survives a full episode. *)
+   minimal composition twice, the adversary gallery audits pass, a
+   six-family composition survives a full episode, and a banned flooder
+   does not fail the convergence audit. *)
 
 module Swarm = Algorand_check.Swarm
 module Gallery = Algorand_check.Gallery
 module Balances = Algorand_ledger.Balances
+module Harness = Algorand_core.Harness
 module Rng = Algorand_sim.Rng
 
 let t name f = Alcotest.test_case name `Quick f
@@ -150,6 +152,27 @@ let six_families_compose () =
   Alcotest.(check (option string)) "no violation" None ep.violation;
   Alcotest.(check bool) "coverage observed" true (List.length ep.fingerprint > 0)
 
+(* --------------------- flooders and convergence -------------------- *)
+
+(* A flooder that a crash restarts cannot catch up: its peers banned it
+   (section 8.4 gossip limits), so it stays behind the majority chain.
+   The convergence audit exempts the nodes a Flood chose, and only
+   those. This composition once reported node 5 as divergent. *)
+let flooder_exempt_from_convergence () =
+  let line =
+    "seed=814049;users=9;rounds=3;st=flood:0.2:200,loss:0.05,dup:0.1,hostile:2:0,\
+     equivocate:0.2,churn:0.1:8"
+  in
+  let c =
+    match Swarm.of_string line with Ok c -> c | Error e -> Alcotest.failf "parse: %s" e
+  in
+  let r = Harness.run (Swarm.to_harness c) in
+  Harness.cleanup_stores r.harness;
+  Alcotest.(check bool) "node 5 is a flooder" true (List.mem 5 r.harness.flooders);
+  Alcotest.(check bool) "node 5 diverged" true (List.mem 5 r.churn.divergent_restarted);
+  let ep = Swarm.run_episode c in
+  Alcotest.(check (option string)) "verdict ok" None ep.violation
+
 let suite =
   [
     ( "swarm",
@@ -162,5 +185,6 @@ let suite =
         t "gallery: undecidable messages safe" gallery_undecidable_safe;
         t "gallery: adaptive corruption safe under erasure" gallery_adaptive_erasure_safe;
         t "six stressor families compose" six_families_compose;
+        t "flooders exempt from convergence" flooder_exempt_from_convergence;
       ] );
   ]

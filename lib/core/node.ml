@@ -42,6 +42,25 @@ module Vote_tbl = Hashtbl.MakeSeeded (struct
   let seeded_hash = Hashtbl.seeded_hash
 end)
 
+(* Algorithm 6 verdicts shared by the nodes of one population round:
+   one vote table per validation context, the round's previous block
+   hash and seed. The look-back weights and total weight are functions
+   of the hash-linked prefix that ends at that block, so a node on
+   another tip never reads this context's verdicts. Sharers must agree
+   on genesis and config, which is what makes the context a key. *)
+type verdicts = (string * string, int Vote_tbl.t) Hashtbl.t
+
+let verdicts () : verdicts = Hashtbl.create 4
+
+let context_verdicts (shared : verdicts) ~(prev_hash : string) ~(seed : string) :
+    int Vote_tbl.t =
+  match Hashtbl.find_opt shared (prev_hash, seed) with
+  | Some tbl -> tbl
+  | None ->
+    let tbl = Vote_tbl.create ~random:true 256 in
+    Hashtbl.replace shared (prev_hash, seed) tbl;
+    tbl
+
 type byzantine = {
   equivocate_proposal : bool;  (** propose two block versions, one per half of peers *)
   double_vote : bool;  (** vote both values in committee steps *)
@@ -122,7 +141,9 @@ type round_state = {
   proposed_blocks : (string, Block.t) Hashtbl.t;  (** block hash -> block *)
   blocks_by_proposer : (string, string) Hashtbl.t;  (** proposer pk -> block hash *)
   equivocators : (string, unit) Hashtbl.t;
-  vote_weight_cache : int Vote_tbl.t;  (** vote content -> weighted votes *)
+  vote_weight_cache : int Vote_tbl.t;
+      (** vote content -> weighted votes; the shared context table when
+          the node was given [verdicts] *)
   mutable best_priority : Proposal.priority_msg option;
   mutable first_priority_at : float option;
   mutable ba : Ba_star.t option;
@@ -240,6 +261,7 @@ type t = {
   engine : Engine.t;
   metrics : Metrics.t;
   genesis : Genesis.t;
+  verdicts : verdicts option;  (** Algorithm 6 verdicts shared with other nodes *)
   rng : Rng.t;  (** retry jitter; deterministic per node *)
   mutable chain : Chain.t;  (** replaced wholesale on crash/restart *)
   mutable txpool : Txpool.t;
@@ -266,7 +288,8 @@ type t = {
 }
 
 let create ~(index : int) ~(identity : Identity.t) ~(config : config)
-    ~(engine : Engine.t) ~(metrics : Metrics.t) ?rng ~(genesis : Genesis.t) () : t =
+    ~(engine : Engine.t) ~(metrics : Metrics.t) ?rng ?verdicts ~(genesis : Genesis.t) () :
+    t =
   {
     index;
     identity;
@@ -274,6 +297,7 @@ let create ~(index : int) ~(identity : Identity.t) ~(config : config)
     engine;
     metrics;
     genesis;
+    verdicts;
     rng = (match rng with Some r -> r | None -> Rng.create ((1_000_003 * index) + 17));
     chain = Chain.create genesis;
     txpool = Txpool.create ();
@@ -483,7 +507,10 @@ let make_round_state (t : t) ~(r : int) : round_state =
     proposed_blocks = Hashtbl.create 8;
     blocks_by_proposer = Hashtbl.create 8;
     equivocators = Hashtbl.create 4;
-    vote_weight_cache = Vote_tbl.create ~random:true 256;
+    vote_weight_cache =
+      (match t.verdicts with
+      | Some shared -> context_verdicts shared ~prev_hash ~seed:seed_entry.seed
+      | None -> Vote_tbl.create ~random:true 256);
     best_priority = None;
     first_priority_at = None;
     ba = None;

@@ -79,6 +79,16 @@ type net = {
       (** suppress our own relay of a message id (equivocation sends) *)
 }
 
+type verdicts
+(** Algorithm 6 verdicts that nodes running one round side by side can
+    share: the weight [Vote.validate] gave each vote, keyed on the
+    round's validation context (previous block hash and seed) and the
+    vote's full content. Only nodes with one genesis and one [config]
+    may share a table. *)
+
+val verdicts : unit -> verdicts
+(** An empty table. *)
+
 val create :
   index:int ->
   identity:Identity.t ->
@@ -86,9 +96,14 @@ val create :
   engine:Engine.t ->
   metrics:Metrics.t ->
   ?rng:Rng.t ->
+  ?verdicts:verdicts ->
   genesis:Genesis.t ->
   unit ->
   t
+(** With [verdicts], a vote is validated once per table and context
+    rather than once per node: the population engine's nodes share one
+    table a round. Without it, the node keeps its own table per round,
+    as a separate process would. *)
 
 val set_net : t -> net -> unit
 (** Install the node's network; must be called before [start]. *)

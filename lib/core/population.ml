@@ -2,17 +2,20 @@
 
    The paper's headline figures run 5,000-500,000 users, but per round
    only ~tau_proposer + a few committees' worth of them ever send a
-   message; everyone else just validates and counts. This engine
-   exploits that: the full population exists only as three flat
-   per-user facts (VRF public key, stake, and the genesis balance map
-   they share with every run of the same seed), and each round
-   materializes full [Node.t] state machines *only* for the users
-   cryptographic sortition actually selects for that round's role
-   window. The passive population is an aggregate - weighted sortition
-   draws evaluated over the flat arrays, gossip fan-out statistics
-   (bytes/user modeled as fanout uplink copies of every originated
-   message), and relay-hop latency sampled from a population model
-   (uniform 1..ceil(log_fanout N) hops, WAN-shaped per-hop delay).
+   message. This engine exploits that: the full population exists only
+   as three flat per-user facts (VRF public key, stake, and the
+   genesis balance map they share with every run of the same seed),
+   and each round materializes full [Node.t] state machines *only* for
+   the users cryptographic sortition actually selects for that round's
+   role window. The materialized nodes share one table of Algorithm 6
+   verdicts a round, so each distinct vote is checked once rather than
+   once per listener; the CPU cost every listener pays is still
+   charged in sim time ([cpu_vote_verify_s]). The passive population
+   is an aggregate - weighted sortition draws evaluated over the flat
+   arrays, gossip fan-out statistics (bytes/user modeled as fanout
+   uplink copies of every originated message), and relay-hop latency
+   sampled from a population model (uniform 1..ceil(log_fanout N)
+   hops, WAN-shaped per-hop delay).
 
    Faithfulness: identities, genesis, seeds and sortition are computed
    exactly as [Harness] computes them (same "user-<seed>-<i>" identity
@@ -290,6 +293,7 @@ let run (config : config) : result =
     (* Materialize: full Node.t state machines for the selected users,
        each on a structure-sharing clone of the canonical prefix. *)
     let ncfg = node_config config ~sig_scheme ~vrf_scheme ~max_round:round in
+    let verdicts = Node.verdicts () in
     let roster =
       Array.of_list
         (List.map
@@ -298,7 +302,7 @@ let run (config : config) : result =
                Node.create ~index:u ~identity:(identity u) ~config:ncfg ~engine
                  ~metrics
                  ~rng:(Rng.split rng (Printf.sprintf "node-%d" u))
-                 ~genesis ()
+                 ~verdicts ~genesis ()
              in
              Node.adopt_chain node (Chain.clone canonical);
              (u, node))
@@ -329,9 +333,6 @@ let run (config : config) : result =
     in
     Array.iter
       (fun (u, node) ->
-        let peers =
-          Array.to_list roster |> List.filter_map (fun (v, _) -> if v <> u then Some v else None)
-        in
         Node.set_net node
           {
             Node.net_broadcast =
@@ -346,7 +347,11 @@ let run (config : config) : result =
                 match Hashtbl.find_opt by_id dst with
                 | Some dst_node -> deliver_later ~src:u ~dst ~dst_node msg
                 | None -> ());
-            net_peers = (fun () -> peers);
+            net_peers =
+              (fun () ->
+                Array.fold_right
+                  (fun (v, _) acc -> if v <> u then v :: acc else acc)
+                  roster []);
             net_mark_seen = (fun _ -> ());
           })
       roster;
@@ -368,6 +373,12 @@ let run (config : config) : result =
           | Some e -> Some (e.hash, e)
           | None -> None)
         roster
+    in
+    let max_bin_steps =
+      List.fold_left
+        (fun acc (rec_ : Metrics.round_record) ->
+          if rec_.round = round then max acc rec_.steps_taken else acc)
+        0 (Metrics.records metrics)
     in
     let round_ok =
       all_stopped
@@ -394,17 +405,11 @@ let run (config : config) : result =
           [] hashes
         |> List.length
       in
-      let max_steps =
-        List.fold_left
-          (fun acc (rec_ : Metrics.round_record) ->
-            if rec_.round = round then max acc rec_.steps_taken else acc)
-          0 (Metrics.records metrics)
-      in
       Printf.eprintf
         "population: round %d audit failed: %d/%d nodes unstopped, %d missing height-%d \
          entries, %d distinct hashes, %d pending events, max bin steps %d\n%!"
         round unstopped (Array.length roster) missing round distinct
-        (Engine.pending engine) max_steps;
+        (Engine.pending engine) max_bin_steps;
       agreement := false;
       ok := false
     end
@@ -425,12 +430,6 @@ let run (config : config) : result =
         ok := false);
       let latency_s =
         List.fold_left Float.max 0.0 (Metrics.round_completion_times metrics ~round)
-      in
-      let max_bin_steps =
-        List.fold_left
-          (fun acc (rec_ : Metrics.round_record) ->
-            if rec_.round = round then max acc rec_.steps_taken else acc)
-          0 (Metrics.records metrics)
       in
       if max_bin_steps + 3 > config.bin_window then incr window_exceeded;
       round_stats :=

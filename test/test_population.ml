@@ -128,6 +128,23 @@ let test_population_determinism () =
     "different seed, different blocks" true
     (c.block_hashes <> a.block_hashes)
 
+(* Exact counts of one fixed run, recorded before the materialized
+   nodes shared their vote verdicts. Sharing removes repeated
+   validation work only, so events, the event-queue peak, the
+   materialized set and the certified blocks must not move. *)
+let test_population_pinned_counts () =
+  let r = Population.run { (population_config ~seed:11) with users = 2_000 } in
+  Alcotest.(check bool) "agreement" true r.agreement;
+  Alcotest.(check int) "total events" 218_867 r.total_events;
+  Alcotest.(check int) "peak pending" 50_483 r.peak_pending;
+  Alcotest.(check int) "max materialized" 343 r.max_materialized;
+  Alcotest.(check (list string)) "block hashes"
+    [
+      "a0c298441c1899223177f34b854c891bd794e4c4fb423787b23f83a4bf45422a";
+      "ff83da32289957f6fafd008f5f4badcbf5320617b8a3a28a009e6082e7e1a85f";
+    ]
+    (List.map Algorand_crypto.Hex.of_string r.block_hashes)
+
 let test_population_stats () =
   let r = Population.run (population_config ~seed:3) in
   Alcotest.(check bool) "agreement" true r.agreement;
@@ -295,6 +312,8 @@ let suite =
         Alcotest.test_case "equivalence audit: 20 seeds vs harness" `Slow
           test_equivalence_audit;
         Alcotest.test_case "same seed, same blocks" `Quick test_population_determinism;
+        Alcotest.test_case "pinned counts of one 2,000-user run" `Quick
+          test_population_pinned_counts;
         Alcotest.test_case "only a minority materialized at scale" `Quick
           test_abstraction_materializes_minority;
         Alcotest.test_case "round stats are sane" `Quick test_population_stats;

@@ -15,6 +15,7 @@ module Message = Algorand_core.Message
 module Identity = Algorand_core.Identity
 module Params = Algorand_ba.Params
 module Vote = Algorand_ba.Vote
+module Block = Algorand_ledger.Block
 module Chain = Algorand_ledger.Chain
 module Genesis = Algorand_ledger.Genesis
 module Engine = Algorand_sim.Engine
@@ -275,18 +276,20 @@ let poisoned_vote_then_honest () =
     Alcotest.(check bool) "honest vote still accepted" true
       (Node.gossip_validate node (Message.Ba_vote honest))
 
-(* Validation runs once per vote content. Two separately decoded
-   copies of one vote (equal content, distinct values), each through
-   gossip_validate and then deliver, must cost the node one signature
-   check: the cache must neither be missing nor keyed on physical
-   identity. A wrapped sim scheme counts the checks of the vote's
-   signed body. *)
-let vote_verified_once_per_content () =
-  let users = 6 in
+(* Fixture of the validation-count tests: six users on one genesis,
+   and a sim signature scheme that counts its checks per signed body. *)
+type counted = {
+  identities : Identity.t array;
+  genesis : Genesis.t;
+  config : Node.config;
+  checks : (string, int) Hashtbl.t;
+}
+
+let counted_fixture ~(prefix : string) : counted =
   let sig_scheme, vrf_scheme = Harness.schemes Harness.Sim_crypto in
   let identities =
-    Array.init users (fun i ->
-        Identity.generate ~sig_scheme ~vrf_scheme ~seed:(Printf.sprintf "once-%d" i))
+    Array.init 6 (fun i ->
+        Identity.generate ~sig_scheme ~vrf_scheme ~seed:(Printf.sprintf "%s-%d" prefix i))
   in
   let genesis =
     Genesis.make (Array.to_list (Array.map (fun id -> (id.Identity.pk, 1_000)) identities))
@@ -301,7 +304,6 @@ let vote_verified_once_per_content () =
           sig_scheme.verify ~pk ~msg ~signature);
     }
   in
-  let engine = Engine.create () in
   let config =
     {
       Node.default_config with
@@ -312,9 +314,18 @@ let vote_verified_once_per_content () =
       max_round = 2;
     }
   in
+  { identities; genesis; config; checks }
+
+let signature_checks (fx : counted) (v : Vote.t) : int =
+  Option.value ~default:0 (Hashtbl.find_opt fx.checks (Vote.signed_body v))
+
+(* A node that sends into the void, started at round 1, or at the
+   round after [chain]'s tip when given one. *)
+let quiet_node (fx : counted) ~engine ?verdicts ?chain (index : int) : Node.t =
   let node =
-    Node.create ~index:0 ~identity:identities.(0) ~config ~engine
-      ~metrics:(Metrics.create ~users ()) ~genesis ()
+    Node.create ~index ~identity:fx.identities.(index) ~config:fx.config ~engine
+      ~metrics:(Metrics.create ~users:(Array.length fx.identities) ())
+      ?verdicts ~genesis:fx.genesis ()
   in
   Node.set_net node
     {
@@ -323,37 +334,133 @@ let vote_verified_once_per_content () =
       net_peers = (fun () -> []);
       net_mark_seen = ignore;
     };
-  Node.start node;
+  (match chain with
+  | None -> Node.start node
+  | Some c ->
+    Node.adopt_chain node c;
+    Node.start_from_tip node);
+  node
+
+(* A bin-1 vote for [round] on [prev_hash], signed by user [voter]. At
+   these rounds the seed is still seed_0 and the weights are the
+   genesis allocation; a user holding 1,000 of the 6,000 units misses a
+   tau_step = 2,000 committee with probability (2/3)^1000, so every
+   user is selected. *)
+let bin1_vote (fx : counted) ~(voter : int) ~(round : int) ~(prev_hash : string) : Vote.t =
+  let id = fx.identities.(voter) in
+  match
+    Vote.make ~signer:id.signer ~prover:id.prover ~pk:id.pk ~seed:fx.genesis.seed0
+      ~tau:fast_params.tau_step ~w:1_000
+      ~total_weight:(1_000 * Array.length fx.identities)
+      ~round ~step:(Vote.Bin 1) ~prev_hash ~value:(Sha256.digest "candidate")
+  with
+  | Some v -> v
+  | None -> Alcotest.fail "voter not selected for bin-1"
+
+(* Validation runs once per vote content. Two separately decoded
+   copies of one vote (equal content, distinct values), each through
+   gossip_validate and then deliver, must cost the node one signature
+   check: the cache must neither be missing nor keyed on physical
+   identity. *)
+let vote_verified_once_per_content () =
+  let fx = counted_fixture ~prefix:"once" in
+  let engine = Engine.create () in
+  let node = quiet_node fx ~engine 0 in
   ignore (Engine.run engine ~until:1.0 ());
-  let round = Node.round node in
-  let prev_hash = (Chain.tip (Node.chain node)).hash in
-  let vote =
-    List.find_map
-      (fun (id : Identity.t) ->
-        Vote.make ~signer:id.signer ~prover:id.prover ~pk:id.pk ~seed:genesis.seed0
-          ~tau:fast_params.tau_step ~w:1_000 ~total_weight:(users * 1_000) ~round
-          ~step:(Vote.Bin 1) ~prev_hash ~value:(Sha256.digest "candidate"))
-      (List.tl (Array.to_list identities))
+  let v =
+    bin1_vote fx ~voter:1 ~round:(Node.round node) ~prev_hash:(Chain.tip (Node.chain node)).hash
   in
-  match vote with
-  | None -> Alcotest.fail "no committee member among the other users"
-  | Some v ->
-    let frame = Codec.encode (Message.Ba_vote v) in
-    let decoded () =
-      match Codec.decode frame with
-      | Some (Message.Ba_vote v) -> v
-      | _ -> Alcotest.fail "vote frame does not decode"
-    in
-    let first = decoded () and second = decoded () in
-    Alcotest.(check bool) "copies are equal, distinct values" true (first = second && first != second);
-    List.iter
-      (fun copy ->
-        Alcotest.(check bool) "copy accepted" true (Node.gossip_validate node (Message.Ba_vote copy));
-        Node.deliver node ~src:1 (Message.Ba_vote copy);
-        ignore (Engine.run engine ~until:(Engine.now engine +. 1.0) ()))
-      [ first; second ];
-    Alcotest.(check int) "signature checks of the vote" 1
-      (Option.value ~default:0 (Hashtbl.find_opt checks (Vote.signed_body v)))
+  let frame = Codec.encode (Message.Ba_vote v) in
+  let decoded () =
+    match Codec.decode frame with
+    | Some (Message.Ba_vote v) -> v
+    | _ -> Alcotest.fail "vote frame does not decode"
+  in
+  let first = decoded () and second = decoded () in
+  Alcotest.(check bool) "copies are equal, distinct values" true (first = second && first != second);
+  List.iter
+    (fun copy ->
+      Alcotest.(check bool) "copy accepted" true (Node.gossip_validate node (Message.Ba_vote copy));
+      Node.deliver node ~src:1 (Message.Ba_vote copy);
+      ignore (Engine.run engine ~until:(Engine.now engine +. 1.0) ()))
+    [ first; second ];
+  Alcotest.(check int) "signature checks of the vote" 1 (signature_checks fx v)
+
+(* Nodes that share one verdict table validate a vote once between
+   them: three listeners, each relaying and then delivering it, cost
+   one signature check, not three. *)
+let shared_verdicts_check_once () =
+  let fx = counted_fixture ~prefix:"shared" in
+  let engine = Engine.create () in
+  let verdicts = Node.verdicts () in
+  let nodes = List.init 3 (quiet_node fx ~engine ~verdicts) in
+  ignore (Engine.run engine ~until:1.0 ());
+  let v = bin1_vote fx ~voter:4 ~round:1 ~prev_hash:(Chain.tip (Node.chain (List.hd nodes))).hash in
+  List.iter
+    (fun node ->
+      Alcotest.(check bool) "vote accepted" true (Node.gossip_validate node (Message.Ba_vote v));
+      Node.deliver node ~src:4 (Message.Ba_vote v))
+    nodes;
+  ignore (Engine.run engine ~until:2.0 ());
+  Alcotest.(check int) "signature checks of the vote" 1 (signature_checks fx v)
+
+(* The table is keyed on the validation context as well as the vote:
+   two nodes at round 2 on different round-1 blocks share a table, and
+   a vote bound to the first tip counts at that node only, whichever
+   node looks first after it. *)
+let shared_verdicts_per_tip () =
+  let fx = counted_fixture ~prefix:"tips" in
+  let engine = Engine.create () in
+  let verdicts = Node.verdicts () in
+  let chain_with ~padding =
+    let c = Chain.create fx.genesis in
+    let b = { (Block.empty ~round:1 ~prev_hash:(Chain.tip c).hash) with padding } in
+    match Chain.add c b with
+    | Ok e ->
+      Chain.set_tip c e.hash;
+      c
+    | Error _ -> Alcotest.fail "round-1 block rejected"
+  in
+  let on_a = quiet_node fx ~engine ~verdicts ~chain:(chain_with ~padding:0) 0 in
+  let on_b = quiet_node fx ~engine ~verdicts ~chain:(chain_with ~padding:1) 1 in
+  ignore (Engine.run engine ~until:1.0 ());
+  let tip n = (Chain.tip (Node.chain n)).hash in
+  Alcotest.(check bool) "tips differ" false (String.equal (tip on_a) (tip on_b));
+  Alcotest.(check (pair int int)) "both at round 2" (2, 2) (Node.round on_a, Node.round on_b);
+  let v = bin1_vote fx ~voter:4 ~round:2 ~prev_hash:(tip on_a) in
+  let valid node = Node.gossip_validate node (Message.Ba_vote v) in
+  Alcotest.(check bool) "valid on its own tip" true (valid on_a);
+  Alcotest.(check bool) "zero on the other tip" false (valid on_b);
+  Alcotest.(check bool) "still valid on its own tip" true (valid on_a);
+  Alcotest.(check int) "one check per context" 2 (signature_checks fx v)
+
+(* A corrupted variant (one signature byte flipped) is a different key
+   in the shared table: it gets weight 0, and the honest copy keeps
+   its weight whichever of the two the group sees first. *)
+let shared_verdicts_corrupted_variant () =
+  let flip (v : Vote.t) =
+    let s = Bytes.of_string v.signature in
+    Bytes.set s 0 (Char.chr (Char.code (Bytes.get s 0) lxor 1));
+    { v with signature = Bytes.to_string s }
+  in
+  List.iter
+    (fun honest_first ->
+      let fx = counted_fixture ~prefix:"variant" in
+      let engine = Engine.create () in
+      let verdicts = Node.verdicts () in
+      let nodes = Array.init 3 (quiet_node fx ~engine ~verdicts) in
+      ignore (Engine.run engine ~until:1.0 ());
+      let honest =
+        bin1_vote fx ~voter:4 ~round:1 ~prev_hash:(Chain.tip (Node.chain nodes.(0))).hash
+      in
+      let corrupted = flip honest in
+      let valid i v = Node.gossip_validate nodes.(i) (Message.Ba_vote v) in
+      let label = if honest_first then "honest first" else "corrupted first" in
+      if honest_first then Alcotest.(check bool) (label ^ ": honest") true (valid 0 honest);
+      Alcotest.(check bool) (label ^ ": corrupted rejected") false (valid 1 corrupted);
+      Alcotest.(check bool) (label ^ ": honest accepted") true (valid 2 honest);
+      Alcotest.(check bool) (label ^ ": corrupted still rejected") false (valid 0 corrupted))
+    [ true; false ]
 
 (* Same attack against the future-round blind-relay path: a forged
    future vote must not be relayed (it would be marked seen and
@@ -401,6 +508,9 @@ let suite =
         ts "tight quotas degrade, not deadlock" quota_drops_engage;
         ts "vote cache immune to corrupted variant" poisoned_vote_then_honest;
         t "one signature check per vote content" vote_verified_once_per_content;
+        t "shared verdicts: one check for many nodes" shared_verdicts_check_once;
+        t "shared verdicts: keyed on the tip" shared_verdicts_per_tip;
+        t "shared verdicts: corrupted variant" shared_verdicts_corrupted_variant;
         ts "future votes need a valid signature" future_vote_needs_signature;
       ] );
   ]

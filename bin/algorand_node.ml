@@ -8,16 +8,18 @@
    TCP transport (lib/transport) through the Wire_gossip overlay, with
    the virtual-clock engine driven by wall time (Realtime). Every
    process derives the full roster - identities, stakes, genesis -
-   from the shared seed, exactly as the simulation harness does, which
-   is what makes an on-wire ledger comparable hash-for-hash with an
-   in-sim one. *)
+   from the shared seed through Deployment, the builder the simulation
+   harness uses, which is what makes an on-wire ledger comparable
+   hash-for-hash with an in-sim one. *)
 
 open Cmdliner
 module Node = Algorand_core.Node
 module Codec = Algorand_core.Codec
+module Hex = Algorand_crypto.Hex
 module Message = Algorand_core.Message
 module Identity = Algorand_core.Identity
 module Harness = Algorand_core.Harness
+module Deployment = Algorand_core.Deployment
 module Disk_store = Algorand_core.Disk_store
 module History = Algorand_core.History
 module Wire_gossip = Algorand_core.Wire_gossip
@@ -26,7 +28,6 @@ module Genesis = Algorand_ledger.Genesis
 module Params = Algorand_ba.Params
 module Engine = Algorand_sim.Engine
 module Metrics = Algorand_sim.Metrics
-module Retry = Algorand_sim.Retry
 module Rng = Algorand_sim.Rng
 module Gossip = Algorand_netsim.Gossip
 module Registry = Algorand_obs.Registry
@@ -36,17 +37,6 @@ module Tcp = Algorand_transport.Tcp_transport
 module Handshake = Algorand_transport.Handshake
 module Realtime = Algorand_transport.Realtime
 module WG = Wire_gossip.Make (Tcp)
-
-let hex (s : string) : string =
-  let b = Buffer.create (2 * String.length s) in
-  String.iter (fun c -> Buffer.add_string b (Printf.sprintf "%02x" (Char.code c))) s;
-  Buffer.contents b
-
-let rec mkdir_p (dir : string) : unit =
-  if not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Sys.mkdir dir 0o755 with Sys_error _ -> ()
-  end
 
 (* ------------------------------------------------------------------ *)
 (* Shared deployment description                                       *)
@@ -62,7 +52,7 @@ type opts = {
   time_scale : float;
   fanout : int;
   store_root : string option;
-  crypto : Harness.crypto;
+  crypto : Deployment.crypto;
   wall_timeout : float;  (** wall-clock seconds before a run is abandoned *)
   linger : float;  (** wall seconds to keep serving peers after finishing *)
 }
@@ -71,20 +61,9 @@ let params_of (o : opts) : Params.t =
   if o.committee_scale = 1.0 then Params.paper
   else Params.scaled ~factor:o.committee_scale
 
-(* Must mirror Harness.build exactly: same seed string per identity,
-   same stakes, same genesis - or the determinism triple is vacuous. *)
-let roster_of (o : opts) : Identity.t array * Genesis.t =
-  let sig_scheme, vrf_scheme = Harness.schemes o.crypto in
-  let identities =
-    Array.init o.users (fun i ->
-        Identity.generate ~sig_scheme ~vrf_scheme
-          ~seed:(Printf.sprintf "user-%d-%d" o.seed i))
-  in
-  let genesis =
-    Genesis.make
-      (Array.to_list (Array.map (fun id -> (id.Identity.pk, 1_000)) identities))
-  in
-  (identities, genesis)
+let deployment_of (o : opts) : Deployment.t =
+  Deployment.make ~crypto:o.crypto ~seed:o.seed ~users:o.users ~params:(params_of o)
+    ~block_bytes:o.block_bytes ~rounds:o.rounds ()
 
 let addr_of (o : opts) (i : int) : string =
   Printf.sprintf "127.0.0.1:%d" (o.port_base + i)
@@ -113,52 +92,27 @@ type daemon_result = {
    protocol under the wall-clock driver, drain, persist, report. *)
 let run_daemon (o : opts) ~(index : int) ~(report_path : string option)
     ~(metrics_path : string option) : daemon_result =
-  let params = params_of o in
-  let sig_scheme, vrf_scheme = Harness.schemes o.crypto in
-  let identities, genesis = roster_of o in
+  let deployment = deployment_of o in
+  let identities, genesis = Deployment.roster deployment in
   let identity = identities.(index) in
   let engine = Engine.create () in
   let registry = Registry.create () in
   let metrics = Metrics.create ~registry ~trace:(Trace.create ()) ~users:o.users () in
   let root = resolve_store_root o in
-  mkdir_p root;
+  Disk_store.mkdir_p root;
   let store_dir = Disk_store.node_dir ~root ~pk:identity.Identity.pk in
-  let retry_policy : Retry.policy =
+  let config =
     {
-      base_delay = Float.max 0.5 params.lambda_priority;
-      multiplier = 2.0;
-      max_delay = Float.max 5.0 params.lambda_step;
-      jitter = 0.2;
-      max_attempts = 0;
-    }
-  in
-  let config : Node.config =
-    {
-      params;
-      sig_scheme;
-      vrf_scheme;
-      block_target_bytes = o.block_bytes;
-      max_round = o.rounds;
-      byzantine = None;
-      cpu_vote_verify_s = 0.0002;
-      cpu_block_verify_s = 0.005;
-      recovery_enabled = false;
-      storage_shards = 1;
-      pipeline_final = false;
-      resync_enabled = true;
+      (Deployment.node_config deployment) with
       store_dir = Some store_dir;
-      checkpoint_every = 1;
-      retry = retry_policy;
-      verify_tx_sigs = true;
-      txpool_retention_rounds = 8;
       deterministic_ts = true;
     }
   in
+  let { Node.params; sig_scheme; vrf_scheme; _ } = config in
   let rng = Rng.create o.seed in
   let node =
     Node.create ~index ~identity ~config ~engine ~metrics
-      ~rng:(Rng.split rng (Printf.sprintf "node-%d" index))
-      ~genesis ()
+      ~rng:(Deployment.node_rng rng index) ~genesis ()
   in
   let hello : Handshake.hello =
     {
@@ -174,7 +128,7 @@ let run_daemon (o : opts) ~(index : int) ~(report_path : string option)
       ~roster:(Array.map (fun id -> id.Identity.pk) identities)
       ~limits:(Codec.limits_of_params ~block_bytes:o.block_bytes params)
       ~flood:Gossip.default_limits
-      ~fanout:o.fanout ~retry:retry_policy
+      ~fanout:o.fanout ~retry:config.retry
       ~rng:(Rng.split rng (Printf.sprintf "wire-%d" index))
       ~registry ()
   in
@@ -249,12 +203,12 @@ let run_daemon (o : opts) ~(index : int) ~(report_path : string option)
     Buffer.add_string b
       (Printf.sprintf
          "{\"index\":%d,\"pk\":\"%s\",\"rounds\":%d,\"store_ok\":%b,\"terminated\":%b,"
-         index (hex identity.Identity.pk) tip.Chain.height store_ok !terminating);
+         index (Hex.of_string identity.Identity.pk) tip.Chain.height store_ok !terminating);
     Buffer.add_string b "\"blocks\":[";
     List.iteri
       (fun i h ->
         if i > 0 then Buffer.add_char b ',';
-        Buffer.add_string b (Printf.sprintf "\"%s\"" (hex h)))
+        Buffer.add_string b (Printf.sprintf "\"%s\"" (Hex.of_string h)))
       block_hashes;
     Buffer.add_string b "],";
     Buffer.add_string b
@@ -269,11 +223,7 @@ let run_daemon (o : opts) ~(index : int) ~(report_path : string option)
          (cnt "gossip.delivered") (cnt "gossip.relayed")
          (cnt "transport.reconnects") (cnt "transport.bytes_sent")
          (cnt "transport.bytes_received"));
-    let tmp = path ^ ".tmp" in
-    let oc = open_out tmp in
-    output_string oc (Buffer.contents b);
-    close_out oc;
-    Sys.rename tmp path);
+    Disk_store.write_file path (Buffer.contents b));
   (match metrics_path with
   | None -> ()
   | Some path ->
@@ -295,16 +245,6 @@ type wire_audit = {
   wa_handshake_failures : int;
   wa_details : string list;  (** human-readable failure notes *)
 }
-
-let read_file (path : string) : string option =
-  if not (Sys.file_exists path) then None
-  else begin
-    let ic = open_in_bin path in
-    let n = in_channel_length ic in
-    let s = really_input_string ic n in
-    close_in ic;
-    Some s
-  end
 
 (* Pull one integer field out of a daemon's flat report JSON. *)
 let json_int (json : string) (field : string) : int =
@@ -335,11 +275,11 @@ let json_int (json : string) (field : string) : int =
    ledgers against each other: every process's certified prefix must
    replay cleanly (all certificates valid) and agree block-for-block. *)
 let spawn_cluster (o : opts) : wire_audit =
-  let identities, genesis = roster_of o in
-  let params = params_of o in
-  let sig_scheme, vrf_scheme = Harness.schemes o.crypto in
+  let deployment = deployment_of o in
+  let identities, genesis = Deployment.roster deployment in
+  let { Node.params; sig_scheme; vrf_scheme; _ } = Deployment.node_config deployment in
   let root = resolve_store_root o in
-  mkdir_p root;
+  Disk_store.mkdir_p root;
   let report_path i = Filename.concat root (Printf.sprintf "report-%d.json" i) in
   let pids =
     List.init o.users (fun i ->
@@ -451,7 +391,7 @@ let spawn_cluster (o : opts) : wire_audit =
   let decode_failures = ref 0 and handshake_failures = ref 0 in
   List.iter
     (fun (i, _) ->
-      match read_file (report_path i) with
+      match Disk_store.read_file (report_path i) with
       | None -> note "process %d wrote no report" i
       | Some json ->
         decode_failures := !decode_failures + json_int json "decode_failures";
@@ -477,7 +417,7 @@ let print_wire_audit (o : opts) (a : wire_audit) : unit =
        (a.wa_ok || (a.wa_details = [] && a.wa_rounds > 0)));
   Buffer.add_string b
     (Printf.sprintf "\"final_hash\":\"%s\","
-       (match List.rev a.wa_hashes with h :: _ -> hex h | [] -> ""));
+       (match List.rev a.wa_hashes with h :: _ -> Hex.of_string h | [] -> ""));
   Buffer.add_string b
     (Printf.sprintf "\"decode_failures\":%d,\"handshake_failures\":%d,\"ok\":%b,"
        a.wa_decode_failures a.wa_handshake_failures a.wa_ok);
@@ -536,11 +476,13 @@ let audit_triple (o : opts) : int =
   let identical =
     List.length typed = o.rounds && typed = bytes && bytes = wire_hashes && wire.wa_ok
   in
-  let arr l = String.concat "," (List.map (fun h -> Printf.sprintf "\"%s\"" (hex h)) l) in
+  let arr l =
+    String.concat "," (List.map (fun h -> Printf.sprintf "\"%s\"" (Hex.of_string h)) l)
+  in
   Printf.printf
     "{\"users\":%d,\"rounds\":%d,\"typed\":\"%s\",\"bytes\":\"%s\",\"wire\":\"%s\",\"wire_ok\":%b,\"identical\":%b,\"typed_blocks\":[%s],\"wire_blocks\":[%s]}\n"
-    o.users o.rounds (hex th) (hex bh) (hex wh) wire.wa_ok identical (arr typed)
-    (arr wire_hashes);
+    o.users o.rounds (Hex.of_string th) (Hex.of_string bh) (Hex.of_string wh) wire.wa_ok
+    identical (arr typed) (arr wire_hashes);
   if identical then 0 else 1
 
 (* ------------------------------------------------------------------ *)
@@ -596,7 +538,7 @@ let opts_term =
       time_scale;
       fanout;
       store_root = store;
-      crypto = (if real_crypto then Harness.Real_crypto else Harness.Sim_crypto);
+      crypto = (if real_crypto then Deployment.Real_crypto else Deployment.Sim_crypto);
       wall_timeout;
       linger;
     }

@@ -37,11 +37,17 @@ let read_file (path : string) : string option =
     Some data
   end
 
+let rec mkdir_p (dir : string) : unit =
+  if not (Sys.file_exists dir) then begin
+    mkdir_p (Filename.dirname dir);
+    try Sys.mkdir dir 0o755 with Sys_error _ -> ()
+  end
+
 (* Persist a catch-up history (from Catchup.collect / collect_from, or
    a node's periodic checkpoint). The certificate is written before the
    block, so a round whose block file exists is complete. *)
 let save (dir : string) (items : History.item list) : unit =
-  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+  mkdir_p dir;
   List.iter
     (fun ({ block; certificate } : History.item) ->
       let round = Block.round block in

@@ -4,6 +4,17 @@
     {!History.replay}, which re-checks every certificate, so a tampered
     store is rejected rather than trusted. *)
 
+val write_file : string -> string -> unit
+(** [write_file path data], crash-atomically: under a temp name, then
+    renamed into place. *)
+
+val read_file : string -> string option
+(** The whole file, or [None] when it does not exist. *)
+
+val mkdir_p : string -> unit
+(** Create a directory and any missing parents; an existing directory,
+    or one a concurrent process creates first, is not an error. *)
+
 val save : string -> History.item list -> unit
 (** [save dir items] writes each round's block and certificate under
     [dir] (created if needed). Each file lands atomically; the

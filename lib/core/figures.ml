@@ -64,14 +64,8 @@ let fig7_run ?(users = 50) ?(rounds = 5) ?(seed = 42) ?(block_bytes = 1_000_000)
   in
   fig7_json r
 
-let rec mkdir_p (dir : string) : unit =
-  if not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Sys.mkdir dir 0o755 with Sys_error _ -> ()
-  end
-
 let write ~(path : string) (doc : string) : unit =
-  mkdir_p (Filename.dirname path);
+  Disk_store.mkdir_p (Filename.dirname path);
   let oc = open_out path in
   output_string oc doc;
   close_out oc

@@ -6,7 +6,6 @@
 
    This is the module every experiment in section 10 goes through. *)
 
-open Algorand_crypto
 module Params = Algorand_ba.Params
 module Engine = Algorand_sim.Engine
 module Metrics = Algorand_sim.Metrics
@@ -24,7 +23,7 @@ module Block = Algorand_ledger.Block
 module Balances = Algorand_ledger.Balances
 module Workload = Algorand_ledger.Workload
 
-type crypto = Real_crypto | Sim_crypto
+type crypto = Deployment.crypto = Real_crypto | Sim_crypto
 
 (* Crash-restart fault injection: who goes down, when, for how long. *)
 type crash_plan =
@@ -284,16 +283,7 @@ type result = {
   txs : tx_report;
 }
 
-let schemes (c : crypto) : Signature_scheme.scheme * Vrf.scheme =
-  match c with
-  | Real_crypto -> (Signature_scheme.ed25519, Vrf.ecvrf)
-  | Sim_crypto -> (Signature_scheme.sim, Vrf.sim)
-
-let rec mkdir_p (dir : string) : unit =
-  if not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Sys.mkdir dir 0o755 with Sys_error _ -> ()
-  end
+let schemes = Deployment.schemes
 
 (* Distinct auto store roots even for identical configs run twice in
    one process (torture tests sweep hundreds of seeds). *)
@@ -309,22 +299,12 @@ let rec rm_rf (path : string) : unit =
 
 let build (config : config) : t =
   let attacks = attacks_of config in
-  let sig_scheme, vrf_scheme = schemes config.crypto in
-  let identities =
-    Array.init config.users (fun i ->
-        Identity.generate ~sig_scheme ~vrf_scheme
-          ~seed:(Printf.sprintf "user-%d-%d" config.rng_seed i))
+  let deployment =
+    Deployment.make ~crypto:config.crypto ~stake_per_user:config.stake_per_user
+      ~stake_law:config.stake_distribution ~seed:config.rng_seed ~users:config.users
+      ~params:config.params ~block_bytes:config.block_bytes ~rounds:config.rounds ()
   in
-  let stakes =
-    Array.init config.users (fun i ->
-        match config.stake_distribution with
-        | `Equal -> config.stake_per_user
-        | `Linear -> config.stake_per_user * (i + 1))
-  in
-  let genesis =
-    Genesis.make
-      (Array.to_list (Array.mapi (fun i id -> (id.Identity.pk, stakes.(i))) identities))
-  in
+  let identities, genesis = Deployment.roster deployment in
   let engine = Engine.create () in
   let trace = match config.trace with Some tr -> tr | None -> Trace.create () in
   let registry = Registry.create () in
@@ -366,23 +346,11 @@ let build (config : config) : t =
       (Some root, true)
     | None, false -> (None, false)
   in
-  (match store_root with Some root -> mkdir_p root | None -> ());
-  let retry_policy : Algorand_sim.Retry.policy =
-    {
-      base_delay = Float.max 0.5 config.params.lambda_priority;
-      multiplier = 2.0;
-      max_delay = Float.max 5.0 config.params.lambda_step;
-      jitter = 0.2;
-      max_attempts = 0;
-    }
-  in
+  (match store_root with Some root -> Disk_store.mkdir_p root | None -> ());
+  let base_config = Deployment.node_config deployment in
   let node_config i : Node.config =
     {
-      params = config.params;
-      sig_scheme;
-      vrf_scheme;
-      block_target_bytes = config.block_bytes;
-      max_round = config.rounds;
+      base_config with
       byzantine =
         (if Hashtbl.mem malicious i && List.mem Equivocate attacks then
            Some { Node.equivocate_proposal = true; double_vote = true }
@@ -392,13 +360,11 @@ let build (config : config) : t =
       recovery_enabled = config.recovery_enabled;
       storage_shards = config.storage_shards;
       pipeline_final = config.pipeline_final;
-      resync_enabled = true;
       store_dir =
         Option.map
           (fun root -> Filename.concat root (Printf.sprintf "node-%03d" i))
           store_root;
       checkpoint_every = config.checkpoint_every;
-      retry = retry_policy;
       verify_tx_sigs = config.verify_tx_sigs;
       txpool_retention_rounds = config.txpool_retention_rounds;
       deterministic_ts = config.deterministic_ts;
@@ -407,11 +373,11 @@ let build (config : config) : t =
   let nodes =
     Array.init config.users (fun i ->
         Node.create ~index:i ~identity:identities.(i) ~config:(node_config i) ~engine
-          ~metrics
-          ~rng:(Rng.split rng (Printf.sprintf "node-%d" i))
-          ~genesis ())
+          ~metrics ~rng:(Deployment.node_rng rng i) ~genesis ())
   in
-  let weights = Array.map float_of_int stakes in
+  let weights =
+    Array.init config.users (fun i -> float_of_int (Deployment.stake deployment i))
+  in
   let gossip_config : Message.t Gossip.config =
     {
       msg_id = Message.id;

@@ -9,7 +9,7 @@ module Genesis = Algorand_ledger.Genesis
 module Gossip = Algorand_netsim.Gossip
 module Network = Algorand_netsim.Network
 
-type crypto = Real_crypto | Sim_crypto
+type crypto = Deployment.crypto = Real_crypto | Sim_crypto
 
 type crash_plan =
   | One_shot of { at : float; victims : int list; down_for : float }
@@ -137,9 +137,8 @@ val attacks_of : config -> attack list
 
 val schemes :
   crypto -> Algorand_crypto.Signature_scheme.scheme * Algorand_crypto.Vrf.scheme
-(** The signature and VRF scheme pair behind a [crypto] choice - what
-    any out-of-harness deployment (the wire daemon) must use to derive
-    the same identities. *)
+(** {!Deployment.schemes}: the signature and VRF scheme pair behind a
+    [crypto] choice. *)
 
 type t = {
   config : config;

@@ -17,9 +17,9 @@
    sampled from a population model (uniform 1..ceil(log_fanout N)
    hops, WAN-shaped per-hop delay).
 
-   Faithfulness: identities, genesis, seeds and sortition are computed
-   exactly as [Harness] computes them (same "user-<seed>-<i>" identity
-   derivation, same genesis, same role strings), so a user is
+   Faithfulness: identities, stakes, genesis and node configs are
+   derived by {!Deployment}, the same builder Harness and the daemon
+   use, and seeds and sortition use the same role strings, so a user is
    materialized iff it would have sent a message in the fully
    materialized run. With zero transaction traffic and deterministic
    (round-number) block timestamps, the certified block content is
@@ -116,68 +116,32 @@ let window_steps (bin_window : int) : Vote.step list =
    :: List.init bin_window (fun i -> Vote.Bin (i + 1)))
   @ [ Vote.Final ]
 
-let node_config (config : config) ~sig_scheme ~vrf_scheme ~(max_round : int) :
-    Node.config =
-  {
-    params = config.params;
-    sig_scheme;
-    vrf_scheme;
-    block_target_bytes = config.block_bytes;
-    max_round;
-    byzantine = None;
-    cpu_vote_verify_s = 0.0002;
-    cpu_block_verify_s = 0.005;
-    recovery_enabled = false;
-    storage_shards = 1;
-    pipeline_final = false;
-    resync_enabled = false;
-    store_dir = None;
-    checkpoint_every = 0;
-    retry =
-      {
-        base_delay = Float.max 0.5 config.params.lambda_priority;
-        multiplier = 2.0;
-        max_delay = Float.max 5.0 config.params.lambda_step;
-        jitter = 0.2;
-        max_attempts = 0;
-      };
-    verify_tx_sigs = true;
-    txpool_retention_rounds = 8;
-    deterministic_ts = true;
-  }
-
 let run (config : config) : result =
   if config.users < 4 then invalid_arg "Population.run: need at least 4 users";
   if config.rounds < 1 then invalid_arg "Population.run: need at least 1 round";
   if config.bin_window < 4 then
     (* deciders carry votes three steps past a bin-1 decision *)
     invalid_arg "Population.run: bin_window must be >= 4";
-  let sig_scheme = Signature_scheme.sim and vrf_scheme = Vrf.sim in
   let n = config.users in
   let p = config.params in
-  (* ---- The passive population: flat per-user facts. ------------- *)
-  let stakes =
-    Array.init n (fun i ->
-        match config.stake_distribution with
-        | `Equal -> config.stake_per_user
-        | `Linear -> config.stake_per_user * (i + 1))
+  let deployment =
+    Deployment.make ~stake_per_user:config.stake_per_user
+      ~stake_law:config.stake_distribution ~seed:config.rng_seed ~users:n ~params:p
+      ~block_bytes:config.block_bytes ~rounds:config.rounds ()
   in
+  let vrf_scheme = Vrf.sim in
+  (* ---- The passive population: flat per-user facts. ------------- *)
+  let stakes = Array.init n (Deployment.stake deployment) in
   let total_weight = Array.fold_left ( + ) 0 stakes in
-  (* Same identity derivation as Harness.build; only the 32-byte VRF
-     public key is retained per user (the composite pk strings live on
-     inside the genesis balance map, shared, not duplicated here). *)
+  (* Only the 32-byte VRF public key is retained per user (the
+     composite pk strings live on inside the genesis balance map,
+     shared, not duplicated here). *)
   let vrf_pks = Array.make n "" in
   let genesis =
-    let allocs = ref [] in
-    for i = n - 1 downto 0 do
-      let id =
-        Identity.generate ~sig_scheme ~vrf_scheme
-          ~seed:(Printf.sprintf "user-%d-%d" config.rng_seed i)
-      in
-      vrf_pks.(i) <- Identity.vrf_pk id.pk;
-      allocs := (id.pk, stakes.(i)) :: !allocs
-    done;
-    Genesis.make !allocs
+    Deployment.genesis deployment (fun i ->
+        let pk = (Deployment.identity deployment i).pk in
+        vrf_pks.(i) <- Identity.vrf_pk pk;
+        pk)
   in
   let rng = Rng.create config.rng_seed in
   let net_rng = Rng.split rng "population-net" in
@@ -194,10 +158,7 @@ let run (config : config) : result =
     match Hashtbl.find_opt identity_cache u with
     | Some id -> id
     | None ->
-      let id =
-        Identity.generate ~sig_scheme ~vrf_scheme
-          ~seed:(Printf.sprintf "user-%d-%d" config.rng_seed u)
-      in
+      let id = Deployment.identity deployment u in
       Hashtbl.replace identity_cache u id;
       id
   in
@@ -292,7 +253,14 @@ let run (config : config) : result =
     max_materialized := max !max_materialized eligible;
     (* Materialize: full Node.t state machines for the selected users,
        each on a structure-sharing clone of the canonical prefix. *)
-    let ncfg = node_config config ~sig_scheme ~vrf_scheme ~max_round:round in
+    let ncfg =
+      {
+        (Deployment.node_config deployment) with
+        max_round = round;
+        resync_enabled = false;
+        deterministic_ts = true;
+      }
+    in
     let verdicts = Node.verdicts () in
     let roster =
       Array.of_list
@@ -301,7 +269,7 @@ let run (config : config) : result =
              let node =
                Node.create ~index:u ~identity:(identity u) ~config:ncfg ~engine
                  ~metrics
-                 ~rng:(Rng.split rng (Printf.sprintf "node-%d" u))
+                 ~rng:(Deployment.node_rng rng u)
                  ~verdicts ~genesis ()
              in
              Node.adopt_chain node (Chain.clone canonical);

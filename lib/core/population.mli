@@ -4,11 +4,11 @@
     full {!Node.t} state machines only for the users sortition selects
     into the round's role window; the passive population exists as flat
     per-user arrays (VRF public key, stake) swept once per role with the
-    sim VRF's public evaluation path. Identities, genesis, seeds and
-    sortition match {!Harness} exactly, so at the same seed the
-    abstracted run certifies bit-identical blocks to a fully
-    materialized run (the per-seed equivalence audit in the test
-    suite). Requires sim crypto, zero transaction workload and no
+    sim VRF's public evaluation path. Identities, stakes and genesis
+    are derived by {!Deployment}, the same builder Harness and the
+    daemon use, so at the same seed the abstracted run certifies
+    bit-identical blocks to a fully materialized run (the per-seed
+    equivalence audit in the test suite). Requires sim crypto, zero transaction workload and no
     adversary - the regime of Figures 5 and 6. *)
 
 module Params = Algorand_ba.Params

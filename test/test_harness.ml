@@ -4,6 +4,9 @@
    real simulated deployment, so they are tagged slow. *)
 
 module Harness = Algorand_core.Harness
+module Deployment = Algorand_core.Deployment
+module Genesis = Algorand_ledger.Genesis
+module Hex = Algorand_crypto.Hex
 module Node = Algorand_core.Node
 module Chain = Algorand_ledger.Chain
 module Block = Algorand_ledger.Block
@@ -349,10 +352,55 @@ let per_round_seed_refresh () =
   Alcotest.(check int) "all seeds distinct" (List.length seeds)
     (List.length (List.sort_uniq compare seeds))
 
+(* The deployment derivation, pinned: user i of seed s is
+   "user-<s>-<i>" and the stake law is `Equal or `Linear x 1,000. The
+   literals were recorded before the harness, the population engine
+   and the daemon shared one builder; a change to the seed string, the
+   stake law or genesis construction moves them, and with them every
+   committed artifact. Genesis.hash commits to the public keys (through
+   seed0) but not to the stakes, so the stakes are pinned separately. *)
+let deployment_pinned () =
+  let deployment law =
+    Deployment.make ~stake_law:law ~seed:7 ~users:4 ~params:Algorand_ba.Params.paper
+      ~block_bytes:1_000_000 ~rounds:3 ()
+  in
+  let genesis_hash = "3607b10451b22e201e465226510e1b8b4a7775adeb9c8b1e74e4d615307ef6bd" in
+  List.iter
+    (fun (law, name, stakes) ->
+      let d = deployment law in
+      let identities, genesis = Deployment.roster d in
+      Alcotest.(check string) (name ^ " genesis hash") genesis_hash
+        (Hex.of_string (Genesis.hash genesis));
+      Alcotest.(check (list int)) (name ^ " genesis stakes") stakes
+        (Array.to_list
+           (Array.map
+              (fun (id : Algorand_core.Identity.t) ->
+                Balances.balance genesis.Genesis.balances id.pk)
+              identities));
+      let h =
+        Harness.build
+          { Harness.default with users = 4; rng_seed = 7; stake_distribution = law }
+      in
+      Alcotest.(check string) (name ^ " harness genesis is the builder's")
+        (Genesis.hash genesis) (Genesis.hash h.genesis))
+    [
+      (`Equal, "equal", [ 1_000; 1_000; 1_000; 1_000 ]);
+      (`Linear, "linear", [ 1_000; 2_000; 3_000; 4_000 ]);
+    ];
+  let real =
+    Deployment.make ~crypto:Real_crypto ~seed:7 ~users:4
+      ~params:Algorand_ba.Params.paper ~block_bytes:1_000_000 ~rounds:3 ()
+  in
+  Alcotest.(check string) "real-crypto user 0 pk"
+    "5c096d36088ddddd010dc6d2863ce373c8c99698409b4ae3a799d3dcae508083\
+     fbe992a699db9d3621ee8c2f0ecc3df43273cca05c607222fad4e7b514d4c4a8"
+    (Hex.of_string (Deployment.identity real 0).pk)
+
 let suite =
   [
     ( "harness",
       [
+        Alcotest.test_case "deployment derivation pinned" `Quick deployment_pinned;
         ts "real crypto end-to-end" real_crypto_end_to_end;
         ts "final-step pipelining" pipelining_works_and_helps;
         ts "look-back variant end-to-end" (fun () ->

@@ -10,6 +10,7 @@ module Codec = Algorand_core.Codec
 module Message = Algorand_core.Message
 module Identity = Algorand_core.Identity
 module Harness = Algorand_core.Harness
+module Deployment = Algorand_core.Deployment
 module Disk_store = Algorand_core.Disk_store
 module History = Algorand_core.History
 module Wire_gossip = Algorand_core.Wire_gossip
@@ -244,36 +245,24 @@ let fast_params =
     max_steps = 8;
   }
 
-(* Build a cluster exactly as the harness derives it (same seed
-   strings, stakes, genesis), but networked through Wire_gossip over
-   the loopback byte transport instead of the simulated overlay. *)
+(* Build a cluster from the harness's own deployment (same users,
+   genesis, node config and RNG streams), but networked through
+   Wire_gossip over the loopback byte transport instead of the
+   simulated overlay. *)
 module WGL = Wire_gossip.Make (Loopback)
 
 let loopback_cluster ~users ~rounds ~seed ~seg =
   let engine = Engine.create () in
   let registry = Registry.create () in
-  let sig_scheme, vrf_scheme = Harness.schemes Harness.Sim_crypto in
-  let identities =
-    Array.init users (fun i ->
-        Identity.generate ~sig_scheme ~vrf_scheme
-          ~seed:(Printf.sprintf "user-%d-%d" seed i))
+  let deployment =
+    Deployment.make ~seed ~users ~params:fast_params ~block_bytes:10_000 ~rounds ()
   in
-  let genesis =
-    Genesis.make (Array.to_list (Array.map (fun id -> (id.Identity.pk, 1_000)) identities))
-  in
+  let identities, genesis = Deployment.roster deployment in
   let rng = Rng.create seed in
   let hub = Loopback.hub ~engine ~latency:0.01 ~seg ~rng:(Rng.split rng "seg") () in
   let metrics = Metrics.create ~registry ~users () in
   let digest = Codec.params_digest ~genesis:(Genesis.hash genesis) fast_params in
-  let config =
-    {
-      Node.default_config with
-      params = fast_params;
-      block_target_bytes = 10_000;
-      max_round = rounds;
-      deterministic_ts = true;
-    }
-  in
+  let config = { (Deployment.node_config deployment) with deterministic_ts = true } in
   let nodes_and_overlays =
     Array.init users (fun i ->
         let handlers = Transport.handlers () in
@@ -284,8 +273,7 @@ let loopback_cluster ~users ~rounds ~seed ~seg =
         in
         let node =
           Node.create ~index:i ~identity:identities.(i) ~config ~engine ~metrics
-            ~rng:(Rng.split rng (Printf.sprintf "node-%d" i))
-            ~genesis ()
+            ~rng:(Deployment.node_rng rng i) ~genesis ()
         in
         let wg =
           WGL.create ~engine ~transport:tr ~handlers ~self:i
@@ -747,11 +735,12 @@ let sigterm_drains_and_checkpoints () =
   in
   Unix.close devnull;
   (* Wait until both processes have certified and persisted rounds. *)
-  let sig_scheme, vrf_scheme = Harness.schemes Harness.Sim_crypto in
-  let identities =
-    Array.init users (fun i ->
-        Identity.generate ~sig_scheme ~vrf_scheme ~seed:(Printf.sprintf "user-%d-%d" seed i))
+  let identities, genesis =
+    Deployment.roster
+      (Deployment.make ~seed ~users ~params:Params.paper ~block_bytes:100_000
+         ~rounds:1_000_000 ())
   in
+  let sig_scheme, vrf_scheme = Deployment.schemes Sim_crypto in
   let dirs =
     Array.map (fun id -> Disk_store.node_dir ~root ~pk:id.Identity.pk) identities
   in
@@ -768,9 +757,6 @@ let sigterm_drains_and_checkpoints () =
   List.iter (fun pid -> Unix.kill pid Sys.sigterm) pids;
   List.iter (fun pid -> ignore (Unix.waitpid [] pid)) pids;
   (* Replay both stores: every certificate must validate. *)
-  let genesis =
-    Genesis.make (Array.to_list (Array.map (fun id -> (id.Identity.pk, 1_000)) identities))
-  in
   Array.iteri
     (fun i dir ->
       let items, _err = Disk_store.load dir in

@@ -8,41 +8,52 @@
    z^(2^k - 1): 254 squarings + 11 multiplications for the inverse,
    against ~255 squarings + ~127 multiplications for the generic
    bit-scan exponentiation they replace. The chain is written once,
-   parametrized over the field's [mul]/[sqr], so the fixed-limb field
-   (Fe25519) and the arbitrary-precision oracle field (Ed25519.Fp) run
+   over in-place [mul r a b] (r := a * b) and [sqr r a] (r := a^2),
+   where r may alias an operand, plus [fresh] for its four registers.
+   The fixed-limb field (Fe25519) runs it on its limb arrays and the
+   arbitrary-precision oracle field (Ed25519.Fp) on refs, so both run
    the identical sequence and cross-check each other in the tests. *)
 
-(* z^(2^n) by n squarings. *)
-let sqr_n ~sqr z n =
-  let r = ref z in
-  for _ = 1 to n do
-    r := sqr !r
-  done;
-  !r
+(* r := a^(2^n), n >= 1. *)
+let sqr_n ~sqr r a n =
+  sqr r a;
+  for _ = 2 to n do
+    sqr r r
+  done
 
-(* The shared ladder: returns (z^11, z^(2^250 - 1)). *)
-let ladder ~mul ~sqr z =
-  let z2 = sqr z in
-  let z8 = sqr_n ~sqr z2 2 in
-  let z9 = mul z z8 in
-  let z11 = mul z2 z9 in
-  let z22 = sqr z11 in
-  let z_5_0 = mul z9 z22 (* z^(2^5 - 1) *) in
-  let z_10_0 = mul (sqr_n ~sqr z_5_0 5) z_5_0 (* z^(2^10 - 1) *) in
-  let z_20_0 = mul (sqr_n ~sqr z_10_0 10) z_10_0 in
-  let z_40_0 = mul (sqr_n ~sqr z_20_0 20) z_20_0 in
-  let z_50_0 = mul (sqr_n ~sqr z_40_0 10) z_10_0 in
-  let z_100_0 = mul (sqr_n ~sqr z_50_0 50) z_50_0 in
-  let z_200_0 = mul (sqr_n ~sqr z_100_0 100) z_100_0 in
-  let z_250_0 = mul (sqr_n ~sqr z_200_0 50) z_50_0 in
-  (z11, z_250_0)
+(* The shared ladder: leaves z^11 in t0 and z^(2^250 - 1) in t1. *)
+let ladder ~mul ~sqr ~fresh z =
+  let t0 = fresh () and t1 = fresh () and t2 = fresh () and t3 = fresh () in
+  sqr t0 z (* z^2 *);
+  sqr_n ~sqr t1 t0 2 (* z^8 *);
+  mul t1 z t1 (* z^9 *);
+  mul t0 t0 t1 (* z^11 *);
+  sqr t2 t0 (* z^22 *);
+  mul t1 t1 t2 (* z^(2^5 - 1) *);
+  sqr_n ~sqr t2 t1 5;
+  mul t1 t2 t1 (* z^(2^10 - 1) *);
+  sqr_n ~sqr t2 t1 10;
+  mul t2 t2 t1 (* z^(2^20 - 1) *);
+  sqr_n ~sqr t3 t2 20;
+  mul t2 t3 t2 (* z^(2^40 - 1) *);
+  sqr_n ~sqr t2 t2 10;
+  mul t1 t2 t1 (* z^(2^50 - 1) *);
+  sqr_n ~sqr t2 t1 50;
+  mul t2 t2 t1 (* z^(2^100 - 1) *);
+  sqr_n ~sqr t3 t2 100;
+  mul t2 t3 t2 (* z^(2^200 - 1) *);
+  sqr_n ~sqr t2 t2 50;
+  mul t1 t2 t1 (* z^(2^250 - 1) *);
+  (t0, t1)
 
-(* z^(p - 2) = z^(2^255 - 21) = (z^(2^250 - 1))^(2^5) * z^11. *)
-let pow_p_minus_2 ~mul ~sqr z =
-  let z11, z_250_0 = ladder ~mul ~sqr z in
-  mul (sqr_n ~sqr z_250_0 5) z11
+(* r := z^(p - 2) = z^(2^255 - 21) = (z^(2^250 - 1))^(2^5) * z^11. *)
+let pow_p_minus_2 ~mul ~sqr ~fresh r z =
+  let z11, z_250_0 = ladder ~mul ~sqr ~fresh z in
+  sqr_n ~sqr z_250_0 z_250_0 5;
+  mul r z_250_0 z11
 
-(* z^((p - 5) / 8) = z^(2^252 - 3) = (z^(2^250 - 1))^(2^2) * z. *)
-let pow_2_252_minus_3 ~mul ~sqr z =
-  let _, z_250_0 = ladder ~mul ~sqr z in
-  mul (sqr_n ~sqr z_250_0 2) z
+(* r := z^((p - 5) / 8) = z^(2^252 - 3) = (z^(2^250 - 1))^(2^2) * z. *)
+let pow_2_252_minus_3 ~mul ~sqr ~fresh r z =
+  let _, z_250_0 = ladder ~mul ~sqr ~fresh z in
+  sqr_n ~sqr z_250_0 z_250_0 2;
+  mul r z_250_0 z

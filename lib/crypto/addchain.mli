@@ -1,10 +1,19 @@
 (** Addition chains for exponentiation in GF(2{^255} - 19), shared by
     the fixed-limb field ([Fe25519]) and the arbitrary-precision oracle
     field ([Ed25519.Fp]): 254 squarings + 11 multiplications instead of
-    the generic square-and-multiply's ~127 multiplications. *)
+    the generic square-and-multiply's ~127 multiplications.
 
-val pow_p_minus_2 : mul:('a -> 'a -> 'a) -> sqr:('a -> 'a) -> 'a -> 'a
-(** [z{^p-2}] — the Fermat inverse exponent [2{^255} - 21]. *)
+    Both run over in-place operations: [mul r a b] sets [r] to [a * b]
+    and [sqr r a] sets [r] to [a{^2}], where [r] may alias an operand;
+    [fresh ()] makes one of the chain's four registers. The result is
+    written to the first register argument, which may alias [z]. *)
 
-val pow_2_252_minus_3 : mul:('a -> 'a -> 'a) -> sqr:('a -> 'a) -> 'a -> 'a
-(** [z{^(p-5)/8}] [= z{^2{^252} - 3}] — the square-root exponent. *)
+val pow_p_minus_2 :
+  mul:('a -> 'a -> 'a -> unit) -> sqr:('a -> 'a -> unit) -> fresh:(unit -> 'a) -> 'a -> 'a -> unit
+(** [pow_p_minus_2 ~mul ~sqr ~fresh r z] sets [r] to [z{^p-2}], the
+    Fermat inverse exponent [2{^255} - 21]. *)
+
+val pow_2_252_minus_3 :
+  mul:('a -> 'a -> 'a -> unit) -> sqr:('a -> 'a -> unit) -> fresh:(unit -> 'a) -> 'a -> 'a -> unit
+(** [pow_2_252_minus_3 ~mul ~sqr ~fresh r z] sets [r] to
+    [z{^(p-5)/8}] [= z{^2{^252} - 3}], the square-root exponent. *)

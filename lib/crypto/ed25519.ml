@@ -49,16 +49,26 @@ module Fp = struct
     done;
     !result
 
-  let inv a = Addchain.pow_p_minus_2 ~mul ~sqr a
+  (* The shared addition chains run on refs as their registers. *)
+  let chain f a =
+    let r = ref zero in
+    f
+      ~mul:(fun r a b -> r := mul !a !b)
+      ~sqr:(fun r a -> r := sqr !a)
+      ~fresh:(fun () -> ref zero)
+      r (ref a);
+    !r
+
+  let inv a = chain Addchain.pow_p_minus_2 a
 
   (* sqrt(-1) = 2^((p-1)/4); (p-1)/4 = 2*(2^252 - 3) + 1. *)
-  let sqrt_m1 = mul (sqr (Addchain.pow_2_252_minus_3 ~mul ~sqr Nat.two)) Nat.two
+  let sqrt_m1 = mul (sqr (chain Addchain.pow_2_252_minus_3 Nat.two)) Nat.two
 
   (* Square root via the (p+3)/8 exponent trick, with the exponent
      (p+3)/8 = (p-5)/8 + 1 run as an addition chain. *)
   let sqrt (u : Nat.t) : Nat.t option =
     let u = reduce u in
-    let cand = mul u (Addchain.pow_2_252_minus_3 ~mul ~sqr u) in
+    let cand = mul u (chain Addchain.pow_2_252_minus_3 u) in
     let c2 = sqr cand in
     if Nat.equal c2 u then Some cand
     else begin
@@ -73,20 +83,51 @@ end
 let d = Fp.mul (Fp.neg (Fp.of_int 121665)) (Fp.inv (Fp.of_int 121666))
 let two_d = Fp.add d d
 
-(* Prime subgroup order L = 2^252 + 27742317777372353535851937790883648493 *)
-let order =
-  Nat.add
-    (Nat.shift_left Nat.one 252)
-    (Nat.of_decimal "27742317777372353535851937790883648493")
+(* ------------------------------------------------------------------ *)
+(* Scalars mod L by folding.                                           *)
+(*                                                                     *)
+(* L = 2^252 + delta with delta below 2^125, so x = lo + hi * 2^252 is *)
+(* congruent to lo - hi * delta, and hi * delta is 127 bits shorter    *)
+(* than x: a 512-bit input folds three times. The same fold reduces   *)
+(* mod L - 1 = 2^252 + (delta - 1). Nat's bit-by-bit division stays    *)
+(* as the oracle the tests hold both folds against.                    *)
+(* ------------------------------------------------------------------ *)
+
+let delta = Nat.of_decimal "27742317777372353535851937790883648493"
+
+(* Prime subgroup order L = 2^252 + delta. *)
+let order = Nat.add (Nat.shift_left Nat.one 252) delta
+
+(* x mod (2^252 + delta), for delta < 2^252. *)
+let fold_rem ~(delta : Nat.t) ~(modulus : Nat.t) (x : Nat.t) : Nat.t =
+  let rec go x =
+    if Nat.bit_length x <= 252 then x
+    else begin
+      let m = go (Nat.mul (Nat.shift_right x 252) delta) in
+      let lo = Nat.low_bits x 252 in
+      if Nat.compare lo m >= 0 then Nat.sub lo m else Nat.sub (Nat.add lo modulus) m
+    end
+  in
+  go x
+
+let mod_order (x : Nat.t) : Nat.t = fold_rem ~delta ~modulus:order x
+let order_minus_one = Nat.sub order Nat.one
+let delta_minus_one = Nat.sub delta Nat.one
+
+(* Uniform nonzero scalar: 1 + (h mod (L-1)). *)
+let scalar_of_hash (h : string) : Nat.t =
+  Nat.add Nat.one
+    (fold_rem ~delta:delta_minus_one ~modulus:order_minus_one (Nat.of_bytes_le h))
 
 (* ------------------------------------------------------------------ *)
 (* Points in extended homogeneous coordinates (X : Y : Z : T).         *)
 (*                                                                     *)
-(* Coordinates live in the fixed-limb field (Fe25519): the group law   *)
-(* runs thousands of field multiplications per scalar multiplication,  *)
-(* and the fixed representation is several times faster than the       *)
-(* generic Nat arithmetic (which remains the reference oracle in the   *)
-(* Fp module above and in the test suite).                             *)
+(* Coordinates live in the fixed-limb field (Fe25519), and the point   *)
+(* formulas write into a destination point through four field          *)
+(* registers ([scratch]); the generic Nat arithmetic remains the       *)
+(* reference oracle in the Fp module above and in the test suite. A    *)
+(* point handed out by this module is never written again: only the    *)
+(* fresh accumulators and tables of one call are destinations.         *)
 (* ------------------------------------------------------------------ *)
 
 module Fe = Fe25519
@@ -95,8 +136,12 @@ type point = { x : Fe.t; y : Fe.t; z : Fe.t; t : Fe.t }
 
 let two_d_fe = Fe.of_nat two_d
 let d_fe = Fe.of_nat d
+let fe_one = Fe.one ()
 
-let identity = { x = Fe.zero (); y = Fe.one (); z = Fe.one (); t = Fe.zero () }
+let fresh_identity () = { x = Fe.zero (); y = Fe.one (); z = Fe.one (); t = Fe.zero () }
+let fresh_point () = { x = Fe.zero (); y = Fe.zero (); z = Fe.zero (); t = Fe.zero () }
+let copy_point (p : point) = { x = Fe.copy p.x; y = Fe.copy p.y; z = Fe.copy p.z; t = Fe.copy p.t }
+let identity = fresh_identity ()
 
 let to_affine (p : point) : Nat.t * Nat.t =
   let zi = Fe.inv p.z in
@@ -109,57 +154,98 @@ let on_curve (pt : point) : bool =
   let rhs = Fp.add Fp.one (Fp.mul d (Fp.mul x2 y2)) in
   Nat.equal lhs rhs
 
-(* RFC 8032 extended-coordinate addition (a = -1, complete formulas). *)
+(* The field registers the formulas below work in. *)
+type scratch = { s0 : Fe.t; s1 : Fe.t; s2 : Fe.t; s3 : Fe.t }
+
+let scratch () = { s0 = Fe.zero (); s1 = Fe.zero (); s2 = Fe.zero (); s3 = Fe.zero () }
+
+(* Every formula reads its operands completely before it writes its
+   destination [r], so [r] may alias an operand. The shared tail: with
+   E in r.x, H in r.t, F in s0 and G in s1, set X = EF, Y = GH,
+   T = EH and Z = FG. *)
+let output s r ~with_t =
+  Fe.mul_into r.z s.s0 s.s1;
+  Fe.mul_into r.y s.s1 r.t;
+  if with_t then Fe.mul_into r.t r.x r.t;
+  Fe.mul_into r.x r.x s.s0
+
+(* The addition tail: from A in s0, B in s1, C in s2 and D in s3,
+   E = B - A, H = B + A, F = D - C and G = D + C. Negating the addend
+   negates C, which swaps F and G. *)
+let combine s r ~neg =
+  Fe.sub_into r.x s.s1 s.s0;
+  Fe.add_into r.t s.s1 s.s0;
+  if neg then begin
+    Fe.add_into s.s0 s.s3 s.s2;
+    Fe.sub_into s.s1 s.s3 s.s2
+  end
+  else begin
+    Fe.sub_into s.s0 s.s3 s.s2;
+    Fe.add_into s.s1 s.s3 s.s2
+  end;
+  output s r ~with_t:true
+
+(* RFC 8032 extended-coordinate addition (a = -1, complete formulas),
+   r = p + q, or r = p - q with [~neg]: negating q = (X : Y : Z : T)
+   gives (-X : Y : Z : -T), which swaps Y + X and Y - X and negates C. *)
+let add_signed s r p q ~neg =
+  Fe.sub_into s.s0 p.y p.x;
+  if neg then Fe.add_into s.s1 q.y q.x else Fe.sub_into s.s1 q.y q.x;
+  Fe.mul_into s.s0 s.s0 s.s1 (* A *);
+  Fe.add_into s.s1 p.y p.x;
+  if neg then Fe.sub_into s.s2 q.y q.x else Fe.add_into s.s2 q.y q.x;
+  Fe.mul_into s.s1 s.s1 s.s2 (* B *);
+  Fe.mul_into s.s2 p.t two_d_fe;
+  Fe.mul_into s.s2 s.s2 q.t (* C *);
+  Fe.add_into s.s3 p.z p.z;
+  Fe.mul_into s.s3 s.s3 q.z (* D *);
+  combine s r ~neg
+
+let add_into s r p q = add_signed s r p q ~neg:false
+
+(* Doubling never reads [p.t]. With [~with_t:false] it also skips the
+   T = EH multiplication, leaving garbage in r.t, which only a
+   following doubling may consume: at w-NAF chain positions whose digits
+   are all zero the next operation is another doubling, so that
+   multiplication is pure waste. The chain loops below use the full
+   doubling at positions with a nonzero digit and at position 0, so
+   every point that escapes a chain carries a valid extended
+   coordinate. *)
+let double_gen s r p ~with_t =
+  Fe.sqr_into s.s0 p.x (* A *);
+  Fe.sqr_into s.s1 p.y (* B *);
+  Fe.sqr_into s.s2 p.z;
+  Fe.add_into s.s2 s.s2 s.s2 (* C = 2Z^2 *);
+  Fe.add_into s.s3 p.x p.y;
+  Fe.sqr_into s.s3 s.s3 (* (X + Y)^2 *);
+  Fe.add_into r.t s.s0 s.s1 (* H = A + B *);
+  Fe.sub_into r.x r.t s.s3 (* E = H - (X + Y)^2 *);
+  Fe.sub_into s.s1 s.s0 s.s1 (* G = A - B *);
+  Fe.add_into s.s0 s.s2 s.s1 (* F = C + G *);
+  output s r ~with_t
+
+let double_into s r p = double_gen s r p ~with_t:true
+let double_nt_into s r p = double_gen s r p ~with_t:false
+
 let add (p : point) (q : point) : point =
-  let a = Fe.mul (Fe.sub p.y p.x) (Fe.sub q.y q.x) in
-  let b = Fe.mul (Fe.add p.y p.x) (Fe.add q.y q.x) in
-  let c = Fe.mul (Fe.mul p.t two_d_fe) q.t in
-  let dd = Fe.mul (Fe.add p.z p.z) q.z in
-  let e = Fe.sub b a in
-  let f = Fe.sub dd c in
-  let g = Fe.add dd c in
-  let h = Fe.add b a in
-  { x = Fe.mul e f; y = Fe.mul g h; t = Fe.mul e h; z = Fe.mul f g }
+  let r = fresh_point () in
+  add_into (scratch ()) r p q;
+  r
 
 let double (p : point) : point =
-  let a = Fe.sqr p.x in
-  let b = Fe.sqr p.y in
-  let z2 = Fe.sqr p.z in
-  let c = Fe.add z2 z2 in
-  let h = Fe.add a b in
-  let e = Fe.sub h (Fe.sqr (Fe.add p.x p.y)) in
-  let g = Fe.sub a b in
-  let f = Fe.add c g in
-  { x = Fe.mul e f; y = Fe.mul g h; t = Fe.mul e h; z = Fe.mul f g }
+  let r = fresh_point () in
+  double_into (scratch ()) r p;
+  r
 
-(* Doubling never reads [p.t], and the [t] it produces is only consumed
-   by a following addition. At w-NAF chain positions whose digits are
-   all zero the next operation is another doubling, so the [t = e*h]
-   multiplication is pure waste; this variant skips it (its output [t]
-   is garbage and must be consumed only by [double]/[double_nt]). The
-   chain loops below fall back to the full [double] at positions with a
-   nonzero digit and at position 0, so every point that escapes a chain
-   carries a valid extended coordinate. *)
-let double_nt (p : point) : point =
-  let a = Fe.sqr p.x in
-  let b = Fe.sqr p.y in
-  let z2 = Fe.sqr p.z in
-  let c = Fe.add z2 z2 in
-  let h = Fe.add a b in
-  let e = Fe.sub h (Fe.sqr (Fe.add p.x p.y)) in
-  let g = Fe.sub a b in
-  let f = Fe.add c g in
-  { x = Fe.mul e f; y = Fe.mul g h; t = Fe.zero (); z = Fe.mul f g }
-
-let neg (p : point) : point = { p with x = Fe.neg p.x; t = Fe.neg p.t }
+let neg (p : point) : point = { x = Fe.neg p.x; y = Fe.copy p.y; z = Fe.copy p.z; t = Fe.neg p.t }
 
 let scalar_mult (k : Nat.t) (p : point) : point =
-  let acc = ref identity in
+  let s = scratch () and acc = fresh_identity () in
   for i = Nat.bit_length k - 1 downto 0 do
-    acc := double !acc;
-    if Nat.testbit k i then acc := add !acc p
+    double_into s acc acc;
+    if Nat.testbit k i then add_into s acc acc p
   done;
-  !acc
+  acc
 
 let equal_points (p : point) (q : point) : bool =
   (* Cross-multiplied comparison avoids inversions. *)
@@ -175,8 +261,10 @@ let equal_points (p : point) (q : point) : bool =
 (* sit a fixed-base comb table for B (sign, keygen, VRF nonces), w-NAF *)
 (* variable-base multiplication, Strauss-Shamir interleaved            *)
 (* double-scalar multiplication (verification), and an n-way           *)
-(* multi-scalar accumulator (batch verification). The naive            *)
-(* [scalar_mult] above stays as the randomized-test oracle.            *)
+(* multi-scalar accumulator (batch verification). Each keeps one       *)
+(* accumulator, one [scratch] and its tables per call, and runs its    *)
+(* chain in place. The naive [scalar_mult] above stays as the          *)
+(* randomized-test oracle.                                             *)
 (* ------------------------------------------------------------------ *)
 
 (* Normalize many points to z = 1 with a single field inversion
@@ -203,64 +291,53 @@ let precomp_of_affine (p : point) : precomp =
     xy2d = Fe.mul (Fe.mul p.x p.y) two_d_fe;
   }
 
-(* Mixed addition p + q with q precomputed affine: the general addition
-   with Z2 = 1 folded in, 7 multiplications instead of 9. *)
-let madd (p : point) (q : precomp) : point =
-  let a = Fe.mul (Fe.sub p.y p.x) q.yminusx in
-  let b = Fe.mul (Fe.add p.y p.x) q.yplusx in
-  let c = Fe.mul q.xy2d p.t in
-  let dd = Fe.add p.z p.z in
-  let e = Fe.sub b a in
-  let f = Fe.sub dd c in
-  let g = Fe.add dd c in
-  let h = Fe.add b a in
-  { x = Fe.mul e f; y = Fe.mul g h; t = Fe.mul e h; z = Fe.mul f g }
+(* Mixed addition r = p + q (or p - q with [~neg]) with q precomputed
+   affine: the general addition with Z2 = 1 folded in, 7
+   multiplications instead of 9. Negating an affine point swaps
+   (y+x, y-x) and negates xy2d. *)
+let madd_signed s r p (q : precomp) ~neg =
+  Fe.sub_into s.s0 p.y p.x;
+  Fe.mul_into s.s0 s.s0 (if neg then q.yplusx else q.yminusx) (* A *);
+  Fe.add_into s.s1 p.y p.x;
+  Fe.mul_into s.s1 s.s1 (if neg then q.yminusx else q.yplusx) (* B *);
+  Fe.mul_into s.s2 q.xy2d p.t (* C *);
+  Fe.add_into s.s3 p.z p.z (* D *);
+  combine s r ~neg
 
-(* p - q: negating an affine point swaps (y+x, y-x) and negates xy2d,
-   which folds into swapped factors and swapped F/G terms. *)
-let msub (p : point) (q : precomp) : point =
-  let a = Fe.mul (Fe.sub p.y p.x) q.yplusx in
-  let b = Fe.mul (Fe.add p.y p.x) q.yminusx in
-  let c = Fe.mul q.xy2d p.t in
-  let dd = Fe.add p.z p.z in
-  let e = Fe.sub b a in
-  let f = Fe.add dd c in
-  let g = Fe.sub dd c in
-  let h = Fe.add b a in
-  { x = Fe.mul e f; y = Fe.mul g h; t = Fe.mul e h; z = Fe.mul f g }
+let madd_into s r p q = madd_signed s r p q ~neg:false
 
 (* Signed sliding-window recoding: digits are odd with |d| < 2^(w-1),
    and any w consecutive positions hold at most one nonzero digit, so
-   a 253-bit scalar costs ~253/(w+1) additions. *)
+   a 253-bit scalar costs ~253/(w+1) additions. The recoding runs in
+   one array of bit_length + 1 entries (a w-NAF is at most one digit
+   longer than its scalar): below the scan position it holds digits,
+   from it up the scalar's bits plus any borrowed carry. For a scalar
+   below L that is 254 words, small enough for the minor heap. *)
 let wnaf_digits (k : Nat.t) ~(w : int) : int array =
-  let kbits = Nat.bits k in
-  let n = Array.length kbits in
-  let len = n + (2 * w) + 2 in
-  let bits = Array.make len 0 in
-  Array.blit kbits 0 bits 0 n;
-  let naf = Array.make len 0 in
+  let len = Nat.bit_length k + 1 in
+  let naf = Array.init len (fun i -> if Nat.testbit k i then 1 else 0) in
   let i = ref 0 in
   while !i < len do
-    if bits.(!i) = 0 then incr i
+    if naf.(!i) = 0 then incr i
     else begin
       (* Odd here: take w bits as a signed digit. *)
       let u = ref 0 in
       for j = w - 1 downto 0 do
-        u := (!u lsl 1) lor (if !i + j < len then bits.(!i + j) else 0)
+        u := (!u lsl 1) lor (if !i + j < len then naf.(!i + j) else 0)
       done;
       let d = if !u land (1 lsl (w - 1)) <> 0 then !u - (1 lsl w) else !u in
       naf.(!i) <- d;
-      for j = 0 to w - 1 do
-        if !i + j < len then bits.(!i + j) <- 0
+      for j = 1 to w - 1 do
+        if !i + j < len then naf.(!i + j) <- 0
       done;
       (* A negative digit borrows 2^w: propagate the carry upward. *)
       if d < 0 then begin
         let j = ref (!i + w) in
-        while !j < len && bits.(!j) = 1 do
-          bits.(!j) <- 0;
+        while !j < len && naf.(!j) = 1 do
+          naf.(!j) <- 0;
           incr j
         done;
-        if !j < len then bits.(!j) <- 1
+        if !j < len then naf.(!j) <- 1
       end;
       i := !i + w
     end
@@ -274,25 +351,30 @@ let top_nonzero (naf : int array) : int =
   done;
   !i
 
+let digit (naf : int array) (i : int) : int = if i < Array.length naf then naf.(i) else 0
+
 (* [p; 3p; 5p; ...; (2*size - 1)p] in extended coordinates. *)
-let odd_multiples (p : point) ~(size : int) : point array =
-  let p2 = double p in
-  let tbl = Array.make size p in
+let odd_multiples s (p : point) ~(size : int) : point array =
+  let p2 = fresh_point () in
+  double_into s p2 p;
+  let tbl = Array.make size (copy_point p) in
   for i = 1 to size - 1 do
-    tbl.(i) <- add tbl.(i - 1) p2
+    let r = fresh_point () in
+    add_into s r tbl.(i - 1) p2;
+    tbl.(i) <- r
   done;
   tbl
 
-(* Add digit * P into acc, where tbl holds odd multiples of P. *)
-let apply_digit (acc : point) (tbl : point array) (d : int) : point =
-  if d > 0 then add acc tbl.((d - 1) / 2)
-  else if d < 0 then add acc (neg tbl.((-d - 1) / 2))
-  else acc
+(* acc += digit * P, where tbl holds odd multiples of P. *)
+let apply_digit s (acc : point) (tbl : point array) (d : int) : unit =
+  if d <> 0 then add_signed s acc acc tbl.((abs d - 1) / 2) ~neg:(d < 0)
 
-let apply_digit_pre (acc : point) (tbl : precomp array) (d : int) : point =
-  if d > 0 then madd acc tbl.((d - 1) / 2)
-  else if d < 0 then msub acc tbl.((-d - 1) / 2)
-  else acc
+let apply_digit_pre s (acc : point) (tbl : precomp array) (d : int) : unit =
+  if d <> 0 then madd_signed s acc acc tbl.((abs d - 1) / 2) ~neg:(d < 0)
+
+(* One doubling of a chain, T-less where no digit follows. *)
+let chain_double s (acc : point) ~(full : bool) : unit =
+  if full then double_into s acc acc else double_nt_into s acc acc
 
 (* Variable-base w-NAF scalar multiplication. The scalar is NOT reduced
    mod L, so this is exact on the whole group (including mixed-order
@@ -300,71 +382,63 @@ let apply_digit_pre (acc : point) (tbl : precomp array) (d : int) : point =
 let scalar_mult_fast (k : Nat.t) (p : point) : point =
   let naf = wnaf_digits k ~w:5 in
   let top = top_nonzero naf in
-  if top < 0 then identity
-  else begin
-    let tbl = odd_multiples p ~size:8 in
-    let acc = ref (apply_digit identity tbl naf.(top)) in
+  let acc = fresh_identity () in
+  if top >= 0 then begin
+    let s = scratch () in
+    let tbl = odd_multiples s p ~size:8 in
+    apply_digit s acc tbl naf.(top);
     for i = top - 1 downto 0 do
       let d = naf.(i) in
-      acc := (if d <> 0 || i = 0 then double !acc else double_nt !acc);
-      if d <> 0 then acc := apply_digit !acc tbl d
-    done;
-    !acc
-  end
+      chain_double s acc ~full:(d <> 0 || i = 0);
+      apply_digit s acc tbl d
+    done
+  end;
+  acc
 
 (* ------------------------------------------------------------------ *)
 (* Point compression: 32 bytes, little-endian y with x parity on top.  *)
+(* Bytes go straight to and from limbs.                                *)
 (* ------------------------------------------------------------------ *)
 
-let encode (p : point) : string =
-  let x, y = to_affine p in
-  let b = Bytes.of_string (Nat.to_bytes_le y ~len:32) in
-  if Nat.testbit x 0 then Bytes.set b 31 (Char.chr (Char.code (Bytes.get b 31) lor 0x80));
+let encode_affine ~(x : Fe.t) ~(y : Fe.t) : string =
+  let b = Fe.to_bytes y in
+  if Fe.parity x = 1 then Bytes.set b 31 (Char.chr (Char.code (Bytes.get b 31) lor 0x80));
   Bytes.unsafe_to_string b
+
+let encode (p : point) : string =
+  let zi = Fe.inv p.z in
+  encode_affine ~x:(Fe.mul p.x zi) ~y:(Fe.mul p.y zi)
 
 (* Encode a whole array with one shared inversion; each [encode] above
    costs a full field inversion, so callers that need several encodings
    at once (the VRF's proof and verification points) batch them. *)
 let encode_many (ps : point array) : string array =
-  Array.map
-    (fun p ->
-      (* z = 1 after normalization, so x and y are affine. *)
-      let b = Bytes.of_string (Nat.to_bytes_le (Fe.to_nat p.y) ~len:32) in
-      if Fe.parity p.x = 1 then
-        Bytes.set b 31 (Char.chr (Char.code (Bytes.get b 31) lor 0x80));
-      Bytes.unsafe_to_string b)
-    (normalize_many ps)
+  (* z = 1 after normalization, so x and y are affine. *)
+  Array.map (fun p -> encode_affine ~x:p.x ~y:p.y) (normalize_many ps)
 
 (* Decompression runs entirely in the fast field: x is recovered with
-   the combined sqrt-ratio trick (one addition chain, no inversion),
-   several times cheaper than the old Nat-based sqrt + invert path.
+   the combined sqrt-ratio trick (one addition chain, no inversion).
    Non-canonical encodings (y >= p, or x = 0 with the sign bit set) are
-   rejected as before. *)
+   rejected. *)
 let decode (s : string) : point option =
   if String.length s <> 32 then None
   else begin
-    let sign = Char.code s.[31] lsr 7 in
-    let y_bytes =
-      let b = Bytes.of_string s in
-      Bytes.set b 31 (Char.chr (Char.code (Bytes.get b 31) land 0x7f));
-      Bytes.unsafe_to_string b
-    in
-    let y_nat = Nat.of_bytes_le y_bytes in
-    if Nat.compare y_nat Fp.p >= 0 then None
-    else begin
-      let y = Fe.of_nat y_nat in
+    match Fe.of_bytes s with
+    | None -> None
+    | Some y ->
+      let sign = Char.code s.[31] lsr 7 in
       let y2 = Fe.sqr y in
-      let u = Fe.sub y2 (Fe.one ()) in
-      let v = Fe.add (Fe.mul d_fe y2) (Fe.one ()) in
-      match Fe.sqrt_ratio ~u ~v with
+      let u = Fe.sub y2 fe_one in
+      let v = Fe.mul d_fe y2 in
+      Fe.add_into v v fe_one;
+      (match Fe.sqrt_ratio ~u ~v with
       | None -> None
       | Some x ->
         if Fe.is_zero x && sign = 1 then None
         else begin
-          let x = if Fe.parity x <> sign then Fe.neg x else x in
+          if Fe.parity x <> sign then Fe.neg_into x x;
           Some { x; y; z = Fe.one (); t = Fe.mul x y }
-        end
-    end
+        end)
   end
 
 (* Base point: y = 4/5, even x. *)
@@ -399,16 +473,19 @@ type comb = precomp array array
    lie in the prime-order subgroup, because [scalar_mult_comb] reduces
    scalars mod L before taking digits. *)
 let comb_of_point (p : point) : comb =
+  let s = scratch () in
   let buf = Array.make (comb_positions * comb_row) identity in
-  let pos = ref p (* 16^i * P *) in
+  let pos = copy_point p (* 16^i * P *) in
   for i = 0 to comb_positions - 1 do
-    let acc = ref !pos in
-    for j = 1 to comb_row do
-      buf.((i * comb_row) + (j - 1)) <- !acc;
-      acc := add !acc !pos
+    let row = i * comb_row in
+    buf.(row) <- copy_point pos;
+    for j = 1 to comb_row - 1 do
+      let r = fresh_point () in
+      add_into s r buf.(row + j - 1) pos;
+      buf.(row + j) <- r
     done;
     for _ = 1 to 4 do
-      pos := double !pos
+      double_into s pos pos
     done
   done;
   let affine = normalize_many buf in
@@ -420,20 +497,19 @@ let comb_table : comb = comb_of_point base
 (* Odd multiples B, 3B, ..., 63B for the w=7 w-NAF base-point side of
    Strauss-Shamir and batch accumulation. *)
 let base_wnaf_table : precomp array =
-  Array.map precomp_of_affine (normalize_many (odd_multiples base ~size:32))
+  Array.map precomp_of_affine (normalize_many (odd_multiples (scratch ()) base ~size:32))
 
 (* k*P off a comb table. P has order L, so reducing k mod L first is
    exact and bounds the digit count. *)
 let scalar_mult_comb (c : comb) (k : Nat.t) : point =
-  let k = Nat.rem k order in
-  let bytes = Nat.to_bytes_le k ~len:32 in
-  let acc = ref identity in
+  let bytes = Nat.to_bytes_le (mod_order k) ~len:32 in
+  let s = scratch () and acc = fresh_identity () in
   for i = 0 to comb_positions - 1 do
     let byte = Char.code bytes.[i / 2] in
     let digit = if i land 1 = 0 then byte land 0xf else byte lsr 4 in
-    if digit <> 0 then acc := madd !acc c.(i).(digit - 1)
+    if digit <> 0 then madd_into s acc acc c.(i).(digit - 1)
   done;
-  !acc
+  acc
 
 let scalar_mult_base (k : Nat.t) : point = scalar_mult_comb comb_table k
 
@@ -441,63 +517,58 @@ let scalar_mult_base (k : Nat.t) : point = scalar_mult_comb comb_table k
    the base-point digits off the precomputed w=7 table. b is used
    unreduced so the result is exact for Q of any order. *)
 let double_scalar_mult_base (a : Nat.t) (b : Nat.t) (q : point) : point =
-  let anaf = wnaf_digits (Nat.rem a order) ~w:7 in
+  let anaf = wnaf_digits (mod_order a) ~w:7 in
   let bnaf = wnaf_digits b ~w:5 in
-  let qtbl = odd_multiples q ~size:8 in
-  let top = max (top_nonzero anaf) (top_nonzero bnaf) in
-  let acc = ref identity in
-  for i = top downto 0 do
-    let da = if i < Array.length anaf then anaf.(i) else 0 in
-    let db = if i < Array.length bnaf then bnaf.(i) else 0 in
-    acc := (if da <> 0 || db <> 0 || i = 0 then double !acc else double_nt !acc);
-    if da <> 0 then acc := apply_digit_pre !acc base_wnaf_table da;
-    if db <> 0 then acc := apply_digit !acc qtbl db
+  let s = scratch () in
+  let qtbl = odd_multiples s q ~size:8 in
+  let acc = fresh_identity () in
+  for i = max (top_nonzero anaf) (top_nonzero bnaf) downto 0 do
+    let da = digit anaf i and db = digit bnaf i in
+    chain_double s acc ~full:(da <> 0 || db <> 0 || i = 0);
+    apply_digit_pre s acc base_wnaf_table da;
+    apply_digit s acc qtbl db
   done;
-  !acc
+  acc
 
 (* a*P + b*Q for two variable points, one shared doubling chain. *)
 let double_scalar_mult (a : Nat.t) (p : point) (b : Nat.t) (q : point) : point =
   let anaf = wnaf_digits a ~w:5 in
   let bnaf = wnaf_digits b ~w:5 in
-  let ptbl = odd_multiples p ~size:8 in
-  let qtbl = odd_multiples q ~size:8 in
-  let top = max (top_nonzero anaf) (top_nonzero bnaf) in
-  let acc = ref identity in
-  for i = top downto 0 do
-    let da = if i < Array.length anaf then anaf.(i) else 0 in
-    let db = if i < Array.length bnaf then bnaf.(i) else 0 in
-    acc := (if da <> 0 || db <> 0 || i = 0 then double !acc else double_nt !acc);
-    if da <> 0 then acc := apply_digit !acc ptbl da;
-    if db <> 0 then acc := apply_digit !acc qtbl db
+  let s = scratch () in
+  let ptbl = odd_multiples s p ~size:8 in
+  let qtbl = odd_multiples s q ~size:8 in
+  let acc = fresh_identity () in
+  for i = max (top_nonzero anaf) (top_nonzero bnaf) downto 0 do
+    let da = digit anaf i and db = digit bnaf i in
+    chain_double s acc ~full:(da <> 0 || db <> 0 || i = 0);
+    apply_digit s acc ptbl da;
+    apply_digit s acc qtbl db
   done;
-  !acc
+  acc
 
 (* kb*B + sum_i k_i*P_i: the n-way interleaved accumulator behind batch
    verification. One doubling chain total; each point pays only its own
    w-NAF additions and an 8-entry odd-multiples table. *)
 let multi_scalar_mult_base ~(base_scalar : Nat.t) (pairs : (Nat.t * point) list) : point =
-  let bnaf = wnaf_digits (Nat.rem base_scalar order) ~w:7 in
-  let items =
-    List.map (fun (k, p) -> (wnaf_digits k ~w:5, odd_multiples p ~size:8)) pairs
-  in
-  let top =
-    List.fold_left (fun m (naf, _) -> max m (top_nonzero naf)) (top_nonzero bnaf) items
-  in
-  let acc = ref identity in
+  let bnaf = wnaf_digits (mod_order base_scalar) ~w:7 in
+  let s = scratch () in
+  let nafs = Array.of_list (List.map (fun (k, _) -> wnaf_digits k ~w:5) pairs) in
+  let tbls = Array.of_list (List.map (fun (_, p) -> odd_multiples s p ~size:8) pairs) in
+  let top = Array.fold_left (fun m naf -> max m (top_nonzero naf)) (top_nonzero bnaf) nafs in
+  let acc = fresh_identity () in
   for i = top downto 0 do
-    let db = if i < Array.length bnaf then bnaf.(i) else 0 in
-    let live =
-      db <> 0 || i = 0
-      || List.exists (fun (naf, _) -> i < Array.length naf && naf.(i) <> 0) items
-    in
-    acc := (if live then double !acc else double_nt !acc);
-    if db <> 0 then acc := apply_digit_pre !acc base_wnaf_table db;
-    List.iter
-      (fun (naf, tbl) ->
-        if i < Array.length naf then acc := apply_digit !acc tbl naf.(i))
-      items
+    let db = digit bnaf i in
+    let live = ref (db <> 0 || i = 0) in
+    for j = 0 to Array.length nafs - 1 do
+      if digit nafs.(j) i <> 0 then live := true
+    done;
+    chain_double s acc ~full:!live;
+    apply_digit_pre s acc base_wnaf_table db;
+    for j = 0 to Array.length nafs - 1 do
+      apply_digit s acc tbls.(j) (digit nafs.(j) i)
+    done
   done;
-  !acc
+  acc
 
 (* Membership in the prime-order subgroup: [L]P = O. Curve points have
    order dividing 8L, so this rejects any small-order component. *)
@@ -545,10 +616,6 @@ let () =
 type secret = { seed : string; scalar : Nat.t; public : string }
 type public = string
 
-let scalar_of_hash (h : string) : Nat.t =
-  (* Uniform nonzero scalar: 1 + (h mod (L-1)). *)
-  Nat.add Nat.one (Nat.rem (Nat.of_bytes_le h) (Nat.sub order Nat.one))
-
 let derive_scalar ~seed = scalar_of_hash (Sha256.digest_concat [ "ed25519-scalar"; seed ])
 
 let generate ~(seed : string) : secret =
@@ -563,13 +630,13 @@ let secret_seed (sk : secret) : string = sk.seed
 let signature_length = 64
 
 let challenge ~r_enc ~public ~msg =
-  Nat.rem (Nat.of_bytes_le (Sha256.digest_concat [ "ed25519-chal"; r_enc; public; msg ])) order
+  mod_order (Nat.of_bytes_le (Sha256.digest_concat [ "ed25519-chal"; r_enc; public; msg ]))
 
 let sign (sk : secret) (msg : string) : string =
   let k = scalar_of_hash (Sha256.digest_concat [ "ed25519-nonce"; sk.seed; msg ]) in
   let r_enc = encode (scalar_mult_base k) in
   let e = challenge ~r_enc ~public:sk.public ~msg in
-  let s = Nat.rem (Nat.add k (Nat.mul e sk.scalar)) order in
+  let s = mod_order (Nat.add k (Nat.mul e sk.scalar)) in
   r_enc ^ Nat.to_bytes_le s ~len:32
 
 (* Verification checks s*B - e*A = R with one Strauss-Shamir chain.
@@ -627,8 +694,10 @@ let verify_ref ~(public : public) ~(msg : string) ~(signature : string) : bool =
 (* content is fixed before the coefficients exist). If some signature  *)
 (* i fails s_i B - e_i A_i = R_i, the combination vanishes for at most *)
 (* a 2^-128 fraction of coefficient vectors. Public keys go through    *)
-(* the same prime-subgroup check as single verification; see DESIGN.md *)
-(* for the soundness discussion.                                       *)
+(* the same prime-subgroup check as single verification, which is     *)
+(* what makes reducing z_i e_i mod L exact; R_i may carry a           *)
+(* small-order component, so its coefficient z_i stays unreduced. See *)
+(* DESIGN.md for the soundness discussion.                             *)
 (* ------------------------------------------------------------------ *)
 
 (* Bounding the chunk size bounds the w-NAF table memory. *)
@@ -670,19 +739,16 @@ let verify_batch (items : (public * string * string) list) : bool =
         (fun (_, _, _, s, e, r, a) -> (Drbg.random_nat drbg ~bytes:16, s, e, r, a))
         parsed
     in
-    (* The scalars stay unreduced: w-NAF is exact on scalars of any
-       length, and Nat's bit-by-bit division is expensive enough that
-       two mod-L reductions per signature would rival the curve work.
-       The z_i*e_i products are ~381 bits, which only lengthens the
-       shared doubling chain by ~128 doubles per chunk - amortized
-       noise. One reduction of the summed base scalar happens inside
+    (* A_i lies in the prime subgroup, so z_i*e_i reduces mod L
+       exactly, from ~381 to 253 bits, and the shared doubling chain
+       stays 253 long. The summed base scalar is reduced inside
        [multi_scalar_mult_base]. *)
     let combined_s =
       List.fold_left (fun acc (z, s, _, _, _) -> Nat.add acc (Nat.mul z s)) Nat.zero terms
     in
     let pairs =
       List.concat_map
-        (fun (z, _, e, r, a) -> [ (z, neg r); (Nat.mul z e, neg a) ])
+        (fun (z, _, e, r, a) -> [ (z, neg r); (mod_order (Nat.mul z e), neg a) ])
         terms
     in
     equal_points (multi_scalar_mult_base ~base_scalar:combined_s pairs) identity

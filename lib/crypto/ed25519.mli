@@ -25,6 +25,15 @@ type point
 val order : Nat.t
 (** Order of the prime subgroup (the scalar group). *)
 
+val mod_order : Nat.t -> Nat.t
+(** [x mod order], by folding [2{^252} = -delta (mod L)], where
+    [L = 2{^252} + delta]: three folds for a 512-bit input, against
+    [Nat.rem]'s bit-by-bit division. *)
+
+val scalar_of_hash : string -> Nat.t
+(** A uniform nonzero scalar from hash bytes (read little-endian):
+    [1 + (h mod (L - 1))], reduced by the same fold with [delta - 1]. *)
+
 val identity : point
 val base : point
 val add : point -> point -> point

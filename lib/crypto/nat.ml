@@ -250,12 +250,23 @@ let of_bytes_be (s : string) : t =
   String.iter (fun c -> r := add (shift_left !r 8) (of_int (Char.code c))) s;
   !r
 
+(* Bytes are packed straight into limbs: scalars and challenges arrive
+   as hash bytes on every signature and VRF check. *)
 let of_bytes_le (s : string) : t =
-  let r = ref zero in
-  for i = String.length s - 1 downto 0 do
-    r := add (shift_left !r 8) (of_int (Char.code s.[i]))
+  let r = Array.make (((8 * String.length s) + limb_bits - 1) / limb_bits) 0 in
+  let acc = ref 0 and nbits = ref 0 and limb = ref 0 in
+  for i = 0 to String.length s - 1 do
+    acc := !acc lor (Char.code s.[i] lsl !nbits);
+    nbits := !nbits + 8;
+    if !nbits >= limb_bits then begin
+      r.(!limb) <- !acc land limb_mask;
+      acc := !acc lsr limb_bits;
+      nbits := !nbits - limb_bits;
+      incr limb
+    end
   done;
-  !r
+  if !nbits > 0 then r.(!limb) <- !acc;
+  normalize r
 
 let to_bytes_be (a : t) ~(len : int) : string =
   if bit_length a > 8 * len then invalid_arg "Nat.to_bytes_be: does not fit";

@@ -108,11 +108,8 @@ let ecvrf : scheme =
       in
       let gamma = mult_h a in
       let k =
-        Nat.add Nat.one
-          (Nat.rem
-             (Nat.of_bytes_le
-                (Sha256.digest_concat [ "vrf-nonce"; Ed25519.secret_seed sk; input ]))
-             (Nat.sub Ed25519.order Nat.one))
+        Ed25519.scalar_of_hash
+          (Sha256.digest_concat [ "vrf-nonce"; Ed25519.secret_seed sk; input ])
       in
       (* One shared inversion for all four encodings. *)
       let encs =
@@ -126,7 +123,7 @@ let ecvrf : scheme =
       in
       let gamma_enc = encs.(0) and u_enc = encs.(1) and v_enc = encs.(2) in
       let c = challenge ~h_enc ~gamma_enc ~u_enc ~v_enc in
-      let s = Nat.rem (Nat.add k (Nat.mul c a)) Ed25519.order in
+      let s = Ed25519.mod_order (Nat.add k (Nat.mul c a)) in
       let proof = gamma_enc ^ Nat.to_bytes_le c ~len:16 ^ Nat.to_bytes_le s ~len:32 in
       (output_of_gamma8_enc encs.(3), proof)
     in

@@ -120,10 +120,23 @@ let distinct_seeds_distinct_keys () =
   in
   Alcotest.(check int) "all distinct" 20 (List.length (List.sort_uniq compare pks))
 
+(* Known-answer pins, recorded before the field and point layers were
+   rewritten in place: keys and signatures must stay byte-identical. *)
+let known_answers () =
+  let sk = Ed25519.generate ~seed:"kat" in
+  Alcotest.(check string) "pk"
+    "215bb3199a73ebefc0e9fa444219c15ebfc1443101a9bdca3c65cd2ebcbea09f"
+    (Hex.of_string (Ed25519.public_key sk));
+  Alcotest.(check string) "signature"
+    "06da69ab68234557af1af52025f4f1510c8533ef9db37a6217df303e9ade4c8e\
+     f53354f630e28e43b5b7bf3d82d03099906d4ccfdd4a1dd2c9bb16eecfca0909"
+    (Hex.of_string (Ed25519.sign sk "msg"))
+
 let suite =
   [
     ( "ed25519",
       [
+        t "known answers" known_answers;
         t "base point checks" base_checks;
         ts "group laws" group_laws;
         ts "encoding roundtrip" encoding_roundtrip;

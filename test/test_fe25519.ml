@@ -113,10 +113,105 @@ let inv_many_matches () =
     xs;
   Alcotest.(check int) "empty" 0 (Array.length (Fe25519.inv_many [||]))
 
+(* Long random chains of in-place operations against the oracle. A
+   limb bound that slowly loosens across operations only overflows after
+   many steps, so single-operation properties cannot show it. Each step
+   writes one of four registers from one or two of them (often itself),
+   and occasionally reloads a register with an edge value. *)
+let long_chains () =
+  let rng = Random.State.make [| 25519 |] in
+  let edges =
+    [| Nat.zero; Nat.one; Nat.sub p Nat.one; Nat.sub p (Nat.of_int 19);
+       Nat.sub (Nat.shift_left Nat.one 255) Nat.one |]
+  in
+  let random_nat () =
+    Nat.of_bytes_le (String.init 32 (fun _ -> Char.chr (Random.State.int rng 256)))
+  in
+  for chain = 1 to 2 do
+    let fe = Array.init 4 (fun _ -> to_fe (random_nat ())) in
+    let nat = Array.map Fe25519.to_nat fe in
+    let check where =
+      Array.iteri
+        (fun i r ->
+          if not (Nat.equal (Fe25519.to_nat r) nat.(i)) then
+            Alcotest.failf "chain %d diverges from the oracle at %s (register %d)" chain where i)
+        fe
+    in
+    for step = 1 to 10_000 do
+      let d = Random.State.int rng 4 in
+      let a = Random.State.int rng 4 and b = Random.State.int rng 4 in
+      (match Random.State.int rng 21 with
+      | 0 | 1 | 2 | 3 ->
+        Fe25519.add_into fe.(d) fe.(a) fe.(b);
+        nat.(d) <- Ed25519.Fp.add nat.(a) nat.(b)
+      | 4 | 5 | 6 | 7 ->
+        Fe25519.sub_into fe.(d) fe.(a) fe.(b);
+        nat.(d) <- Ed25519.Fp.sub nat.(a) nat.(b)
+      | 8 | 9 ->
+        Fe25519.neg_into fe.(d) fe.(a);
+        nat.(d) <- Ed25519.Fp.neg nat.(a)
+      | 10 | 11 | 12 | 13 | 14 ->
+        Fe25519.mul_into fe.(d) fe.(a) fe.(b);
+        nat.(d) <- Ed25519.Fp.mul nat.(a) nat.(b)
+      | 15 | 16 | 17 | 18 | 19 ->
+        Fe25519.sqr_into fe.(d) fe.(a);
+        nat.(d) <- Ed25519.Fp.sqr nat.(a)
+      | _ ->
+        let v = Nat.rem edges.(Random.State.int rng (Array.length edges)) p in
+        fe.(d) <- to_fe v;
+        nat.(d) <- v);
+      if Random.State.int rng 100 = 0 then check (Printf.sprintf "step %d" step)
+    done;
+    check "the end"
+  done
+
+(* Weak forms at and above p: (p-1) + k lands in [p, p + 40) for k >= 1,
+   where the carry reaches limb 9 (2^21 exactly for k >= 20), and
+   2(p-1) folds. Every canonicalising observer must see through it. *)
+let weak_forms_above_p () =
+  let pm1 = to_fe (Nat.sub p Nat.one) in
+  let through_bytes x =
+    match Fe25519.of_bytes (Bytes.to_string (Fe25519.to_bytes x)) with
+    | Some y -> y
+    | None -> Alcotest.fail "to_bytes output must decode"
+  in
+  let observe name x expect =
+    eq_nat (name ^ ": to_nat") expect (Fe25519.to_nat x);
+    Alcotest.(check bool) (name ^ ": equal") true (Fe25519.equal x (to_fe expect));
+    Alcotest.(check bool) (name ^ ": is_zero") (Nat.is_zero expect) (Fe25519.is_zero x);
+    Alcotest.(check int) (name ^ ": parity")
+      (if Nat.testbit expect 0 then 1 else 0)
+      (Fe25519.parity x);
+    Alcotest.(check string) (name ^ ": bytes")
+      (Nat.to_bytes_le expect ~len:32)
+      (Bytes.to_string (Fe25519.to_bytes x));
+    eq_nat (name ^ ": bytes roundtrip") expect (Fe25519.to_nat (through_bytes x))
+  in
+  for k = 1 to 40 do
+    observe (Printf.sprintf "(p-1)+%d" k) (Fe25519.add pm1 (Fe25519.of_int k)) (Nat.of_int (k - 1))
+  done;
+  observe "2(p-1)" (Fe25519.add pm1 pm1) (Nat.sub p (Nat.of_int 2));
+  observe "(p-1)+1 = 0" (Fe25519.add pm1 (Fe25519.one ())) Nat.zero;
+  (* Two weak forms of one element compare equal, and unequal elements
+     do not. *)
+  let weak_one = Fe25519.add pm1 (Fe25519.of_int 2) in
+  Alcotest.(check bool) "weak 1 = 1" true (Fe25519.equal weak_one (Fe25519.one ()));
+  Alcotest.(check bool) "weak 1 <> 2" false (Fe25519.equal weak_one (Fe25519.of_int 2));
+  (* of_bytes takes the low 255 bits and rejects values >= p. *)
+  let bytes n = Nat.to_bytes_le n ~len:32 in
+  Alcotest.(check bool) "of_bytes p" true (Fe25519.of_bytes (bytes p) = None);
+  Alcotest.(check bool) "of_bytes 2^255 - 1" true
+    (Fe25519.of_bytes (bytes (Nat.sub (Nat.shift_left Nat.one 255) Nat.one)) = None);
+  (match Fe25519.of_bytes (bytes (Nat.add (Nat.sub p Nat.one) (Nat.shift_left Nat.one 255))) with
+  | Some x -> eq_nat "bit 255 ignored" (Nat.sub p Nat.one) (Fe25519.to_nat x)
+  | None -> Alcotest.fail "p-1 with bit 255 set must decode")
+
 let suite =
   [
     ( "fe25519",
       [
+        t "10,000-op chains vs oracle" long_chains;
+        t "weak forms at and above p" weak_forms_above_p;
         t "nat roundtrip" roundtrip;
         t "sqrt_m1 and parity" sqrt_m1_and_parity;
         t "sqrt_ratio" sqrt_ratio_cases;

@@ -320,10 +320,91 @@ let scheme_batch_matches_single () =
       Alcotest.(check bool) (scheme.name ^ " batch bad") false (scheme.verify_batch bad))
     [ Signature_scheme.ed25519; Signature_scheme.sim ]
 
+(* The fold reductions against Nat's division: mod L through
+   [mod_order], and mod L - 1 through [scalar_of_hash] (which is
+   1 + (h mod (L - 1)) for the 64 little-endian bytes h). *)
+let fold_reduction_matches_rem () =
+  let l_minus_1 = Nat.sub order Nat.one in
+  let pow2 k = Nat.shift_left Nat.one k in
+  let check x =
+    let name = Nat.to_decimal x in
+    Alcotest.(check string) ("mod L " ^ name)
+      (Nat.to_decimal (Nat.rem x order))
+      (Nat.to_decimal (Ed25519.mod_order x));
+    Alcotest.(check string) ("mod L-1 " ^ name)
+      (Nat.to_decimal (Nat.add Nat.one (Nat.rem x l_minus_1)))
+      (Nat.to_decimal (Ed25519.scalar_of_hash (Nat.to_bytes_le x ~len:64)))
+  in
+  List.iter check
+    [
+      Nat.zero;
+      Nat.sub order Nat.one;
+      order;
+      Nat.add order Nat.one;
+      Nat.sub l_minus_1 Nat.one;
+      Nat.mul order (Nat.of_int 5);
+      pow2 252;
+      Nat.sub (pow2 253) Nat.one;
+      Nat.sub (pow2 512) Nat.one;
+    ];
+  let d = Drbg.create ~seed:"fold" in
+  for i = 0 to 1999 do
+    let bits = i mod 513 in
+    let x = Nat.low_bits (Nat.of_bytes_le (Drbg.random_bytes d 64)) bits in
+    check x
+  done
+
+(* Allocation gates: deterministic on any host, unlike the timing gates.
+   After a warm-up (the pk's subgroup check, the VRF input's comb), one
+   [Ed25519.verify] and one ECVRF verify must each stay under about 1.5x
+   the minor words measured when the in-place engine landed: 1,552 and
+   3,026 words for these keys, where the allocating field took 227,711
+   and 296,941. Neither may allocate directly in the major heap (blocks
+   over 256 words): the old w-NAF recoding put 1,066 words a verify
+   there, out of sight of the minor count. *)
+let verify_allocation_bounded () =
+  let per_call f =
+    for _ = 1 to 3 do
+      ignore (Sys.opaque_identity (f ()))
+    done;
+    let n = 20 in
+    let minor0 = Gc.minor_words () and _, promoted0, major0 = Gc.counters () in
+    for _ = 1 to n do
+      ignore (Sys.opaque_identity (f ()))
+    done;
+    let minor1 = Gc.minor_words () and _, promoted1, major1 = Gc.counters () in
+    let per x = x /. float_of_int n in
+    (per (minor1 -. minor0), per (major1 -. major0 -. (promoted1 -. promoted0)))
+  in
+  let sk = Ed25519.generate ~seed:"alloc" in
+  let public = Ed25519.public_key sk in
+  let signature = Ed25519.sign sk "msg" in
+  let verify_words, verify_major =
+    per_call (fun () ->
+        if not (Ed25519.verify ~public ~msg:"msg" ~signature) then
+          Alcotest.fail "signature must verify")
+  in
+  let prover, pk = Vrf.ecvrf.generate ~seed:"alloc" in
+  let _, proof = prover.prove "alloc-input" in
+  let vrf_words, vrf_major =
+    per_call (fun () ->
+        if Vrf.ecvrf.verify ~pk ~input:"alloc-input" ~proof = None then
+          Alcotest.fail "proof must verify")
+  in
+  if verify_words > 2_300. then
+    Alcotest.failf "Ed25519.verify allocates %.0f minor words (bound 2,300)" verify_words;
+  if vrf_words > 4_500. then
+    Alcotest.failf "ECVRF verify allocates %.0f minor words (bound 4,500)" vrf_words;
+  if verify_major > 0. || vrf_major > 0. then
+    Alcotest.failf "direct major-heap words per call: verify %.0f, ECVRF verify %.0f"
+      verify_major vrf_major
+
 let suite =
   [
     ( "scalarmult",
       [
+        t "fold reduction mod L and L-1 vs Nat.rem" fold_reduction_matches_rem;
+        t "verify allocation bounded" verify_allocation_bounded;
         ts "fixed-base comb vs oracle" fixed_base_oracle;
         ts "arbitrary-point comb vs oracle" comb_of_point_oracle;
         ts "variable-base w-NAF vs oracle" wnaf_oracle;

@@ -81,10 +81,29 @@ let sim_matches_interface () =
   let _, pk = Vrf.sim.generate ~seed:"x" in
   Alcotest.(check bool) "nonempty pk" true (String.length pk = 32)
 
+(* Known-answer pins for ECVRF, recorded before the field and point
+   layers were rewritten in place. *)
+let ecvrf_known_answers () =
+  let prover, pk = Vrf.ecvrf.generate ~seed:"kat" in
+  let output, proof = prover.prove "kat-input" in
+  Alcotest.(check string) "pk"
+    "54925b4fe11f411f916ef25b8eb161f6b96cb04339d40d28fc57ba23f2f7599b" (Hex.of_string pk);
+  Alcotest.(check string) "output"
+    "bcdee8a0d98f3b98370ffa14669bda0c52cdd01358b37c4d0eecb7c188a2e7fe"
+    (Hex.of_string output);
+  Alcotest.(check string) "proof"
+    "305d54229117e80ed8f9d95e1235477579aaaf5d3f25552b1931085e39e9d172\
+     fd7e33803a96acc38eecde559e65b2f4\
+     828d5f1c5eb443ceb1cd0be3f2f66fcff39ea78be8ef359e6760dedb0fdcfb04"
+    (Hex.of_string proof);
+  Alcotest.(check (option string)) "verifies to the output" (Some output)
+    (Vrf.ecvrf.verify ~pk ~input:"kat-input" ~proof)
+
 let suite =
   [
     ( "vrf",
       [
+        t "ecvrf known answers" ecvrf_known_answers;
         ts "ecvrf roundtrip" (roundtrip Vrf.ecvrf);
         t "sim roundtrip" (roundtrip Vrf.sim);
         ts "ecvrf wrong input" (wrong_input Vrf.ecvrf);

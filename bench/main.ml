@@ -15,9 +15,10 @@
    `micro` re-measures the crypto primitives and refreshes
    results/BENCH_crypto.json; `micro-check` is the CI smoke gate that
    fails (exit 1) when ed25519/verify regresses >2x vs the committed
-   snapshot. `sim` sweeps the population engine to a million users and
-   refreshes results/BENCH_sim.json; `sim-check` is its CI gate (100k
-   users, fails on a >2x rounds/sec regression).
+   snapshot. `sim` sweeps the population engine to a million users,
+   one point per fresh process so each point's heap high-water mark is
+   its own, and refreshes results/BENCH_sim.json; `sim-check` is its CI
+   gate (100k users, fails on a >2x rounds/sec regression).
 
    The x-axes are scaled down from the paper's 1,000-VM deployment (see
    DESIGN.md section 2 and EXPERIMENTS.md): committee parameters stay at
@@ -720,15 +721,29 @@ let sim_config ~(users : int) ~(rounds : int) : Algorand_core.Population.config 
     rng_seed = 2017;
   }
 
+(* The two sweeps: Figure 5 at 20 Mbit/s over three rounds, Figure 6
+   at 2 Mbit/s with lambda_step = 1 min over two. *)
+let sim_fig_config ~(fig : string) ~(users : int) : Algorand_core.Population.config =
+  match fig with
+  | "fig5" -> sim_config ~users ~rounds:3
+  | "fig6" ->
+    {
+      (sim_config ~users ~rounds:2) with
+      bandwidth_bps = 2e6;
+      params = { sim_params with lambda_step = 60.0 };
+    }
+  | _ -> invalid_arg ("sim: unknown figure " ^ fig)
+
 (* One sweep point: run, audit, and distill the numbers BENCH_sim
-   tracks. *)
-let sim_point ~(users : int) ~(rounds : int) :
-    (string * float) list * string * Algorand_core.Population.result =
+   tracks, as (BENCH_sim fields, CSV row). *)
+let sim_point ~(fig : string) ~(users : int) : (string * float) list * string =
+  let cfg = sim_fig_config ~fig ~users in
   let t0 = Unix.gettimeofday () in
-  let r = Algorand_core.Population.run (sim_config ~users ~rounds) in
+  let r = Algorand_core.Population.run cfg in
   let wall = Unix.gettimeofday () -. t0 in
   if not r.agreement then begin
-    Printf.printf "!! population run at %d users failed its agreement audit\n" users;
+    Printf.printf "!! %s-scale population run at %d users failed its agreement audit\n" fig
+      users;
     exit 1
   end;
   let stats = r.round_stats in
@@ -738,23 +753,11 @@ let sim_point ~(users : int) ~(rounds : int) :
   let bytes_per_user =
     mean (fun (s : Algorand_core.Population.round_stat) -> s.modeled_bytes_per_user)
   in
-  let rounds_per_s = float_of_int rounds /. wall in
-  (* RSS proxy: the OCaml heap high-water mark. Process-global and
-     monotone, so the sweep must visit user counts in ascending order
-     for per-point numbers to mean anything. *)
+  let rounds_per_s = float_of_int cfg.rounds /. wall in
+  (* RSS proxy: the OCaml heap high-water mark. It is process-global
+     and never falls, so each point runs in a fresh process
+     ([sim_point_in_child]). *)
   let top_heap_mb = float_of_int (Gc.quick_stat ()).top_heap_words *. 8e-6 in
-  let key fmt = Printf.sprintf "sim_users_%d_%s" users fmt in
-  let fields =
-    [
-      (key "rounds_per_s", rounds_per_s);
-      (key "latency_s", latency);
-      (key "events", float_of_int r.total_events);
-      (key "peak_events", float_of_int r.peak_pending);
-      (key "materialized", float_of_int r.max_materialized);
-      (key "bytes_per_user", bytes_per_user);
-      (key "top_heap_mb", top_heap_mb);
-    ]
-  in
   let lat_min =
     List.fold_left
       (fun a (s : Algorand_core.Population.round_stat) -> Float.min a s.latency_s)
@@ -764,15 +767,60 @@ let sim_point ~(users : int) ~(rounds : int) :
       (fun a (s : Algorand_core.Population.round_stat) -> Float.max a s.latency_s)
       0.0 stats
   in
+  (* Figure 6's rows have always left bytes per user at 0. *)
+  let csv_bytes = if fig = "fig5" then bytes_per_user else 0.0 in
   let csv_row =
     Printf.sprintf "%d,%.3f,%.3f,%.3f,%d,%d,%.0f,%.1f" users lat_min latency lat_max
-      r.max_materialized r.peak_pending bytes_per_user top_heap_mb
+      r.max_materialized r.peak_pending csv_bytes top_heap_mb
   in
   Printf.printf
     "  %-9d lat=%6.2fs materialized=%-6d peak_ev=%-8d %8.0f B/user  %6.2f rounds/s  heap=%.0f MB\n%!"
     users latency r.max_materialized r.peak_pending bytes_per_user rounds_per_s
     top_heap_mb;
-  (fields, csv_row, r)
+  let fields =
+    if fig = "fig5" then
+      let key fmt = Printf.sprintf "sim_users_%d_%s" users fmt in
+      [
+        (key "rounds_per_s", rounds_per_s);
+        (key "latency_s", latency);
+        (key "events", float_of_int r.total_events);
+        (key "peak_events", float_of_int r.peak_pending);
+        (key "materialized", float_of_int r.max_materialized);
+        (key "bytes_per_user", bytes_per_user);
+        (key "top_heap_mb", top_heap_mb);
+      ]
+    else [ (Printf.sprintf "sim_fig6_users_%d_latency_s" users, latency) ]
+  in
+  (fields, csv_row)
+
+(* The child side of [sim_point_in_child]: the point's printed line,
+   then its numbers as "@field <key> <hex float>" and "@csv <row>". *)
+let sim_point_child ~(fig : string) ~(users : int) : unit =
+  let fields, csv_row = sim_point ~fig ~users in
+  List.iter (fun (k, v) -> Printf.printf "@field %s %h\n" k v) fields;
+  Printf.printf "@csv %s\n%!" csv_row
+
+(* Each point runs in a fresh process of this executable, one at a
+   time, so its top_heap_mb is its own high-water mark and not that of
+   every point before it. *)
+let sim_point_in_child ~(fig : string) ~(users : int) : (string * float) list * string =
+  let exe = Sys.executable_name in
+  let ic = Unix.open_process_args_in exe [| exe; "sim-point"; fig; string_of_int users |] in
+  let fields = ref [] and csv_row = ref "" in
+  (try
+     while true do
+       let line = input_line ic in
+       match String.split_on_char ' ' line with
+       | [ "@field"; k; v ] -> fields := (k, float_of_string v) :: !fields
+       | [ "@csv"; row ] -> csv_row := row
+       | _ -> print_endline line
+     done
+   with End_of_file -> ());
+  match Unix.close_process_in ic with
+  | Unix.WEXITED 0 when !csv_row <> "" -> (List.rev !fields, !csv_row)
+  | _ ->
+    Printf.printf "!! %s-scale point at %d users did not complete\n" fig users;
+    exit 1
 
 let sim_csv_header = "users,lat_min,lat_mean,lat_max,materialized,peak_events,bytes_per_user,top_heap_mb"
 
@@ -781,60 +829,18 @@ let sim () =
   Printf.printf
     "  (committee params fixed at tau_proposer=%.0f tau_step=%.0f tau_final=%.0f;\n"
     sim_params.tau_proposer sim_params.tau_step sim_params.tau_final;
-  Printf.printf "   only sortition-selected users are materialized per round)\n";
-  let rows = ref [] in
-  Printf.printf "  Figure 5 (scale): latency vs users, 20 Mbit/s\n";
-  let fig5_rows =
-    List.map
-      (fun users ->
-        let fields, csv_row, _ = sim_point ~users ~rounds:3 in
-        rows := !rows @ fields;
-        csv_row)
-      [ 5_000; 50_000; 100_000; 500_000; 1_000_000 ]
+  Printf.printf "   only sortition-selected users are materialized per round)\n%!";
+  let sweep fig users =
+    let points = List.map (fun users -> sim_point_in_child ~fig ~users) users in
+    csv_out (fig ^ "_scale") sim_csv_header (List.map snd points);
+    List.concat_map fst points
   in
-  csv_out "fig5_scale" sim_csv_header fig5_rows;
-  Printf.printf "  Figure 6 (scale): latency vs users, 2 Mbit/s, lambda_step = 1 min\n";
-  let fig6_rows =
-    List.map
-      (fun users ->
-        let t0 = Unix.gettimeofday () in
-        let r =
-          Algorand_core.Population.run
-            {
-              (sim_config ~users ~rounds:2) with
-              bandwidth_bps = 2e6;
-              params = { sim_params with lambda_step = 60.0 };
-            }
-        in
-        let wall = Unix.gettimeofday () -. t0 in
-        if not r.agreement then begin
-          Printf.printf "!! fig6-scale population run at %d users failed its audit\n" users;
-          exit 1
-        end;
-        let stats = r.round_stats in
-        let lat acc f = List.fold_left f acc stats in
-        let lat_min =
-          lat infinity (fun a (s : Algorand_core.Population.round_stat) ->
-              Float.min a s.latency_s)
-        and lat_max =
-          lat 0.0 (fun a (s : Algorand_core.Population.round_stat) ->
-              Float.max a s.latency_s)
-        in
-        let lat_mean =
-          lat 0.0 (fun a (s : Algorand_core.Population.round_stat) -> a +. s.latency_s)
-          /. float_of_int (List.length stats)
-        in
-        rows := !rows @ [ (Printf.sprintf "sim_fig6_users_%d_latency_s" users, lat_mean) ];
-        Printf.printf "  %-9d lat=%6.2fs (%.2f rounds/s wall)\n%!" users lat_mean
-          (float_of_int 2 /. wall);
-        Printf.sprintf "%d,%.3f,%.3f,%.3f,%d,%d,%.0f,%.1f" users lat_min lat_mean lat_max
-          r.max_materialized r.peak_pending 0.0
-          (float_of_int (Gc.quick_stat ()).top_heap_words *. 8e-6))
-      [ 5_000; 50_000; 100_000; 500_000 ]
-  in
-  csv_out "fig6_scale" sim_csv_header fig6_rows;
+  Printf.printf "  Figure 5 (scale): latency vs users, 20 Mbit/s\n%!";
+  let fig5 = sweep "fig5" [ 5_000; 50_000; 100_000; 500_000; 1_000_000 ] in
+  Printf.printf "  Figure 6 (scale): latency vs users, 2 Mbit/s, lambda_step = 1 min\n%!";
+  let fig6 = sweep "fig6" [ 5_000; 50_000; 100_000; 500_000 ] in
   let rows =
-    !rows
+    fig5 @ fig6
     @ [
         ("sim_max_users", 1_000_000.0);
         ("sim_sweep_rounds", 3.0);
@@ -1196,18 +1202,21 @@ let experiments =
   ]
 
 let () =
-  let requested =
-    match Array.to_list Sys.argv with
-    | _ :: (_ :: _ as names) -> names
-    | _ -> List.map fst experiments
-  in
-  let t0 = Unix.gettimeofday () in
-  List.iter
-    (fun name ->
-      match List.assoc_opt name experiments with
-      | Some f -> f ()
-      | None ->
-        Printf.printf "unknown experiment %S; available: %s\n" name
-          (String.concat " " (List.map fst experiments)))
-    requested;
-  Printf.printf "\n(total wall time: %.1f s)\n" (Unix.gettimeofday () -. t0)
+  match Array.to_list Sys.argv with
+  | [ _; "sim-point"; fig; users ] -> sim_point_child ~fig ~users:(int_of_string users)
+  | argv ->
+    let requested =
+      match argv with
+      | _ :: (_ :: _ as names) -> names
+      | _ -> List.map fst experiments
+    in
+    let t0 = Unix.gettimeofday () in
+    List.iter
+      (fun name ->
+        match List.assoc_opt name experiments with
+        | Some f -> f ()
+        | None ->
+          Printf.printf "unknown experiment %S; available: %s\n" name
+            (String.concat " " (List.map fst experiments)))
+      requested;
+    Printf.printf "\n(total wall time: %.1f s)\n" (Unix.gettimeofday () -. t0)

@@ -19,15 +19,26 @@ type t = {
   params : Algorand_ba.Params.t;
   block_bytes : int;
   rounds : int;
+  label_prefix : string;  (** ["user-<seed>-"]: user [i]'s key seed is this and [i] *)
 }
 
 let make ?(crypto = Sim_crypto) ?(stake_per_user = 1_000) ?(stake_law = `Equal) ~seed
     ~users ~params ~block_bytes ~rounds () : t =
-  { crypto; stake_per_user; stake_law; seed; users; params; block_bytes; rounds }
+  {
+    crypto;
+    stake_per_user;
+    stake_law;
+    seed;
+    users;
+    params;
+    block_bytes;
+    rounds;
+    label_prefix = Printf.sprintf "user-%d-" seed;
+  }
 
 let identity (d : t) (i : int) : Identity.t =
   let sig_scheme, vrf_scheme = schemes d.crypto in
-  Identity.generate ~sig_scheme ~vrf_scheme ~seed:(Printf.sprintf "user-%d-%d" d.seed i)
+  Identity.generate ~sig_scheme ~vrf_scheme ~seed:(d.label_prefix ^ string_of_int i)
 
 let stake (d : t) (i : int) : int =
   match d.stake_law with `Equal -> d.stake_per_user | `Linear -> d.stake_per_user * (i + 1)

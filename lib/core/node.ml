@@ -252,6 +252,11 @@ type net = {
       (** suppress our own relay of a message id (equivocation sends) *)
 }
 
+(* One vote's weight as read against one round state. A round state's
+   weight for a vote never changes once read, so a verdict keyed on the
+   physical round state and vote can stand in for a table lookup. *)
+type verdict = { v_rs : round_state; v_vote : Vote.t; v_weight : int }
+
 type t = {
   index : int;
   identity : Identity.t;
@@ -285,6 +290,10 @@ type t = {
           under and is ignored if the node has since moved on *)
   mutable crash_count : int;
   mutable last_checkpoint : int;  (** highest round persisted to [store_dir] *)
+  mutable last_verdict : verdict option;
+      (** the vote weight read last: gossip validation reads it, and
+          [deliver] carries it to the vote's processing, which then
+          skips a second lookup *)
 }
 
 let create ~(index : int) ~(identity : Identity.t) ~(config : config)
@@ -315,6 +324,7 @@ let create ~(index : int) ~(identity : Identity.t) ~(config : config)
     incarnation = 0;
     crash_count = 0;
     last_checkpoint = 0;
+    last_verdict = None;
   }
 
 (* Structured tracing (lib/obs): every emission site below guards on
@@ -395,7 +405,8 @@ let drop_round (t : t) : unit =
   t.incarnation <- t.incarnation + 1;
   (match t.current with Some rs -> cancel_fetch rs | None -> ());
   t.current <- None;
-  t.previous <- None
+  t.previous <- None;
+  t.last_verdict <- None
 
 (* Durable checkpoint: persist every certified round above the last
    checkpoint, but only as a contiguous run - a gap on disk would
@@ -565,16 +576,23 @@ let send_vote (t : t) (rs : round_state) (v : Vote.t) : unit =
 (* BA* wiring.                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let vote_weight (_t : t) (rs : round_state) (v : Vote.t) : int =
-  (* The cache key is the full vote content, not just the gossip id
-     (round, step, voter): a corrupted variant sharing an id with an
-     honest vote must not poison the cache with weight 0 and suppress
-     the honest copy when it arrives later. *)
-  match Vote_tbl.find_opt rs.vote_weight_cache v with
-  | Some w -> w
-  | None ->
-    let w = Vote.validate rs.vctx v in
-    Vote_tbl.replace rs.vote_weight_cache v w;
+let vote_weight (t : t) (rs : round_state) (v : Vote.t) : int =
+  match t.last_verdict with
+  | Some { v_rs; v_vote; v_weight } when v_rs == rs && v_vote == v -> v_weight
+  | _ ->
+    (* The cache key is the full vote content, not just the gossip id
+       (round, step, voter): a corrupted variant sharing an id with an
+       honest vote must not poison the cache with weight 0 and
+       suppress the honest copy when it arrives later. *)
+    let w =
+      match Vote_tbl.find_opt rs.vote_weight_cache v with
+      | Some w -> w
+      | None ->
+        let w = Vote.validate rs.vctx v in
+        Vote_tbl.replace rs.vote_weight_cache v w;
+        w
+    in
+    t.last_verdict <- Some { v_rs = rs; v_vote = v; v_weight = w };
     w
 
 let rec apply_ba_actions (t : t) (rs : round_state) (actions : Ba_star.action list) : unit =
@@ -1713,9 +1731,15 @@ let deliver (t : t) ~src:(_ : int) (msg : Message.t) : unit =
       let now = Engine.now t.engine in
       let start = Float.max now t.cpu_free_at in
       t.cpu_free_at <- start +. cost;
+      (* The verdict gossip validation just read for this message, if
+         it is a vote: other deliveries overwrite the slot before this
+         one is processed. *)
+      let verdict = t.last_verdict in
       (* Incarnation-guarded: a message sitting in the modeled CPU queue
          when the node crashes must not surface after the restart. *)
-      sched t ~delay:(start +. cost -. now) (fun () -> process_message t msg)
+      sched t ~delay:(start +. cost -. now) (fun () ->
+          t.last_verdict <- verdict;
+          process_message t msg)
     end
 
 let start (t : t) : unit =

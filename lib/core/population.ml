@@ -3,16 +3,19 @@
    The paper's headline figures run 5,000-500,000 users, but per round
    only ~tau_proposer + a few committees' worth of them ever send a
    message. This engine exploits that: the full population exists only
-   as three flat per-user facts (VRF public key, stake, and the
-   genesis balance map they share with every run of the same seed),
-   and each round materializes full [Node.t] state machines *only* for
-   the users cryptographic sortition actually selects for that round's
-   role window. The materialized nodes share one table of Algorithm 6
-   verdicts a round, so each distinct vote is checked once rather than
-   once per listener; the CPU cost every listener pays is still
-   charged in sim time ([cpu_vote_verify_s]). The passive population
+   as one unboxed word per user (its sim-VRF key, [Vrf.sim_key]), the
+   deployment's stake law, and the genesis balance map built once in
+   the same pass, and each round materializes full [Node.t] state
+   machines *only* for the users cryptographic sortition actually
+   selects for that round's role window. The materialized nodes share
+   one table of Algorithm 6 verdicts a round, so each distinct vote is
+   checked once rather than once per listener; the CPU cost every
+   listener pays is still charged in sim time ([cpu_vote_verify_s]).
+   The sweep costs one 64-bit mix per (user, role), and the genesis
+   pass two key hashes per user, one balance-map update per account
+   and the seed_0 hash over every pk. The passive population
    is an aggregate - weighted sortition draws evaluated over the flat
-   arrays, gossip fan-out statistics (bytes/user modeled as fanout
+   words, gossip fan-out statistics (bytes/user modeled as fanout
    uplink copies of every originated message), and relay-hop latency
    sampled from a population model (uniform 1..ceil(log_fanout N)
    hops, WAN-shaped per-hop delay).
@@ -116,6 +119,69 @@ let window_steps (bin_window : int) : Vote.step list =
    :: List.init bin_window (fun i -> Vote.Bin (i + 1)))
   @ [ Vote.Final ]
 
+(* ---- The passive population: flat per-user words. --------------- *)
+
+type flat = {
+  deployment : Deployment.t;
+  keys : (int64, Bigarray.int64_elt, Bigarray.c_layout) Bigarray.Array1.t;
+      (** each user's sim-VRF key word, unboxed; the composite pk
+          strings live on only inside the genesis balance map *)
+  total_weight : int;
+  max_stake : int;
+}
+
+(* The flat words and the genesis, in one pass over the users. *)
+let build (config : config) : flat * Genesis.t =
+  let n = config.users in
+  let deployment =
+    Deployment.make ~stake_per_user:config.stake_per_user
+      ~stake_law:config.stake_distribution ~seed:config.rng_seed ~users:n
+      ~params:config.params ~block_bytes:config.block_bytes ~rounds:config.rounds ()
+  in
+  let keys = Bigarray.Array1.create Bigarray.Int64 Bigarray.C_layout n in
+  let genesis =
+    Deployment.genesis deployment (fun i ->
+        let pk = (Deployment.identity deployment i).pk in
+        keys.{i} <- Vrf.sim_key (Identity.vrf_pk pk);
+        pk)
+  in
+  let total_weight = ref 0 and max_stake = ref 0 in
+  for i = 0 to n - 1 do
+    let w = Deployment.stake deployment i in
+    total_weight := !total_weight + w;
+    max_stake := max !max_stake w
+  done;
+  ({ deployment; keys; total_weight = !total_weight; max_stake = !max_stake }, genesis)
+
+(* Evaluate one role for every user, calling [select] on each selected
+   one in index order. This is the engine's hot loop, [Vrf.sim_sweep]:
+   one mix of a user's key word with the role input's key (hashed once
+   per role) per evaluation, and the fraction read off the mixed word,
+   with no allocation. A fraction below P(j = 0) at the largest stake
+   selects nobody, since every user's own P(j = 0) is at least that,
+   and [Binomial.cdf] rounds it no higher than [Binomial.select_j]'s
+   first interval; only the users above that floor pay for the CDF
+   inversion. A floor below the smallest nonzero fraction could only
+   skip a zero fraction, which [select_j]'s heavy-selection regime may
+   still select, so it is dropped. The selection is therefore exactly
+   [select_j] over every user's [Vrf.sim] output. *)
+let sweep (pop : flat) ~(seed : string) ~(role : string) ~(tau : float)
+    (select : int -> unit) : unit =
+  let prob = tau /. float_of_int pop.total_weight in
+  let p0 = Binomial.cdf ~k:0 ~n:pop.max_stake ~p:prob in
+  Vrf.sim_sweep pop.keys ~input:(Sortition.vrf_input ~seed ~role)
+    ~floor:(if p0 >= 0x1p-56 then p0 else 0.0)
+    (fun u frac ->
+      if Binomial.select_j ~frac ~w:(Deployment.stake pop.deployment u) ~p:prob > 0 then
+        select u)
+
+let eligible (config : config) : seed:string -> role:string -> tau:float -> int list =
+  let pop, _ = build config in
+  fun ~seed ~role ~tau ->
+    let chosen = ref [] in
+    sweep pop ~seed ~role ~tau (fun u -> chosen := u :: !chosen);
+    List.rev !chosen
+
 let run (config : config) : result =
   if config.users < 4 then invalid_arg "Population.run: need at least 4 users";
   if config.rounds < 1 then invalid_arg "Population.run: need at least 1 round";
@@ -124,25 +190,8 @@ let run (config : config) : result =
     invalid_arg "Population.run: bin_window must be >= 4";
   let n = config.users in
   let p = config.params in
-  let deployment =
-    Deployment.make ~stake_per_user:config.stake_per_user
-      ~stake_law:config.stake_distribution ~seed:config.rng_seed ~users:n ~params:p
-      ~block_bytes:config.block_bytes ~rounds:config.rounds ()
-  in
-  let vrf_scheme = Vrf.sim in
-  (* ---- The passive population: flat per-user facts. ------------- *)
-  let stakes = Array.init n (Deployment.stake deployment) in
-  let total_weight = Array.fold_left ( + ) 0 stakes in
-  (* Only the 32-byte VRF public key is retained per user (the
-     composite pk strings live on inside the genesis balance map,
-     shared, not duplicated here). *)
-  let vrf_pks = Array.make n "" in
-  let genesis =
-    Deployment.genesis deployment (fun i ->
-        let pk = (Deployment.identity deployment i).pk in
-        vrf_pks.(i) <- Identity.vrf_pk pk;
-        pk)
-  in
+  let pop, genesis = build config in
+  let deployment = pop.deployment in
   let rng = Rng.create config.rng_seed in
   let net_rng = Rng.split rng "population-net" in
   let engine = Engine.create () in
@@ -177,43 +226,13 @@ let run (config : config) : result =
     done;
     !d
   in
-  (* ---- Per-round eligibility sweep over the flat arrays. --------- *)
+  (* ---- Per-round eligibility sweep over the flat words. ---------- *)
   let selected = Array.make n false in
-  let equal_w =
-    match config.stake_distribution with
-    | `Equal -> Some config.stake_per_user
-    | `Linear -> None
-  in
-  (* Evaluate one role for every user; returns how many are selected.
-     This is the engine's hot loop: one sim-VRF evaluation per (user,
-     role) via its public-key path, a 64-bit mix of the user's pk with
-     the role input's key (hashed once per role, then cached inside
-     [Vrf.sim]), then the equal-stake fast path compares the hash
-     fraction against the precomputed P(j = 0) before paying for the
-     CDF inversion. *)
-  let sweep_role ~(seed : string) ~(role : string) ~(tau : float) : int =
-    let input = Sortition.vrf_input ~seed ~role in
-    let prob = tau /. float_of_int total_weight in
-    let c0 =
-      match equal_w with
-      | Some w -> Binomial.cdf ~k:0 ~n:w ~p:prob
-      | None -> 0.0
-    in
+  let sweep_role ~seed ~role ~tau : int =
     let count = ref 0 in
-    for u = 0 to n - 1 do
-      match vrf_scheme.verify ~pk:vrf_pks.(u) ~input ~proof:"" with
-      | None -> assert false (* sim VRF accepts every empty proof *)
-      | Some h ->
-        let frac = Sortition.hash_fraction h in
-        let j =
-          if equal_w <> None && frac < c0 then 0
-          else Binomial.select_j ~frac ~w:stakes.(u) ~p:prob
-        in
-        if j > 0 then begin
-          incr count;
-          selected.(u) <- true
-        end
-    done;
+    sweep pop ~seed ~role ~tau (fun u ->
+        incr count;
+        selected.(u) <- true);
     !count
   in
   (* ---- Drive the rounds. ---------------------------------------- *)
@@ -235,8 +254,8 @@ let run (config : config) : result =
       | None -> (Chain.genesis_entry canonical).seed
     in
     (* Weight look-back: with zero transaction traffic balances never
-       move, so the stakes array is the weight vector at every height -
-       identical to what each node reads from its own chain. *)
+       move, so the genesis stakes are the weight vector at every
+       height - identical to what each node reads from its own chain. *)
     Array.fill selected 0 n false;
     let proposers = sweep_role ~seed ~role:(Vote.proposer_role ~round) ~tau:p.tau_proposer in
     List.iter

@@ -2,9 +2,9 @@
 
     Runs BA* rounds over populations of 500k-1M users by materializing
     full {!Node.t} state machines only for the users sortition selects
-    into the round's role window; the passive population exists as flat
-    per-user arrays (VRF public key, stake) swept once per role with the
-    sim VRF's public evaluation path. Identities, stakes and genesis
+    into the round's role window; the passive population exists as one
+    flat word per user (its sim-VRF key), swept once per role without
+    allocating. Identities, stakes and genesis
     are derived by {!Deployment}, the same builder Harness and the
     daemon use, so at the same seed the abstracted run certifies
     bit-identical blocks to a fully materialized run (the per-seed
@@ -60,6 +60,13 @@ type result = {
   window_exceeded_rounds : int;
   agreement : bool;  (** every materialized node certified the same block each round *)
 }
+
+val eligible : config -> seed:string -> role:string -> tau:float -> int list
+(** [eligible config] builds [config]'s flat population once; applied
+    to a role, it returns the users the engine's eligibility sweep
+    selects for it, in index order: exactly those whose {!Vrf.sim}
+    output for (seed, role) gives {!Algorand_sortition.Binomial.select_j}
+    [> 0]. The seam the sweep's equivalence tests drive. *)
 
 val run : config -> result
 (** Drive [config.rounds] rounds; stops early (with [agreement = false])

@@ -178,7 +178,13 @@ let ecvrf : scheme =
    ([input_key]) and each user's output is a keyed 64-bit mix of its
    pk words with that key. Measured with the hash fraction read off
    it, one evaluation costs about 0.15 us against 2.6-3.4 us before,
-   most of it building the 32-byte output. *)
+   most of it building the 32-byte output; a sweep that keeps each
+   user's key and reads the fraction off the word skips that build.
+
+   An evaluation has two halves. A public key's half is [sim_key pk],
+   an input's is [input_key input]; the output word is
+   x = mix (sim_key pk xor input_key input), and both the 32 output
+   bytes and the fraction are functions of x alone. *)
 
 (* SplitMix64's finaliser (Stafford's "Mix13"): a bijection on 64-bit
    words with full avalanche. *)
@@ -190,8 +196,9 @@ let mix64 (z : int64) : int64 =
 
 let golden_gamma = 0x9e3779b97f4a7c15L
 
-(* All four words of a 32-byte pk, chained through the mixer. *)
-let user_key (pk : string) : int64 =
+(* The pk's half: all four words of a 32-byte pk, chained through the
+   mixer. *)
+let sim_key (pk : string) : int64 =
   let k = ref 0L in
   for i = 0 to 3 do
     k := mix64 (Int64.logxor !k (String.get_int64_le pk (8 * i)))
@@ -233,11 +240,31 @@ let input_key (input : string) : int64 =
     input_key_cache := (input, key) :: rest;
     key
 
-(* 32 output bytes from x = mix (user_key xor input_key): x itself
-   big-endian first, so [Sortition.hash_fraction]'s top 56 bits are
-   x's, then three further SplitMix64 steps from x. *)
-let sim_output ~(user : int64) ~(input : string) : string =
-  let x = mix64 (Int64.logxor user (input_key input)) in
+let sim_word (key : int64) (ikey : int64) : int64 = mix64 (Int64.logxor key ikey) [@@inline]
+
+(* The fraction: x's top 56 bits over 2^56. The shift leaves an integer
+   below 2^56, which [Int64.to_float] rounds to nearest once: exactly
+   the one rounding [Sortition.hash_fraction] makes when it reads the
+   same 56 bits back from the output's first seven bytes. *)
+let fraction_of_word (x : int64) : float =
+  Int64.to_float (Int64.shift_right_logical x 8) *. 0x1p-56
+[@@inline]
+
+(* The loop sits here, next to the mix, so that every evaluation is
+   unboxed: the key is read from the Bigarray as a raw word and the
+   fraction stays in a register unless it reaches [f]. *)
+let sim_sweep (keys : (int64, Bigarray.int64_elt, Bigarray.c_layout) Bigarray.Array1.t)
+    ~(input : string) ~(floor : float) (f : int -> float -> unit) : unit =
+  let ikey = input_key input in
+  for u = 0 to Bigarray.Array1.dim keys - 1 do
+    let frac = fraction_of_word (sim_word (Bigarray.Array1.unsafe_get keys u) ikey) in
+    if frac >= floor then f u frac
+  done
+
+(* 32 output bytes from the word x: x itself big-endian first, so
+   [Sortition.hash_fraction] reads x's top 56 bits, then three further
+   SplitMix64 steps from x. *)
+let sim_output (x : int64) : string =
   let out = Bytes.create 32 in
   Bytes.set_int64_be out 0 x;
   for i = 1 to 3 do
@@ -251,12 +278,12 @@ let sim : scheme =
     (* pk doubles as the (publicly known) key material: correct selection
        distribution, no privacy. See DESIGN.md, substitution 3. *)
     let pk = Sha256.digest_concat [ "simvrf-key"; seed ] in
-    let user = user_key pk in
-    let prove input = (sim_output ~user ~input, "") in
+    let key = sim_key pk in
+    let prove input = (sim_output (sim_word key (input_key input)), "") in
     ({ prove }, pk)
   in
   let verify ~pk ~input ~proof =
     if proof <> "" || String.length pk <> 32 then None
-    else Some (sim_output ~user:(user_key pk) ~input)
+    else Some (sim_output (sim_word (sim_key pk) (input_key input)))
   in
   { name = "sim"; generate; verify; proof_length = 0; output_length = 32 }

@@ -29,6 +29,20 @@ val ecvrf : scheme
 val sim : scheme
 (** Distribution-faithful simulation VRF (outputs derivable from the
     public key; zero-length proofs): one SHA-256 per input, cached for
-    the last input, then a 64-bit mix per public key. Rejects a
-    non-empty proof or a public key that is not 32 bytes. See
-    DESIGN.md, substitution 3. *)
+    the last 16 inputs, then a 64-bit mix of that input key with the
+    public key's {!sim_key}. Rejects a non-empty proof or a public key
+    that is not 32 bytes. See DESIGN.md, substitution 3. *)
+
+val sim_key : string -> int64
+(** The 64-bit key word of a 32-byte [sim] public key. [sim]'s output
+    for a public key depends on the key only through this word. *)
+
+val sim_sweep :
+  (int64, Bigarray.int64_elt, Bigarray.c_layout) Bigarray.Array1.t ->
+  input:string -> floor:float -> (int -> float -> unit) -> unit
+(** [sim_sweep keys ~input ~floor f] calls [f u frac], in index order,
+    for every [u] whose fraction [frac] is at least [floor], where
+    [frac] is exactly [Sortition.hash_fraction] of [sim]'s output for
+    [input] and a public key whose {!sim_key} is [keys.{u}]: the top
+    56 bits of the output word over 2{^56}. The input is hashed once,
+    and an evaluation below [floor] allocates nothing. *)

@@ -21,6 +21,11 @@ val nonce : t -> string -> int
 val total : t -> int
 val credit : t -> string -> int -> t
 
+val credit_all : t -> (string * int) Seq.t -> t
+(** [credit] of each (account, amount) in order, built in one pass:
+    structurally equal to the fold of [credit], repeated accounts
+    summed. *)
+
 type tx_error = [ `Bad_nonce of int * int | `Insufficient_balance of int * int ]
 
 val pp_tx_error : Format.formatter -> tx_error -> unit

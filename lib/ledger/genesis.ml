@@ -17,10 +17,7 @@ let make ?(nonce = "algorand-genesis") (allocations : (string * int) list) : t =
   List.iter
     (fun (_, amount) -> if amount <= 0 then invalid_arg "Genesis.make: non-positive stake")
     allocations;
-  let balances =
-    List.fold_left (fun acc (pk, amount) -> Balances.credit acc pk amount) Balances.empty
-      allocations
-  in
+  let balances = Balances.credit_all Balances.empty (List.to_seq allocations) in
   let seed0 =
     Sha256.digest_concat ("genesis-seed" :: nonce :: List.map fst allocations)
   in

@@ -287,11 +287,6 @@ let stats (t : t) : stats =
     self_pay = t.n_self_pay;
   }
 
-(* Genesis allocations for a synthetic population. *)
-let allocations (t : t) ~(stake : int) : (string * int) list =
-  Array.to_list (Array.map (fun pk -> (pk, stake)) t.pks)
-
 let initial_balances (t : t) ~(stake : int) ~(shards : int) : Balances.t =
-  Array.fold_left
-    (fun acc pk -> Balances.credit acc pk stake)
-    (Balances.create ~shards) t.pks
+  Balances.credit_all (Balances.create ~shards)
+    (Seq.map (fun pk -> (pk, stake)) (Array.to_seq t.pks))

@@ -78,8 +78,6 @@ val interarrival : t -> now:float -> rate_per_s:float -> float
 
 val stats : t -> stats
 
-val allocations : t -> stake:int -> (string * int) list
-(** Genesis allocation list crediting every account [stake]. *)
-
 val initial_balances : t -> stake:int -> shards:int -> Balances.t
-(** [allocations] folded into a fresh sharded balance map. *)
+(** Every account credited [stake], in one pass, into a fresh sharded
+    balance map. *)

@@ -529,6 +529,50 @@ let genesis_checks () =
   Alcotest.check_raises "zero stake" (Invalid_argument
     "Genesis.make: non-positive stake") (fun () -> ignore (Genesis.make [ (alice, 0) ]))
 
+(* The bulk builder must be the fold of [credit] it replaces, down to
+   the tree shapes: same observable state, structurally equal, at every
+   shard count, with repeated accounts summed and a non-empty starting
+   state (nonces included) carried through. *)
+let credit_all_equals_credit_fold () =
+  let rng = Random.State.make [| 23 |] in
+  let pks = Array.init 300 (fun i -> Sha256.digest_concat [ "acct"; string_of_int i ]) in
+  let credits =
+    List.init 2_000 (fun _ -> (pks.(Random.State.int rng 300), 1 + Random.State.int rng 1_000))
+  in
+  List.iter
+    (fun shards ->
+      let base = Balances.credit (Balances.create ~shards) alice 500 in
+      let base =
+        match
+          Balances.apply_tx base
+            (Transaction.make ~signer:alice_signer ~sender:alice ~recipient:bob ~amount:200
+               ~nonce:0)
+        with
+        | Ok b -> b
+        | Error _ -> Alcotest.fail "setup payment rejected"
+      in
+      let folded =
+        List.fold_left (fun acc (pk, amount) -> Balances.credit acc pk amount) base credits
+      in
+      let bulk = Balances.credit_all base (List.to_seq credits) in
+      let name what = Printf.sprintf "%d shards: %s" shards what in
+      Alcotest.(check int) (name "shard count") shards (Balances.shard_count bulk);
+      Alcotest.(check int) (name "total") (Balances.total folded) (Balances.total bulk);
+      Alcotest.(check (list (pair string int))) (name "weights") (Balances.weights folded)
+        (Balances.weights bulk);
+      Array.iter
+        (fun pk ->
+          Alcotest.(check int) (name "balance") (Balances.balance folded pk)
+            (Balances.balance bulk pk))
+        pks;
+      Alcotest.(check int) (name "alice nonce") 1 (Balances.nonce bulk alice);
+      Alcotest.(check int) (name "bob balance") 200 (Balances.balance bulk bob);
+      Alcotest.(check bool) (name "structurally equal") true (folded = bulk);
+      Alcotest.(check bool) (name "invariant") true (Balances.invariant bulk))
+    [ 1; 8; 256 ];
+  Alcotest.(check bool) "no credits, same state" true
+    (Balances.credit_all Balances.empty Seq.empty = Balances.empty)
+
 let storage_sharding () =
   Alcotest.(check bool) "single shard stores all" true
     (Storage.stores ~shards:1 ~pk:alice ~round:17);
@@ -566,6 +610,7 @@ let suite =
         t "workload bursts" workload_burst_modulates;
         t "block hash sensitivity" block_hash_sensitivity;
         t "genesis" genesis_checks;
+        t "credit_all = fold of credit" credit_all_equals_credit_fold;
         t "storage sharding" storage_sharding;
         qt "deserialize total on garbage"
           QCheck2.Gen.(string_size (int_range 0 200))

@@ -145,6 +145,76 @@ let test_population_pinned_counts () =
     ]
     (List.map Algorand_crypto.Hex.of_string r.block_hashes)
 
+(* The engine's flat sweep against the per-user path a node takes:
+   [Vrf.sim.verify] on the user's VRF pk, [Sortition.hash_fraction],
+   then [Binomial.select_j] at the user's stake. Same selected set,
+   role by role, under both stake laws. *)
+let test_sweep_matches_per_user_path () =
+  let module Vote = Algorand_ba.Vote in
+  let module Sortition = Algorand_sortition.Sortition in
+  let module Binomial = Algorand_sortition.Binomial in
+  let users = 2_000 in
+  List.iter
+    (fun law ->
+      List.iter
+        (fun seed ->
+          let cfg =
+            {
+              (population_config ~seed) with
+              users;
+              rounds = 1;
+              stake_distribution = law;
+            }
+          in
+          let p = cfg.params in
+          let d =
+            Algorand_core.Deployment.make ~stake_per_user:cfg.stake_per_user ~stake_law:law
+              ~seed ~users ~params:p ~block_bytes:cfg.block_bytes ~rounds:cfg.rounds ()
+          in
+          let identities, genesis = Algorand_core.Deployment.roster d in
+          let stake = Algorand_core.Deployment.stake d in
+          let total = List.fold_left ( + ) 0 (List.init users stake) in
+          let eligible = Population.eligible cfg in
+          let roles =
+            (Vote.proposer_role ~round:1, p.tau_proposer)
+            :: List.map
+                 (fun step ->
+                   ( Vote.committee_role ~round:1 ~step,
+                     match step with Vote.Final -> p.tau_final | _ -> p.tau_step ))
+                 ((Vote.Reduction_one :: Vote.Reduction_two
+                  :: List.init cfg.bin_window (fun i -> Vote.Bin (i + 1)))
+                 @ [ Vote.Final ])
+          in
+          Alcotest.(check int) "14 roles" 14 (List.length roles);
+          List.iter
+            (fun (role, tau) ->
+              let seed0 = genesis.seed0 in
+              let input = Sortition.vrf_input ~seed:seed0 ~role in
+              let prob = tau /. float_of_int total in
+              let expected =
+                List.filter
+                  (fun u ->
+                    match
+                      Algorand_crypto.Vrf.sim.verify
+                        ~pk:(Algorand_core.Identity.vrf_pk identities.(u).pk)
+                        ~input ~proof:""
+                    with
+                    | Some h ->
+                      Binomial.select_j ~frac:(Sortition.hash_fraction h) ~w:(stake u)
+                        ~p:prob
+                      > 0
+                    | None -> Alcotest.fail "sim verify rejected an empty proof")
+                  (List.init users Fun.id)
+              in
+              if expected = [] then Alcotest.failf "seed %d %s: nobody selected" seed role;
+              Alcotest.(check (list int))
+                (Printf.sprintf "seed %d %s" seed role)
+                expected
+                (eligible ~seed:seed0 ~role ~tau))
+            roles)
+        [ 11; 12; 13 ])
+    [ `Equal; `Linear ]
+
 let test_population_stats () =
   let r = Population.run (population_config ~seed:3) in
   Alcotest.(check bool) "agreement" true r.agreement;
@@ -314,6 +384,8 @@ let suite =
         Alcotest.test_case "same seed, same blocks" `Quick test_population_determinism;
         Alcotest.test_case "pinned counts of one 2,000-user run" `Quick
           test_population_pinned_counts;
+        Alcotest.test_case "flat sweep = per-user verify + select_j" `Quick
+          test_sweep_matches_per_user_path;
         Alcotest.test_case "only a minority materialized at scale" `Quick
           test_abstraction_materializes_minority;
         Alcotest.test_case "round stats are sane" `Quick test_population_stats;

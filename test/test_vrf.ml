@@ -99,6 +99,160 @@ let ecvrf_known_answers () =
   Alcotest.(check (option string)) "verifies to the output" (Some output)
     (Vrf.ecvrf.verify ~pk ~input:"kat-input" ~proof)
 
+(* The sim VRF's flat fraction, what [Vrf.sim_sweep] reads off a key
+   word, must be bit for bit [Sortition.hash_fraction] of
+   [Vrf.sim.verify]'s output for the same pk and input. *)
+let hash_fraction_of ~pk ~input =
+  match Vrf.sim.verify ~pk ~input ~proof:"" with
+  | Some h -> Algorand_sortition.Sortition.hash_fraction h
+  | None -> Alcotest.fail "sim verify rejected an empty proof"
+
+let one_key = Bigarray.Array1.create Bigarray.Int64 Bigarray.C_layout 1
+
+let flat_fraction key input =
+  one_key.{0} <- key;
+  let frac = ref nan in
+  Vrf.sim_sweep one_key ~input ~floor:neg_infinity (fun _ f -> frac := f);
+  !frac
+
+let check_fraction ~pk ~input =
+  let flat = flat_fraction (Vrf.sim_key pk) input in
+  let slow = hash_fraction_of ~pk ~input in
+  if Int64.bits_of_float flat <> Int64.bits_of_float slow then
+    Alcotest.failf "pk %s input %S: flat %h, hash_fraction %h" (Hex.of_string pk) input flat
+      slow
+
+let sim_fraction_random () =
+  let rng = Random.State.make [| 2017 |] in
+  let bytes n = String.init n (fun _ -> Char.chr (Random.State.int rng 256)) in
+  for _ = 1 to 100_000 do
+    check_fraction ~pk:(bytes 32) ~input:(bytes (1 + Random.State.int rng 40))
+  done
+
+(* SplitMix64's finaliser and its inverse, so the test can pick the
+   output word x = mix (key xor input_key) and build a pk whose key
+   word gives it. *)
+let mix64 z =
+  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xbf58476d1ce4e5b9L in
+  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94d049bb133111ebL in
+  Int64.logxor z (Int64.shift_right_logical z 31)
+
+let unmix64 x =
+  let unshift s y =
+    let z = ref y in
+    for _ = 1 to (63 / s) + 1 do
+      z := Int64.logxor y (Int64.shift_right_logical !z s)
+    done;
+    !z
+  in
+  let inverse c =
+    (* Newton's iteration: each step doubles the correct low bits. *)
+    let i = ref c in
+    for _ = 1 to 6 do
+      i := Int64.mul !i (Int64.sub 2L (Int64.mul c !i))
+    done;
+    !i
+  in
+  let z = unshift 31 x in
+  let z = unshift 27 (Int64.mul z (inverse 0x94d049bb133111ebL)) in
+  unshift 30 (Int64.mul z (inverse 0xbf58476d1ce4e5b9L))
+
+(* A 32-byte pk whose [Vrf.sim_key] is [key]: three fixed words, and a
+   last word that steers the chained mix onto [key]. *)
+let pk_with_key key =
+  let b = Bytes.make 32 '\x5a' in
+  let k = ref 0L in
+  for i = 0 to 2 do
+    k := mix64 (Int64.logxor !k (Bytes.get_int64_le b (8 * i)))
+  done;
+  Bytes.set_int64_le b 24 (Int64.logxor (unmix64 key) !k);
+  Bytes.to_string b
+
+let sim_fraction_rounding_edges () =
+  List.iter
+    (fun x -> Alcotest.(check int64) "unmix inverts mix" x (mix64 (unmix64 x)))
+    [ 0L; 1L; -1L; Int64.min_int; 0x0123456789abcdefL ];
+  let input = "seed|committee-7" in
+  (* The input's key word, read back off the output of a key-0 pk. *)
+  let pk0 = pk_with_key 0L in
+  Alcotest.(check int64) "steered key" 0L (Vrf.sim_key pk0);
+  let input_key =
+    match Vrf.sim.verify ~pk:pk0 ~input ~proof:"" with
+    | Some h -> unmix64 (String.get_int64_be h 0)
+    | None -> Alcotest.fail "sim verify rejected an empty proof"
+  in
+  (* Top 56 bits around the 53-bit rounding edges (ties to even at
+     every scale, the carry into 2^56), under every kind of low byte. *)
+  let tops =
+    [
+      0L; 1L; 0xfL; 0xfffffffffffffL; 0x1fffffffffffffL; 0x20000000000000L;
+      0x20000000000001L; 0x40000000000001L; 0x40000000000002L; 0x40000000000003L;
+      0x40000000000006L; 0x80000000000003L; 0x80000000000004L; 0x80000000000005L;
+      0x8000000000000cL; 0xfffffffffffff8L; 0xfffffffffffffbL; 0xfffffffffffffcL;
+      0xfffffffffffffdL; 0xffffffffffffffL;
+    ]
+  in
+  let words =
+    (-1L :: Int64.min_int :: Int64.max_int
+    :: List.concat_map
+         (fun top ->
+           List.map
+             (fun low -> Int64.logor (Int64.shift_left top 8) low)
+             [ 0L; 0x01L; 0x7fL; 0x80L; 0xffL ])
+         tops)
+  in
+  List.iter
+    (fun x ->
+      let pk = pk_with_key (Int64.logxor (unmix64 x) input_key) in
+      (match Vrf.sim.verify ~pk ~input ~proof:"" with
+      | Some h -> Alcotest.(check int64) "steered output word" x (String.get_int64_be h 0)
+      | None -> Alcotest.fail "sim verify rejected an empty proof");
+      check_fraction ~pk ~input)
+    words;
+  Alcotest.(check (float 0.0)) "all-ones reads 1.0" 1.0
+    (flat_fraction (Int64.logxor (unmix64 (-1L)) input_key) input)
+
+(* An evaluation that stays below the floor allocates nothing, so a
+   sweep's minor words do not grow with the number of keys. *)
+let sim_sweep_allocates_nothing () =
+  let pk i = Sha256.digest (string_of_int i) in
+  let keys n =
+    let a = Bigarray.Array1.create Bigarray.Int64 Bigarray.C_layout n in
+    for i = 0 to n - 1 do
+      a.{i} <- Vrf.sim_key (pk i)
+    done;
+    a
+  in
+  let words keys =
+    let calls = ref 0 in
+    Vrf.sim_sweep keys ~input:"warm" ~floor:2.0 (fun _ _ -> incr calls);
+    let w0 = Gc.minor_words () in
+    for r = 1 to 14 do
+      Vrf.sim_sweep keys ~input:("seed|role-" ^ string_of_int (r mod 2)) ~floor:2.0
+        (fun _ _ -> incr calls)
+    done;
+    let w = Gc.minor_words () -. w0 in
+    Alcotest.(check int) "nothing reaches a floor above 1" 0 !calls;
+    w
+  in
+  let small = words (keys 1_000) and large = words (keys 100_000) in
+  if large -. small > 64.0 then
+    Alcotest.failf "14 sweeps: %.0f minor words over 100,000 keys, %.0f over 1,000" large
+      small;
+  (* Every key at or above the floor reaches [f], in index order. *)
+  let k = keys 5_000 in
+  let input = "seed|role" in
+  let seen = ref [] in
+  Vrf.sim_sweep k ~input ~floor:0.9 (fun u frac ->
+      Alcotest.(check (float 0.0)) "fraction passed" (hash_fraction_of ~pk:(pk u) ~input) frac;
+      seen := u :: !seen);
+  let expected =
+    List.filter
+      (fun u -> hash_fraction_of ~pk:(pk u) ~input >= 0.9)
+      (List.init 5_000 Fun.id)
+  in
+  Alcotest.(check (list int)) "selected in order" expected (List.rev !seen)
+
 let suite =
   [
     ( "vrf",
@@ -112,6 +266,9 @@ let suite =
         ts "hash_to_curve validity" hash_to_curve_valid;
         t "output bits balanced" outputs_uniform_bits;
         t "sim interface" sim_matches_interface;
+        t "sim fraction = hash_fraction (100k random)" sim_fraction_random;
+        t "sim fraction at the rounding edges" sim_fraction_rounding_edges;
+        t "sim sweep allocates nothing per evaluation" sim_sweep_allocates_nothing;
         t "signature schemes" (fun () ->
             List.iter
               (fun (scheme : Signature_scheme.scheme) ->

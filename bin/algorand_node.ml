@@ -117,7 +117,7 @@ let run_daemon (o : opts) ~(index : int) ~(report_path : string option)
   let hello : Handshake.hello =
     {
       version = Handshake.version;
-      params_digest = Codec.params_digest ~genesis:(Genesis.hash genesis) params;
+      params_digest = Deployment.hello_digest deployment genesis;
       pk = identity.Identity.pk;
     }
   in

@@ -61,9 +61,11 @@ let size_bytes (v : t) : int =
 (* A unique gossip id: one message per (voter, round, step) is relayed
    (section 8.4), so the id deliberately excludes the value - an
    equivocating committee member's second vote for the same step is
-   dropped by honest relays. *)
+   dropped by honest relays. No hash is needed: neither the round's
+   digits nor a step's name contain '|', so the pk starts after the
+   third '|' and the key is injective. *)
 let gossip_id (v : t) : string =
-  Sha256.digest_concat [ "vote"; string_of_int v.round; step_to_string v.step; v.voter_pk ]
+  String.concat "|" [ "vote"; string_of_int v.round; step_to_string v.step; v.voter_pk ]
 
 (* Construct and sign a vote; performs the sortition check and returns
    None when not selected (Algorithm 4 gossips nothing in that case). *)

@@ -54,6 +54,16 @@ let roster (d : t) : Identity.t array * Algorand_ledger.Genesis.t =
   let identities = Array.init d.users (identity d) in
   (identities, genesis d (fun i -> identities.(i).pk))
 
+(* [Genesis.hash] commits to the pks but not to the stakes, so the
+   hello adds a digest of every user's stake: daemons that disagree on
+   the stake law refuse each other instead of disagreeing on every
+   weight. Both parts have a fixed length. *)
+let hello_digest (d : t) (genesis : Algorand_ledger.Genesis.t) : string =
+  let stakes =
+    Sha256.digest (String.concat "," (List.init d.users (fun i -> string_of_int (stake d i))))
+  in
+  Codec.params_digest ~genesis:(Algorand_ledger.Genesis.hash genesis ^ stakes) d.params
+
 let node_config (d : t) : Node.config =
   let sig_scheme, vrf_scheme = schemes d.crypto in
   {

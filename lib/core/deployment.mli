@@ -32,6 +32,12 @@ val genesis : t -> (int -> string) -> Algorand_ledger.Genesis.t
 val roster : t -> Identity.t array * Algorand_ledger.Genesis.t
 (** Every identity, and the genesis over them. *)
 
+val hello_digest : t -> Algorand_ledger.Genesis.t -> string
+(** The handshake's params digest for this deployment's [genesis]:
+    {!Codec.params_digest} over the params, the genesis hash and a
+    digest of every user's stake. The genesis hash alone does not
+    commit to the stakes ([`Equal] and [`Linear] share it). *)
+
 val node_config : t -> Node.config
 (** {!Node.default_config} with the deployment's params, schemes, block
     size and rounds, and retries backing off from λ_priority (at least

@@ -63,13 +63,14 @@ module Make (T : Transport.S) = struct
       match T.send t.transport ~conn frame with `Ok -> true | `Dropped | `No_conn -> false)
     | [] -> false
 
-  (* Relay raw bytes to the connected subset of our overlay neighbors,
-     never back toward the source. *)
-  let relay (t : t) ?(except = -1) (frame : string) : unit =
+  (* Send raw bytes to the connected subset of our overlay neighbors,
+     never back toward the source; [on_sent] runs once per frame a link
+     took. *)
+  let fan_out (t : t) ?(except = -1) ~(on_sent : unit -> unit) (frame : string) : unit =
     List.iter
       (fun index ->
         if index <> except && index <> t.self then
-          if send_frame t ~index frame then Ingress.sent t.ingress Relayed)
+          if send_frame t ~index frame then on_sent ())
       (gossip_neighbors t)
 
   let cancel_redial (t : t) (index : int) : unit =
@@ -93,7 +94,8 @@ module Make (T : Transport.S) = struct
         List.iter (fun conn -> T.disconnect t.transport ~conn) (conns_to t src)
       | Ingress.Deliver msg ->
         t.deliver ~src msg;
-        if not (Message.point_to_point msg) then relay t ~except:src frame)
+        if not (Message.point_to_point msg) then
+          fan_out t ~except:src ~on_sent:(fun () -> Ingress.sent t.ingress Relayed) frame)
 
   (* ---------------- connection management ---------------- *)
 
@@ -209,7 +211,8 @@ module Make (T : Transport.S) = struct
   let as_net (t : t) : Node.net =
     {
       Node.net_broadcast =
-        (fun msg -> if Ingress.originate t.ingress msg then relay t (Codec.encode msg));
+        (fun msg ->
+          if Ingress.originate t.ingress msg then fan_out t ~on_sent:ignore (Codec.encode msg));
       net_send_to =
         (fun ~dst msg ->
           Ingress.sent t.ingress P2p;

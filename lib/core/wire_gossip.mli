@@ -52,9 +52,10 @@ module Make (T : Algorand_transport.Transport.S) : sig
       endpoint was created with). [roster.(i)] is the public key of
       global index [i]; [self] is our index. Defaults: [fanout = 4],
       [retry = Retry.default_policy], no flood limits. The [gossip.*]
-      counters live in [registry] (a private one when absent); here
-      "gossip.relayed" also counts the sends of a {!as_net}
-      broadcast. *)
+      counters live in [registry] (a private one when absent). As on
+      the simulated overlay, "gossip.relayed" counts only forwarded
+      copies: a {!as_net} broadcast counts once in
+      "gossip.originated" and adds nothing to it. *)
 
   val install :
     t -> validate:(Message.t -> bool) -> deliver:(src:int -> Message.t -> unit) -> unit

@@ -10,15 +10,26 @@
 
     The pipeline, in strict order: (1) ban check: frames from a peer
     this node cut off are ignored; (2) admission: the optional leaky
-    ingress queue, then the per-peer window quota; (3) decode; (4)
-    dedup by message id; (5) validate; (6) mark seen. Undecodable
-    frames and quota violations add to the sender's ban score, and the
-    frame that reaches [ban_threshold] bans the sender. Nothing is
-    marked seen on validation failure: validation is stateful (the
-    priority-based block discard of section 6), so a later copy gets a
-    fresh chance, and an invalid variant sharing an honest message's
-    id cannot poison the dedup set. The dedup set is not bounded: it
-    grows for the life of the core. *)
+    ingress queue, then the per-peer window quota; (3) frame cache: a
+    frame byte-identical (structurally equal, for typed frames) to one
+    this core already judged delivered or duplicate is a duplicate,
+    with no decode and no id; (4) decode; (5) dedup by message id; (6)
+    validate; (7) mark seen and cache the frame. A duplicate found at
+    (5) is cached too. Undecodable frames and quota violations add to
+    the sender's ban score, and the frame that reaches [ban_threshold]
+    bans the sender. Nothing is marked seen or cached on validation
+    failure: validation is stateful (the priority-based block discard
+    of section 6), so a later copy gets a fresh chance, and an invalid
+    variant sharing an honest message's id cannot poison the dedup
+    set.
+
+    The cache is exact: every cached frame's id is in the dedup set,
+    which only grows until {!reset} clears both, and decode and
+    [msg_id] are functions of the frame; so a hit gives the verdict
+    decoding would give. It holds two generations of a fixed size, in
+    tables with a random hash seed that nothing iterates; an evicted
+    frame only goes back through decode. The dedup set is not bounded:
+    it grows for the life of the core. *)
 
 type limits = {
   queue_capacity : int;  (** max ingress-queue depth per node *)

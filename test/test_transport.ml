@@ -261,7 +261,7 @@ let loopback_cluster ~users ~rounds ~seed ~seg =
   let rng = Rng.create seed in
   let hub = Loopback.hub ~engine ~latency:0.01 ~seg ~rng:(Rng.split rng "seg") () in
   let metrics = Metrics.create ~registry ~users () in
-  let digest = Codec.params_digest ~genesis:(Genesis.hash genesis) fast_params in
+  let digest = Deployment.hello_digest deployment genesis in
   let config = { (Deployment.node_config deployment) with deterministic_ts = true } in
   let nodes_and_overlays =
     Array.init users (fun i ->
@@ -496,6 +496,73 @@ let wire_flood_quota () =
   Alcotest.(check int) "quota delivered" quota (cnt "gossip.delivered");
   Alcotest.(check int) "nothing undecodable" 0 (cnt "gossip.decode_fail");
   Alcotest.(check (list int)) "a short burst is not a ban" [] (WGL.banned wg_a)
+
+(* "gossip.relayed" means what it means on the simulated overlay:
+   forwarded copies only. A local broadcast counts once as originated,
+   and the relays it causes count at the nodes that forward it. *)
+let wire_broadcast_counts () =
+  let engine = Engine.create () in
+  let hub = Loopback.hub ~engine () in
+  let roster = [| "pk-0"; "pk-1"; "pk-2" |] in
+  let rng = Rng.create 3 in
+  let nodes =
+    Array.mapi
+      (fun i pk ->
+        let registry = Registry.create () in
+        let handlers = Transport.handlers () in
+        let tr = Loopback.create ~hub ~addr:pk ~hello:(hello ~pk ()) ~registry ~handlers () in
+        let wg =
+          WGL.create ~engine ~transport:tr ~handlers ~self:i ~roster ~limits:Codec.default_limits
+            ~rng:(Rng.split rng pk) ~registry ()
+        in
+        (wg, registry))
+      roster
+  in
+  Array.iteri
+    (fun i (wg, _) ->
+      for j = 0 to i - 1 do
+        WGL.dial wg ~index:j ~addr:roster.(j)
+      done)
+    nodes;
+  ignore (Engine.run engine ~until:1.0 ());
+  let cnt i name = Option.value ~default:0 (Registry.counter_value (snd nodes.(i)) name) in
+  let msg = Message.Block_request { round = 1; block_hash = "h"; requester = 0; attempt = 0 } in
+  (WGL.as_net (fst nodes.(0))).Node.net_broadcast msg;
+  ignore (Engine.run engine ~until:2.0 ());
+  Alcotest.(check int) "one originated" 1 (cnt 0 "gossip.originated");
+  Alcotest.(check int) "the originator relays nothing" 0 (cnt 0 "gossip.relayed");
+  Alcotest.(check int) "node 1 delivered" 1 (cnt 1 "gossip.delivered");
+  Alcotest.(check int) "node 1 forwarded to node 2" 1 (cnt 1 "gossip.relayed");
+  Alcotest.(check int) "node 2 delivered once" 1 (cnt 2 "gossip.delivered");
+  Alcotest.(check int) "node 2 dropped the second copy" 1 (cnt 2 "gossip.duplicates_dropped")
+
+(* `Equal and `Linear stakes over the same seed share every pk, and
+   so the genesis hash; the hello must still tell them apart, or two
+   daemons would connect and then disagree on every weight. *)
+let hello_commits_to_stakes () =
+  let derive stake_law =
+    let d =
+      Deployment.make ~stake_law ~seed:7 ~users:4 ~params:fast_params ~block_bytes:10_000
+        ~rounds:1 ()
+    in
+    let _, genesis = Deployment.roster d in
+    (Genesis.hash genesis, Deployment.hello_digest d genesis)
+  in
+  let equal_genesis, equal = derive `Equal and linear_genesis, linear = derive `Linear in
+  Alcotest.(check bool) "one genesis hash" true (String.equal equal_genesis linear_genesis);
+  Alcotest.(check bool) "the digest is derived, not drawn" true
+    (String.equal equal (snd (derive `Equal)));
+  Alcotest.(check bool) "stake laws differ in the digest" false (String.equal equal linear);
+  let engine = Engine.create () in
+  let hub = Loopback.hub ~engine () in
+  let a = endpoint ~hub ~addr:"A" ~digest:equal () in
+  let b = endpoint ~hub ~addr:"B" ~digest:linear () in
+  Loopback.connect a.tr "B";
+  ignore (Engine.run engine ~until:1.0 ());
+  Alcotest.(check int) "no peer up" 0 (List.length !(a.ups) + List.length !(b.ups));
+  match !(a.downs) with
+  | [ (_, Transport.Handshake_rejected `Params_digest) ] -> ()
+  | _ -> Alcotest.fail "a stake-law mismatch passed the handshake"
 
 (* -------------------------------- TCP ------------------------------ *)
 
@@ -795,6 +862,8 @@ let suite =
         ts "killed link redials with backoff" loopback_redial;
         t "wire flood defense: garbage scored to a ban, redial refused" wire_flood_bans_garbage;
         t "wire flood defense: per-peer quota drops a burst" wire_flood_quota;
+        t "wire broadcast counts as originated, not relayed" wire_broadcast_counts;
+        t "hello digest commits to the stake law" hello_commits_to_stakes;
         ts "tcp: handshake and reassembled frames" tcp_handshake_and_frames;
         ts "tcp: wrong params digest rejected with reason" tcp_digest_rejected;
         ts "tcp: peer death mid-frame" tcp_death_mid_frame;

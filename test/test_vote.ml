@@ -96,6 +96,26 @@ let gossip_id_excludes_value () =
   Alcotest.(check bool) "different step, different id" false
     (String.equal (Vote.gossip_id v) (Vote.gossip_id { v with step = Vote.Bin 2 }))
 
+(* The id is a plain key, not a hash, so it must be injective on
+   (round, step, pk) by construction: pks are arbitrary bytes and may
+   hold '|', and round and step digits must not run together (round 1
+   bin-11 against round 11 bin-1). *)
+let gossip_id_injective () =
+  let v = some_vote () in
+  let votes =
+    List.concat_map
+      (fun (round, step) ->
+        List.map
+          (fun voter_pk -> { v with round; step; voter_pk })
+          [ ""; "|"; "a|b"; "|bin-1|x"; "1|bin-1"; v.voter_pk; v.voter_pk ^ "|" ])
+      [
+        (1, Vote.Bin 11); (11, Vote.Bin 1); (1, Vote.Bin 1); (11, Vote.Bin 11);
+        (1, Vote.Reduction_one); (1, Vote.Reduction_two); (1, Vote.Final); (0, Vote.Final);
+      ]
+  in
+  let ids = List.sort_uniq compare (List.map Vote.gossip_id votes) in
+  Alcotest.(check int) "one id per (round, step, pk)" (List.length votes) (List.length ids)
+
 let counter_threshold_and_dedup () =
   let c = Vote_counter.create ~threshold:10.0 in
   let r1 = Vote_counter.add c ~pk:"a" ~votes:6 ~value:"X" ~sorthash:"h1" in
@@ -187,6 +207,7 @@ let suite =
         t "sortition gates voting" sortition_not_selected_returns_none;
         t "steps and roles" steps_and_roles;
         t "gossip id excludes value" gossip_id_excludes_value;
+        t "gossip id injective" gossip_id_injective;
         t "counter threshold + dedup" counter_threshold_and_dedup;
         t "counter first crossing only" counter_reports_first_crossing_only;
         t "common coin properties" coin_properties;

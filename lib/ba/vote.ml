@@ -68,10 +68,14 @@ let gossip_id (v : t) : string =
   String.concat "|" [ "vote"; string_of_int v.round; step_to_string v.step; v.voter_pk ]
 
 (* Construct and sign a vote; performs the sortition check and returns
-   None when not selected (Algorithm 4 gossips nothing in that case). *)
-let make ~(signer : Signature_scheme.signer) ~(prover : Vrf.prover) ~(pk : string)
+   None when not selected (Algorithm 4 gossips nothing in that case).
+   The vote comes with the weighted count j its sortition selected:
+   exactly what [validate] returns for it in the context it was made
+   for, since validation recomputes j from the same seed, role, w and
+   W. *)
+let make_weighted ~(signer : Signature_scheme.signer) ~(prover : Vrf.prover) ~(pk : string)
     ~(seed : string) ~(tau : float) ~(w : int) ~(total_weight : int) ~(round : int)
-    ~(step : step) ~(prev_hash : string) ~(value : string) : t option =
+    ~(step : step) ~(prev_hash : string) ~(value : string) : (t * int) option =
   let role = committee_role ~round ~step in
   let sel = Sortition.select ~prover ~seed ~tau ~role ~w ~total_weight in
   if sel.j = 0 then None
@@ -88,8 +92,14 @@ let make ~(signer : Signature_scheme.signer) ~(prover : Vrf.prover) ~(pk : strin
         signature = "";
       }
     in
-    Some { unsigned with signature = signer.sign (signed_body unsigned) }
+    Some ({ unsigned with signature = signer.sign (signed_body unsigned) }, sel.j)
   end
+
+let make ~signer ~prover ~pk ~seed ~tau ~w ~total_weight ~round ~step ~prev_hash ~value :
+    t option =
+  Option.map fst
+    (make_weighted ~signer ~prover ~pk ~seed ~tau ~w ~total_weight ~round ~step ~prev_hash
+       ~value)
 
 type validation_ctx = {
   sig_scheme : Signature_scheme.scheme;

@@ -53,6 +53,24 @@ val make :
 (** Run sortition and sign; [None] when not selected for the committee
     (Algorithm 4 sends nothing in that case). *)
 
+val make_weighted :
+  signer:Signature_scheme.signer ->
+  prover:Vrf.prover ->
+  pk:string ->
+  seed:string ->
+  tau:float ->
+  w:int ->
+  total_weight:int ->
+  round:int ->
+  step:step ->
+  prev_hash:string ->
+  value:string ->
+  (t * int) option
+(** [make], with the number of sub-users its sortition selected: what
+    {!validate} returns for the vote in the context it was made for
+    (same seed, tau, [w] and [total_weight], and [prev_hash] as the
+    last block hash). *)
+
 type validation_ctx = {
   sig_scheme : Signature_scheme.scheme;
   vrf_scheme : Vrf.scheme;

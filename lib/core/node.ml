@@ -52,6 +52,11 @@ type verdicts = (string * string, int Vote_tbl.t) Hashtbl.t
 
 let verdicts () : verdicts = Hashtbl.create 4
 
+(* Sorted, so the tables' random hash seeds reach no output. *)
+let verdict_weights (shared : verdicts) : (Vote.t * int) list =
+  Hashtbl.fold (fun _ tbl acc -> Vote_tbl.fold (fun v w acc -> (v, w) :: acc) tbl acc) shared []
+  |> List.sort compare
+
 let context_verdicts (shared : verdicts) ~(prev_hash : string) ~(seed : string) :
     int Vote_tbl.t =
   match Hashtbl.find_opt shared (prev_hash, seed) with
@@ -144,6 +149,9 @@ type round_state = {
   vote_weight_cache : int Vote_tbl.t;
       (** vote content -> weighted votes; the shared context table when
           the node was given [verdicts] *)
+  proposer_credentials : (string * string * string, int) Hashtbl.t;
+      (** (pk, vrf_hash, proof) -> verified proposer sub-users: priority
+          handling and block validation check a claim once *)
   mutable best_priority : Proposal.priority_msg option;
   mutable first_priority_at : float option;
   mutable ba : Ba_star.t option;
@@ -180,6 +188,7 @@ type recovery_state = {
   mutable rtip_hash : string;  (** adopted fork tip *)
   mutable rba : Ba_star.t option;
   mutable rvctx : Vote.validation_ctx option;
+  rverdicts : int Vote_tbl.t;  (** vote content -> weighted votes, this attempt *)
   mutable rbuffered : Vote.t list;
 }
 
@@ -491,12 +500,32 @@ let vote_ctx (t : t) ~seed ~(weights : Balances.t) ~total_weight ~prev_hash :
     tau_of_step = tau_of_step t.config.params;
   }
 
-let sign_vote (t : t) ~seed ~(weights : Balances.t) ~total_weight ~round ~prev_hash
-    ~(step : Vote.step) ~(value : string) : Vote.t option =
-  Vote.make ~signer:t.identity.signer ~prover:t.identity.prover ~pk:t.identity.pk ~seed
-    ~tau:(tau_of_step t.config.params step)
-    ~w:(Balances.balance weights t.identity.pk)
-    ~total_weight ~round ~step ~prev_hash ~value
+(* A vote this node makes enters its context's verdict table with the
+   count its own sortition just selected: exactly the count
+   [Vote.validate] would give it (see [Vote.make_weighted]), so a node
+   never verifies its own signature and proof. *)
+let sign_vote (t : t) ~(verdicts : int Vote_tbl.t) ~seed ~(weights : Balances.t)
+    ~total_weight ~round ~prev_hash ~(step : Vote.step) ~(value : string) : Vote.t option =
+  match
+    Vote.make_weighted ~signer:t.identity.signer ~prover:t.identity.prover ~pk:t.identity.pk
+      ~seed ~tau:(tau_of_step t.config.params step)
+      ~w:(Balances.balance weights t.identity.pk)
+      ~total_weight ~round ~step ~prev_hash ~value
+  with
+  | None -> None
+  | Some (v, j) ->
+    Vote_tbl.replace verdicts v j;
+    Some v
+
+(* A vote's weight through its context's verdict table: Algorithm 6
+   runs once per vote content. *)
+let cached_weight (verdicts : int Vote_tbl.t) (vctx : Vote.validation_ctx) (v : Vote.t) : int =
+  match Vote_tbl.find_opt verdicts v with
+  | Some w -> w
+  | None ->
+    let w = Vote.validate vctx v in
+    Vote_tbl.replace verdicts v w;
+    w
 
 let make_round_state (t : t) ~(r : int) : round_state =
   let tip = Chain.tip t.chain in
@@ -522,6 +551,7 @@ let make_round_state (t : t) ~(r : int) : round_state =
       (match t.verdicts with
       | Some shared -> context_verdicts shared ~prev_hash ~seed:seed_entry.seed
       | None -> Vote_tbl.create ~random:true 256);
+    proposer_credentials = Hashtbl.create ~random:true 8;
     best_priority = None;
     first_priority_at = None;
     ba = None;
@@ -541,8 +571,8 @@ let make_round_state (t : t) ~(r : int) : round_state =
 
 let make_vote (t : t) (rs : round_state) ~(step : Vote.step) ~(value : string) :
     Vote.t option =
-  sign_vote t ~seed:rs.seed ~weights:rs.weights ~total_weight:rs.total_weight
-    ~round:rs.round ~prev_hash:rs.prev_hash ~step ~value
+  sign_vote t ~verdicts:rs.vote_weight_cache ~seed:rs.seed ~weights:rs.weights
+    ~total_weight:rs.total_weight ~round:rs.round ~prev_hash:rs.prev_hash ~step ~value
 
 (* An alternative value for double-voting: some other proposed block,
    or the empty block if the primary vote already names a block. *)
@@ -584,16 +614,27 @@ let vote_weight (t : t) (rs : round_state) (v : Vote.t) : int =
        (round, step, voter): a corrupted variant sharing an id with an
        honest vote must not poison the cache with weight 0 and
        suppress the honest copy when it arrives later. *)
-    let w =
-      match Vote_tbl.find_opt rs.vote_weight_cache v with
-      | Some w -> w
-      | None ->
-        let w = Vote.validate rs.vctx v in
-        Vote_tbl.replace rs.vote_weight_cache v w;
-        w
-    in
+    let w = cached_weight rs.vote_weight_cache rs.vctx v in
     t.last_verdict <- Some { v_rs = rs; v_vote = v; v_weight = w };
     w
+
+(* A proposer credential of this round, verified once per claim: the
+   key is the whole claim, so a block whose proof differs from an
+   already verified priority's still gets the full check. *)
+let proposer_credential (t : t) (rs : round_state) ~(pk : string) ~(vrf_hash : string)
+    ~(vrf_proof : string) : int =
+  let key = (pk, vrf_hash, vrf_proof) in
+  match Hashtbl.find_opt rs.proposer_credentials key with
+  | Some j -> j
+  | None ->
+    let j =
+      Proposal.verify_credential ~vrf_scheme:t.config.vrf_scheme ~vrf_pk_of:Identity.vrf_pk
+        ~seed:rs.seed ~tau:t.config.params.tau_proposer
+        ~weight_of:(Balances.balance rs.weights) ~total_weight:rs.total_weight
+        ~round:rs.round ~pk ~vrf_hash ~vrf_proof
+    in
+    Hashtbl.replace rs.proposer_credentials key j;
+    j
 
 let rec apply_ba_actions (t : t) (rs : round_state) (actions : Ba_star.action list) : unit =
   let now = Engine.now t.engine in
@@ -856,7 +897,8 @@ and complete_round (t : t) (rs : round_state) (block : Block.t) : unit =
 (* Block proposal (section 6).                                         *)
 (* ------------------------------------------------------------------ *)
 
-and build_block (t : t) (rs : round_state) ~(variant : int) : Block.t =
+and build_block (t : t) (rs : round_state) ~(prio : Proposal.priority_msg) ~(variant : int) :
+    Block.t =
   let tip = Chain.tip t.chain in
   let candidates =
     (* Non-destructive: a losing proposal must not cost the pool its
@@ -906,12 +948,6 @@ and build_block (t : t) (rs : round_state) ~(variant : int) : Block.t =
   let seed, seed_proof =
     Proposal.next_seed ~prover:t.identity.prover ~current_seed:tip.seed ~round:rs.round
   in
-  let role = Vote.proposer_role ~round:rs.round in
-  let sel =
-    Algorand_sortition.Sortition.select ~prover:t.identity.prover ~seed:rs.seed
-      ~tau:t.config.params.tau_proposer ~role
-      ~w:(Balances.balance rs.weights t.identity.pk) ~total_weight:rs.total_weight
-  in
   {
     Block.header =
       {
@@ -926,8 +962,8 @@ and build_block (t : t) (rs : round_state) ~(variant : int) : Block.t =
         seed;
         seed_proof;
         proposer_pk = t.identity.pk;
-        proposer_vrf_hash = sel.vrf_hash;
-        proposer_vrf_proof = sel.vrf_proof;
+        proposer_vrf_hash = prio.vrf_hash;
+        proposer_vrf_proof = prio.vrf_proof;
       };
     txs;
     padding;
@@ -953,7 +989,7 @@ and try_propose (t : t) (rs : round_state) : unit =
   with
   | None -> ()
   | Some prio ->
-    let block = build_block t rs ~variant:0 in
+    let block = build_block t rs ~prio ~variant:0 in
     record_proposed_block rs block;
     consider_priority rs prio;
     broadcast t (Message.Priority prio);
@@ -965,7 +1001,7 @@ and try_propose (t : t) (rs : round_state) : unit =
       (* Equivocation attack (section 10.4): version A to half of our
          peers, version B to the other half. Relays forward whichever
          they saw first. *)
-      let block_b = build_block t rs ~variant:1 in
+      let block_b = build_block t rs ~prio ~variant:1 in
       let nt = net t in
       nt.net_mark_seen (Message.Block_gossip block);
       List.iteri
@@ -1055,13 +1091,8 @@ and validate_block (t : t) (rs : round_state) (b : Block.t) : bool =
   && Proposal.verify_next_seed ~vrf_scheme:t.config.vrf_scheme
        ~vrf_pk:(Identity.vrf_pk b.header.proposer_pk) ~current_seed:tip.seed
        ~round:rs.round ~seed:b.header.seed ~proof:b.header.seed_proof
-  && Algorand_sortition.Sortition.verify ~scheme:t.config.vrf_scheme
-       ~pk:(Identity.vrf_pk b.header.proposer_pk) ~vrf_hash:b.header.proposer_vrf_hash
-       ~vrf_proof:b.header.proposer_vrf_proof ~seed:rs.seed
-       ~tau:t.config.params.tau_proposer
-       ~role:(Vote.proposer_role ~round:rs.round)
-       ~w:(Balances.balance rs.weights b.header.proposer_pk)
-       ~total_weight:rs.total_weight
+  && proposer_credential t rs ~pk:b.header.proposer_pk ~vrf_hash:b.header.proposer_vrf_hash
+       ~vrf_proof:b.header.proposer_vrf_proof
      > 0
 
 (* ------------------------------------------------------------------ *)
@@ -1117,11 +1148,7 @@ and process_normal_message (t : t) (rs : round_state) (msg : Message.t) : unit =
     | Message.Priority p ->
       if p.round > rs.round then buffer t p.round msg
       else if p.round = rs.round && String.equal p.prev_hash rs.prev_hash then begin
-        if
-          Proposal.validate ~vrf_scheme:t.config.vrf_scheme ~vrf_pk_of:Identity.vrf_pk
-            ~seed:rs.seed ~tau:t.config.params.tau_proposer
-            ~weight_of:(Balances.balance rs.weights) ~total_weight:rs.total_weight p
-        then begin
+        if Proposal.validate ~credential:(proposer_credential t rs) p then begin
           note_remote_priority t rs;
           consider_priority rs p
         end
@@ -1431,6 +1458,7 @@ and engage_recovery (t : t) ~(attempt : int) : unit =
       rtip_hash = "";
       rba = None;
       rvctx = None;
+      rverdicts = Vote_tbl.create ~random:true 64;
       rbuffered = [];
     }
   in
@@ -1487,11 +1515,7 @@ and validate_fork_proposal (t : t) (rs : recovery_state) (f : Message.fork_propo
           ~w:(Balances.balance rs.rweights f.proposer_pk)
           ~total_weight:rs.rtotal_weight
       in
-      j > 0
-      &&
-      match Algorand_sortition.Sortition.best_priority ~vrf_hash:f.vrf_hash ~j with
-      | Some pr -> String.equal pr f.priority
-      | None -> false)
+      Proposal.claims_best_priority ~j ~vrf_hash:f.vrf_hash ~priority:f.priority)
   &&
   (* The proposed fork grafts onto a block we hold above the anchor and
      forms a linked chain ending at the claimed tip, and that chain
@@ -1550,10 +1574,10 @@ and adopt_fork (t : t) (rs : recovery_state) : unit =
           my_votes =
             (fun ~step ~value ->
               Option.to_list
-                (sign_vote t ~seed:rs.rseed ~weights:rs.rweights
+                (sign_vote t ~verdicts:rs.rverdicts ~seed:rs.rseed ~weights:rs.rweights
                    ~total_weight:rs.rtotal_weight ~round:rs.rvote_round
                    ~prev_hash:rs.rtip_hash ~step ~value));
-          validate = (fun v -> Vote.validate vctx v);
+          validate = cached_weight rs.rverdicts vctx;
         }
       in
       let ba = Ba_star.create ctx in

@@ -89,6 +89,12 @@ type verdicts
 val verdicts : unit -> verdicts
 (** An empty table. *)
 
+val verdict_weights : verdicts -> (Algorand_ba.Vote.t * int) list
+(** Every vote the table holds with its weight, over all contexts,
+    sorted. A node enters each vote it makes with the count its own
+    sortition selected, and every other vote with the count
+    [Vote.validate] gave it. *)
+
 val create :
   index:int ->
   identity:Identity.t ->

@@ -33,23 +33,32 @@ let try_propose ~(prover : Vrf.prover) ~(pk : string) ~(seed : string) ~(tau : f
     Some { round; proposer_pk = pk; prev_hash; vrf_hash = sel.vrf_hash;
            vrf_proof = sel.vrf_proof; priority }
 
-(* Validate a priority announcement: VRF proof, selection, and that the
-   claimed priority really is the best sub-user priority. Returns false
-   for forgeries. *)
-let validate ~(vrf_scheme : Vrf.scheme) ~(vrf_pk_of : string -> string) ~(seed : string)
-    ~(tau : float) ~(weight_of : string -> int) ~(total_weight : int) (m : priority_msg) :
-    bool =
-  let j =
-    Sortition.verify ~scheme:vrf_scheme ~pk:(vrf_pk_of m.proposer_pk)
-      ~vrf_hash:m.vrf_hash ~vrf_proof:m.vrf_proof ~seed ~tau
-      ~role:(Algorand_ba.Vote.proposer_role ~round:m.round)
-      ~w:(weight_of m.proposer_pk) ~total_weight
-  in
+(* The proposer credential a priority announcement or a block header
+   claims for [round]: the verified number of selected sub-users, or 0
+   if the proof is invalid. *)
+let verify_credential ~(vrf_scheme : Vrf.scheme) ~(vrf_pk_of : string -> string)
+    ~(seed : string) ~(tau : float) ~(weight_of : string -> int) ~(total_weight : int)
+    ~(round : int) ~(pk : string) ~(vrf_hash : string) ~(vrf_proof : string) : int =
+  Sortition.verify ~scheme:vrf_scheme ~pk:(vrf_pk_of pk) ~vrf_hash ~vrf_proof ~seed ~tau
+    ~role:(Algorand_ba.Vote.proposer_role ~round) ~w:(weight_of pk) ~total_weight
+
+(* The priority rule, for a credential that selected [j] sub-users:
+   selected at all, and the claimed priority is the best of theirs.
+   Recovery's fork proposals follow it too. *)
+let claims_best_priority ~(j : int) ~(vrf_hash : string) ~(priority : string) : bool =
   j > 0
   &&
-  match Sortition.best_priority ~vrf_hash:m.vrf_hash ~j with
-  | Some p -> String.equal p m.priority
+  match Sortition.best_priority ~vrf_hash ~j with
+  | Some p -> String.equal p priority
   | None -> false
+
+(* Validate a priority announcement against its verified credential.
+   Returns false for forgeries. *)
+let validate ~(credential : pk:string -> vrf_hash:string -> vrf_proof:string -> int)
+    (m : priority_msg) : bool =
+  claims_best_priority
+    ~j:(credential ~pk:m.proposer_pk ~vrf_hash:m.vrf_hash ~vrf_proof:m.vrf_proof)
+    ~vrf_hash:m.vrf_hash ~priority:m.priority
 
 (* Higher priority wins; ties (nearly impossible) break on proposer key
    so all nodes agree. *)

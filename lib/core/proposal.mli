@@ -27,17 +27,30 @@ val try_propose :
   priority_msg option
 (** [None] when sortition does not select this user as a proposer. *)
 
-val validate :
+val verify_credential :
   vrf_scheme:Vrf.scheme ->
   vrf_pk_of:(string -> string) ->
   seed:string ->
   tau:float ->
   weight_of:(string -> int) ->
   total_weight:int ->
-  priority_msg ->
-  bool
-(** Check the sortition proof and that the claimed priority really is
-    the best sub-user priority. *)
+  round:int ->
+  pk:string ->
+  vrf_hash:string ->
+  vrf_proof:string ->
+  int
+(** The proposer credential a priority or a block header claims for
+    [round]: its verified number of selected sub-users, or 0 if the
+    proof is invalid. *)
+
+val claims_best_priority : j:int -> vrf_hash:string -> priority:string -> bool
+(** The priority rule for a credential that selected [j] sub-users:
+    [j > 0], and [priority] is the best sub-user priority. *)
+
+val validate :
+  credential:(pk:string -> vrf_hash:string -> vrf_proof:string -> int) -> priority_msg -> bool
+(** [claims_best_priority] with [j] from [credential] (typically
+    {!verify_credential}, possibly memoised) on the message's claim. *)
 
 val higher : priority_msg -> priority_msg -> bool
 (** [higher a b]: does [a] beat [b]? Total order (ties broken on keys). *)

@@ -460,18 +460,17 @@ let () =
 
 (* Fixed-base comb: radix-16 digits of the (mod-L-reduced) scalar, one
    precomputed row per digit position, so k*P costs ~64 mixed additions
-   and zero doublings. comb.(i).(j-1) = j * 16^i * P. Built for the
-   base point below, and on demand for any other heavily-reused point
-   (sortition's per-step hash-to-curve point). *)
+   and zero doublings. comb.(i).(j-1) = j * 16^i * P. Built once, for
+   the base point: at ~1000 point operations a table, it repays only
+   for a point multiplied thousands of times. *)
 let comb_positions = 64
 let comb_row = 15
 
 type comb = precomp array array
 
-(* ~1000 point operations plus one shared inversion: only worth
-   building for a point that will be multiplied many times. [p] must
-   lie in the prime-order subgroup, because [scalar_mult_comb] reduces
-   scalars mod L before taking digits. *)
+(* ~1000 point operations plus one shared inversion. [p] must lie in
+   the prime-order subgroup, because [scalar_mult_comb] reduces scalars
+   mod L before taking digits. *)
 let comb_of_point (p : point) : comb =
   let s = scratch () in
   let buf = Array.make (comb_positions * comb_row) identity in
@@ -512,6 +511,52 @@ let scalar_mult_comb (c : comb) (k : Nat.t) : point =
   acc
 
 let scalar_mult_base (k : Nat.t) : point = scalar_mult_comb comb_table k
+
+(* Split tables for a point reused a few dozen times (the VRF's
+   per-input hash-to-curve point). A scalar below 2^256 splits exactly,
+   with no reduction, as k = k_lo + 2^128 * k_hi, so
+   k*P = k_lo*P + k_hi*P' with P' = 2^128 * P: two w=5 w-NAF digit
+   streams on one 128-step doubling chain, each off an affine table of
+   P's or P''s odd multiples. Building the pair costs 128 doublings,
+   two 8-entry odd-multiples tables and one shared inversion, about
+   150 point operations against the comb's ~1000. *)
+let split_bits = 128
+
+type split = { lo : precomp array; hi : precomp array }
+
+let split_of_point (p : point) : split =
+  let s = scratch () in
+  let p' = copy_point p in
+  for i = 1 to split_bits do
+    chain_double s p' ~full:(i = split_bits)
+  done;
+  let tbl =
+    normalize_many (Array.append (odd_multiples s p ~size:8) (odd_multiples s p' ~size:8))
+  in
+  let pre i = precomp_of_affine tbl.(i) in
+  { lo = Array.init 8 pre; hi = Array.init 8 (fun i -> pre (8 + i)) }
+
+(* k*P - c*Q on one shared doubling chain: k off the split tables, c
+   (unreduced, so exact for Q of any order) off a per-call table of Q's
+   odd multiples, its digits negated. With c = 0 this is k*P. *)
+let split_mult_sub (t : split) (k : Nat.t) (c : Nat.t) (q : point) : point =
+  let lnaf = wnaf_digits (Nat.low_bits k split_bits) ~w:5 in
+  let hnaf = wnaf_digits (Nat.shift_right k split_bits) ~w:5 in
+  let cnaf = wnaf_digits c ~w:5 in
+  let s = scratch () in
+  let qtbl = if Nat.is_zero c then [||] else odd_multiples s q ~size:8 in
+  let acc = fresh_identity () in
+  let top = max (top_nonzero lnaf) (max (top_nonzero hnaf) (top_nonzero cnaf)) in
+  for i = top downto 0 do
+    let dl = digit lnaf i and dh = digit hnaf i and dc = digit cnaf i in
+    chain_double s acc ~full:(dl <> 0 || dh <> 0 || dc <> 0 || i = 0);
+    apply_digit_pre s acc t.lo dl;
+    apply_digit_pre s acc t.hi dh;
+    apply_digit s acc qtbl (-dc)
+  done;
+  acc
+
+let split_mult (t : split) (k : Nat.t) : point = split_mult_sub t k Nat.zero identity
 
 (* Strauss-Shamir interleaving: a*B + b*Q in one shared doubling chain,
    the base-point digits off the precomputed w=7 table. b is used
@@ -603,6 +648,7 @@ let () =
   let expect = scalar_mult k base in
   assert (equal_points (scalar_mult_base k) expect);
   assert (equal_points (scalar_mult_fast k base) expect);
+  assert (equal_points (split_mult (split_of_point base) k) expect);
   assert (
     equal_points
       (double_scalar_mult_base k k (double base))

@@ -70,18 +70,24 @@ val scalar_mult_base : Nat.t -> point
     (64 positions x 15 odd multiples): ~64 mixed additions, no
     doublings. The scalar is reduced mod [order]. *)
 
-type comb
-(** A radix-16 comb table for an arbitrary fixed point. *)
+type split
+(** Tables for a point [P] multiplied a few dozen times (the VRF's
+    per-input hash-to-curve point): affine odd multiples of [P] and of
+    [P' = 2{^128}P]. *)
 
-val comb_of_point : point -> comb
-(** Build the 64x15 comb for [p]. Costs ~1000 point operations, so it
-    only pays off for a point multiplied many times — e.g. sortition's
-    hash-to-curve point, shared by every proof of a committee step.
-    [p] must lie in the prime-order subgroup ([scalar_mult_comb]
-    reduces scalars mod [order]). *)
+val split_of_point : point -> split
+(** Build [P]'s split tables: 128 doublings, two 8-entry tables and one
+    shared inversion, about 150 point operations. *)
 
-val scalar_mult_comb : comb -> Nat.t -> point
-(** [k*P] off a prebuilt comb: ~64 mixed additions, no doublings. *)
+val split_mult : split -> Nat.t -> point
+(** [k*P] for [k = k_lo + 2{^128}k_hi], unreduced and so exact for any
+    [P]: two w-NAF digit streams on one doubling chain, 128 steps for
+    [k] below 2{^256}. *)
+
+val split_mult_sub : split -> Nat.t -> Nat.t -> point -> point
+(** [split_mult_sub t k c Q = k*P - c*Q] on one shared doubling chain;
+    [c] runs unreduced off a per-call table, so the result is exact for
+    [Q] of any order. *)
 
 val scalar_mult_fast : Nat.t -> point -> point
 (** Variable-base width-5 w-NAF with an 8-entry odd-multiples table.

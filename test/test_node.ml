@@ -49,16 +49,17 @@ let proposals () =
     (Printf.sprintf "some proposers (%d)" (List.length proposals))
     true
     (List.length proposals > 0);
+  let credential =
+    Proposal.verify_credential ~vrf_scheme ~vrf_pk_of:Identity.vrf_pk ~seed ~tau:6.0
+      ~weight_of ~total_weight ~round:1
+  in
   List.iter
     (fun (p : Proposal.priority_msg) ->
       Alcotest.(check bool) "validates" true
-        (Proposal.validate ~vrf_scheme ~vrf_pk_of:Identity.vrf_pk ~seed ~tau:6.0
-           ~weight_of ~total_weight p);
+        (Proposal.validate ~credential p);
       (* A forged priority must not validate. *)
       Alcotest.(check bool) "forged priority rejected" false
-        (Proposal.validate ~vrf_scheme ~vrf_pk_of:Identity.vrf_pk ~seed ~tau:6.0
-           ~weight_of ~total_weight
-           { p with priority = Sha256.digest "fake" }))
+        (Proposal.validate ~credential { p with priority = Sha256.digest "fake" }))
     proposals;
   (* higher is a strict total order on distinct proposals. *)
   match proposals with

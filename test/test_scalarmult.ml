@@ -50,16 +50,42 @@ let fixed_base_oracle () =
         (point_eq (Ed25519.scalar_mult_base k) (Ed25519.scalar_mult k Ed25519.base)))
     scalars
 
-let comb_of_point_oracle () =
-  (* The generalized comb, built for a non-base prime-subgroup point
-     (the shape the VRF caches for its hash-to-curve point). *)
-  let p = Vrf.hash_to_curve "comb-of-point-test" in
-  let c = Ed25519.comb_of_point p in
-  let scalars = edge_scalars @ random_scalars ~seed:"comb-pt" ~bytes:32 60 in
+let split_table_oracle () =
+  (* The VRF's split tables, built for a hash-to-curve point: k*P on
+     the two-stream chain and k*P - c*Q with Q of prime, small and mixed
+     order, against the naive oracle. The edges sit at the split. *)
+  let p = Vrf.hash_to_curve "split-table-test" in
+  let tbl = Ed25519.split_of_point p in
+  let pow2 k = Nat.shift_left Nat.one k in
+  let clamped =
+    (* An RFC 8032-style clamped secret: bit 254 set, bits 0-2 and 255 clear. *)
+    let b = Bytes.of_string (Sha256.digest "split-clamped") in
+    Bytes.set b 0 (Char.chr (Char.code (Bytes.get b 0) land 0xf8));
+    Bytes.set b 31 (Char.chr ((Char.code (Bytes.get b 31) land 0x7f) lor 0x40));
+    Nat.of_bytes_le (Bytes.to_string b)
+  in
+  let edges =
+    [
+      Nat.zero; Nat.one; Nat.sub (pow2 128) Nat.one; pow2 128; Nat.sub order Nat.one; clamped;
+    ]
+  in
+  let scalars = edges @ random_scalars ~seed:"split" ~bytes:32 100 in
   List.iter
     (fun k ->
-      Alcotest.(check bool) "comb(P) = naive" true
-        (point_eq (Ed25519.scalar_mult_comb c k) (Ed25519.scalar_mult k p)))
+      Alcotest.(check bool) "split k*P = naive" true
+        (point_eq (Ed25519.split_mult tbl k) (Ed25519.scalar_mult k p)))
+    scalars;
+  let tor = torsion2 () in
+  let qs =
+    [ Ed25519.scalar_mult (Nat.of_int 977) Ed25519.base; tor; Ed25519.add Ed25519.base tor ]
+  in
+  let cs = edges @ random_scalars ~seed:"split-c" ~bytes:16 20 in
+  List.iteri
+    (fun i k ->
+      let c = List.nth cs (i mod List.length cs) and q = List.nth qs (i mod 3) in
+      let expect = Ed25519.add (Ed25519.scalar_mult k p) (Ed25519.neg (Ed25519.scalar_mult c q)) in
+      Alcotest.(check bool) "split k*P - c*Q = naive" true
+        (point_eq (Ed25519.split_mult_sub tbl k c q) expect))
     scalars
 
 let wnaf_oracle () =
@@ -355,13 +381,13 @@ let fold_reduction_matches_rem () =
   done
 
 (* Allocation gates: deterministic on any host, unlike the timing gates.
-   After a warm-up (the pk's subgroup check, the VRF input's comb), one
-   [Ed25519.verify] and one ECVRF verify must each stay under about 1.5x
-   the minor words measured when the in-place engine landed: 1,552 and
-   3,026 words for these keys, where the allocating field took 227,711
-   and 296,941. Neither may allocate directly in the major heap (blocks
-   over 256 words): the old w-NAF recoding put 1,066 words a verify
-   there, out of sight of the minor count. *)
+   After a warm-up (the pk's subgroup check, the VRF input's split
+   tables), one [Ed25519.verify] and one ECVRF verify must each stay
+   under about 1.5x the minor words measured when the in-place engine
+   landed: 1,552 and 3,026 words for these keys, where the allocating
+   field took 227,711 and 296,941. Neither may allocate directly in the
+   major heap (blocks over 256 words): the old w-NAF recoding put 1,066
+   words a verify there, out of sight of the minor count. *)
 let verify_allocation_bounded () =
   let per_call f =
     for _ = 1 to 3 do
@@ -406,7 +432,7 @@ let suite =
         t "fold reduction mod L and L-1 vs Nat.rem" fold_reduction_matches_rem;
         t "verify allocation bounded" verify_allocation_bounded;
         ts "fixed-base comb vs oracle" fixed_base_oracle;
-        ts "arbitrary-point comb vs oracle" comb_of_point_oracle;
+        ts "split table vs oracle" split_table_oracle;
         ts "variable-base w-NAF vs oracle" wnaf_oracle;
         ts "Strauss-Shamir vs oracle" strauss_oracle;
         ts "multi-scalar vs oracle" multi_oracle;

@@ -17,6 +17,9 @@ module Wire_gossip = Algorand_core.Wire_gossip
 module Gossip = Algorand_netsim.Gossip
 module Chain = Algorand_ledger.Chain
 module Genesis = Algorand_ledger.Genesis
+module Balances = Algorand_ledger.Balances
+module Block = Algorand_ledger.Block
+module Vote = Algorand_ba.Vote
 module Params = Algorand_ba.Params
 module Engine = Algorand_sim.Engine
 module Metrics = Algorand_sim.Metrics
@@ -251,11 +254,13 @@ let fast_params =
    simulated overlay. *)
 module WGL = Wire_gossip.Make (Loopback)
 
-let loopback_cluster ~users ~rounds ~seed ~seg =
+let loopback_cluster ?crypto ?(config_of = fun _ c -> c) ?verdicts
+    ?(deliver = fun _ node ~src msg -> Node.deliver node ~src msg) ~users ~rounds ~seed ~seg ()
+    =
   let engine = Engine.create () in
   let registry = Registry.create () in
   let deployment =
-    Deployment.make ~seed ~users ~params:fast_params ~block_bytes:10_000 ~rounds ()
+    Deployment.make ?crypto ~seed ~users ~params:fast_params ~block_bytes:10_000 ~rounds ()
   in
   let identities, genesis = Deployment.roster deployment in
   let rng = Rng.create seed in
@@ -272,8 +277,10 @@ let loopback_cluster ~users ~rounds ~seed ~seg =
             ~registry ~handlers ()
         in
         let node =
-          Node.create ~index:i ~identity:identities.(i) ~config ~engine ~metrics
-            ~rng:(Deployment.node_rng rng i) ~genesis ()
+          Node.create ~index:i ~identity:identities.(i) ~config:(config_of i config) ~engine
+            ~metrics ~rng:(Deployment.node_rng rng i)
+            ?verdicts:(Option.map (fun v -> v.(i)) verdicts)
+            ~genesis ()
         in
         let wg =
           WGL.create ~engine ~transport:tr ~handlers ~self:i
@@ -285,7 +292,7 @@ let loopback_cluster ~users ~rounds ~seed ~seg =
         in
         WGL.install wg
           ~validate:(fun msg -> Node.gossip_validate node msg)
-          ~deliver:(fun ~src msg -> Node.deliver node ~src msg);
+          ~deliver:(fun ~src msg -> deliver i node ~src msg);
         Node.set_net node (WGL.as_net wg);
         (node, wg, tr))
   in
@@ -335,7 +342,7 @@ let documented_gossip_names () =
    ingress-queue histogram. *)
 let consensus_over_loopback () =
   let users = 4 and rounds = 3 and seed = 21 in
-  let wire_registry, cluster = loopback_cluster ~users ~rounds ~seed ~seg:(`Chunk 7) in
+  let wire_registry, cluster = loopback_cluster ~users ~rounds ~seed ~seg:(`Chunk 7) () in
   let wire_hashes = hashes_of (let n, _, _ = cluster.(0) in n) ~rounds in
   Alcotest.(check int) "wire cluster completed" rounds (List.length wire_hashes);
   Array.iteri
@@ -380,13 +387,180 @@ let consensus_over_loopback () =
 let consensus_segmentation_invariant () =
   let users = 4 and rounds = 2 and seed = 33 in
   let run seg =
-    let _, cluster = loopback_cluster ~users ~rounds ~seed ~seg in
+    let _, cluster = loopback_cluster ~users ~rounds ~seed ~seg () in
     hashes_of (let n, _, _ = cluster.(0) in n) ~rounds
   in
   let whole = run `Whole in
   Alcotest.(check int) "completed" rounds (List.length whole);
   Alcotest.(check bool) "dribble identical" true (run (`Chunk 1) = whole);
   Alcotest.(check bool) "random splits identical" true (run `Random = whole)
+
+(* One node's crypto checks: the signing keys it verified under, and
+   its VRF verifications as (pk, input, proof, accepted), latest
+   first. *)
+type crypto_log = {
+  sig_pks : string list ref;
+  vrf_checks : (string * string * string * bool) list ref;
+}
+
+(* A two-round real-crypto loopback run with counting schemes in every
+   node's config, checking the crypto a node skips: no node verifies a
+   signature under its own key or its own VRF proof; the weight a node
+   enters for its own vote is the weight [Vote.validate] gives it; a
+   node checks each proposer credential (pk, input, proof) at most
+   once; and node 0, handed a copy of every block it receives with a
+   byte-flipped proposer proof just before the honest one, rejects the
+   copy on a full check although it already accepted the proposer's
+   honest priority. *)
+let realcrypto_skips_redundant_checks () =
+  let users = 4 and rounds = 2 and seed = 29 in
+  let sig_scheme, vrf_scheme = Deployment.schemes Deployment.Real_crypto in
+  let logs = Array.init users (fun _ -> { sig_pks = ref []; vrf_checks = ref [] }) in
+  let config_of i (c : Node.config) =
+    let log = logs.(i) in
+    let verify_sig ~pk ~msg ~signature =
+      log.sig_pks := pk :: !(log.sig_pks);
+      sig_scheme.verify ~pk ~msg ~signature
+    in
+    let verify_vrf ~pk ~input ~proof =
+      let r = vrf_scheme.verify ~pk ~input ~proof in
+      log.vrf_checks := (pk, input, proof, r <> None) :: !(log.vrf_checks);
+      r
+    in
+    {
+      c with
+      sig_scheme = { sig_scheme with verify = verify_sig };
+      vrf_scheme = { vrf_scheme with verify = verify_vrf };
+    }
+  in
+  (* (round, proposer pk, honest proof, flipped proof) of each tampered
+     copy. *)
+  let tampered = ref [] in
+  let deliver i node ~src (msg : Message.t) =
+    (match msg with
+    | Message.Block_gossip b when i = 0 ->
+      let h = b.header in
+      let flipped =
+        String.mapi
+          (fun k c -> if k = 40 then Char.chr (Char.code c lxor 1) else c)
+          h.proposer_vrf_proof
+      in
+      tampered := (h.round, h.proposer_pk, h.proposer_vrf_proof, flipped) :: !tampered;
+      Node.deliver node ~src
+        (Message.Block_gossip { b with header = { h with proposer_vrf_proof = flipped } })
+    | _ -> ());
+    Node.deliver node ~src msg
+  in
+  let verdicts = Array.init users (fun _ -> Node.verdicts ()) in
+  let _, cluster =
+    loopback_cluster ~crypto:Deployment.Real_crypto ~config_of ~verdicts ~deliver ~users
+      ~rounds ~seed ~seg:`Random ()
+  in
+  let nodes = Array.map (fun (n, _, _) -> n) cluster in
+  let chain = Node.chain nodes.(0) in
+  let hashes = hashes_of nodes.(0) ~rounds in
+  Alcotest.(check int) "both rounds completed" rounds (List.length hashes);
+  Array.iter
+    (fun n -> Alcotest.(check bool) "nodes agree" true (hashes_of n ~rounds = hashes))
+    nodes;
+  let genesis = Chain.genesis_entry chain in
+  let prev_hash_of round = if round = 1 then genesis.hash else List.nth hashes (round - 2) in
+  let proposer_input round =
+    Algorand_sortition.Sortition.vrf_input ~seed:genesis.seed
+      ~role:(Vote.proposer_role ~round)
+  in
+  (* Weights as [Vote.validate] gives them: rounds 1 and 2 draw
+     committees from the genesis seed and stakes. *)
+  let validate (v : Vote.t) =
+    Vote.validate
+      {
+        sig_scheme;
+        vrf_scheme;
+        sig_pk_of = Identity.sig_pk;
+        vrf_pk_of = Identity.vrf_pk;
+        seed = genesis.seed;
+        total_weight = Balances.total genesis.balances_after;
+        weight_of = Balances.balance genesis.balances_after;
+        last_block_hash = prev_hash_of v.round;
+        tau_of_step = (function Vote.Final -> fast_params.tau_final | _ -> fast_params.tau_step);
+      }
+      v
+  in
+  Array.iteri
+    (fun i node ->
+      let pk = Node.pk node and log = logs.(i) in
+      Alcotest.(check bool) "signatures checked" true (!(log.sig_pks) <> []);
+      Alcotest.(check bool)
+        (Printf.sprintf "node %d never verifies a signature under its own key" i)
+        false
+        (List.mem (Identity.sig_pk pk) !(log.sig_pks));
+      Alcotest.(check bool)
+        (Printf.sprintf "node %d never verifies its own VRF proof" i)
+        false
+        (List.exists (fun (vpk, _, _, _) -> String.equal vpk (Identity.vrf_pk pk)) !(log.vrf_checks));
+      let own =
+        List.filter (fun ((v : Vote.t), _) -> String.equal v.voter_pk pk)
+          (Node.verdict_weights verdicts.(i))
+      in
+      Alcotest.(check bool) (Printf.sprintf "node %d entered its own votes" i) true (own <> []);
+      List.iter
+        (fun ((v : Vote.t), w) ->
+          Alcotest.(check int)
+            (Printf.sprintf "node %d own %s vote weight" i (Vote.step_to_string v.step))
+            (validate v) w)
+        own;
+      let proposer_checks =
+        List.filter
+          (fun (_, input, _, _) ->
+            List.exists (fun r -> String.equal input (proposer_input r)) [ 1; 2 ])
+          !(log.vrf_checks)
+      in
+      Alcotest.(check bool) "proposer credentials checked" true (proposer_checks <> []);
+      List.iter
+        (fun (vpk, input, proof, _) ->
+          Alcotest.(check int)
+            (Printf.sprintf "node %d checks a proposer credential once" i)
+            1
+            (List.length
+               (List.filter
+                  (fun (vpk', input', proof', _) ->
+                    String.equal vpk vpk' && String.equal input input'
+                    && String.equal proof proof')
+                  proposer_checks)))
+        proposer_checks)
+    nodes;
+  (* Node 0, oldest check first. *)
+  Alcotest.(check bool) "blocks tampered" true (!tampered <> []);
+  let checks = List.rev !(logs.(0).vrf_checks) in
+  let rec position k pred = function
+    | [] -> None
+    | c :: rest -> if pred c then Some (k, c) else position (k + 1) pred rest
+  in
+  List.iter
+    (fun (round, proposer, honest, flipped) ->
+      let at proof =
+        position 0
+          (fun (vpk, input, p, _) ->
+            String.equal vpk (Identity.vrf_pk proposer)
+            && String.equal input (proposer_input round)
+            && String.equal p proof)
+          checks
+      in
+      match (at honest, at flipped) with
+      | Some (k_honest, (_, _, _, ok_honest)), Some (k_flipped, (_, _, _, ok_flipped)) ->
+        Alcotest.(check bool) "honest priority accepted" true ok_honest;
+        Alcotest.(check bool) "before the tampered block" true (k_honest < k_flipped);
+        Alcotest.(check bool) "tampered proof fully checked and rejected" false ok_flipped
+      | _ -> Alcotest.fail "node 0 must check both the honest and the flipped proof")
+    !tampered;
+  (* Had node 0 accepted a tampered copy of the best proposer's block,
+     it would have seen two of its blocks and voted for the empty one. *)
+  List.iter
+    (fun ((v : Vote.t), _) ->
+      if String.equal v.voter_pk (Node.pk nodes.(0)) && v.step = Vote.Reduction_one then
+        Alcotest.(check string) "node 0 votes the agreed block" (List.nth hashes (v.round - 1))
+          v.value)
+    (Node.verdict_weights verdicts.(0))
 
 (* Kill a live link: the overlay's Retry-driven redial must bring the
    mesh back without outside help. *)
@@ -859,6 +1033,7 @@ let suite =
         t "per-identity store dirs never collide" node_dir_per_identity;
         ts "consensus over loopback equals the simulated overlay" consensus_over_loopback;
         ts "ledger invariant under segmentation policy" consensus_segmentation_invariant;
+        ts "real-crypto round skips redundant checks" realcrypto_skips_redundant_checks;
         ts "killed link redials with backoff" loopback_redial;
         t "wire flood defense: garbage scored to a ban, redial refused" wire_flood_bans_garbage;
         t "wire flood defense: per-peer quota drops a burst" wire_flood_quota;

@@ -223,8 +223,13 @@ let ecvrf_verify_cold_ns ?(iters = 100) () : float =
       if Vrf.ecvrf.verify ~pk ~input:(input i) ~proof:proofs.(i) = None then
         failwith "proof must verify")
 
+(* Which SHA-256 kernel this host runs: SHA-NI and the OCaml kernel
+   differ several-fold, and every crypto row hashes. *)
+let print_sha256_kernel () = Printf.printf "  SHA-256 kernel: %s\n%!" Sha256.kernel
+
 let micro () =
   header "Microbenchmarks: crypto + sortition primitives";
+  print_sha256_kernel ();
   let kb = String.make 1024 'x' in
   let ed = Ed25519.generate ~seed:"bench" in
   let ed_pk = Ed25519.public_key ed in
@@ -295,6 +300,7 @@ let micro () =
    `micro` refreshes the snapshot. *)
 let micro_check () =
   header "Microbenchmark smoke check: gated crypto rows vs committed snapshot";
+  print_sha256_kernel ();
   let ed = Ed25519.generate ~seed:"bench" in
   let ed_pk = Ed25519.public_key ed in
   let msg = String.make 1024 'x' in

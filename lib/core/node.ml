@@ -187,7 +187,6 @@ type recovery_state = {
   mutable rempty_hash : string;
   mutable rtip_hash : string;  (** adopted fork tip *)
   mutable rba : Ba_star.t option;
-  mutable rvctx : Vote.validation_ctx option;
   rverdicts : int Vote_tbl.t;  (** vote content -> weighted votes, this attempt *)
   mutable rbuffered : Vote.t list;
 }
@@ -876,7 +875,7 @@ and complete_round (t : t) (rs : round_state) (block : Block.t) : unit =
   Txpool.expire t.txpool ~before_round:(rs.round - t.config.txpool_retention_rounds);
   (let committed = (Chain.tip t.chain).balances_after in
    ignore
-     (Txpool.prune t.txpool ~stale:(fun tx ->
+     (Txpool.prune t.txpool ~stale:(fun _ tx ->
           tx.Transaction.nonce < Balances.nonce committed tx.Transaction.sender)));
   Log.debug (fun m ->
       m "node %d completed round %d (%s, %d bin steps) at %.2fs" t.index rs.round
@@ -916,13 +915,10 @@ and build_block (t : t) (rs : round_state) ~(prio : Proposal.priority_msg) ~(var
         Transaction.filter_valid_batch ~sig_pk_of:Identity.sig_pk
           ~scheme:t.config.sig_scheme candidates
       in
-      if rejected <> [] then
-        ignore
-          (Txpool.prune t.txpool ~stale:(fun tx ->
-               List.exists
-                 (fun (bad : Transaction.t) ->
-                   String.equal (Transaction.id bad) (Transaction.id tx))
-                 rejected));
+      if rejected <> [] then begin
+        let bad = List.map Transaction.id rejected in
+        ignore (Txpool.prune t.txpool ~stale:(fun id _ -> List.mem id bad))
+      end;
       valid
     end
     else candidates
@@ -1457,7 +1453,6 @@ and engage_recovery (t : t) ~(attempt : int) : unit =
       rempty_hash = "";
       rtip_hash = "";
       rba = None;
-      rvctx = None;
       rverdicts = Vote_tbl.create ~random:true 64;
       rbuffered = [];
     }
@@ -1565,7 +1560,6 @@ and adopt_fork (t : t) (rs : recovery_state) : unit =
         vote_ctx t ~seed:rs.rseed ~weights:rs.rweights ~total_weight:rs.rtotal_weight
           ~prev_hash:tip.hash
       in
-      rs.rvctx <- Some vctx;
       let ctx : Ba_star.ctx =
         {
           params = t.config.params;

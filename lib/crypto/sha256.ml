@@ -1,4 +1,10 @@
-(* SHA-256 (FIPS 180-4), pure OCaml.
+(* SHA-256 (FIPS 180-4), with two kernels that give the same digests.
+
+   On x86-64 CPUs with the SHA extensions (plus SSSE3 and SSE4.1), each
+   digest is one call into the SHA-NI kernel in sha256_stubs.c. Every
+   other host runs the pure-OCaml kernel below, which also stays
+   callable everywhere as [ocaml_digest_concat]. The kernel is chosen
+   once, at module initialisation, from cpuid and nothing else.
 
    The round constants are the first 32 bits of the fractional parts of
    the cube roots of the first 64 primes, and the initial hash state
@@ -107,13 +113,14 @@ let compress (h : int array) (w : int array) =
 
 let digest_length = 32
 
-(* The digest of the concatenation of [parts], streamed: whole blocks
-   are compressed straight out of each part, and only bytes that
-   straddle a part boundary, plus the padded tail, pass through [buf].
+(* The OCaml kernel: the digest of the concatenation of [parts],
+   streamed: whole blocks are compressed straight out of each part, and
+   only bytes that straddle a part boundary, plus the padded tail, pass
+   through [buf].
    All state (chaining value, schedule, buffer) belongs to this call:
    three minor-heap allocations buy a kernel with no module-level
    state, which stays correct whoever calls it and needs no reset. *)
-let digest_concat (parts : string list) : string =
+let ocaml_digest_concat (parts : string list) : string =
   let h = Array.copy h_init in
   let w = Array.make 64 0 in
   let buf = Bytes.create 128 in
@@ -172,6 +179,24 @@ let digest_concat (parts : string list) : string =
     Bytes.set_int32_be out (4 * i) (Int32.of_int h.(i))
   done;
   Bytes.unsafe_to_string out
+
+(* The SHA-NI kernel (sha256_stubs.c): one C call per digest, into a
+   result allocated here. [ni_init] hands it the constants derived above
+   and reads cpuid; it answers [false] on any CPU without SHA, SSSE3
+   and SSE4.1, and off x86-64. *)
+external ni_init : int array -> int array -> bool = "algorand_sha256_ni_init" [@@noalloc]
+external ni_digest : string list -> bytes -> unit = "algorand_sha256_ni_digest" [@@noalloc]
+
+let sha_ni = ni_init k_table h_init
+let kernel = if sha_ni then "sha-ni" else "ocaml"
+
+let digest_concat (parts : string list) : string =
+  if sha_ni then begin
+    let out = Bytes.create digest_length in
+    ni_digest parts out;
+    Bytes.unsafe_to_string out
+  end
+  else ocaml_digest_concat parts
 
 let digest (msg : string) : string = digest_concat [ msg ]
 

@@ -16,13 +16,17 @@
    leaves the pool uncommitted - e.g. into a proposal that then loses
    agreement - must be able to re-enter via gossip, or it is lost forever.
    Proposers therefore use the non-destructive [select]; commitment
-   prunes pools via [remove_committed]. *)
+   prunes pools via [remove_committed].
+
+   Each queued transaction keeps its id beside it, hashed once on
+   [add]: [take], [remove_committed] and [prune] walk the queue every
+   round and would otherwise re-hash every pending transaction. *)
 
 type status = In_queue | Committed of int  (** the round that committed it *)
 
 type t = {
   seen : (string, status) Hashtbl.t;
-  queue : Transaction.t Queue.t;
+  queue : (string * Transaction.t) Queue.t;  (** id, transaction *)
   mutable bytes : int;
 }
 
@@ -34,7 +38,7 @@ let add (t : t) (tx : Transaction.t) : bool =
   if Hashtbl.mem t.seen id then false
   else begin
     Hashtbl.replace t.seen id In_queue;
-    Queue.add tx t.queue;
+    Queue.add (id, tx) t.queue;
     t.bytes <- t.bytes + Transaction.size_bytes tx;
     true
   end
@@ -48,7 +52,7 @@ let mem (t : t) (tx : Transaction.t) : bool = Hashtbl.mem t.seen (Transaction.id
 let select (t : t) ~(max_bytes : int) : Transaction.t list =
   let acc = ref [] and used = ref 0 and full = ref false in
   Queue.iter
-    (fun tx ->
+    (fun (_, tx) ->
       if not !full then begin
         let sz = Transaction.size_bytes tx in
         if !used + sz > max_bytes then full := true
@@ -68,13 +72,13 @@ let take (t : t) ~(max_bytes : int) : Transaction.t list =
   let rec go acc used =
     match Queue.peek_opt t.queue with
     | None -> List.rev acc
-    | Some tx ->
+    | Some (id, tx) ->
       let sz = Transaction.size_bytes tx in
       if used + sz > max_bytes then List.rev acc
       else begin
         ignore (Queue.pop t.queue);
         t.bytes <- t.bytes - sz;
-        Hashtbl.remove t.seen (Transaction.id tx);
+        Hashtbl.remove t.seen id;
         go (tx :: acc) (used + sz)
       end
   in
@@ -90,10 +94,10 @@ let remove_committed (t : t) ~(round : int) (txs : Transaction.t list) : unit =
     txs;
   let keep = Queue.create () in
   Queue.iter
-    (fun tx ->
-      match Hashtbl.find_opt t.seen (Transaction.id tx) with
+    (fun ((id, tx) as entry) ->
+      match Hashtbl.find_opt t.seen id with
       | Some (Committed _) -> t.bytes <- t.bytes - Transaction.size_bytes tx
-      | Some In_queue | None -> Queue.add tx keep)
+      | Some In_queue | None -> Queue.add entry keep)
     t.queue;
   Queue.clear t.queue;
   Queue.transfer keep t.queue
@@ -116,18 +120,18 @@ let expire (t : t) ~(before_round : int) : unit =
 
 (* Drop queued transactions the caller knows can never apply (e.g.
    nonce below the sender's committed nonce). Keeps the pool bounded
-   under hostile duplicate/invalid workloads. Returns how many were
-   dropped. *)
-let prune (t : t) ~(stale : Transaction.t -> bool) : int =
+   under hostile duplicate/invalid workloads. [stale] gets each
+   transaction's stored id too. Returns how many were dropped. *)
+let prune (t : t) ~(stale : string -> Transaction.t -> bool) : int =
   let keep = Queue.create () and dropped = ref 0 in
   Queue.iter
-    (fun tx ->
-      if stale tx then begin
+    (fun ((id, tx) as entry) ->
+      if stale id tx then begin
         incr dropped;
         t.bytes <- t.bytes - Transaction.size_bytes tx;
-        Hashtbl.remove t.seen (Transaction.id tx)
+        Hashtbl.remove t.seen id
       end
-      else Queue.add tx keep)
+      else Queue.add entry keep)
     t.queue;
   Queue.clear t.queue;
   Queue.transfer keep t.queue;

@@ -28,9 +28,10 @@ val remove_committed : t -> round:int -> Transaction.t list -> unit
 val expire : t -> before_round:int -> unit
 (** Evict committed ids from rounds below [before_round]. *)
 
-val prune : t -> stale:(Transaction.t -> bool) -> int
-(** Remove queued transactions satisfying [stale] (e.g. nonce already
-    consumed on-chain); returns the number dropped. *)
+val prune : t -> stale:(string -> Transaction.t -> bool) -> int
+(** Remove queued transactions for which [stale id tx] holds (e.g.
+    nonce already consumed on-chain); [id] is the transaction's id,
+    stored since [add]. Returns the number dropped. *)
 
 val size : t -> int
 val bytes : t -> int

@@ -137,7 +137,7 @@ let txpool_prune_stale () =
     ignore (Txpool.add pool (tx n))
   done;
   (* On-chain nonce advanced to 4: transactions 0..3 are stale. *)
-  let dropped = Txpool.prune pool ~stale:(fun (t : Transaction.t) -> t.nonce < 4) in
+  let dropped = Txpool.prune pool ~stale:(fun _ (t : Transaction.t) -> t.nonce < 4) in
   Alcotest.(check int) "dropped" 4 dropped;
   Alcotest.(check int) "left" 6 (Txpool.size pool);
   (* Pruned ids are released: a pruned tx can re-enter. *)

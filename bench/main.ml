@@ -18,7 +18,9 @@
    snapshot. `sim` sweeps the population engine to a million users,
    one point per fresh process so each point's heap high-water mark is
    its own, and refreshes results/BENCH_sim.json; `sim-check` is its CI
-   gate (100k users, fails on a >2x rounds/sec regression).
+   gate (100k users, fails on a >2x rounds/sec regression, or when the
+   Figure 5 point's event, peak-event or materialized counts differ
+   from the snapshot).
 
    The x-axes are scaled down from the paper's 1,000-VM deployment (see
    DESIGN.md section 2 and EXPERIMENTS.md): committee parameters stay at
@@ -893,7 +895,8 @@ let sim () =
 
 (* CI smoke gate: one budgeted 100k-user run against the committed
    snapshot; fails (exit 1) when rounds/sec regresses more than 2x, or
-   when the run loses agreement or determinism. *)
+   when the run loses agreement or determinism, then a rerun of the
+   snapshot's own Figure 5 point whose exact counts must match. *)
 let sim_check () =
   header "Population-engine smoke check: 100k users vs committed snapshot";
   let committed =
@@ -922,7 +925,37 @@ let sim_check () =
     Printf.printf "  FAIL: population engine regressed more than 2x\n";
     exit 1
   end
-  else Printf.printf "  OK (%d users, %d rounds, %.1fs wall)\n" users rounds wall
+  else Printf.printf "  OK (%d users, %d rounds, %.1fs wall)\n%!" users rounds wall;
+  (* Exact counts: the committed Figure 5 point at 100k users must
+     reproduce its event, peak-event and materialized counts, so a
+     change that reorders the population's events fails here unless
+     BENCH_sim.json is re-recorded with it. *)
+  let r = Algorand_core.Population.run (sim_fig_config ~fig:"fig5" ~users) in
+  if not r.agreement then begin
+    Printf.printf "  FAIL: fig5 point lost agreement\n";
+    exit 1
+  end;
+  let mismatches =
+    List.filter
+      (fun (field, v) ->
+        let key = Printf.sprintf "sim_users_%d_%s" users field in
+        let committed = read_json_field ~path:sim_bench_json key in
+        Printf.printf "  %-30s committed %-10s measured %d\n" key
+          (match committed with Some c -> Printf.sprintf "%.0f" c | None -> "missing")
+          v;
+        committed <> Some (float_of_int v))
+      [
+        ("events", r.total_events);
+        ("peak_events", r.peak_pending);
+        ("materialized", r.max_materialized);
+      ]
+  in
+  if mismatches <> [] then begin
+    Printf.printf "  FAIL: fig5 counts differ from %s; re-record it with `sim`\n"
+      sim_bench_json;
+    exit 1
+  end
+  else Printf.printf "  OK (fig5 counts at %d users match the snapshot)\n" users
 
 (* ------------------------------------------------------------------ *)
 (* Sustained-TPS ledger benchmark: the sharded balance map under the   *)

@@ -295,44 +295,43 @@ let run (config : config) : result =
              (u, node))
            chosen)
     in
-    let by_id = Hashtbl.create (2 * Array.length roster) in
-    Array.iter (fun (u, node) -> Hashtbl.replace by_id u node) roster;
+    let m = Array.length roster in
+    (* Global user id -> roster position, for [net_send_to]. *)
+    let position = Hashtbl.create (2 * m) in
+    Array.iteri (fun i (u, _) -> Hashtbl.replace position u i) roster;
     let round_bytes = ref 0.0 in
     (* Per-(src,dst) FIFO: a pair's deliveries never reorder, like a
        real connection. Without this a proposer's block can overtake
        its own priority message and be discarded by the section 6
        priority filter - the gossip overlay absorbs such inversions via
-       redundant relay paths, but direct delivery gets one shot. *)
-    let last_arrival : (int, float) Hashtbl.t = Hashtbl.create 1024 in
-    let deliver_later ~(src : int) ~(dst : int) ~(dst_node : Node.t)
-        (msg : Message.t) : unit =
+       redundant relay paths, but direct delivery gets one shot. The
+       last arrival time per pair sits in a flat unboxed float array
+       indexed by roster positions (m^2 words, one round's life). *)
+    let last_arrival = Array.make (m * m) neg_infinity in
+    let deliver_later ~(src_i : int) ~(dst_i : int) (msg : Message.t) : unit =
+      let src, _ = roster.(src_i) and _, dst_node = roster.(dst_i) in
       let delay = sample_delay (Message.size_bytes msg) in
+      let k = (src_i * m) + dst_i in
       let arrival = Engine.now engine +. delay in
-      let key = (src * n) + dst in
-      let arrival =
-        match Hashtbl.find_opt last_arrival key with
-        | Some t when t > arrival -> t
-        | _ -> arrival
-      in
-      Hashtbl.replace last_arrival key arrival;
+      let arrival = if last_arrival.(k) > arrival then last_arrival.(k) else arrival in
+      last_arrival.(k) <- arrival;
       Engine.at engine ~time:arrival (fun () ->
           if Node.gossip_validate dst_node msg then Node.deliver dst_node ~src msg)
     in
-    Array.iter
-      (fun (u, node) ->
+    Array.iteri
+      (fun i (u, node) ->
         Node.set_net node
           {
             Node.net_broadcast =
               (fun msg ->
                 round_bytes := !round_bytes +. float_of_int (Message.size_bytes msg);
-                Array.iter
-                  (fun (v, dst_node) ->
-                    if v <> u then deliver_later ~src:u ~dst:v ~dst_node msg)
-                  roster);
+                for j = 0 to m - 1 do
+                  if j <> i then deliver_later ~src_i:i ~dst_i:j msg
+                done);
             net_send_to =
               (fun ~dst msg ->
-                match Hashtbl.find_opt by_id dst with
-                | Some dst_node -> deliver_later ~src:u ~dst ~dst_node msg
+                match Hashtbl.find_opt position dst with
+                | Some j -> deliver_later ~src_i:i ~dst_i:j msg
                 | None -> ());
             net_peers =
               (fun () ->

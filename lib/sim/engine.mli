@@ -14,7 +14,8 @@ val at : t -> time:float -> (unit -> unit) -> unit
 
 val run : t -> ?until:float -> ?max_events:int -> unit -> int
 (** Process events until the queue drains, the clock passes [until], or
-    [max_events] have run. Returns the number processed. *)
+    [max_events] have run. Returns the number processed. Without a
+    reorder hook, the loop allocates nothing per event. *)
 
 val set_reorder_hook : t -> ((unit -> unit) array -> (unit -> unit) array) option -> unit
 (** Scheduler hook for the model checker: events sharing a timestamp
@@ -22,7 +23,8 @@ val set_reorder_hook : t -> ((unit -> unit) array -> (unit -> unit) array) optio
     execute, letting a checker permute FIFO tie-breaking (the one
     ordering freedom a discrete-event run has). Events a batch
     schedules at the same time form a later batch; [max_events] is
-    checked between batches while a hook is installed. [None] restores
+    checked between batches while a hook is installed, and the clock is
+    already at the batch's time when the hook runs. [None] restores
     deterministic FIFO. *)
 
 val pending : t -> int

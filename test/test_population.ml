@@ -275,6 +275,25 @@ module Oracle = struct
       Some (time, v)
 end
 
+(* The queue's earliest entry as (time, payload), cross-checked against
+   [min_time] and [due]; [None] when empty. *)
+let queue_pop q =
+  if Event_queue.length q = 0 then begin
+    Alcotest.(check bool) "empty min_time" true (Event_queue.min_time q = infinity);
+    Alcotest.(check bool) "empty is never due" false (Event_queue.due q infinity);
+    None
+  end
+  else begin
+    let earliest = Event_queue.min_time q in
+    Alcotest.(check bool) "due at min_time" true (Event_queue.due q earliest);
+    Alcotest.(check bool) "not due before min_time" false
+      (Event_queue.due q (Float.pred earliest));
+    let clock = [| nan |] in
+    let v = Event_queue.take q ~clock in
+    Alcotest.(check (float 0.0)) "take reports min_time" earliest clock.(0);
+    Some (clock.(0), v)
+  end
+
 let test_queue_ordering () =
   let q = Event_queue.create () in
   let o = Oracle.create () in
@@ -284,7 +303,7 @@ let test_queue_ordering () =
       Oracle.push o ~time i)
     [ 5.0; 1.0; 3.0; 1.0; 0.0; 3.0; 2.5 ];
   let rec drain acc =
-    match (Event_queue.pop q, Oracle.pop o) with
+    match (queue_pop q, Oracle.pop o) with
     | None, None -> List.rev acc
     | Some (t1, v1), Some (t2, v2) ->
       Alcotest.(check (float 0.0)) "time matches oracle" t2 t1;
@@ -300,7 +319,7 @@ let test_queue_random_interleaving () =
   let q = Event_queue.create () in
   let o = Oracle.create () in
   for _ = 1 to 2_000 do
-    if Algorand_sim.Rng.float rng 1.0 < 0.6 || Event_queue.is_empty q then begin
+    if Algorand_sim.Rng.float rng 1.0 < 0.6 || Event_queue.length q = 0 then begin
       (* coarse times force plenty of FIFO ties *)
       let time = float_of_int (Algorand_sim.Rng.int rng 50) in
       let v = Algorand_sim.Rng.int rng 1_000_000 in
@@ -308,7 +327,7 @@ let test_queue_random_interleaving () =
       Oracle.push o ~time v
     end
     else begin
-      match (Event_queue.pop q, Oracle.pop o) with
+      match (queue_pop q, Oracle.pop o) with
       | Some (t1, v1), Some (t2, v2) ->
         Alcotest.(check (float 0.0)) "time" t2 t1;
         Alcotest.(check int) "value" v2 v1
@@ -316,14 +335,85 @@ let test_queue_random_interleaving () =
     end;
     Alcotest.(check int) "length agrees" (List.length o.items) (Event_queue.length q)
   done;
-  while not (Event_queue.is_empty q) do
-    match (Event_queue.pop q, Oracle.pop o) with
+  while not (Event_queue.length q = 0) do
+    match (queue_pop q, Oracle.pop o) with
     | Some (t1, v1), Some (t2, v2) ->
       Alcotest.(check (float 0.0)) "time" t2 t1;
       Alcotest.(check int) "value" v2 v1
     | _ -> Alcotest.fail "length mismatch at drain"
   done;
   Alcotest.(check bool) "oracle drained" true (o.items = [])
+
+(* Long-lived entries sit in their slots while thousands of others
+   cycle through freed ones, a burst grows the columns mid-stream with
+   the free list non-empty, and only four distinct timestamps keep FIFO
+   ties on nearly every comparison. *)
+let test_queue_slot_reuse_growth_ties () =
+  let rng = Algorand_sim.Rng.create 7 in
+  let q = Event_queue.create () in
+  let o = Oracle.create () in
+  let push time v =
+    Event_queue.push q ~time v;
+    Oracle.push o ~time v
+  in
+  let check_pop () =
+    match (queue_pop q, Oracle.pop o) with
+    | Some (t1, v1), Some (t2, v2) ->
+      Alcotest.(check (float 0.0)) "time" t2 t1;
+      Alcotest.(check int) "value" v2 v1
+    | None, None -> ()
+    | _ -> Alcotest.fail "length mismatch"
+  in
+  for k = 0 to 7 do
+    push (if k < 4 then 1e6 else 1e6 +. float_of_int k) (-1 - k)
+  done;
+  for op = 1 to 6_000 do
+    if op = 3_000 then
+      for v = 1 to 700 do
+        push (float_of_int (Algorand_sim.Rng.int rng 4)) (1_000_000 + v)
+      done;
+    if Algorand_sim.Rng.float rng 1.0 < 0.5 then
+      push (float_of_int (Algorand_sim.Rng.int rng 4)) op
+    else if Event_queue.length q > 8 then check_pop ();
+    Alcotest.(check int) "length agrees" (List.length o.items) (Event_queue.length q)
+  done;
+  let long_lived = ref [] in
+  while Event_queue.length q > 0 do
+    (match (queue_pop q, Oracle.pop o) with
+    | Some (t1, v1), Some (t2, v2) ->
+      Alcotest.(check (float 0.0)) "time" t2 t1;
+      Alcotest.(check int) "value" v2 v1;
+      if v1 < 0 then long_lived := v1 :: !long_lived
+    | _ -> Alcotest.fail "length mismatch at drain")
+  done;
+  Alcotest.(check (list int)) "long-lived entries last, FIFO within ties"
+    [ -1; -2; -3; -4; -5; -6; -7; -8 ] (List.rev !long_lived);
+  Alcotest.(check bool) "oracle drained" true (o.items = [])
+
+(* A taken payload is collectable at once, pending ones stay alive,
+   and a drained queue keeps nothing alive. *)
+let test_queue_retention () =
+  let q = Event_queue.create () in
+  let weak = Weak.create 3 in
+  let add i time =
+    let payload = Bytes.make 64 (Char.chr (65 + i)) in
+    Weak.set weak i (Some payload);
+    Event_queue.push q ~time payload
+  in
+  add 0 1.0;
+  add 1 2.0;
+  add 2 3.0;
+  let clock = [| 0.0 |] in
+  Alcotest.(check char) "earliest taken" 'A' (Bytes.get (Event_queue.take q ~clock) 0);
+  Gc.full_major ();
+  Alcotest.(check bool) "taken payload collected" false (Weak.check weak 0);
+  Alcotest.(check bool) "pending payloads alive" true (Weak.check weak 1 && Weak.check weak 2);
+  ignore (Event_queue.take q ~clock);
+  ignore (Event_queue.take q ~clock);
+  Gc.full_major ();
+  Alcotest.(check bool) "drained queue keeps nothing alive" false
+    (Weak.check weak 1 || Weak.check weak 2);
+  Alcotest.(check int) "queue still usable" 0 (Event_queue.length q)
 
 let test_queue_peak () =
   let q = Event_queue.create () in
@@ -332,7 +422,7 @@ let test_queue_peak () =
     Event_queue.push q ~time:(float_of_int i) i
   done;
   for _ = 1 to 60 do
-    ignore (Event_queue.pop q)
+    ignore (queue_pop q)
   done;
   for i = 1 to 10 do
     Event_queue.push q ~time:(float_of_int i) i
@@ -375,6 +465,22 @@ let test_engine_counters () =
   Alcotest.(check int) "peak survives drain" 5 (Engine.peak_pending engine);
   Alcotest.(check int) "events processed" 5 (Engine.events_processed engine)
 
+(* The dispatch loop's allocation is O(1), not O(events): thunks are
+   built and scheduled before the measured run. *)
+let test_engine_run_allocation () =
+  let engine = Engine.create () in
+  let n = 20_000 in
+  let count = ref 0 in
+  let thunks = Array.init n (fun _ () -> incr count) in
+  Array.iteri (fun i f -> Engine.schedule engine ~delay:(float_of_int (i mod 97)) f) thunks;
+  let before = Gc.minor_words () in
+  let ran = Engine.run engine ~until:1e9 () in
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check int) "all events ran" n ran;
+  Alcotest.(check int) "every thunk ran once" n !count;
+  if words > 100.0 then
+    Alcotest.failf "Engine.run allocated %.0f minor words for %d events" words n
+
 let suite =
   [
     ( "population",
@@ -397,8 +503,12 @@ let suite =
           test_queue_ordering;
         Alcotest.test_case "2000-op random interleaving vs oracle" `Quick
           test_queue_random_interleaving;
+        Alcotest.test_case "slot reuse, growth and ties vs oracle" `Quick
+          test_queue_slot_reuse_growth_ties;
+        Alcotest.test_case "taken payloads are not retained" `Quick test_queue_retention;
         Alcotest.test_case "peak high-water mark" `Quick test_queue_peak;
         Alcotest.test_case "engine batch semantics" `Quick test_engine_batch_semantics;
         Alcotest.test_case "engine counters" `Quick test_engine_counters;
+        Alcotest.test_case "engine run allocates O(1)" `Quick test_engine_run_allocation;
       ] );
   ]

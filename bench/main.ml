@@ -7,20 +7,15 @@
      dune exec bench/main.exe -- fig5 fig7    # selected experiments
      SCALE=2 dune exec bench/main.exe -- fig5 # 2x the simulated users
 
-   Experiments: micro micro-check fig3 fig4 fig5 fig6 fig7 fig8
-                throughput related-work costs timeouts analysis
-                ablation-committee ablation-pipeline ablation-fanout
-                sim sim-check ledger ledger-check
+   Experiments: micro fig3 fig4 fig5 fig6 fig7 fig8 throughput
+                related-work costs timeouts analysis ablation-committee
+                ablation-pipeline ablation-fanout sim ledger check
 
-   `micro` re-measures the crypto primitives and refreshes
-   results/BENCH_crypto.json; `micro-check` is the CI smoke gate that
-   fails (exit 1) when ed25519/verify regresses >2x vs the committed
-   snapshot. `sim` sweeps the population engine to a million users,
-   one point per fresh process so each point's heap high-water mark is
-   its own, and refreshes results/BENCH_sim.json; `sim-check` is its CI
-   gate (100k users, fails on a >2x rounds/sec regression, or when the
-   Figure 5 point's event, peak-event or materialized counts differ
-   from the snapshot).
+   `micro`, `sim` and `ledger` record results/BENCH_*.json in the one
+   schema of [Bench_snapshot]: each row is the median of [k] runs, with
+   their spread. `check`, the one gate, asserts what the committed
+   snapshots must show and re-measures a few rows with the functions
+   that recorded them: a timing row fails past 2x, a count unless equal.
 
    The x-axes are scaled down from the paper's 1,000-VM deployment (see
    DESIGN.md section 2 and EXPERIMENTS.md): committee parameters stay at
@@ -35,6 +30,7 @@ module Certificate = Algorand_core.Certificate
 module Metrics = Algorand_sim.Metrics
 module Stats = Algorand_sim.Stats
 module Nakamoto = Algorand_baselines.Nakamoto
+module Snap = Bench_snapshot
 open Algorand_crypto
 
 let scale =
@@ -53,13 +49,25 @@ let pp_summary (s : Stats.summary) =
 let csv_dir = "results"
 
 let csv_out (name : string) (header : string) (rows : string list) : unit =
-  (try if not (Sys.file_exists csv_dir) then Sys.mkdir csv_dir 0o755 with Sys_error _ -> ());
-  try
-    let oc = open_out (Filename.concat csv_dir (name ^ ".csv")) in
-    output_string oc (header ^ "\n");
-    List.iter (fun r -> output_string oc (r ^ "\n")) rows;
-    close_out oc
-  with Sys_error _ -> ()
+  Algorand_core.Disk_store.write_file
+    (Filename.concat csv_dir (name ^ ".csv"))
+    (String.concat "\n" (header :: rows) ^ "\n")
+
+(* Runs behind every recorded row: enough for a median and a spread. *)
+let k = 3
+
+(* [k] runs of one measurement, merged row by row. *)
+let record (measure : unit -> Snap.row list) : Snap.row list =
+  Snap.merge (List.init k (fun _ -> measure ()))
+
+let save (path : string) (rows : Snap.row list) : unit =
+  List.iter
+    (fun (r : Snap.row) ->
+      Printf.printf "  %-46s %14s %-9s spread %.3f\n" r.name (Snap.number r.value) r.unit
+        r.spread)
+    rows;
+  Snap.write path rows;
+  Printf.printf "  -> %s\n%!" path
 
 let check_safety name (r : Harness.result) =
   if r.safety.double_final <> [] then
@@ -68,8 +76,7 @@ let check_safety name (r : Harness.result) =
 
 (* ------------------------------------------------------------------ *)
 (* Microbenchmarks (Bechamel + manual loops for the heavy composites). *)
-(* Emits results/BENCH_crypto.json; `micro-check` is the smoke-mode    *)
-(* regression gate CI runs against the committed snapshot.             *)
+(* Emits results/BENCH_crypto.json.                                    *)
 (* ------------------------------------------------------------------ *)
 
 (* Bechamel OLS estimate (ns/op) for one closure. *)
@@ -106,6 +113,21 @@ let signature_batch n =
       let msg = Printf.sprintf "batch msg %d" i in
       (Ed25519.public_key sk, msg, Ed25519.sign sk msg))
 
+(* A vote-validation context over ed25519 + ECVRF in which every voter
+   has weight [w]. *)
+let real_ctx ~seed ~total_weight ~w ~prev_hash ~tau : Algorand_ba.Vote.validation_ctx =
+  {
+    sig_scheme = Signature_scheme.ed25519;
+    vrf_scheme = Vrf.ecvrf;
+    sig_pk_of = Algorand_core.Identity.sig_pk;
+    vrf_pk_of = Algorand_core.Identity.vrf_pk;
+    seed;
+    total_weight;
+    weight_of = (fun _ -> w);
+    last_block_hash = prev_hash;
+    tau_of_step = (fun _ -> tau);
+  }
+
 (* A certificate of ~2000 real votes (ed25519 + ECVRF sortition) plus
    the context to validate it: the committee-scale workload that batch
    verification exists for. Expected weighted votes = tau; user count
@@ -134,63 +156,10 @@ let certificate_workload () =
   let cert =
     Certificate.make ~round:1 ~step:(Algorand_ba.Vote.Bin 1) ~block_hash ~votes
   in
-  let ctx : Algorand_ba.Vote.validation_ctx =
-    {
-      sig_scheme;
-      vrf_scheme;
-      sig_pk_of = Algorand_core.Identity.sig_pk;
-      vrf_pk_of = Algorand_core.Identity.vrf_pk;
-      seed;
-      total_weight;
-      weight_of = (fun _ -> w);
-      last_block_hash = prev_hash;
-      tau_of_step = (fun _ -> tau);
-    }
-  in
+  let ctx = real_ctx ~seed ~total_weight ~w ~prev_hash ~tau in
   (params, ctx, cert)
 
-let bench_json = Filename.concat csv_dir "BENCH_crypto.json"
-
-let write_bench_json (rows : (string * float) list) : unit =
-  (try if not (Sys.file_exists csv_dir) then Sys.mkdir csv_dir 0o755 with Sys_error _ -> ());
-  let oc = open_out bench_json in
-  output_string oc "{\n";
-  List.iteri
-    (fun i (k, v) ->
-      Printf.fprintf oc "  %S: %.0f%s\n" k v
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  output_string oc "}\n";
-  close_out oc
-
-(* Pull one numeric field out of a committed flat-JSON snapshot; the
-   format is the flat object written above, so a string scan does. *)
-let read_json_field ~(path : string) (key : string) : float option =
-  try
-    let ic = open_in path in
-    let len = in_channel_length ic in
-    let s = really_input_string ic len in
-    close_in ic;
-    let needle = Printf.sprintf "%S:" key in
-    let rec find i =
-      if i + String.length needle > String.length s then None
-      else if String.sub s i (String.length needle) = needle then begin
-        let j = ref (i + String.length needle) in
-        while !j < String.length s && not (String.contains "0123456789.-" s.[!j]) do
-          incr j
-        done;
-        let k = ref !j in
-        while !k < String.length s && String.contains "0123456789.-eE+" s.[!k] do
-          incr k
-        done;
-        float_of_string_opt (String.sub s !j (!k - !j))
-      end
-      else find (i + 1)
-    in
-    find 0
-  with Sys_error _ | End_of_file -> None
-
-let read_bench_field (key : string) : float option = read_json_field ~path:bench_json key
+let crypto_json = Filename.concat csv_dir "BENCH_crypto.json"
 
 (* Pre-engine numbers, measured on this codebase at the seed commit
    (naive double-and-add everywhere, one-by-one certificate
@@ -206,24 +175,36 @@ let pre_engine_baselines =
     ("baseline_certificate_validate_per_vote_ns", 7_840_000.0);
   ]
 
+let ns_row (name : string) (measure : unit -> float) () : Snap.row =
+  Snap.row ~name ~unit:"ns" (measure ())
+
+let ed25519_verify_row =
+  ns_row "ed25519_verify_ns" (fun () ->
+      let ed = Ed25519.generate ~seed:"bench" in
+      let msg = String.make 1024 'x' in
+      let public = Ed25519.public_key ed and signature = Ed25519.sign ed msg in
+      bechamel_ns "ed25519/verify" (fun () -> Ed25519.verify ~public ~msg ~signature))
+
 (* ECVRF verification against a fresh input on every call, so each
    pays hash-to-curve and the input's table build: the cost of the first
    check of a committee step's proofs. The proofs are made up front; the
    VRF's input cache holds at most 64 inputs, so 64 further proofs
    evict every input before it is verified. *)
-let ecvrf_verify_cold_ns ?(iters = 100) () : float =
-  let prover, pk = Vrf.ecvrf.generate ~seed:"bench-cold" in
-  let input i = Printf.sprintf "cold-%d" i in
-  let proofs = Array.init (iters + 2) (fun i -> snd (prover.prove (input i))) in
-  for i = 1 to 64 do
-    ignore (prover.prove (Printf.sprintf "evict-%d" i))
-  done;
-  let next = ref 0 in
-  manual_ns ~iters (fun () ->
-      let i = !next in
-      incr next;
-      if Vrf.ecvrf.verify ~pk ~input:(input i) ~proof:proofs.(i) = None then
-        failwith "proof must verify")
+let ecvrf_verify_cold_row =
+  ns_row "ecvrf_verify_cold_ns" (fun () ->
+      let iters = 100 in
+      let prover, pk = Vrf.ecvrf.generate ~seed:"bench-cold" in
+      let input i = Printf.sprintf "cold-%d" i in
+      let proofs = Array.init (iters + 2) (fun i -> snd (prover.prove (input i))) in
+      for i = 1 to 64 do
+        ignore (prover.prove (Printf.sprintf "evict-%d" i))
+      done;
+      let next = ref 0 in
+      manual_ns ~iters (fun () ->
+          let i = !next in
+          incr next;
+          if Vrf.ecvrf.verify ~pk ~input:(input i) ~proof:proofs.(i) = None then
+            failwith "proof must verify"))
 
 (* Which SHA-256 kernel this host runs: SHA-NI and the OCaml kernel
    differ several-fold, and every crypto row hashes. *)
@@ -234,110 +215,63 @@ let micro () =
   print_sha256_kernel ();
   let kb = String.make 1024 'x' in
   let ed = Ed25519.generate ~seed:"bench" in
-  let ed_pk = Ed25519.public_key ed in
-  let ed_sig = Ed25519.sign ed kb in
   let ecvrf_prover, ecvrf_pk = Vrf.ecvrf.generate ~seed:"bench" in
   let _, ecvrf_proof = ecvrf_prover.prove "input" in
   let sim_prover, _ = Vrf.sim.generate ~seed:"bench" in
   let counter = ref 0 in
   let fresh () = incr counter; string_of_int !counter in
-  let rows = ref [] in
-  let record key ns =
-    rows := (key, ns) :: !rows;
-    Printf.printf "  %-40s %12.0f ns/op\n%!" key ns
-  in
-  record "sha256_1kib_ns" (bechamel_ns "sha256/1KiB" (fun () -> Sha256.digest kb));
-  record "ed25519_sign_ns" (bechamel_ns "ed25519/sign" (fun () -> Ed25519.sign ed (fresh ())));
-  record "ed25519_verify_ns"
-    (bechamel_ns "ed25519/verify" (fun () ->
-         Ed25519.verify ~public:ed_pk ~msg:kb ~signature:ed_sig));
   let batch = signature_batch 64 in
-  record "ed25519_verify_batch_per_sig_ns"
-    (manual_ns ~iters:10 (fun () ->
-         if not (Ed25519.verify_batch batch) then failwith "batch must verify")
-    /. 64.0);
-  record "ecvrf_prove_ns" (bechamel_ns "ecvrf/prove" (fun () -> ecvrf_prover.prove (fresh ())));
-  record "ecvrf_verify_ns"
-    (bechamel_ns "ecvrf/verify" (fun () ->
-         Vrf.ecvrf.verify ~pk:ecvrf_pk ~input:"input" ~proof:ecvrf_proof));
-  record "ecvrf_verify_cold_ns" (ecvrf_verify_cold_ns ());
-  record "simvrf_prove_ns"
-    (bechamel_ns "simvrf/prove" (fun () -> sim_prover.prove (fresh ())));
-  record "sortition_select_j_ns"
-    (bechamel_ns "sortition/select_j" (fun () ->
-         Algorand_sortition.Binomial.select_j ~frac:0.37 ~w:1000 ~p:0.125));
   (* Composite consensus-path costs: one vote, then a whole certificate
-     (where the per-vote signature cost collapses into the batch). *)
-  Printf.printf "  building ~2000-vote certificate workload...\n%!";
-  let params, ctx, cert = certificate_workload () in
-  let n_votes = List.length cert.votes in
-  (match cert.votes with
-  | v :: _ ->
-    record "vote_validate_ns"
-      (manual_ns ~iters:20 (fun () ->
-           if Algorand_ba.Vote.validate ctx v = 0 then failwith "vote must validate"))
-  | [] -> failwith "empty certificate workload");
-  record "certificate_votes" (float_of_int n_votes);
-  record "certificate_validate_per_vote_ns"
-    (manual_ns ~warmup:1 ~iters:2 (fun () ->
-         match Certificate.validate ~params ~ctx cert with
-         | Ok () -> ()
-         | Error e -> Format.kasprintf failwith "certificate invalid: %a" Certificate.pp_error e)
-    /. float_of_int n_votes);
-  let rows = List.rev !rows @ pre_engine_baselines in
-  write_bench_json rows;
-  Printf.printf "  -> %s\n" bench_json;
-  let ratio num den =
-    match (List.assoc_opt num rows, List.assoc_opt den rows) with
-    | Some a, Some b when a > 0.0 -> Printf.sprintf "%.1fx" (b /. a)
-    | _ -> "?"
+     (where the per-vote signature cost collapses into the batch). The
+     workload is built only once the primitives are measured, so that
+     their loops do not run beside its large live heap. *)
+  let workload =
+    lazy
+      (Printf.printf "  building ~2000-vote certificate workload...\n%!";
+       certificate_workload ())
   in
-  Printf.printf "  speedup vs pre-engine baseline: verify %s, certificate/vote %s\n"
-    (ratio "ed25519_verify_ns" "baseline_ed25519_verify_ns")
-    (ratio "certificate_validate_per_vote_ns" "baseline_certificate_validate_per_vote_ns")
-
-(* Smoke-mode regression gate (CI): re-measure each gated row with a
-   short manual loop and fail when any has regressed more than 2x
-   against the committed snapshot. Short enough for CI; the full
-   `micro` refreshes the snapshot. *)
-let micro_check () =
-  header "Microbenchmark smoke check: gated crypto rows vs committed snapshot";
-  print_sha256_kernel ();
-  let ed = Ed25519.generate ~seed:"bench" in
-  let ed_pk = Ed25519.public_key ed in
-  let msg = String.make 1024 'x' in
-  let ed_sig = Ed25519.sign ed msg in
-  let gated =
+  let n_votes (cert : Certificate.t) = float_of_int (List.length cert.votes) in
+  let probes =
     [
-      ( "ed25519_verify_ns",
-        fun () ->
-          manual_ns ~warmup:5 ~iters:50 (fun () ->
-              if not (Ed25519.verify ~public:ed_pk ~msg ~signature:ed_sig) then
-                failwith "verify must accept") );
-      ("ecvrf_verify_cold_ns", fun () -> ecvrf_verify_cold_ns ~iters:30 ());
+      ns_row "sha256_1kib_ns" (fun () -> bechamel_ns "sha256/1KiB" (fun () -> Sha256.digest kb));
+      ns_row "ed25519_sign_ns" (fun () ->
+          bechamel_ns "ed25519/sign" (fun () -> Ed25519.sign ed (fresh ())));
+      ed25519_verify_row;
+      ns_row "ed25519_verify_batch_per_sig_ns" (fun () ->
+          manual_ns ~iters:10 (fun () ->
+              if not (Ed25519.verify_batch batch) then failwith "batch must verify")
+          /. 64.0);
+      ns_row "ecvrf_prove_ns" (fun () ->
+          bechamel_ns "ecvrf/prove" (fun () -> ecvrf_prover.prove (fresh ())));
+      ns_row "ecvrf_verify_ns" (fun () ->
+          bechamel_ns "ecvrf/verify" (fun () ->
+              Vrf.ecvrf.verify ~pk:ecvrf_pk ~input:"input" ~proof:ecvrf_proof));
+      ecvrf_verify_cold_row;
+      ns_row "simvrf_prove_ns" (fun () ->
+          bechamel_ns "simvrf/prove" (fun () -> sim_prover.prove (fresh ())));
+      ns_row "sortition_select_j_ns" (fun () ->
+          bechamel_ns "sortition/select_j" (fun () ->
+              Algorand_sortition.Binomial.select_j ~frac:0.37 ~w:1000 ~p:0.125));
+      ns_row "vote_validate_ns" (fun () ->
+          let _, ctx, cert = Lazy.force workload in
+          manual_ns ~iters:20 (fun () ->
+              if Algorand_ba.Vote.validate ctx (List.hd cert.votes) = 0 then
+                failwith "vote must validate"));
+      (fun () ->
+        let _, _, cert = Lazy.force workload in
+        Snap.row ~name:"certificate_votes" ~unit:"count" (n_votes cert));
+      ns_row "certificate_validate_per_vote_ns" (fun () ->
+          let params, ctx, cert = Lazy.force workload in
+          manual_ns ~warmup:1 ~iters:2 (fun () ->
+              match Certificate.validate ~params ~ctx cert with
+              | Ok () -> ()
+              | Error e -> Format.kasprintf failwith "certificate invalid: %a" Certificate.pp_error e)
+          /. n_votes cert);
     ]
   in
-  let failed =
-    List.filter
-      (fun (row, measure) ->
-        match read_bench_field row with
-        | None ->
-          Printf.printf "  %s: no committed row in %s; run `bench/main.exe -- micro` first\n"
-            row bench_json;
-          true
-        | Some committed ->
-          let measured = measure () in
-          Printf.printf "  %-22s committed %12.0f ns/op, measured %12.0f ns/op (%.2fx)\n%!" row
-            committed measured (measured /. committed);
-          measured > 2.0 *. committed)
-      gated
-  in
-  if failed <> [] then begin
-    Printf.printf "  FAIL: %s missing or regressed more than 2x\n"
-      (String.concat ", " (List.map fst failed));
-    exit 1
-  end
-  else Printf.printf "  OK\n"
+  save crypto_json
+    (List.concat_map (fun probe -> record (fun () -> [ probe () ])) probes
+    @ List.map (fun (name, v) -> Snap.row ~name ~unit:"ns" v) pre_engine_baselines)
 
 (* ------------------------------------------------------------------ *)
 (* Figure 3: committee size vs honest fraction.                        *)
@@ -470,7 +404,7 @@ let fig8 () =
             rounds = 5;
             block_bytes = 500_000;
             malicious_fraction = float_of_int pct /. 100.0;
-            attack = Harness.Equivocate;
+            attacks = [ Harness.Equivocate ];
             rng_seed = 31 + pct;
           }
       in
@@ -549,7 +483,7 @@ let related_work () =
         users = 50 * scale;
         rounds = 2;
         block_bytes = 500_000;
-        attack = Harness.Targeted_dos { fraction = 0.3; from_ = 0.0; until = 1e9 };
+        attacks = [ Harness.Targeted_dos { fraction = 0.3; from_ = 0.0; until = 1e9 } ];
         tx_rate_per_s = 0.0;
       }
   in
@@ -598,18 +532,8 @@ let costs () =
   (* CPU: time one vote validation with the real crypto. *)
   let sig_scheme = Signature_scheme.ed25519 and vrf_scheme = Vrf.ecvrf in
   let id = Algorand_core.Identity.generate ~sig_scheme ~vrf_scheme ~seed:"cost" in
-  let vctx : Algorand_ba.Vote.validation_ctx =
-    {
-      sig_scheme;
-      vrf_scheme;
-      sig_pk_of = Algorand_core.Identity.sig_pk;
-      vrf_pk_of = Algorand_core.Identity.vrf_pk;
-      seed = "s";
-      total_weight = 1000;
-      weight_of = (fun _ -> 1000);
-      last_block_hash = String.make 32 'p';
-      tau_of_step = (fun _ -> 2000.0);
-    }
+  let vctx =
+    real_ctx ~seed:"s" ~total_weight:1000 ~w:1000 ~prev_hash:(String.make 32 'p') ~tau:2000.0
   in
   (match
      Algorand_ba.Vote.make ~signer:id.signer ~prover:id.prover ~pk:id.pk ~seed:"s"
@@ -617,13 +541,8 @@ let costs () =
        ~prev_hash:(String.make 32 'p') ~value:"v"
    with
   | Some v ->
-    let t0 = Unix.gettimeofday () in
-    let iters = 5 in
-    for _ = 1 to iters do
-      ignore (Algorand_ba.Vote.validate vctx v)
-    done;
     Printf.printf "  CPU: one vote validation (ed25519 + ECVRF, pure OCaml): %.1f ms\n"
-      ((Unix.gettimeofday () -. t0) /. float_of_int iters *. 1000.0)
+      (manual_ns ~warmup:0 ~iters:5 (fun () -> Algorand_ba.Vote.validate vctx v) /. 1e6)
   | None -> ())
 
 (* ------------------------------------------------------------------ *)
@@ -729,21 +648,7 @@ let ablation_fanout () =
 (* Figures 5-6 at paper-scale user counts: the population engine.      *)
 (* ------------------------------------------------------------------ *)
 
-let sim_bench_json = Filename.concat csv_dir "BENCH_sim.json"
-
-(* Like [write_bench_json] but with fractional precision: rounds/sec at
-   half a million users is well below 1. *)
-let write_sim_json (rows : (string * float) list) : unit =
-  (try if not (Sys.file_exists csv_dir) then Sys.mkdir csv_dir 0o755 with Sys_error _ -> ());
-  let oc = open_out sim_bench_json in
-  output_string oc "{\n";
-  List.iteri
-    (fun i (k, v) ->
-      Printf.fprintf oc "  %S: %.4f%s\n" k v
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  output_string oc "}\n";
-  close_out oc
+let sim_json = Filename.concat csv_dir "BENCH_sim.json"
 
 (* Fixed committee parameters for the sweep: committee sizes stay
    constant while the population grows - the paper's core scaling claim
@@ -753,44 +658,51 @@ let write_sim_json (rows : (string * float) list) : unit =
    the user count. *)
 let sim_params = Params.scaled ~factor:0.01
 
-let sim_config ~(users : int) ~(rounds : int) : Algorand_core.Population.config =
-  {
-    Algorand_core.Population.default with
-    users;
-    rounds;
-    params = sim_params;
-    block_bytes = 1_000_000;
-    rng_seed = 2017;
-  }
-
 (* The two sweeps: Figure 5 at 20 Mbit/s over three rounds, Figure 6
    at 2 Mbit/s with lambda_step = 1 min over two. *)
 let sim_fig_config ~(fig : string) ~(users : int) : Algorand_core.Population.config =
+  let cfg =
+    {
+      Algorand_core.Population.default with
+      users;
+      rounds = 3;
+      params = sim_params;
+      block_bytes = 1_000_000;
+      rng_seed = 2017;
+    }
+  in
   match fig with
-  | "fig5" -> sim_config ~users ~rounds:3
+  | "fig5" -> cfg
   | "fig6" ->
     {
-      (sim_config ~users ~rounds:2) with
+      cfg with
+      rounds = 2;
       bandwidth_bps = 2e6;
       params = { sim_params with lambda_step = 60.0 };
     }
   | _ -> invalid_arg ("sim: unknown figure " ^ fig)
 
-(* One sweep point: run, audit, and distill the numbers BENCH_sim
-   tracks, as (BENCH_sim fields, CSV row). *)
-let sim_point ~(fig : string) ~(users : int) : (string * float) list * string =
+let sim_row_name ~(fig : string) ~(users : int) (field : string) : string =
+  if fig = "fig5" then Printf.sprintf "sim_users_%d_%s" users field
+  else Printf.sprintf "sim_%s_users_%d_%s" fig users field
+
+(* One run of one sweep point, audited: it must keep agreement and
+   complete every round. Latencies are simulated seconds, so they are
+   as deterministic as the event counts. *)
+let sim_point ~(fig : string) ~(users : int) : Snap.row list =
   let cfg = sim_fig_config ~fig ~users in
   let t0 = Unix.gettimeofday () in
   let r = Algorand_core.Population.run cfg in
   let wall = Unix.gettimeofday () -. t0 in
-  if not r.agreement then begin
-    Printf.printf "!! %s-scale population run at %d users failed its agreement audit\n" fig
-      users;
-    exit 1
-  end;
+  if not r.agreement then
+    failwith (Printf.sprintf "%s point at %d users failed its agreement audit" fig users);
+  if List.length r.block_hashes <> cfg.rounds then
+    failwith
+      (Printf.sprintf "%s point at %d users completed %d/%d rounds" fig users
+         (List.length r.block_hashes) cfg.rounds);
   let stats = r.round_stats in
-  let n_rounds = float_of_int (List.length stats) in
-  let mean f = List.fold_left (fun a s -> a +. f s) 0.0 stats /. n_rounds in
+  let mean f = List.fold_left (fun a s -> a +. f s) 0.0 stats /. float_of_int (List.length stats) in
+  let latencies = List.map (fun (s : Algorand_core.Population.round_stat) -> s.latency_s) stats in
   let latency = mean (fun (s : Algorand_core.Population.round_stat) -> s.latency_s) in
   let bytes_per_user =
     mean (fun (s : Algorand_core.Population.round_stat) -> s.modeled_bytes_per_user)
@@ -800,69 +712,45 @@ let sim_point ~(fig : string) ~(users : int) : (string * float) list * string =
      and never falls, so each point runs in a fresh process
      ([sim_point_in_child]). *)
   let top_heap_mb = float_of_int (Gc.quick_stat ()).top_heap_words *. 8e-6 in
-  let lat_min =
-    List.fold_left
-      (fun a (s : Algorand_core.Population.round_stat) -> Float.min a s.latency_s)
-      infinity stats
-  and lat_max =
-    List.fold_left
-      (fun a (s : Algorand_core.Population.round_stat) -> Float.max a s.latency_s)
-      0.0 stats
-  in
-  (* Figure 6's rows have always left bytes per user at 0. *)
-  let csv_bytes = if fig = "fig5" then bytes_per_user else 0.0 in
-  let csv_row =
-    Printf.sprintf "%d,%.3f,%.3f,%.3f,%d,%d,%.0f,%.1f" users lat_min latency lat_max
-      r.max_materialized r.peak_pending csv_bytes top_heap_mb
-  in
   Printf.printf
     "  %-9d lat=%6.2fs materialized=%-6d peak_ev=%-8d %8.0f B/user  %6.2f rounds/s  heap=%.0f MB\n%!"
     users latency r.max_materialized r.peak_pending bytes_per_user rounds_per_s
     top_heap_mb;
-  let fields =
-    if fig = "fig5" then
-      let key fmt = Printf.sprintf "sim_users_%d_%s" users fmt in
-      [
-        (key "rounds_per_s", rounds_per_s);
-        (key "latency_s", latency);
-        (key "events", float_of_int r.total_events);
-        (key "peak_events", float_of_int r.peak_pending);
-        (key "materialized", float_of_int r.max_materialized);
-        (key "bytes_per_user", bytes_per_user);
-        (key "top_heap_mb", top_heap_mb);
-      ]
-    else [ (Printf.sprintf "sim_fig6_users_%d_latency_s" users, latency) ]
-  in
-  (fields, csv_row)
+  let row field unit v = Snap.row ~name:(sim_row_name ~fig ~users field) ~unit v in
+  [
+    row "rounds_per_s" "rounds/s" rounds_per_s;
+    row "latency_s" "sim_s" latency;
+    row "lat_min_s" "sim_s" (List.fold_left Float.min infinity latencies);
+    row "lat_max_s" "sim_s" (List.fold_left Float.max 0.0 latencies);
+    row "events" "count" (float_of_int r.total_events);
+    row "peak_events" "count" (float_of_int r.peak_pending);
+    row "materialized" "count" (float_of_int r.max_materialized);
+    row "bytes_per_user" "B" bytes_per_user;
+    row "top_heap_mb" "MB" top_heap_mb;
+  ]
 
-(* The child side of [sim_point_in_child]: the point's printed line,
-   then its numbers as "@field <key> <hex float>" and "@csv <row>". *)
-let sim_point_child ~(fig : string) ~(users : int) : unit =
-  let fields, csv_row = sim_point ~fig ~users in
-  List.iter (fun (k, v) -> Printf.printf "@field %s %h\n" k v) fields;
-  Printf.printf "@csv %s\n%!" csv_row
-
-(* Each point runs in a fresh process of this executable, one at a
-   time, so its top_heap_mb is its own high-water mark and not that of
-   every point before it. *)
-let sim_point_in_child ~(fig : string) ~(users : int) : (string * float) list * string =
+(* Each point runs in a fresh process of this executable
+   ([sim-point fig users]), one at a time, so its top_heap_mb is its
+   own high-water mark and not that of every point before it. The
+   child prints its rows as "@<row>" lines. *)
+let sim_point_in_child ~(fig : string) ~(users : int) : Snap.row list =
   let exe = Sys.executable_name in
   let ic = Unix.open_process_args_in exe [| exe; "sim-point"; fig; string_of_int users |] in
-  let fields = ref [] and csv_row = ref "" in
+  let rows = ref [] in
   (try
      while true do
        let line = input_line ic in
-       match String.split_on_char ' ' line with
-       | [ "@field"; k; v ] -> fields := (k, float_of_string v) :: !fields
-       | [ "@csv"; row ] -> csv_row := row
-       | _ -> print_endline line
+       if String.starts_with ~prefix:"@" line then
+         rows := String.sub line 1 (String.length line - 1) :: !rows
+       else print_endline line
      done
    with End_of_file -> ());
-  match Unix.close_process_in ic with
-  | Unix.WEXITED 0 when !csv_row <> "" -> (List.rev !fields, !csv_row)
-  | _ ->
-    Printf.printf "!! %s-scale point at %d users did not complete\n" fig users;
-    exit 1
+  match (Unix.close_process_in ic, !rows) with
+  | Unix.WEXITED 0, _ :: _ ->
+    List.rev_map
+      (fun line -> match Snap.row_of_string line with Ok r -> r | Error e -> failwith e)
+      !rows
+  | _ -> failwith (Printf.sprintf "%s point at %d users did not complete" fig users)
 
 let sim_csv_header = "users,lat_min,lat_mean,lat_max,materialized,peak_events,bytes_per_user,top_heap_mb"
 
@@ -871,98 +759,45 @@ let sim () =
   Printf.printf
     "  (committee params fixed at tau_proposer=%.0f tau_step=%.0f tau_final=%.0f;\n"
     sim_params.tau_proposer sim_params.tau_step sim_params.tau_final;
-  Printf.printf "   only sortition-selected users are materialized per round)\n%!";
+  Printf.printf "   only sortition-selected users are materialized per round;\n";
+  Printf.printf "   each point runs %d times)\n%!" k;
   let sweep fig users =
-    let points = List.map (fun users -> sim_point_in_child ~fig ~users) users in
-    csv_out (fig ^ "_scale") sim_csv_header (List.map snd points);
-    List.concat_map fst points
+    let points =
+      List.map (fun users -> (users, record (fun () -> sim_point_in_child ~fig ~users))) users
+    in
+    let csv_row (users, rows) =
+      let v field =
+        (List.find (fun (r : Snap.row) -> r.name = sim_row_name ~fig ~users field) rows).value
+      in
+      (* Figure 6's rows have always left bytes per user at 0. *)
+      Printf.sprintf "%d,%.3f,%.3f,%.3f,%.0f,%.0f,%.0f,%.1f" users (v "lat_min_s")
+        (v "latency_s") (v "lat_max_s") (v "materialized") (v "peak_events")
+        (if fig = "fig5" then v "bytes_per_user" else 0.0)
+        (v "top_heap_mb")
+    in
+    csv_out (fig ^ "_scale") sim_csv_header (List.map csv_row points);
+    List.concat_map snd points
   in
   Printf.printf "  Figure 5 (scale): latency vs users, 20 Mbit/s\n%!";
   let fig5 = sweep "fig5" [ 5_000; 50_000; 100_000; 500_000; 1_000_000 ] in
   Printf.printf "  Figure 6 (scale): latency vs users, 2 Mbit/s, lambda_step = 1 min\n%!";
   let fig6 = sweep "fig6" [ 5_000; 50_000; 100_000; 500_000 ] in
-  let rows =
-    fig5 @ fig6
+  let count name v = Snap.row ~name ~unit:"count" v in
+  save sim_json
+    (fig5 @ fig6
     @ [
-        ("sim_max_users", 1_000_000.0);
-        ("sim_sweep_rounds", 3.0);
-        ("sim_tau_step", sim_params.tau_step);
-        ("sim_tau_final", sim_params.tau_final);
-      ]
-  in
-  write_sim_json rows;
-  Printf.printf "  -> %s\n" sim_bench_json
-
-(* CI smoke gate: one budgeted 100k-user run against the committed
-   snapshot; fails (exit 1) when rounds/sec regresses more than 2x, or
-   when the run loses agreement or determinism, then a rerun of the
-   snapshot's own Figure 5 point whose exact counts must match. *)
-let sim_check () =
-  header "Population-engine smoke check: 100k users vs committed snapshot";
-  let committed =
-    match read_json_field ~path:sim_bench_json "sim_users_100000_rounds_per_s" with
-    | Some v -> v
-    | None ->
-      Printf.printf "  no committed %s; run `bench/main.exe -- sim` first\n" sim_bench_json;
-      exit 1
-  in
-  let users = 100_000 and rounds = 5 in
-  let t0 = Unix.gettimeofday () in
-  let r = Algorand_core.Population.run (sim_config ~users ~rounds) in
-  let wall = Unix.gettimeofday () -. t0 in
-  if not r.agreement then begin
-    Printf.printf "  FAIL: agreement audit failed\n";
-    exit 1
-  end;
-  if List.length r.block_hashes <> rounds then begin
-    Printf.printf "  FAIL: completed %d/%d rounds\n" (List.length r.block_hashes) rounds;
-    exit 1
-  end;
-  let measured = float_of_int rounds /. wall in
-  Printf.printf "  committed %8.4f rounds/s\n  measured  %8.4f rounds/s (%.2fx)\n%!"
-    committed measured (committed /. measured);
-  if measured < committed /. 2.0 then begin
-    Printf.printf "  FAIL: population engine regressed more than 2x\n";
-    exit 1
-  end
-  else Printf.printf "  OK (%d users, %d rounds, %.1fs wall)\n%!" users rounds wall;
-  (* Exact counts: the committed Figure 5 point at 100k users must
-     reproduce its event, peak-event and materialized counts, so a
-     change that reorders the population's events fails here unless
-     BENCH_sim.json is re-recorded with it. *)
-  let r = Algorand_core.Population.run (sim_fig_config ~fig:"fig5" ~users) in
-  if not r.agreement then begin
-    Printf.printf "  FAIL: fig5 point lost agreement\n";
-    exit 1
-  end;
-  let mismatches =
-    List.filter
-      (fun (field, v) ->
-        let key = Printf.sprintf "sim_users_%d_%s" users field in
-        let committed = read_json_field ~path:sim_bench_json key in
-        Printf.printf "  %-30s committed %-10s measured %d\n" key
-          (match committed with Some c -> Printf.sprintf "%.0f" c | None -> "missing")
-          v;
-        committed <> Some (float_of_int v))
-      [
-        ("events", r.total_events);
-        ("peak_events", r.peak_pending);
-        ("materialized", r.max_materialized);
-      ]
-  in
-  if mismatches <> [] then begin
-    Printf.printf "  FAIL: fig5 counts differ from %s; re-record it with `sim`\n"
-      sim_bench_json;
-    exit 1
-  end
-  else Printf.printf "  OK (fig5 counts at %d users match the snapshot)\n" users
+        count "sim_max_users" 1_000_000.0;
+        count "sim_sweep_rounds" 3.0;
+        count "sim_tau_step" sim_params.tau_step;
+        count "sim_tau_final" sim_params.tau_final;
+      ])
 
 (* ------------------------------------------------------------------ *)
 (* Sustained-TPS ledger benchmark: the sharded balance map under the   *)
 (* hostile workload generator (million-account population, Zipf        *)
 (* hot-key skew, invalid/duplicate/self-pay mixes), batch signature    *)
 (* checking of block transactions, and light-client proof serving.     *)
-(* Emits results/BENCH_ledger.json; `ledger-check` is its CI gate.     *)
+(* Emits results/BENCH_ledger.json.                                    *)
 (* ------------------------------------------------------------------ *)
 
 module Balances = Algorand_ledger.Balances
@@ -971,19 +806,7 @@ module Transaction = Algorand_ledger.Transaction
 module Lblock = Algorand_ledger.Block
 module Lightclient = Algorand_core.Lightclient
 
-let ledger_bench_json = Filename.concat csv_dir "BENCH_ledger.json"
-
-let write_ledger_json (rows : (string * float) list) : unit =
-  (try if not (Sys.file_exists csv_dir) then Sys.mkdir csv_dir 0o755 with Sys_error _ -> ());
-  let oc = open_out ledger_bench_json in
-  output_string oc "{\n";
-  List.iteri
-    (fun i (k, v) ->
-      Printf.fprintf oc "  %S: %.2f%s\n" k v
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  output_string oc "}\n";
-  close_out oc
+let ledger_json = Filename.concat csv_dir "BENCH_ledger.json"
 
 (* A pre-generated workload stream: same (seed, mix, skew) - and hence
    the same transactions - for every shard count it is replayed
@@ -1003,23 +826,16 @@ let ledger_stream ~(accounts : int) ~(zipf : float) ~(mix : Workload.mix)
   in
   (wl, Array.init n_txs (fun _ -> fst (Workload.next wl)))
 
-(* One (shards, stream) point, both halves of the block path:
+(* One (shards, stream) point, both halves of the block path, as rows
+   named [key field]:
    - assembly: sequential per-transaction apply over the raw stream,
      filtering what does not apply (the proposer's dry run) and
-     chunking survivors into blocks;
+     chunking survivors into blocks; its rate counts raw stream txs;
    - validation: [apply_block] over those blocks (per-shard
      conservative pass with exact fallback), which must reproduce the
-     assembly-side final state. *)
-type ledger_point = {
-  lp_assembly_tps : float;  (** raw stream txs through the filter per second *)
-  lp_validate_tps : float;  (** committed txs through apply_block per second *)
-  lp_block_ms : float;  (** mean apply_block latency per block *)
-  lp_applied : int;
-  lp_rejected : int;
-}
-
-let ledger_point ~(wl : Workload.t) ~(shards : int)
-    ~(block_txs : int) (stream : Transaction.t array) : ledger_point =
+     assembly-side final state; its rate counts committed txs. *)
+let ledger_point ~(key : string -> string) ~(wl : Workload.t) ~(shards : int)
+    ~(block_txs : int) (stream : Transaction.t array) : Snap.row list =
   let b0 = Workload.initial_balances wl ~stake:1_000 ~shards in
   let blocks = ref [] and cur = ref [] and cur_n = ref 0 in
   let t0 = Unix.gettimeofday () in
@@ -1059,20 +875,20 @@ let ledger_point ~(wl : Workload.t) ~(shards : int)
     failwith "ledger bench: balance invariant violated";
   if Balances.total st_v <> Balances.total b0 then
     failwith "ledger bench: money supply changed";
-  {
-    lp_assembly_tps = float_of_int (Array.length stream) /. assembly_wall;
-    lp_validate_tps = float_of_int !applied /. validate_wall;
-    lp_block_ms =
-      (if blocks = [] then 0.0
-       else validate_wall /. float_of_int (List.length blocks) *. 1e3);
-    lp_applied = !applied;
-    lp_rejected = !rejected;
-  }
+  let row field unit v = Snap.row ~name:(key field) ~unit v in
+  [
+    row "tps_assembly" "tx/s" (float_of_int (Array.length stream) /. assembly_wall);
+    row "tps_validate" "tx/s" (float_of_int !applied /. validate_wall);
+    row "block_ms" "ms"
+      (if blocks = [] then 0.0 else validate_wall /. float_of_int (List.length blocks) *. 1e3);
+    row "applied" "count" (float_of_int !applied);
+    row "rejected" "count" (float_of_int !rejected);
+  ]
 
 (* Batch signature verification of a block's transactions (ed25519):
    the per-signature cost of one verify_batch equation vs one verify
    call per transaction, plus the bisection filter with a corruption. *)
-let ledger_sig_rows () : (string * float) list =
+let ledger_sig_rows () : Snap.row list =
   let scheme = Signature_scheme.ed25519 in
   let n_signers = 64 and n_txs = 256 in
   let signers =
@@ -1106,19 +922,15 @@ let ledger_sig_rows () : (string * float) list =
   let valid, rejected = Transaction.filter_valid_batch ~scheme mixed in
   if List.length valid <> n_txs - 1 || List.length rejected <> 1 then
     failwith "filter_valid_batch must isolate the corruption";
-  Printf.printf
-    "  block signature check (%d ed25519 txs): %8.0f ns/tx one-by-one, %8.0f ns/tx \
-     batched (%.1fx)\n%!"
-    n_txs per_tx_ns batch_ns (per_tx_ns /. batch_ns);
   [
-    ("ledger_sig_per_tx_verify_ns", per_tx_ns);
-    ("ledger_sig_batch_per_tx_ns", batch_ns);
-    ("ledger_sig_batch_speedup_x", per_tx_ns /. batch_ns);
+    Snap.row ~name:"ledger_sig_per_tx_verify_ns" ~unit:"ns" per_tx_ns;
+    Snap.row ~name:"ledger_sig_batch_per_tx_ns" ~unit:"ns" batch_ns;
+    Snap.row ~name:"ledger_sig_batch_speedup_x" ~unit:"x" (per_tx_ns /. batch_ns);
   ]
 
 (* Light-client proof serving under load: k proofs over one hot block,
    naive per-request tree rebuild vs the caching server. *)
-let ledger_lightclient_rows () : (string * float) list =
+let ledger_lightclient_rows () : Snap.row list =
   let signer, pk = Signature_scheme.sim.Signature_scheme.generate ~seed:"lc-bench" in
   let txs =
     List.init 4096 (fun i ->
@@ -1147,113 +959,153 @@ let ledger_lightclient_rows () : (string * float) list =
         done)
     /. 1e9
   in
-  let naive_ps = float_of_int n_queries /. naive_s in
-  let served_ps = float_of_int n_queries /. served_s in
-  Printf.printf
-    "  light-client serving (4096-tx block, %d queries): %8.0f proofs/s naive, %8.0f \
-     proofs/s cached tree (%.0fx)\n%!"
-    n_queries naive_ps served_ps (served_ps /. naive_ps);
   [
-    ("lightclient_naive_proofs_per_s", naive_ps);
-    ("lightclient_server_proofs_per_s", served_ps);
+    Snap.row ~name:"lightclient_naive_proofs_per_s" ~unit:"proofs/s"
+      (float_of_int n_queries /. naive_s);
+    Snap.row ~name:"lightclient_server_proofs_per_s" ~unit:"proofs/s"
+      (float_of_int n_queries /. served_s);
   ]
 
-(* The gate-scale point, shared between `ledger` (which commits its
-   result) and `ledger-check` (which re-measures and compares). *)
-let ledger_check_point () : ledger_point =
+(* The gate-scale point (100k accounts, 30k hostile txs, 8 shards),
+   recorded by `ledger` and re-measured by `check`. *)
+let ledger_gate () : Snap.row list =
   let wl, stream =
     ledger_stream ~accounts:100_000 ~zipf:1.1 ~mix:Workload.hostile ~n_txs:30_000
   in
-  ledger_point ~wl ~shards:8 ~block_txs:1_024 stream
+  ledger_point ~key:(fun field -> "ledger_check_" ^ field) ~wl ~shards:8 ~block_txs:1_024 stream
 
 let ledger () =
   header "Sustained-TPS ledger: sharded accounts under the hostile workload";
   let accounts = 1_000_000 and n_txs = 200_000 and block_txs = 1_024 in
   let zipf = 1.1 in
   Printf.printf
-    "  (%d accounts, %d-tx stream, Zipf %.1f hot-key skew, %d-tx blocks)\n%!" accounts
-    n_txs zipf block_txs;
-  let rows = ref [] and csv_rows = ref [] in
-  let mixes = [ ("clean", Workload.clean); ("hostile", Workload.hostile) ] in
-  List.iter
-    (fun (mix_name, mix) ->
-      Printf.printf "  generating %s stream...\n%!" mix_name;
-      let wl, stream = ledger_stream ~accounts ~zipf ~mix ~n_txs in
-      List.iter
-        (fun shards ->
-          let p = ledger_point ~wl ~shards ~block_txs stream in
-          Printf.printf
-            "  %-8s shards=%-3d assembly %8.0f tx/s  validate %8.0f tx/s  %6.2f \
-             ms/block  (%d applied, %d rejected)\n%!"
-            mix_name shards p.lp_assembly_tps p.lp_validate_tps p.lp_block_ms
-            p.lp_applied p.lp_rejected;
-          let key fmt = Printf.sprintf "ledger_%s_shards%d_%s" fmt shards mix_name in
-          rows :=
-            !rows
-            @ [
-                (key "tps_assembly", p.lp_assembly_tps);
-                (key "tps_validate", p.lp_validate_tps);
-                (key "block_ms", p.lp_block_ms);
-              ];
-          csv_rows :=
-            !csv_rows
-            @ [
-                Printf.sprintf "%s,%d,%d,%.0f,%.0f,%.3f,%d,%d" mix_name shards accounts
-                  p.lp_assembly_tps p.lp_validate_tps p.lp_block_ms p.lp_applied
-                  p.lp_rejected;
-              ])
-        [ 1; 8; 64 ])
-    mixes;
-  rows := !rows @ ledger_sig_rows ();
-  rows := !rows @ ledger_lightclient_rows ();
-  Printf.printf "  gate-scale point (100k accounts, 30k txs, shards=8, hostile)...\n%!";
-  let gate = ledger_check_point () in
-  Printf.printf "  gate      validate %8.0f tx/s\n%!" gate.lp_validate_tps;
-  rows :=
-    !rows
-    @ [
-        ("ledger_check_tps_validate", gate.lp_validate_tps);
-        ("ledger_accounts", float_of_int accounts);
-        ("ledger_stream_txs", float_of_int n_txs);
-        ("ledger_block_txs", float_of_int block_txs);
-        ("ledger_zipf_s", zipf);
-      ];
-  csv_out "ledger_tps" "mix,shards,accounts,assembly_tps,validate_tps,block_ms,applied,rejected"
-    !csv_rows;
-  write_ledger_json !rows;
-  Printf.printf "  -> %s\n" ledger_bench_json
-
-(* CI smoke gate: re-measure the gate-scale point and fail (exit 1) on
-   a >2x validate-TPS regression against the committed snapshot; the
-   point itself re-runs the conservation/invariant audits. *)
-let ledger_check () =
-  header "Ledger smoke check: 100k-account hostile workload vs committed snapshot";
-  let committed =
-    match read_json_field ~path:ledger_bench_json "ledger_check_tps_validate" with
-    | Some v -> v
-    | None ->
-      Printf.printf "  no committed %s; run `bench/main.exe -- ledger` first\n"
-        ledger_bench_json;
-      exit 1
+    "  (%d accounts, %d-tx stream, Zipf %.1f hot-key skew, %d-tx blocks; %d runs a point)\n%!"
+    accounts n_txs zipf block_txs k;
+  let points =
+    List.concat_map
+      (fun (mix_name, mix) ->
+        Printf.printf "  generating %s stream...\n%!" mix_name;
+        let wl, stream = ledger_stream ~accounts ~zipf ~mix ~n_txs in
+        List.map
+          (fun shards ->
+            let key field = Printf.sprintf "ledger_%s_shards%d_%s" field shards mix_name in
+            let rows = record (fun () -> ledger_point ~key ~wl ~shards ~block_txs stream) in
+            let v field = (List.find (fun (r : Snap.row) -> r.name = key field) rows).value in
+            let csv =
+              Printf.sprintf "%s,%d,%d,%.0f,%.0f,%.3f,%.0f,%.0f" mix_name shards accounts
+                (v "tps_assembly") (v "tps_validate") (v "block_ms") (v "applied")
+                (v "rejected")
+            in
+            Printf.printf "  %s\n%!" csv;
+            (rows, csv))
+          [ 1; 8; 64 ])
+      [ ("clean", Workload.clean); ("hostile", Workload.hostile) ]
   in
-  let p = ledger_check_point () in
-  Printf.printf "  committed %10.0f tx/s\n  measured  %10.0f tx/s (%.2fx)\n%!" committed
-    p.lp_validate_tps
-    (committed /. p.lp_validate_tps);
-  if p.lp_validate_tps < committed /. 2.0 then begin
-    Printf.printf "  FAIL: ledger validate path regressed more than 2x\n";
+  csv_out "ledger_tps" "mix,shards,accounts,assembly_tps,validate_tps,block_ms,applied,rejected"
+    (List.map snd points);
+  let count name v = Snap.row ~name ~unit:"count" v in
+  save ledger_json
+    (List.concat_map fst points
+    @ record ledger_sig_rows
+    @ record ledger_lightclient_rows
+    @ record ledger_gate
+    @ [
+        count "ledger_accounts" (float_of_int accounts);
+        count "ledger_stream_txs" (float_of_int n_txs);
+        count "ledger_block_txs" (float_of_int block_txs);
+        Snap.row ~name:"ledger_zipf_s" ~unit:"exponent" zipf;
+      ])
+
+(* ------------------------------------------------------------------ *)
+(* The one bench gate.                                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* What a committed snapshot must show, and the rows [check]
+   re-measures, each with the function that recorded it. *)
+type gate =
+  | At_least of string * float
+  | Positive of string
+  | Less of string * string  (** the first row's value is below the second's *)
+  | Rerun of (unit -> Snap.row list)
+
+let gates : (string * gate list) list =
+  [
+    (crypto_json, [ Rerun (fun () -> [ ed25519_verify_row (); ecvrf_verify_cold_row () ]) ]);
+    ( sim_json,
+      [
+        At_least ("sim_max_users", 500_000.0);
+        Positive "sim_users_100000_rounds_per_s";
+        Positive "sim_users_500000_rounds_per_s";
+        Positive "sim_users_500000_materialized";
+        Positive "sim_users_100000_latency_s";
+        (* The Figure 5 point at 100k users, once: 2x on rounds/s, and
+           its event, peak-event and materialized counts exactly, so a
+           change that reorders the population's events fails here
+           unless BENCH_sim.json is re-recorded with it. *)
+        Rerun (fun () -> sim_point_in_child ~fig:"fig5" ~users:100_000);
+      ] );
+    ( ledger_json,
+      [
+        At_least ("ledger_accounts", 1_000_000.0);
+        Positive "ledger_tps_validate_shards8_hostile";
+        Positive "ledger_check_tps_validate";
+        Less ("ledger_sig_batch_per_tx_ns", "ledger_sig_per_tx_verify_ns");
+        Less ("lightclient_naive_proofs_per_s", "lightclient_server_proofs_per_s");
+        (* Re-runs the conservation and invariant audits too. *)
+        Rerun ledger_gate;
+      ] );
+  ]
+
+let check () =
+  header "Bench check: committed snapshots and re-measured rows";
+  print_sha256_kernel ();
+  let failures = ref 0 in
+  let verdict ok fmt =
+    Printf.ksprintf
+      (fun line ->
+        if not ok then incr failures;
+        Printf.printf "  %-4s %s\n%!" (if ok then "ok" else "FAIL") line)
+      fmt
+  in
+  List.iter
+    (fun (path, gates) ->
+      match Snap.read path with
+      | Error e -> verdict false "%s" e
+      | Ok rows ->
+        let row name =
+          match List.find_opt (fun (r : Snap.row) -> r.name = name) rows with
+          | Some r -> r
+          | None -> failwith (Printf.sprintf "%s: no row %s" path name)
+        in
+        let v name = (row name).value in
+        List.iter
+          (fun gate ->
+            try
+              match gate with
+              | At_least (a, x) -> verdict (v a >= x) "%s = %s >= %s" a (Snap.number (v a)) (Snap.number x)
+              | Positive a -> verdict (v a > 0.0) "%s = %s > 0" a (Snap.number (v a))
+              | Less (a, b) ->
+                verdict (v a < v b) "%s = %s < %s = %s" a (Snap.number (v a)) b (Snap.number (v b))
+              | Rerun measure ->
+                List.iter
+                  (fun (m : Snap.row) ->
+                    let c = row m.name in
+                    verdict (Snap.holds ~committed:c m) "%s: committed %s, measured %s %s" m.name
+                      (Snap.number c.value) (Snap.number m.value) m.unit)
+                  (measure ())
+            with Failure e | Invalid_argument e -> verdict false "%s" e)
+          gates)
+    gates;
+  if !failures > 0 then begin
+    Printf.printf "  %d check(s) failed\n" !failures;
     exit 1
   end
-  else
-    Printf.printf "  OK (%d applied, %d rejected, conservation + invariant hold)\n"
-      p.lp_applied p.lp_rejected
 
 (* ------------------------------------------------------------------ *)
 
 let experiments =
   [
     ("micro", micro);
-    ("micro-check", micro_check);
     ("fig3", fig3);
     ("fig4", fig4);
     ("fig5", fig5);
@@ -1269,14 +1121,16 @@ let experiments =
     ("ablation-pipeline", ablation_pipeline);
     ("ablation-fanout", ablation_fanout);
     ("sim", sim);
-    ("sim-check", sim_check);
     ("ledger", ledger);
-    ("ledger-check", ledger_check);
+    ("check", check);
   ]
 
 let () =
   match Array.to_list Sys.argv with
-  | [ _; "sim-point"; fig; users ] -> sim_point_child ~fig ~users:(int_of_string users)
+  | [ _; "sim-point"; fig; users ] ->
+    List.iter
+      (fun r -> print_endline ("@" ^ Snap.row_to_string r))
+      (sim_point ~fig ~users:(int_of_string users))
   | argv ->
     let requested =
       match argv with

@@ -27,6 +27,18 @@ let setup_logs verbose =
 (* run                                                                 *)
 (* ------------------------------------------------------------------ *)
 
+let attack_names =
+  [
+    ("none", `None);
+    ("equivocate", `Equivocate);
+    ("partition", `Partition);
+    ("dos", `Dos);
+    ("delay-votes", `Delay_votes);
+    ("churn", `Churn);
+    ("flood", `Flood);
+    ("corrupt", `Corrupt);
+  ]
+
 let run_cmd =
   let users =
     Arg.(value & opt int 50 & info [ "users" ] ~docv:"N" ~doc:"Number of simulated users.")
@@ -39,19 +51,7 @@ let run_cmd =
   let attack =
     Arg.(
       value
-      & opt
-          (enum
-             [
-               ("none", `None);
-               ("equivocate", `Equivocate);
-               ("partition", `Partition);
-               ("dos", `Dos);
-               ("delay-votes", `Delay_votes);
-               ("churn", `Churn);
-               ("flood", `Flood);
-               ("corrupt", `Corrupt);
-             ])
-          `None
+      & opt (enum attack_names) `None
       & info [ "attack" ]
           ~doc:"Adversary: none, equivocate, partition, dos, delay-votes, churn, \
                 flood or corrupt.")
@@ -192,38 +192,41 @@ let run_cmd =
           lambda_step = 5.0; max_steps = 6; recovery_interval = 150.0 }
       else Params.paper
     in
-    let attack, malicious_fraction =
+    let attacks, malicious_fraction =
       match attack with
-      | `None -> (Harness.No_attack, 0.0)
-      | `Equivocate -> (Harness.Equivocate, malicious)
-      | `Partition -> (Harness.Partition { from_ = 4.0; until = 100.0 }, 0.0)
-      | `Dos -> (Harness.Targeted_dos { fraction = 0.1; from_ = 5.0; until = 60.0 }, 0.0)
+      | `None -> ([], 0.0)
+      | `Equivocate -> ([ Harness.Equivocate ], malicious)
+      | `Partition -> ([ Harness.Partition { from_ = 4.0; until = 100.0 } ], 0.0)
+      | `Dos -> ([ Harness.Targeted_dos { fraction = 0.1; from_ = 5.0; until = 60.0 } ], 0.0)
       | `Delay_votes ->
-        ( Harness.Delay_votes
-            { delay = params.lambda_step *. 1.1; from_ = 0.0; until = 60.0 },
+        ( [ Harness.Delay_votes { delay = params.lambda_step *. 1.1; from_ = 0.0; until = 60.0 } ],
           0.0 )
       | `Churn ->
-        ( Harness.Crash_churn
-            (Harness.Periodic
-               {
-                 start = 5.0;
-                 period = churn_period;
-                 fraction = churn_fraction;
-                 down_for = churn_down;
-                 until = churn_until;
-               }),
+        ( [
+            Harness.Crash_churn
+              (Harness.Periodic
+                 {
+                   start = 5.0;
+                   period = churn_period;
+                   fraction = churn_fraction;
+                   down_for = churn_down;
+                   until = churn_until;
+                 });
+          ],
           0.0 )
       | `Flood ->
-        ( Harness.Flood
-            {
-              flooders = flood_fraction;
-              rate_per_s = flood_rate;
-              frame_bytes = 512;
-              from_ = 2.0;
-              until = 1_000.0;
-            },
+        ( [
+            Harness.Flood
+              {
+                flooders = flood_fraction;
+                rate_per_s = flood_rate;
+                frame_bytes = 512;
+                from_ = 2.0;
+                until = 1_000.0;
+              };
+          ],
           0.0 )
-      | `Corrupt -> (Harness.Corrupt { p = corrupt_p; from_ = 0.0; until = 60.0 }, 0.0)
+      | `Corrupt -> ([ Harness.Corrupt { p = corrupt_p; from_ = 0.0; until = 60.0 } ], 0.0)
     in
     let config =
       {
@@ -232,7 +235,7 @@ let run_cmd =
         rounds;
         block_bytes;
         rng_seed = seed;
-        attack;
+        attacks;
         malicious_fraction;
         bandwidth_bps = bandwidth;
         fanout;
@@ -334,19 +337,7 @@ let run_cmd =
           (Algorand_core.Disk_store.size_bytes dir / 1024)));
     if r.safety.double_final <> [] || churn_failed || not r.txs.conservation_ok then begin
       Printf.printf "SAFETY VIOLATION at seed %d\n" seed;
-      let attack_name =
-        match attack with
-        | Harness.No_attack -> "none"
-        | Harness.Equivocate -> "equivocate"
-        | Harness.Partition _ -> "partition"
-        | Harness.Targeted_dos _ -> "dos"
-        | Harness.Delay_votes _ -> "delay-votes"
-        | Harness.Crash_churn _ -> "churn"
-        | Harness.Flood _ -> "flood"
-        | Harness.Corrupt _ -> "corrupt"
-        | Harness.Undecidable _ -> "undecidable"
-        | Harness.Adaptive_corrupt _ -> "adaptive"
-      in
+      let attack_name = fst (List.find (fun (_, a) -> a = attack) attack_names) in
       Printf.printf
         "REPRODUCE: algorand-sim run --users %d --rounds %d --seed %d --attack %s \
          --malicious %g --loss %g --churn-fraction %g --churn-period %g --churn-down \

@@ -16,7 +16,7 @@ let run ~malicious =
         rounds = 3;
         block_bytes = 200_000;
         malicious_fraction = malicious;
-        attack = (if malicious > 0.0 then Harness.Equivocate else Harness.No_attack);
+        attacks = (if malicious > 0.0 then [ Harness.Equivocate ] else []);
         tx_rate_per_s = 1.0;
         rng_seed = 77;
       }

@@ -30,7 +30,7 @@ let () =
       params;
       block_bytes = 20_000;
       tx_rate_per_s = 0.0;
-      attack = Harness.Partition { from_ = 4.0; until = 100.0 };
+      attacks = [ Harness.Partition { from_ = 4.0; until = 100.0 } ];
       recovery_enabled = true;
       max_sim_time = 600.0;
       rng_seed = 8;

@@ -219,53 +219,22 @@ let to_harness (c : config) : Harness.config =
   in
   List.fold_left
     (fun (hc : Harness.config) s ->
+      let add a = { hc with attacks = hc.attacks @ [ a ] } in
       match s with
       | Churn { fraction; down_for } ->
-        {
-          hc with
-          stressors =
-            hc.stressors
-            @ [
-                Harness.Crash_churn
-                  (Harness.Periodic
-                     { start = 5.0; period = 12.0; fraction; down_for; until = 80.0 });
-              ];
-        }
+        add
+          (Harness.Crash_churn
+             (Harness.Periodic { start = 5.0; period = 12.0; fraction; down_for; until = 80.0 }))
       | Loss p -> { hc with loss = p }
       | Dup p -> { hc with duplication = p }
       | Flood { flooders; rate } ->
-        {
-          hc with
-          stressors =
-            hc.stressors
-            @ [
-                Harness.Flood
-                  {
-                    flooders;
-                    rate_per_s = rate;
-                    frame_bytes = 512;
-                    from_ = 2.0;
-                    until = 1_000.0;
-                  };
-              ];
-        }
-      | Corrupt p ->
-        {
-          hc with
-          stressors = hc.stressors @ [ Harness.Corrupt { p; from_ = 0.0; until = 60.0 } ];
-        }
+        add
+          (Harness.Flood
+             { flooders; rate_per_s = rate; frame_bytes = 512; from_ = 2.0; until = 1_000.0 })
+      | Corrupt p -> add (Harness.Corrupt { p; from_ = 0.0; until = 60.0 })
       | Equivocate f ->
-        {
-          hc with
-          malicious_fraction = Float.max hc.malicious_fraction f;
-          stressors = hc.stressors @ [ Harness.Equivocate ];
-        }
-      | Partition ->
-        {
-          hc with
-          stressors =
-            hc.stressors @ [ Harness.Partition { from_ = 4.0; until = 40.0 } ];
-        }
+        { (add Harness.Equivocate) with malicious_fraction = Float.max hc.malicious_fraction f }
+      | Partition -> add (Harness.Partition { from_ = 4.0; until = 40.0 })
       | Bytes_wire -> { hc with wire = `Bytes }
       | Hostile_txs { rate; zipf } ->
         {
@@ -279,20 +248,8 @@ let to_harness (c : config) : Harness.config =
                 tx_burst = None;
               };
         }
-      | Undecidable f ->
-        {
-          hc with
-          stressors =
-            hc.stressors
-            @ [ Harness.Undecidable { fraction = f; from_ = 5.0; until = 60.0 } ];
-        }
-      | Adaptive f ->
-        {
-          hc with
-          stressors =
-            hc.stressors
-            @ [ Harness.Adaptive_corrupt { fraction = f; from_ = 0.0; until = 120.0 } ];
-        })
+      | Undecidable f -> add (Harness.Undecidable { fraction = f; from_ = 5.0; until = 60.0 })
+      | Adaptive f -> add (Harness.Adaptive_corrupt { fraction = f; from_ = 0.0; until = 120.0 }))
     base c.stressors
 
 (* --------------------------- episodes ------------------------------ *)

@@ -38,8 +38,8 @@ val to_string : config -> string
 val of_string : string -> (config, string) result
 
 val to_harness : config -> Algorand_core.Harness.config
-(** Materialize the composition onto the unified harness entrypoint
-    ({!Algorand_core.Harness.attacks_of}). *)
+(** Materialize the composition onto one harness config, its attacks
+    in composition order. *)
 
 type episode = {
   config : config;

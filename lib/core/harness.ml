@@ -41,7 +41,6 @@ type crash_plan =
           restart) together - the rack/AZ failure shape *)
 
 type attack =
-  | No_attack
   | Equivocate  (** section 10.4: malicious proposers + double-voting committee *)
   | Partition of { from_ : float; until : float }
       (** network split into two halves (weak synchrony) *)
@@ -116,13 +115,12 @@ type config = {
   bandwidth_bps : float;
   fanout : int;
   malicious_fraction : float;  (** fraction of users (hence stake) that is malicious *)
-  attack : attack;
-  stressors : attack list;
-      (** additional attacks composed with [attack]: every element is
-          wired through the same unified entrypoint, so the swarm can
-          run churn x loss x flood x corrupt x byzantine in one
-          deployment. Order matters only for tie-breaking adversary
-          verdicts (first non-Deliver wins). *)
+  attacks : attack list;
+      (** every attack is wired through the same entrypoint, so the
+          swarm can run churn x loss x flood x corrupt x byzantine in
+          one deployment. Order matters for tie-breaking adversary
+          verdicts (first non-Deliver wins) and for the per-attack RNG
+          labels, which are keyed by position. *)
   tx_rate_per_s : float;
   tx_profile : tx_profile option;
       (** hostile workload shaping (Zipf skew, invalid/duplicate/
@@ -173,8 +171,7 @@ let default =
     bandwidth_bps = 20e6;
     fanout = 4;
     malicious_fraction = 0.0;
-    attack = No_attack;
-    stressors = [];
+    attacks = [];
     tx_rate_per_s = 2.0;
     tx_profile = None;
     verify_tx_sigs = true;
@@ -194,14 +191,6 @@ let default =
     gossip_limits = None;
     deterministic_ts = false;
   }
-
-(* The unified stressor-composition entrypoint: the legacy single
-   [attack] slot followed by every [stressors] element. All wiring in
-   [build] - byzantine flags, durable stores, flood defense, in-flight
-   adversaries, fault scheduling - iterates this list, so a composed
-   run behaves exactly like each attack alone, superposed. *)
-let attacks_of (config : config) : attack list =
-  (match config.attack with No_attack -> [] | a -> [ a ]) @ config.stressors
 
 type t = {
   config : config;
@@ -298,7 +287,11 @@ let rec rm_rf (path : string) : unit =
     else Sys.remove path
 
 let build (config : config) : t =
-  let attacks = attacks_of config in
+  (* All wiring below - byzantine flags, durable stores, flood
+     defense, in-flight adversaries, fault scheduling - iterates this
+     list, so a composed run behaves exactly like each attack alone,
+     superposed. *)
+  let attacks = config.attacks in
   let deployment =
     Deployment.make ~crypto:config.crypto ~stake_per_user:config.stake_per_user
       ~stake_law:config.stake_distribution ~seed:config.rng_seed ~users:config.users
@@ -439,16 +432,15 @@ let build (config : config) : t =
     | Gossip.Plain m -> Some m
     | Gossip.Raw s -> Codec.decode ~limits:codec_limits s
   in
-  (* Per-attack Rng split labels: the first attack keeps the legacy
-     label so existing single-attack runs replay bit-identically;
-     later stressors get a "-<idx>" suffix. [Rng.split] is stateless
+  (* Per-attack Rng split labels: the first attack keeps the bare
+     label and later ones get a "-<idx>" suffix. [Rng.split] is stateless
      (derived from parent state + label), so the extra splits never
      perturb any existing stream. *)
   let lbl idx base = if idx = 0 then base else Printf.sprintf "%s-%d" base idx in
   let adversary_of idx (a : attack) :
       Message.t Gossip.packet Network.adversary option =
     match a with
-    | No_attack | Equivocate | Crash_churn _ | Flood _ -> None
+    | Equivocate | Crash_churn _ | Flood _ -> None
     | Corrupt { p; from_; until } ->
       let corrupt = Adversary.corrupt ~rng:(Rng.split rng (lbl idx "corrupt")) ~p in
       Some

@@ -25,7 +25,6 @@ type crash_plan =
       (** one mass outage: a random fraction crash and restart together *)
 
 type attack =
-  | No_attack
   | Equivocate  (** section 10.4: equivocating proposers, double-voting committees *)
   | Partition of { from_ : float; until : float }
   | Targeted_dos of { fraction : float; from_ : float; until : float }
@@ -86,12 +85,10 @@ type config = {
   bandwidth_bps : float;
   fanout : int;
   malicious_fraction : float;
-  attack : attack;
-  stressors : attack list;
-      (** additional attacks composed with [attack] through the unified
-          entrypoint ({!attacks_of}): the simulation swarm's way of
-          running churn x loss x flood x corrupt x byzantine in one
-          deployment *)
+  attacks : attack list;
+      (** composed in order, each wired as if alone; the simulation
+          swarm's way of running churn x loss x flood x corrupt x
+          byzantine in one deployment. [[]] is an honest run. *)
   tx_rate_per_s : float;
   tx_profile : tx_profile option;
       (** hostile workload shaping layered on [tx_rate_per_s]; [None]
@@ -128,12 +125,6 @@ type config = {
 }
 
 val default : config
-
-val attacks_of : config -> attack list
-(** The unified stressor composition: the legacy single [attack] slot
-    followed by every [stressors] element, in wiring order. The first
-    attack keeps the legacy RNG stream labels, so single-attack runs
-    replay bit-identically to configs that predate [stressors]. *)
 
 val schemes :
   crypto -> Algorand_crypto.Signature_scheme.scheme * Algorand_crypto.Vrf.scheme

@@ -33,7 +33,7 @@ let fast_params ~max_steps =
     max_steps;
   }
 
-let base ~seed ~users ~rounds ~attack ~loss =
+let base ~seed ~users ~rounds ~attacks ~loss =
   {
     Harness.default with
     users;
@@ -43,7 +43,7 @@ let base ~seed ~users ~rounds ~attack ~loss =
     tx_rate_per_s = 0.0;
     max_sim_time = 2_000.0;
     rng_seed = seed;
-    attack;
+    attacks;
     loss;
   }
 
@@ -92,9 +92,9 @@ let one_shot_rejoin () =
   let r =
     Harness.run
       (base ~seed:101 ~users:10 ~rounds:4
-         ~attack:
-           (Harness.Crash_churn
-              (Harness.One_shot { at = 6.0; victims = [ 3 ]; down_for = 10.0 }))
+         ~attacks:
+           [ Harness.Crash_churn
+               (Harness.One_shot { at = 6.0; victims = [ 3 ]; down_for = 10.0 }) ]
          ~loss:0.0)
   in
   Fun.protect
@@ -120,9 +120,9 @@ let correlated_outage () =
   let r =
     Harness.run
       (base ~seed:202 ~users:12 ~rounds:4
-         ~attack:
-           (Harness.Crash_churn
-              (Harness.Correlated { at = 6.0; fraction = 0.33; down_for = 10.0 }))
+         ~attacks:
+           [ Harness.Crash_churn
+               (Harness.Correlated { at = 6.0; fraction = 0.33; down_for = 10.0 }) ]
          ~loss:0.0)
   in
   Fun.protect
@@ -143,16 +143,16 @@ let periodic_churn_under_loss () =
   let r =
     Harness.run
       (base ~seed:303 ~users:10 ~rounds:3
-         ~attack:
-           (Harness.Crash_churn
-              (Harness.Periodic
-                 {
-                   start = 5.0;
-                   period = 12.0;
-                   fraction = 0.3;
-                   down_for = 8.0;
-                   until = 80.0;
-                 }))
+         ~attacks:
+           [ Harness.Crash_churn
+               (Harness.Periodic
+                  {
+                    start = 5.0;
+                    period = 12.0;
+                    fraction = 0.3;
+                    down_for = 8.0;
+                    until = 80.0;
+                  }) ]
          ~loss:0.05)
   in
   Fun.protect
@@ -172,16 +172,16 @@ let periodic_churn_under_loss () =
 let deterministic_per_seed () =
   let cfg =
     base ~seed:404 ~users:10 ~rounds:3
-      ~attack:
-        (Harness.Crash_churn
-           (Harness.Periodic
-              {
-                start = 5.0;
-                period = 12.0;
-                fraction = 0.3;
-                down_for = 8.0;
-                until = 80.0;
-              }))
+      ~attacks:
+        [ Harness.Crash_churn
+            (Harness.Periodic
+               {
+                 start = 5.0;
+                 period = 12.0;
+                 fraction = 0.3;
+                 down_for = 8.0;
+                 until = 80.0;
+               }) ]
       ~loss:0.05
   in
   let a = Harness.run cfg in
@@ -227,7 +227,7 @@ let incarnation_guards_timers () =
   with_store_root (fun root ->
       let t =
         Harness.build
-          (base ~seed:505 ~users:8 ~rounds:3 ~attack:Harness.No_attack ~loss:0.0
+          (base ~seed:505 ~users:8 ~rounds:3 ~attacks:[] ~loss:0.0
           |> fun c -> { c with store_root = Some root })
       in
       Array.iter Node.start t.nodes;
@@ -262,7 +262,7 @@ let truncated_store_recovered () =
   with_store_root (fun root ->
       let t =
         Harness.build
-          (base ~seed:606 ~users:8 ~rounds:3 ~attack:Harness.No_attack ~loss:0.0
+          (base ~seed:606 ~users:8 ~rounds:3 ~attacks:[] ~loss:0.0
           |> fun c -> { c with store_root = Some root })
       in
       Array.iter Node.start t.nodes;
@@ -292,7 +292,7 @@ let adopt_chain_only_when_idle () =
   (* The population engine hands a fresh node a certified prefix; a
      crashed or finished node must refuse one. *)
   let t =
-    Harness.build (base ~seed:707 ~users:8 ~rounds:1 ~attack:Harness.No_attack ~loss:0.0)
+    Harness.build (base ~seed:707 ~users:8 ~rounds:1 ~attacks:[] ~loss:0.0)
   in
   Fun.protect ~finally:(fun () -> Harness.cleanup_stores t) @@ fun () ->
   let chain n = Chain.clone (Node.chain n) in
@@ -340,10 +340,10 @@ let lifecycle_trace_deterministic () =
       Harness.run
         {
           (base ~seed:303 ~users:10 ~rounds:3
-             ~attack:
-               (Harness.Crash_churn
-                  (Harness.Periodic
-                     { start = 5.0; period = 12.0; fraction = 0.3; down_for = 8.0; until = 80.0 }))
+             ~attacks:
+               [ Harness.Crash_churn
+                   (Harness.Periodic
+                      { start = 5.0; period = 12.0; fraction = 0.3; down_for = 8.0; until = 80.0 }) ]
              ~loss:0.05)
           with
           trace = Some tr;
@@ -441,16 +441,16 @@ let torture ~(seeds : int) ~(loss : float) () =
       Harness.run
         {
           (base ~seed:(9_000 + seed) ~users:8 ~rounds:3
-             ~attack:
-               (Harness.Crash_churn
-                  (Harness.Periodic
-                     {
-                       start = 4.0;
-                       period = 10.0;
-                       fraction = 0.3;
-                       down_for = 8.0;
-                       until = 60.0;
-                     }))
+             ~attacks:
+               [ Harness.Crash_churn
+                   (Harness.Periodic
+                      {
+                        start = 4.0;
+                        period = 10.0;
+                        fraction = 0.3;
+                        down_for = 8.0;
+                        until = 60.0;
+                      }) ]
              ~loss)
           with
           wire = `Bytes;

@@ -77,7 +77,7 @@ let equivocation_attack_safe () =
         users = 16;
         rounds = 2;
         malicious_fraction = 0.2;
-        attack = Harness.Equivocate;
+        attacks = [ Harness.Equivocate ];
         rng_seed = 3;
       }
   in
@@ -93,7 +93,7 @@ let targeted_dos_safe () =
       {
         base_config with
         rounds = 2;
-        attack = Harness.Targeted_dos { fraction = 0.1; from_ = 5.0; until = 30.0 };
+        attacks = [ Harness.Targeted_dos { fraction = 0.1; from_ = 5.0; until = 30.0 } ];
         rng_seed = 4;
       }
   in
@@ -182,7 +182,7 @@ let partition_recovery () =
         params;
         block_bytes = 20_000;
         tx_rate_per_s = 0.0;
-        attack = Harness.Partition { from_ = 4.0; until = 100.0 };
+        attacks = [ Harness.Partition { from_ = 4.0; until = 100.0 } ];
         recovery_enabled = true;
         max_sim_time = 600.0;
         rng_seed = 8;
@@ -298,7 +298,7 @@ let vote_scheduling_attack () =
         params;
         block_bytes = 10_000;
         tx_rate_per_s = 0.0;
-        attack = Harness.Delay_votes { delay = 4.5; from_ = 0.0; until = 35.0 };
+        attacks = [ Harness.Delay_votes { delay = 4.5; from_ = 0.0; until = 35.0 } ];
         max_sim_time = 1_200.0;
         rng_seed = 23;
       }

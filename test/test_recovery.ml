@@ -75,7 +75,7 @@ let dos_then_recovery () =
         params = fast_params ~recovery_interval:120.0 ~max_steps:8;
         block_bytes = 10_000;
         tx_rate_per_s = 0.0;
-        attack = Harness.Targeted_dos { fraction = 0.4; from_ = 2.0; until = 90.0 };
+        attacks = [ Harness.Targeted_dos { fraction = 0.4; from_ = 2.0; until = 90.0 } ];
         recovery_enabled = true;
         max_sim_time = 600.0;
         rng_seed = 14;
@@ -168,7 +168,7 @@ let dropped_round_timers_silent () =
         max_sim_time = 400.0;
         rng_seed = 13;
         trace = Some tr;
-        stressors = [ Harness.Partition { from_ = 4.0; until = 40.0 } ];
+        attacks = [ Harness.Partition { from_ = 4.0; until = 40.0 } ];
       }
   in
   Alcotest.(check (list int)) "no double finals" [] r.safety.double_final;

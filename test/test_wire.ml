@@ -161,7 +161,7 @@ let corruption_survived () =
       {
         (base ~seed:44 ~users:10 ~rounds:3) with
         wire = `Bytes;
-        attack = Harness.Corrupt { p = 0.1; from_ = 0.0; until = 60.0 };
+        attacks = [ Harness.Corrupt { p = 0.1; from_ = 0.0; until = 60.0 } ];
       }
   in
   Alcotest.(check (list int)) "no double finals" [] r.safety.double_final;
@@ -184,15 +184,17 @@ let flood_contained () =
       {
         (base ~seed:55 ~users:20 ~rounds:3) with
         wire = `Bytes;
-        attack =
-          Harness.Flood
-            {
-              flooders = 0.05;
-              rate_per_s = 200.0;
-              frame_bytes = 512;
-              from_ = 2.0;
-              until = 1_000.0;
-            };
+        attacks =
+          [
+            Harness.Flood
+              {
+                flooders = 0.05;
+                rate_per_s = 200.0;
+                frame_bytes = 512;
+                from_ = 2.0;
+                until = 1_000.0;
+              };
+          ];
       }
   in
   Alcotest.(check (list int)) "no double finals" [] flooded.safety.double_final;

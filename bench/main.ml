@@ -1034,6 +1034,8 @@ let gates : (string * gate list) list =
     ( sim_json,
       [
         At_least ("sim_max_users", 500_000.0);
+        (* The population engine's million-user target. *)
+        At_least ("sim_users_1000000_rounds_per_s", 0.5);
         Positive "sim_users_100000_rounds_per_s";
         Positive "sim_users_500000_rounds_per_s";
         Positive "sim_users_500000_materialized";

@@ -4,21 +4,23 @@
    only ~tau_proposer + a few committees' worth of them ever send a
    message. This engine exploits that: the full population exists only
    as one unboxed word per user (its sim-VRF key, [Vrf.sim_key]), the
-   deployment's stake law, and the genesis balance map built once in
-   the same pass, and each round materializes full [Node.t] state
-   machines *only* for the users cryptographic sortition actually
-   selects for that round's role window. The materialized nodes share
-   one table of Algorithm 6 verdicts a round, so each distinct vote is
-   checked once rather than once per listener; the CPU cost every
-   listener pays is still charged in sim time ([cpu_vote_verify_s]).
-   The sweep costs one 64-bit mix per (user, role), and the genesis
-   pass two key hashes per user, one balance-map update per account
-   and the seed_0 hash over every pk. The passive population
-   is an aggregate - weighted sortition draws evaluated over the flat
-   words, gossip fan-out statistics (bytes/user modeled as fanout
-   uplink copies of every originated message), and relay-hop latency
-   sampled from a population model (uniform 1..ceil(log_fanout N)
-   hops, WAN-shaped per-hop delay).
+   deployment's stake law, and the genesis balances, built once in the
+   same pass as one flat table ([Balances.of_genesis]) that every
+   materialized node's chain shares; each round materializes full
+   [Node.t] state machines *only* for the users cryptographic sortition
+   actually selects for that round's role window. The materialized
+   nodes share one table of Algorithm 6 verdicts a round, so each
+   distinct vote is checked once rather than once per listener; the
+   CPU cost every listener pays is still charged in sim time
+   ([cpu_vote_verify_s]). The sweep costs one 64-bit mix per (user,
+   role), and the genesis pass two key hashes per user, one insert into
+   the flat genesis table per account (no map node) and the seed_0 hash
+   over every pk. The passive population is an aggregate - weighted
+   sortition draws evaluated over the flat words, gossip fan-out
+   statistics (bytes/user modeled as fanout uplink copies of every
+   originated message), and relay-hop latency sampled from a
+   population model (uniform 1..ceil(log_fanout N) hops, WAN-shaped
+   per-hop delay).
 
    Faithfulness: identities, stakes, genesis and node configs are
    derived by {!Deployment}, the same builder Harness and the daemon
@@ -125,7 +127,7 @@ type flat = {
   deployment : Deployment.t;
   keys : (int64, Bigarray.int64_elt, Bigarray.c_layout) Bigarray.Array1.t;
       (** each user's sim-VRF key word, unboxed; the composite pk
-          strings live on only inside the genesis balance map *)
+          strings live on only inside the genesis balance table *)
   total_weight : int;
   max_stake : int;
 }
@@ -308,11 +310,14 @@ let run (config : config) : result =
        last arrival time per pair sits in a flat unboxed float array
        indexed by roster positions (m^2 words, one round's life). *)
     let last_arrival = Array.make (m * m) neg_infinity in
-    let deliver_later ~(src_i : int) ~(dst_i : int) (msg : Message.t) : unit =
+    (* [now] and [bytes] are the sender's clock and the message size,
+       read once per broadcast rather than once per destination. *)
+    let deliver_later ~(now : float) ~(bytes : int) ~(src_i : int) ~(dst_i : int)
+        (msg : Message.t) : unit =
       let src, _ = roster.(src_i) and _, dst_node = roster.(dst_i) in
-      let delay = sample_delay (Message.size_bytes msg) in
+      let delay = sample_delay bytes in
       let k = (src_i * m) + dst_i in
-      let arrival = Engine.now engine +. delay in
+      let arrival = now +. delay in
       let arrival = if last_arrival.(k) > arrival then last_arrival.(k) else arrival in
       last_arrival.(k) <- arrival;
       Engine.at engine ~time:arrival (fun () ->
@@ -324,14 +329,17 @@ let run (config : config) : result =
           {
             Node.net_broadcast =
               (fun msg ->
-                round_bytes := !round_bytes +. float_of_int (Message.size_bytes msg);
+                let now = Engine.now engine and bytes = Message.size_bytes msg in
+                round_bytes := !round_bytes +. float_of_int bytes;
                 for j = 0 to m - 1 do
-                  if j <> i then deliver_later ~src_i:i ~dst_i:j msg
+                  if j <> i then deliver_later ~now ~bytes ~src_i:i ~dst_i:j msg
                 done);
             net_send_to =
               (fun ~dst msg ->
                 match Hashtbl.find_opt position dst with
-                | Some j -> deliver_later ~src_i:i ~dst_i:j msg
+                | Some j ->
+                  deliver_later ~now:(Engine.now engine) ~bytes:(Message.size_bytes msg)
+                    ~src_i:i ~dst_i:j msg
                 | None -> ());
             net_peers =
               (fun () ->

@@ -17,7 +17,7 @@ let make ?(nonce = "algorand-genesis") (allocations : (string * int) list) : t =
   List.iter
     (fun (_, amount) -> if amount <= 0 then invalid_arg "Genesis.make: non-positive stake")
     allocations;
-  let balances = Balances.credit_all Balances.empty (List.to_seq allocations) in
+  let balances = Balances.of_genesis allocations in
   let seed0 =
     Sha256.digest_concat ("genesis-seed" :: nonce :: List.map fst allocations)
   in

@@ -573,6 +573,172 @@ let credit_all_equals_credit_fold () =
   Alcotest.(check bool) "no credits, same state" true
     (Balances.credit_all Balances.empty Seq.empty = Balances.empty)
 
+(* The layered state against a map-only reference: a state built by
+   [of_genesis] (the genesis table, maps empty) and the fold of [credit]
+   over the same pairs must stay observably equal under random
+   [apply_tx] / [apply_block] / [credit] sequences, at 1, 8 and 256
+   shards, with self-payments and blocks that spend intra-block
+   credits. After every step all observable state must agree, and the
+   parent state must not have moved: a write shadows the table in the
+   descendant only. *)
+let genesis_layer_matches_map_reference () =
+  let n_accounts = 24 and n_genesis = 16 in
+  let signers = Array.init n_accounts (fun i -> signer_of (Printf.sprintf "gen%d" i)) in
+  let pk i = snd signers.(i) in
+  (* Keys outside the genesis, of every length the table's hash and
+     probe must handle. *)
+  let strangers = List.map (fun n -> String.make n 'k') [ 0; 1; 7; 63; 64; 65 ] in
+  let keys = Array.to_list (Array.map snd signers) @ strangers in
+  let observe b =
+    ( Balances.total b,
+      Balances.weights b,
+      Balances.holders b,
+      Balances.invariant b,
+      List.map (fun k -> (Balances.balance b k, Balances.nonce b k)) keys )
+  in
+  let rng = Random.State.make [| 29 |] in
+  let rand bound = Random.State.int rng bound in
+  let tx_of si ~recipient ~amount ~nonce =
+    Transaction.make ~signer:(fst signers.(si)) ~sender:(pk si) ~recipient ~amount ~nonce
+  in
+  let random_tx (b : Balances.t) =
+    let si = rand n_accounts in
+    let recipient = if rand 4 = 0 then pk si else pk (rand n_accounts) in
+    let have = Balances.balance b (pk si) in
+    let amount = if rand 8 = 0 then have + 1 + rand 50 else rand (1 + have) in
+    let nonce = Balances.nonce b (pk si) + if rand 8 = 0 then 1 else 0 in
+    tx_of si ~recipient ~amount ~nonce
+  in
+  (* A block whose later transactions may spend what earlier ones paid:
+     account [a] pays [b], then [b] passes on more than it held. *)
+  let random_block (b : Balances.t) =
+    let nonces = Array.init n_accounts (fun i -> Balances.nonce b (pk i)) in
+    let next i =
+      let n = nonces.(i) in
+      nonces.(i) <- n + 1;
+      n
+    in
+    let a = rand n_accounts and c = rand n_accounts in
+    let paid = rand (1 + Balances.balance b (pk a)) in
+    let chain =
+      [
+        tx_of a ~recipient:(pk c) ~amount:paid ~nonce:(next a);
+        tx_of c ~recipient:(pk (rand n_accounts))
+          ~amount:(max 0 (Balances.balance b (pk c) + paid - rand 3))
+          ~nonce:(next c);
+      ]
+    in
+    let filler =
+      List.init (rand 6) (fun _ ->
+          let si = rand n_accounts in
+          tx_of si ~recipient:(pk (rand n_accounts)) ~amount:(rand 20) ~nonce:(next si))
+    in
+    if rand 2 = 0 then chain @ filler else filler
+  in
+  let same_verdict what r1 r2 =
+    match (r1, r2) with
+    | Ok l, Ok m -> Some (l, m)
+    | Error e1, Error e2 ->
+      if e1 <> e2 then
+        Alcotest.failf "%s: layered %a, reference %a" what Balances.pp_tx_error e1
+          Balances.pp_tx_error e2;
+      None
+    | Ok _, Error e | Error e, Ok _ ->
+      Alcotest.failf "%s: only one side rejected (%a)" what Balances.pp_tx_error e
+  in
+  List.iter
+    (fun shards ->
+      for seq = 1 to 40 do
+        let allocs = List.init 30 (fun _ -> (pk (rand n_genesis), 1 + rand 100)) in
+        let layered = ref (Balances.of_genesis ~shards allocs) in
+        let reference =
+          ref
+            (List.fold_left
+               (fun b (k, a) -> Balances.credit b k a)
+               (Balances.create ~shards) allocs)
+        in
+        for step = 1 to 20 do
+          let name = Printf.sprintf "%d shards, sequence %d, step %d" shards seq step in
+          let parent = !layered in
+          let before = observe parent in
+          let next =
+            match rand 3 with
+            | 0 ->
+              let tx = random_tx !reference in
+              same_verdict name (Balances.apply_tx !layered tx) (Balances.apply_tx !reference tx)
+            | 1 ->
+              let txs = random_block !reference in
+              same_verdict name (Balances.apply_block !layered txs)
+                (Balances.apply_block !reference txs)
+            | _ ->
+              let k = List.nth keys (rand (List.length keys)) and a = rand 50 in
+              Some (Balances.credit !layered k a, Balances.credit !reference k a)
+          in
+          Option.iter
+            (fun (l, r) ->
+              layered := l;
+              reference := r)
+            next;
+          if observe !layered <> observe !reference then
+            Alcotest.failf "%s: layered state differs from the map reference" name;
+          if not (Balances.invariant !layered) then Alcotest.failf "%s: invariant" name;
+          if observe parent <> before then Alcotest.failf "%s: the parent state moved" name
+        done
+      done)
+    [ 1; 8; 256 ];
+  (* The constructor itself: repeated keys summed, strangers read 0,
+     and a write to a genesis account lands in the descendant only. *)
+  let g = Balances.of_genesis [ (alice, 60); (bob, 40); (alice, 5) ] in
+  Alcotest.(check int) "repeats summed" 65 (Balances.balance g alice);
+  Alcotest.(check int) "total" 105 (Balances.total g);
+  Alcotest.(check int) "holders" 2 (Balances.holders g);
+  Alcotest.(check (list (pair string int))) "weights"
+    (List.sort compare [ (alice, 65); (bob, 40) ])
+    (Balances.weights g);
+  List.iter
+    (fun k ->
+      Alcotest.(check int) (Printf.sprintf "%d-byte stranger" (String.length k)) 0
+        (Balances.balance g k))
+    strangers;
+  let child =
+    Result.get_ok
+      (Balances.apply_tx g
+         (Transaction.make ~signer:alice_signer ~sender:alice ~recipient:bob ~amount:25
+            ~nonce:0))
+  in
+  Alcotest.(check (list int)) "child" [ 40; 65; 1 ]
+    [ Balances.balance child alice; Balances.balance child bob; Balances.nonce child alice ];
+  Alcotest.(check (list int)) "parent untouched" [ 65; 40; 0 ]
+    [ Balances.balance g alice; Balances.balance g bob; Balances.nonce g alice ];
+  Alcotest.(check int) "child holders" 2 (Balances.holders child);
+  Alcotest.(check bool) "empty genesis is the empty state" true
+    (Balances.of_genesis [] = Balances.empty)
+
+(* The genesis table is flat: building it costs a small constant number
+   of words per account, at 10k accounts and at 100k alike, where a
+   persistent-map build path-copies ~100 words per insert and grows
+   with the map. [Gc.allocated_bytes] is deterministic for a given
+   input once the minor heap is flushed on both sides: the counter
+   takes in earlier minor allocations only at a minor collection. *)
+let genesis_allocation_bounded () =
+  let words_per_account n =
+    let allocs =
+      List.init n (fun i -> (Sha256.digest_concat [ "alloc"; string_of_int i ], 1_000))
+    in
+    Gc.minor ();
+    let before = Gc.allocated_bytes () in
+    let b = Balances.of_genesis allocs in
+    Gc.minor ();
+    let after = Gc.allocated_bytes () in
+    ignore (Sys.opaque_identity b);
+    (after -. before) /. float_of_int (n * (Sys.word_size / 8))
+  in
+  let small = words_per_account 10_000 and large = words_per_account 100_000 in
+  if small > 8.0 || large > 8.0 then
+    Alcotest.failf "%.1f words/account at 10k, %.1f at 100k; at most 8 expected" small large;
+  if large > small +. 1.0 then
+    Alcotest.failf "words/account grow with N: %.1f at 10k, %.1f at 100k" small large
+
 let storage_sharding () =
   Alcotest.(check bool) "single shard stores all" true
     (Storage.stores ~shards:1 ~pk:alice ~round:17);
@@ -611,6 +777,8 @@ let suite =
         t "block hash sensitivity" block_hash_sensitivity;
         t "genesis" genesis_checks;
         t "credit_all = fold of credit" credit_all_equals_credit_fold;
+        t "genesis layer = map reference" genesis_layer_matches_map_reference;
+        t "genesis table allocation bounded" genesis_allocation_bounded;
         t "storage sharding" storage_sharding;
         qt "deserialize total on garbage"
           QCheck2.Gen.(string_size (int_range 0 200))

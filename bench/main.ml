@@ -69,10 +69,10 @@ let save (path : string) (rows : Snap.row list) : unit =
   Snap.write path rows;
   Printf.printf "  -> %s\n%!" path
 
-let check_safety name (r : Harness.result) =
-  if r.safety.double_final <> [] then
-    Printf.printf "!! SAFETY VIOLATION in %s: double-final rounds %s\n" name
-      (String.concat "," (List.map string_of_int r.safety.double_final))
+let check_verdict name (r : Harness.result) =
+  List.iter
+    (Format.printf "!! VIOLATION in %s: %a@." name Algorand_core.Verdict.pp_violation)
+    (Harness.violations r)
 
 (* ------------------------------------------------------------------ *)
 (* Microbenchmarks (Bechamel + manual loops for the heavy composites). *)
@@ -331,7 +331,7 @@ let fig5 () =
       (fun users ->
         let users = users * scale in
         let r = Harness.run { base with users } in
-        check_safety "fig5" r;
+        check_verdict "fig5" r;
         Printf.printf "  %-8d %s\n%!" users (pp_summary r.completion);
         let c = r.completion in
         Printf.sprintf "%d,%.3f,%.3f,%.3f,%.3f,%.3f" users c.min c.p25 c.median c.p75
@@ -355,7 +355,7 @@ let fig6 () =
           Harness.run
             { base with users; rounds = 2; params; bandwidth_bps = 2e6; tx_rate_per_s = 0.5 }
         in
-        check_safety "fig6" r;
+        check_verdict "fig6" r;
         Printf.printf "  %-8d %s\n%!" users (pp_summary r.completion);
         let c = r.completion in
         Printf.sprintf "%d,%.3f,%.3f,%.3f,%.3f,%.3f" users c.min c.p25 c.median c.p75
@@ -374,7 +374,7 @@ let fig7 () =
       let r =
         Harness.run { base with users = 50 * scale; block_bytes; rounds = 2; tx_rate_per_s = 0.5 }
       in
-      check_safety "fig7" r;
+      check_verdict "fig7" r;
       let mean phase = Stats.mean (Metrics.phase_times r.harness.metrics phase) in
       let proposal = mean Metrics.Block_proposal in
       let ba = mean Metrics.Ba_no_final in
@@ -408,7 +408,7 @@ let fig8 () =
             rng_seed = 31 + pct;
           }
       in
-      check_safety "fig8" r;
+      check_verdict "fig8" r;
       Printf.printf "  %-12s %-10d %s\n%!"
         (Printf.sprintf "%d%%" pct)
         r.final_rounds (pp_summary r.completion);
@@ -429,7 +429,7 @@ let throughput () =
     let r =
       Harness.run { base with users = 50 * scale; block_bytes; rounds = 3; tx_rate_per_s = 0.5 }
     in
-    check_safety "throughput" r;
+    check_verdict "throughput" r;
     let mb_per_hour =
       float_of_int block_bytes /. 1e6 *. (3600.0 /. r.completion.median)
     in
@@ -456,7 +456,7 @@ let related_work () =
   let alg =
     Harness.run { base with users = 50 * scale; block_bytes = 10_000_000; rounds = 2; tx_rate_per_s = 0.5 }
   in
-  check_safety "related-work" alg;
+  check_verdict "related-work" alg;
   let hb = F.run F.honey_badger_default in
   let btc = Nakamoto.run { Nakamoto.bitcoin_default with duration_s = 20.0 *. 86_400.0 } in
   Printf.printf "  %-28s %-14s %-16s %s\n" "system" "latency" "throughput" "notes";
@@ -487,7 +487,7 @@ let related_work () =
         tx_rate_per_s = 0.0;
       }
   in
-  check_safety "related-work-dos" alg_dosed;
+  check_verdict "related-work-dos" alg_dosed;
   Printf.printf "  under a 1/3 targeted DoS: fixed BFT halted=%b; Algorand committed %d/%d rounds\n"
     hb_dosed.halted
     (alg_dosed.final_rounds + alg_dosed.tentative_rounds)
@@ -500,7 +500,7 @@ let related_work () =
 let costs () =
   header "Section 10.3: costs of running Algorand";
   let r = Harness.run { base with users = 50 * scale; rounds = 2 } in
-  check_safety "costs" r;
+  check_verdict "costs" r;
   let m = r.harness.metrics in
   let n = Array.length (Metrics.bytes_sent m) in
   let mean a = Array.fold_left ( +. ) 0.0 a /. float_of_int n in
@@ -552,7 +552,7 @@ let costs () =
 let timeouts () =
   header "Section 10.5: timeout parameters vs observed times";
   let r = Harness.run { base with users = 50 * scale; rounds = 3 } in
-  check_safety "timeouts" r;
+  check_verdict "timeouts" r;
   let m = r.harness.metrics in
   let steps = Stats.summarize (Metrics.step_durations m) in
   let prio = Stats.summarize (Metrics.priority_gossip_times m) in
@@ -603,7 +603,7 @@ let ablation_committee () =
         Harness.run
           { base with users = 50 * scale; rounds = 2; params; block_bytes = 100_000; tx_rate_per_s = 0.0 }
       in
-      check_safety "ablation-committee" r;
+      check_verdict "ablation-committee" r;
       Printf.printf "  %-10.0f %-14.2e %-14.2f\n%!" tau v r.completion.median)
     [ 100.0; 500.0; 2000.0; 4000.0 ]
 
@@ -617,7 +617,7 @@ let ablation_pipeline () =
         Harness.run
           { base with users = 50 * scale; rounds; pipeline_final; block_bytes = 1_000_000 }
       in
-      check_safety "ablation-pipeline" r;
+      check_verdict "ablation-pipeline" r;
       let last_done =
         List.fold_left
           (fun acc (rec_ : Metrics.round_record) ->
@@ -637,7 +637,7 @@ let ablation_fanout () =
       let r =
         Harness.run { base with users = 50 * scale; rounds = 2; fanout; block_bytes = 500_000 }
       in
-      check_safety "ablation-fanout" r;
+      check_verdict "ablation-fanout" r;
       let m = r.harness.metrics in
       let n = Array.length (Metrics.bytes_sent m) in
       let mb = Array.fold_left ( +. ) 0.0 (Metrics.bytes_sent m) /. float_of_int n /. 1e6 in
@@ -710,7 +710,10 @@ let sim_point ~(fig : string) ~(users : int) : Snap.row list =
   let rounds_per_s = float_of_int cfg.rounds /. wall in
   (* RSS proxy: the OCaml heap high-water mark. It is process-global
      and never falls, so each point runs in a fresh process
-     ([sim_point_in_child]). *)
+     ([sim_point_in_child]). Even so it measures that whole child
+     process - its start-up and everything this executable allocates
+     as well as the engine - not the engine alone: a change elsewhere
+     in the bench can move it with every engine count unchanged. *)
   let top_heap_mb = float_of_int (Gc.quick_stat ()).top_heap_words *. 8e-6 in
   Printf.printf
     "  %-9d lat=%6.2fs materialized=%-6d peak_ev=%-8d %8.0f B/user  %6.2f rounds/s  heap=%.0f MB\n%!"

@@ -6,20 +6,19 @@
    delivery schedules, audits the paper's invariants after every
    transition, and shrinks any violation to a minimal replayable trace.
 
-     algorand-check --mode dfs  --nodes 3 --depth 300
-     algorand-check --mode fuzz --nodes 4 --seeds 50
-     algorand-check --mode fuzz --scenario split --t-step 0.3   # negative control
-     algorand-check --mode sim  --seeds 10   # whole-harness schedule fuzz
-     algorand-check --mode fuzz-wire --mutations 10000   # codec mutation fuzz
-
-   Subcommands widen the net:
-
+     algorand-check dfs  --nodes 3 --depth 300
+     algorand-check fuzz --nodes 4 --seeds 50
+     algorand-check fuzz --scenario split --t-step 0.3   # negative control
+     algorand-check fifo --nodes 4
+     algorand-check sim  --seeds 10   # whole-harness schedule fuzz
+     algorand-check fuzz-wire --mutations 10000   # codec mutation fuzz
      algorand-check swarm --budget-sec 30        # coverage-guided stressor swarm
      algorand-check swarm --replay 'seed=..;users=..;rounds=..;st=..'
      algorand-check gallery                      # literature adversary gallery
 
-   Every failure path prints a single-line machine-readable REPRODUCE:
-   command before exiting nonzero. *)
+   Each subcommand takes only the flags it reads. Every failure path
+   prints a single-line machine-readable REPRODUCE: command before
+   exiting nonzero. *)
 
 open Cmdliner
 module World = Algorand_check.World
@@ -60,8 +59,10 @@ let print_violations ~(config : World.config) ~(shrink : bool)
 
 (* ------------------------- world modes ---------------------------- *)
 
-let run_world_mode ~mode ~nodes ~seeds ~depth ~max_states ~scenario ~t_step ~t_final
-    ~shrink =
+(* One world subcommand: build the cluster, let [explore] walk its
+   schedules, report, and on a violation print the REPRODUCE line with
+   this subcommand's own [flags]. *)
+let run_world ~name ~flags (nodes, scenario, t_step, t_final, shrink) explore =
   let params =
     {
       World.default_config.params with
@@ -75,57 +76,49 @@ let run_world_mode ~mode ~nodes ~seeds ~depth ~max_states ~scenario ~t_step ~t_f
     World.start w;
     w
   in
-  Printf.printf "algorand-check mode=%s nodes=%d scenario=%s t_step=%.3f t_final=%.3f\n"
-    (match mode with `Dfs -> "dfs" | `Fuzz -> "fuzz" | `Fifo -> "fifo")
-    nodes
-    (match scenario with World.Agree -> "agree" | World.Split -> "split")
-    params.t_step params.t_final;
-  let outcome =
-    match mode with
-    | `Dfs ->
-      let o = Schedule.explore_dfs ~max_depth:depth ~max_states (fresh ()) in
-      row "space exhausted" (if o.complete then "yes" else "no");
-      o
-    | `Fifo -> Schedule.run_fifo ~max_depth:depth (fresh ())
-    | `Fuzz ->
-      let base = Rng.create 0x5eed in
-      let stats = Schedule.fresh_stats () in
-      let violations = ref [] in
-      for k = 1 to seeds do
-        if !violations = [] then begin
-          let rng = Rng.split base (Printf.sprintf "walk-%d" k) in
-          let o = Schedule.run_fuzz ~max_depth:depth ~rng (fresh ()) in
-          stats.transitions <- stats.transitions + o.stats.transitions;
-          stats.states <- stats.states + o.stats.states;
-          stats.schedules <- stats.schedules + o.stats.schedules;
-          stats.truncated <- stats.truncated + o.stats.truncated;
-          violations := !violations @ o.violations
-        end
-      done;
-      { Schedule.stats; violations = !violations; complete = false }
-  in
+  let scenario = match scenario with World.Agree -> "agree" | World.Split -> "split" in
+  Printf.printf "algorand-check %s nodes=%d scenario=%s t_step=%.3f t_final=%.3f\n" name
+    nodes scenario params.t_step params.t_final;
+  let outcome : Schedule.outcome = explore fresh in
   print_stats outcome.stats;
   print_violations ~config ~shrink outcome.violations;
   if outcome.violations <> [] then begin
-    Printf.printf
-      "REPRODUCE: algorand-check --mode %s --nodes %d --scenario %s --depth %d \
-       --seeds %d --t-step %g --t-final %g\n"
-      (match mode with `Dfs -> "dfs" | `Fuzz -> "fuzz" | `Fifo -> "fifo")
-      nodes
-      (match scenario with World.Agree -> "agree" | World.Split -> "split")
-      depth seeds params.t_step params.t_final;
+    Printf.printf "REPRODUCE: algorand-check %s --nodes %d --scenario %s%s --t-step %g --t-final %g\n"
+      name nodes scenario flags params.t_step params.t_final;
     exit 1
   end
+
+let dfs ~depth ~max_states fresh =
+  let o = Schedule.explore_dfs ~max_depth:depth ~max_states (fresh ()) in
+  row "space exhausted" (if o.Schedule.complete then "yes" else "no");
+  o
+
+let fuzz ~depth ~seeds fresh =
+  let base = Rng.create 0x5eed in
+  let stats = Schedule.fresh_stats () in
+  let violations = ref [] in
+  for k = 1 to seeds do
+    if !violations = [] then begin
+      let rng = Rng.split base (Printf.sprintf "walk-%d" k) in
+      let o = Schedule.run_fuzz ~max_depth:depth ~rng (fresh ()) in
+      stats.transitions <- stats.transitions + o.stats.transitions;
+      stats.states <- stats.states + o.stats.states;
+      stats.schedules <- stats.schedules + o.stats.schedules;
+      stats.truncated <- stats.truncated + o.stats.truncated;
+      violations := !violations @ o.violations
+    end
+  done;
+  { Schedule.stats; violations = !violations; complete = false }
 
 (* ------------------------- harness mode --------------------------- *)
 
 (* Whole-simulator schedule fuzz: run the full deployment (gossip, WAN,
    blocks) per seed with (a) the engine's tie-break hook shuffling
    simultaneous events and (b) a lossless reordering adversary jittering
-   every message, then audit cross-node safety. *)
-let run_sim_mode ~nodes ~seeds ~seed_base =
-  Printf.printf "algorand-check mode=sim users=%d seeds=%d seed-base=%d\n" nodes
-    seeds seed_base;
+   every message, then judge it by the harness's verdict. *)
+let run_sim ~nodes ~seeds ~seed_base =
+  Printf.printf "algorand-check sim users=%d seeds=%d seed-base=%d\n" nodes seeds
+    seed_base;
   let bad = ref [] in
   for k = seed_base to seed_base + seeds - 1 do
     let config =
@@ -149,23 +142,20 @@ let run_sim_mode ~nodes ~seeds ~seed_base =
     Algorand_netsim.Network.set_adversary h.network
       (Adversary.reorder ~rng:(Rng.split (Rng.create k) "net-jitter")
          ~window:(config.params.lambda_step /. 4.0));
-    Harness.install_workload h;
-    Array.iter Algorand_core.Node.start h.nodes;
-    ignore (Engine.run h.engine ~until:config.max_sim_time ());
-    let safety = Harness.audit_safety h in
-    if safety.double_final <> [] then begin
+    match Harness.violations (Harness.drive h) with
+    | [] -> ()
+    | vs ->
       bad := !bad @ [ k ];
-      Printf.printf "  seed %d: DOUBLE FINAL in rounds %s\n" k
-        (String.concat "," (List.map string_of_int safety.double_final))
-    end
+      List.iter
+        (fun v -> Format.printf "  seed %d: %a@." k Algorand_core.Verdict.pp_violation v)
+        vs
   done;
   rowi "seeds run" seeds;
-  rowi "double finals" (List.length !bad);
+  rowi "violating seeds" (List.length !bad);
   if !bad <> [] then begin
     List.iter
       (fun k ->
-        Printf.printf
-          "REPRODUCE: algorand-check --mode sim --nodes %d --seeds 1 --seed-base %d\n"
+        Printf.printf "REPRODUCE: algorand-check sim --nodes %d --seeds 1 --seed-base %d\n"
           nodes k)
       !bad;
     exit 1
@@ -177,7 +167,7 @@ let run_sim_mode ~nodes ~seeds ~seed_base =
    its contract (no exception, bounded allocation, self-consistency).
    Any failure prints a shrunk hex reproducer and exits nonzero. *)
 let run_fuzz_wire ~seed ~mutations =
-  Printf.printf "algorand-check mode=fuzz-wire seed=%d mutations=%d\n" seed mutations;
+  Printf.printf "algorand-check fuzz-wire seed=%d mutations=%d\n" seed mutations;
   let report = Algorand_check.Wirefuzz.run ~seed ~mutations () in
   rowi "mutations" report.mutations;
   rowi "rejected" report.rejected;
@@ -203,7 +193,7 @@ let run_fuzz_wire ~seed ~mutations =
     rr.reassembly_failures;
   if report.failures <> [] || rr.reassembly_failures <> [] then begin
     Printf.printf
-      "REPRODUCE: algorand-check --mode fuzz-wire --seed %d --mutations %d\n" seed
+      "REPRODUCE: algorand-check fuzz-wire --seed %d --mutations %d\n" seed
       mutations;
     exit 1
   end
@@ -317,7 +307,7 @@ let run_gallery ~seeds =
   Printf.printf "undecidable-messages: stale=%d decided=%d hung=%d violations=%d\n"
     u.stale_deliveries u.decided u.hung (List.length u.violations);
   List.iter
-    (fun (v : Algorand_check.Invariant.violation) ->
+    (fun (v : Algorand_core.Verdict.violation) ->
       Printf.printf "  VIOLATION %s: %s\n" v.invariant v.detail;
       failed := true)
     u.violations;
@@ -332,7 +322,7 @@ let run_gallery ~seeds =
       failed := true
     end;
     List.iter
-      (fun (v : Algorand_check.Invariant.violation) ->
+      (fun (v : Algorand_core.Verdict.violation) ->
         Printf.printf "  VIOLATION %s: %s\n" v.invariant v.detail;
         failed := true)
       a.violations
@@ -355,32 +345,13 @@ let gallery_cmd =
 
 (* ----------------------------- CLI -------------------------------- *)
 
-let cmd =
-  let mode =
-    Arg.(
-      value
-      & opt
-          (enum
-             [
-               ("dfs", `Dfs);
-               ("fuzz", `Fuzz);
-               ("fifo", `Fifo);
-               ("sim", `Sim);
-               ("fuzz-wire", `Fuzz_wire);
-             ])
-          `Fuzz
-      & info [ "mode" ] ~doc:"Exploration mode: dfs, fuzz, fifo, sim or fuzz-wire.")
-  in
-  let nodes = Arg.(value & opt int 4 & info [ "nodes" ] ~doc:"Cluster size.") in
-  let seeds =
-    Arg.(value & opt int 20 & info [ "seeds" ] ~doc:"Random walks (fuzz) or harness runs (sim).")
-  in
-  let depth =
-    Arg.(value & opt int 400 & info [ "depth" ] ~doc:"Max transitions per schedule.")
-  in
-  let max_states =
-    Arg.(value & opt int 200_000 & info [ "max-states" ] ~doc:"DFS state budget.")
-  in
+let nodes = Arg.(value & opt int 4 & info [ "nodes" ] ~doc:"Cluster size.")
+
+let depth =
+  Arg.(value & opt int 400 & info [ "depth" ] ~doc:"Max transitions per schedule.")
+
+(* The flags every world subcommand reads. *)
+let world =
   let scenario =
     Arg.(
       value
@@ -397,36 +368,73 @@ let cmd =
   let no_shrink =
     Arg.(value & flag & info [ "no-shrink" ] ~doc:"Report raw violation traces without shrinking.")
   in
-  let mutations =
-    Arg.(
-      value & opt int 10_000
-      & info [ "mutations" ] ~doc:"Mutant frames to run (fuzz-wire mode).")
+  Term.(
+    const (fun nodes scenario t_step t_final no_shrink ->
+        (nodes, scenario, t_step, t_final, not no_shrink))
+    $ nodes $ scenario $ t_step $ t_final $ no_shrink)
+
+let dfs_cmd =
+  let max_states =
+    Arg.(value & opt int 200_000 & info [ "max-states" ] ~doc:"DFS state budget.")
   in
-  let fuzz_seed =
-    Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Fuzzer seed (fuzz-wire mode).")
+  let go w depth max_states =
+    run_world ~name:"dfs"
+      ~flags:(Printf.sprintf " --depth %d --max-states %d" depth max_states)
+      w (dfs ~depth ~max_states)
   in
+  Cmd.v
+    (Cmd.info "dfs" ~doc:"Exhaustive DFS over delivery schedules (partial-order reduced)")
+    Term.(const go $ world $ depth $ max_states)
+
+let fuzz_cmd =
+  let seeds = Arg.(value & opt int 20 & info [ "seeds" ] ~doc:"Random walks to run.") in
+  let go w depth seeds =
+    run_world ~name:"fuzz"
+      ~flags:(Printf.sprintf " --depth %d --seeds %d" depth seeds)
+      w (fuzz ~depth ~seeds)
+  in
+  Cmd.v
+    (Cmd.info "fuzz" ~doc:"Seeded random walks over delivery schedules")
+    Term.(const go $ world $ depth $ seeds)
+
+let fifo_cmd =
+  let go w depth =
+    run_world ~name:"fifo" ~flags:(Printf.sprintf " --depth %d" depth) w (fun fresh ->
+        Schedule.run_fifo ~max_depth:depth (fresh ()))
+  in
+  Cmd.v
+    (Cmd.info "fifo" ~doc:"The one first-in first-out delivery schedule")
+    Term.(const go $ world $ depth)
+
+let sim_cmd =
+  let seeds = Arg.(value & opt int 20 & info [ "seeds" ] ~doc:"Harness runs.") in
   let seed_base =
-    Arg.(
-      value & opt int 1
-      & info [ "seed-base" ] ~doc:"First seed of the range (sim mode).")
+    Arg.(value & opt int 1 & info [ "seed-base" ] ~doc:"First seed of the range.")
   in
-  let go mode nodes seeds depth max_states scenario t_step t_final no_shrink mutations
-      fuzz_seed seed_base =
-    match mode with
-    | `Sim -> run_sim_mode ~nodes ~seeds ~seed_base
-    | `Fuzz_wire -> run_fuzz_wire ~seed:fuzz_seed ~mutations
-    | (`Dfs | `Fuzz | `Fifo) as mode ->
-      run_world_mode ~mode ~nodes ~seeds ~depth ~max_states ~scenario ~t_step ~t_final
-        ~shrink:(not no_shrink)
-  in
-  let default =
+  Cmd.v
+    (Cmd.info "sim"
+       ~doc:
+         "Whole-harness schedule fuzz: shuffled event ties and jittered \
+          delivery, each run judged by the harness's verdict")
     Term.(
-      const go $ mode $ nodes $ seeds $ depth $ max_states $ scenario $ t_step
-      $ t_final $ no_shrink $ mutations $ fuzz_seed $ seed_base)
+      const (fun nodes seeds seed_base -> run_sim ~nodes ~seeds ~seed_base)
+      $ nodes $ seeds $ seed_base)
+
+let fuzz_wire_cmd =
+  let mutations =
+    Arg.(value & opt int 10_000 & info [ "mutations" ] ~doc:"Mutant frames to run.")
   in
-  Cmd.group ~default
+  let seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Fuzzer seed.") in
+  Cmd.v
+    (Cmd.info "fuzz-wire"
+       ~doc:"Codec mutation fuzz and frame reassembly under hostile segmentation")
+    Term.(
+      const (fun seed mutations -> run_fuzz_wire ~seed ~mutations) $ seed $ mutations)
+
+let cmd =
+  Cmd.group
     (Cmd.info "algorand-check"
        ~doc:"Schedule-exploring model checker for BA* with invariant audits")
-    [ swarm_cmd; gallery_cmd ]
+    [ dfs_cmd; fuzz_cmd; fifo_cmd; sim_cmd; fuzz_wire_cmd; swarm_cmd; gallery_cmd ]
 
 let () = exit (Cmd.eval cmd)

@@ -164,14 +164,14 @@ let run_daemon (o : opts) ~(index : int) ~(report_path : string option)
   (* Phase 3: drain. Persist everything certified (the SIGTERM path
      lands here too), stop redialing, and keep serving straggler
      catch-up requests for a grace period. *)
-  Node.checkpoint_now node;
+  Node.checkpoint node;
   WG.stop wg;
   let drain_start = Unix.gettimeofday () in
   Realtime.run ~engine ~time_scale:o.time_scale
     ~poll:(fun ~timeout -> Tcp.poll tcp ~timeout)
     ~until:(fun () -> Unix.gettimeofday () -. drain_start > o.linger)
     ();
-  Node.checkpoint_now node;
+  Node.checkpoint node;
   Tcp.shutdown tcp;
   (* Self-audit: reload our own store and re-validate every
      certificate through History.replay - the report's [store_ok] is
@@ -455,9 +455,11 @@ let audit_triple (o : opts) : int =
       }
     in
     let result = Harness.run config in
-    let safety = result.Harness.safety in
-    if safety.Harness.forked_rounds <> [] then
-      failwith "simulated run violated agreement";
+    (match Harness.violations result with
+    | [] -> ()
+    | v :: _ ->
+      failwith
+        (Format.asprintf "simulated run violated %a" Algorand_core.Verdict.pp_violation v));
     let chain = Node.chain result.Harness.harness.Harness.nodes.(0) in
     let tip = Chain.tip chain in
     List.filter_map

@@ -277,10 +277,8 @@ let run_cmd =
         r.txs.submitted r.txs.submitted_invalid r.txs.submitted_duplicate
         r.txs.submitted_self_pay r.txs.committed r.txs.committed_self_pay
         (if r.txs.conservation_ok then "ok" else "VIOLATED");
-    Printf.printf "safety: %d agreed rounds, forked=%s, double-final=%s\n"
-      r.safety.agreement_rounds
-      (String.concat "," (List.map string_of_int r.safety.forked_rounds))
-      (String.concat "," (List.map string_of_int r.safety.double_final));
+    Printf.printf "safety: %d agreed rounds, forked=%s\n" r.safety.agreement_rounds
+      (String.concat "," (List.map string_of_int r.safety.forked_rounds));
     if
       wire = `Bytes || r.wire.decode_failures > 0 || r.wire.quota_drops > 0
       || r.wire.banned_links > 0
@@ -292,29 +290,11 @@ let run_cmd =
       Array.fold_left (fun a n -> a + Node.recoveries_completed n) 0 r.harness.nodes
     in
     if recoveries > 0 then Printf.printf "recoveries completed: %d\n" recoveries;
-    let churn_failed =
-      if r.churn.crashes > 0 then begin
-        Printf.printf
-          "churn: %d crashes, %d restarts, %d rejoins (mean %.1fs, max %.1fs), %d \
-           retries\n"
-          r.churn.crashes r.churn.restarts r.churn.rejoins r.churn.mean_rejoin_s
-          r.churn.max_rejoin_s r.churn.retries;
-        Array.iteri
-          (fun i n ->
-            if Node.status n <> Stopped then
-              Printf.printf "churn: node %d unfinished: status=%s round=%d tip=%d crashes=%d\n"
-                i
-                (Node.status_to_string (Node.status n))
-                (Node.round n)
-                (Chain.tip (Node.chain n)).height (Node.crash_count n))
-          r.harness.nodes;
-        if r.churn.divergent_restarted <> [] then
-          Printf.printf "churn: DIVERGENT restarted nodes: %s\n"
-            (String.concat "," (List.map string_of_int r.churn.divergent_restarted));
-        r.churn.divergent_restarted <> [] || r.churn.unfinished <> []
-      end
-      else false
-    in
+    if r.churn.crashes > 0 then
+      Printf.printf
+        "churn: %d crashes, %d restarts, %d rejoins (mean %.1fs, max %.1fs), %d retries\n"
+        r.churn.crashes r.churn.restarts r.churn.rejoins r.churn.mean_rejoin_s
+        r.churn.max_rejoin_s r.churn.retries;
     Harness.cleanup_stores r.harness;
     let tip = Chain.tip (Node.chain r.harness.nodes.(0)) in
     Printf.printf "node 0 tip: height %d%s\n" tip.height (if tip.final then " [final]" else "");
@@ -335,8 +315,11 @@ let run_cmd =
         Printf.printf "saved %d certified blocks to %s (%d KB)\n" (List.length items)
           dir
           (Algorand_core.Disk_store.size_bytes dir / 1024)));
-    if r.safety.double_final <> [] || churn_failed || not r.txs.conservation_ok then begin
-      Printf.printf "SAFETY VIOLATION at seed %d\n" seed;
+    let violations = Harness.violations r in
+    if violations <> [] then begin
+      List.iter
+        (Format.printf "VIOLATION %a@." Algorand_core.Verdict.pp_violation)
+        violations;
       let attack_name = fst (List.find (fun (_, a) -> a = attack) attack_names) in
       Printf.printf
         "REPRODUCE: algorand-sim run --users %d --rounds %d --seed %d --attack %s \

@@ -25,7 +25,7 @@ let () =
   in
   Printf.printf "Running %d users for %d rounds...\n%!" config.users config.rounds;
   let r = Harness.run config in
-  assert (r.safety.double_final = []);
+  assert (Harness.violations r = []);
   (* Pick a bootstrap server: any node holding all certificates. *)
   let server =
     Array.to_list r.harness.nodes

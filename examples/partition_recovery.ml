@@ -40,10 +40,10 @@ let () =
     params.recovery_interval;
   let r = Harness.run config in
   Printf.printf "simulated %.0fs\n" r.sim_time;
-  Printf.printf "safety: %d forked rounds, %d double-final (must be 0)\n"
-    (List.length r.safety.forked_rounds)
-    (List.length r.safety.double_final);
-  assert (r.safety.double_final = []);
+  Printf.printf "safety: %d forked rounds\n" (List.length r.safety.forked_rounds);
+  let violations = Harness.violations r in
+  List.iter (Format.printf "VIOLATION %a@." Algorand_core.Verdict.pp_violation) violations;
+  assert (violations = []);
   let recoveries =
     Array.fold_left (fun acc n -> acc + Node.recoveries_completed n) 0 r.harness.nodes
   in

@@ -24,10 +24,11 @@ let () =
     result.events;
   Printf.printf "Round completion across users: %s\n"
     (Format.asprintf "%a" Algorand_sim.Stats.pp_summary result.completion);
-  Printf.printf "Safety: %d agreed rounds, %d forked, %d double-final (must be 0)\n"
-    result.safety.agreement_rounds
-    (List.length result.safety.forked_rounds)
-    (List.length result.safety.double_final);
+  Printf.printf "Safety: %d agreed rounds, %d forked\n" result.safety.agreement_rounds
+    (List.length result.safety.forked_rounds);
+  let violations = Harness.violations result in
+  List.iter (Format.printf "VIOLATION %a@." Algorand_core.Verdict.pp_violation) violations;
+  assert (violations = []);
   Printf.printf "Finality: %d final rounds, %d tentative\n" result.final_rounds
     result.tentative_rounds;
   (* Walk node 0's chain. *)

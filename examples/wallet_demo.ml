@@ -6,7 +6,6 @@
    Run with:  dune exec examples/wallet_demo.exe *)
 
 module Harness = Algorand_core.Harness
-module Node = Algorand_core.Node
 module Wallet = Algorand_core.Wallet
 module Base32 = Algorand_crypto.Base32
 
@@ -49,13 +48,12 @@ let () =
               (Wallet.status alice tx)
           | None -> ()))
     [ 8.0; 15.0; 30.0 ];
-  Array.iter Node.start h.nodes;
-  ignore (Algorand_sim.Engine.run h.engine ~until:config.max_sim_time ());
+  let r = Harness.drive h in
   let tx = Option.get !payment in
   Format.printf "final:  %a@." Wallet.pp_status (Wallet.status alice tx);
   Printf.printf "alice balance: %d   bob balance: %d\n" (Wallet.balance alice)
     (Wallet.balance bob);
-  assert ((Harness.audit_safety h).double_final = []);
+  assert (Harness.violations r = []);
   match Wallet.status alice tx with
   | Wallet.Confirmed _ -> Printf.printf "payment confirmed by final consensus\n"
   | s -> Format.printf "unexpected final status: %a@." Wallet.pp_status s

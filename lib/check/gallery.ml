@@ -25,14 +25,14 @@ module Vote = Algorand_ba.Vote
 module Rng = Algorand_sim.Rng
 
 type undecidable_report = {
-  violations : Invariant.violation list;
+  violations : Algorand_core.Verdict.violation list;
   stale_deliveries : int;  (** messages delivered past their step horizon *)
   decided : int;
   hung : int;
 }
 
 type adaptive_report = {
-  violations : Invariant.violation list;
+  violations : Algorand_core.Verdict.violation list;
   corrupted : int;  (** nodes corrupted on VRF reveal *)
   forged : int;  (** equivocating votes the adversary could sign *)
   retro_forged : int;
@@ -41,7 +41,7 @@ type adaptive_report = {
   decided : int;
 }
 
-let append_violations (acc : Invariant.violation list ref) (w : World.t) : unit =
+let append_violations (acc : Algorand_core.Verdict.violation list ref) (w : World.t) : unit =
   match Invariant.check_step w with [] -> () | vs -> acc := !acc @ vs
 
 (* Backstop identical to Schedule's: BA* hangs by MaxSteps on its own. *)

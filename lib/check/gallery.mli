@@ -6,14 +6,14 @@
     11 ephemeral-key erasure. *)
 
 type undecidable_report = {
-  violations : Invariant.violation list;
+  violations : Algorand_core.Verdict.violation list;
   stale_deliveries : int;  (** messages delivered past their step horizon *)
   decided : int;
   hung : int;
 }
 
 type adaptive_report = {
-  violations : Invariant.violation list;
+  violations : Algorand_core.Verdict.violation list;
   corrupted : int;  (** nodes corrupted on VRF reveal *)
   forged : int;  (** equivocating votes the adversary could sign *)
   retro_forged : int;

@@ -21,51 +21,36 @@
 module Vote = Algorand_ba.Vote
 module Ba_star = Algorand_ba.Ba_star
 module Certificate = Algorand_core.Certificate
-
-type violation = { invariant : string; detail : string }
-
-let pp_violation fmt (v : violation) =
-  Format.fprintf fmt "%s: %s" v.invariant v.detail
+module Verdict = Algorand_core.Verdict
 
 (* --------------------------- agreement ---------------------------- *)
 
-let decided_values (w : World.t) : (int * string * bool) list =
-  let acc = ref [] in
-  Array.iteri
-    (fun i d -> match d with Some (v, f) -> acc := (i, v, f) :: !acc | None -> ())
-    (World.decisions w);
-  List.rev !acc
-
-let agreement (w : World.t) : violation list =
-  let decided = decided_values w in
-  let distinct =
-    List.sort_uniq String.compare (List.map (fun (_, v, _) -> v) decided)
-  in
-  if List.length distinct <= 1 then []
+let agreement (w : World.t) : Verdict.violation list =
+  if List.length (Verdict.tally (World.decisions w)).hashes <= 1 then []
   else
+    let decided =
+      List.concat
+        (List.mapi
+           (fun i d ->
+             match d with
+             | Some (v, _) -> [ Printf.sprintf "n%d=%s" i (World.value_tag v) ]
+             | None -> [])
+           (Array.to_list (World.decisions w)))
+    in
     [
       {
-        invariant = "agreement";
-        detail =
-          Printf.sprintf "conflicting decisions: %s"
-            (String.concat ", "
-               (List.map
-                  (fun (i, v, _) -> Printf.sprintf "n%d=%s" i (World.value_tag v))
-                  decided));
+        Verdict.invariant = "agreement";
+        detail = "conflicting decisions: " ^ String.concat ", " decided;
       };
     ]
 
-let no_conflicting_finals (w : World.t) : violation list =
-  let finals =
-    List.filter (fun (_, _, f) -> f) (decided_values w)
-    |> List.map (fun (_, v, _) -> v)
-    |> List.sort_uniq String.compare
-  in
-  if List.length finals <= 1 then []
-  else
+let no_conflicting_finals (w : World.t) : Verdict.violation list =
+  match (Verdict.tally (World.decisions w)).finals with
+  | ([] | [ _ ]) -> []
+  | finals ->
     [
       {
-        invariant = "final-uniqueness";
+        Verdict.invariant = "final-uniqueness";
         detail =
           Printf.sprintf "two different FINAL values: %s"
             (String.concat ", " (List.map World.value_tag finals));
@@ -97,7 +82,7 @@ let certificate_of (w : World.t) (i : int) : (Certificate.t * bool) option =
     let votes = dedup_by_voter (Ba_star.certificate_votes m) in
     Some (Certificate.make ~round:(World.config w).round ~step ~block_hash:value ~votes, final)
 
-let certificate_soundness (w : World.t) : violation list =
+let certificate_soundness (w : World.t) : Verdict.violation list =
   let ctx = World.validation_ctx w in
   let params = (World.config w).params in
   let acc = ref [] in
@@ -114,7 +99,7 @@ let certificate_soundness (w : World.t) : violation list =
           | Error e ->
             acc :=
               {
-                invariant = "certificate";
+                Verdict.invariant = "certificate";
                 detail =
                   Format.asprintf "n%d decided %s but its certificate fails: %a" i
                     (World.value_tag cert.block_hash) Certificate.pp_error e;
@@ -123,7 +108,7 @@ let certificate_soundness (w : World.t) : violation list =
     (World.decisions w);
   List.rev !acc
 
-let certificate_uniqueness (w : World.t) : violation list =
+let certificate_uniqueness (w : World.t) : Verdict.violation list =
   let ctx = World.validation_ctx w in
   let params = (World.config w).params in
   let valid_values = ref [] in
@@ -141,7 +126,7 @@ let certificate_uniqueness (w : World.t) : violation list =
   | (_ :: _ :: _) as vs ->
     [
       {
-        invariant = "certificate-uniqueness";
+        Verdict.invariant = "certificate-uniqueness";
         detail =
           Printf.sprintf "valid certificates for different values: %s"
             (String.concat ", "
@@ -154,21 +139,21 @@ let certificate_uniqueness (w : World.t) : violation list =
 
 (* ----------------------------- liveness --------------------------- *)
 
-let bounded_liveness (w : World.t) : violation list =
+let bounded_liveness (w : World.t) : Verdict.violation list =
   let acc = ref [] in
   Array.iteri
     (fun i d ->
       if (World.hung w).(i) then
         acc :=
           {
-            invariant = "liveness";
+            Verdict.invariant = "liveness";
             detail = Printf.sprintf "n%d hung (exceeded MaxSteps)" i;
           }
           :: !acc
       else if d = None then
         acc :=
           {
-            invariant = "liveness";
+            Verdict.invariant = "liveness";
             detail = Printf.sprintf "n%d undecided at schedule exhaustion" i;
           }
           :: !acc)
@@ -177,8 +162,8 @@ let bounded_liveness (w : World.t) : violation list =
 
 (* ---------------------------- entry points ------------------------ *)
 
-let check_step (w : World.t) : violation list =
+let check_step (w : World.t) : Verdict.violation list =
   agreement w @ no_conflicting_finals w @ certificate_soundness w
   @ certificate_uniqueness w
 
-let check_leaf (w : World.t) : violation list = check_step w @ bounded_liveness w
+let check_leaf (w : World.t) : Verdict.violation list = check_step w @ bounded_liveness w

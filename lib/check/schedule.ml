@@ -28,7 +28,7 @@ type stats = {
 
 let fresh_stats () = { transitions = 0; states = 0; schedules = 0; deduped = 0; truncated = 0 }
 
-type report = { violation : Invariant.violation; trace : World.trace_event list }
+type report = { violation : Algorand_core.Verdict.violation; trace : World.trace_event list }
 
 type outcome = {
   stats : stats;
@@ -40,7 +40,7 @@ type outcome = {
    own; this only guards the checker against a cycling regression. *)
 let timer_cap (w : World.t) : int = ((World.config w).params.max_steps * 4) + 16
 
-let reports_of (w : World.t) (vs : Invariant.violation list) : report list =
+let reports_of (w : World.t) (vs : Algorand_core.Verdict.violation list) : report list =
   let trace = World.trace w in
   List.map (fun violation -> { violation; trace }) vs
 

@@ -14,7 +14,7 @@ type stats = {
 
 val fresh_stats : unit -> stats
 
-type report = { violation : Invariant.violation; trace : World.trace_event list }
+type report = { violation : Algorand_core.Verdict.violation; trace : World.trace_event list }
 
 type outcome = {
   stats : stats;

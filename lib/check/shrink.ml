@@ -67,8 +67,8 @@ let minimize ?max_passes ~(config : World.config) ~(invariant : string)
 
 (* Render the minimal reproducer: the replayable delivery script plus
    the violation it ends in. *)
-let render ~(invariant : Invariant.violation) (trace : World.trace_event list) :
+let render ~(invariant : Algorand_core.Verdict.violation) (trace : World.trace_event list) :
     string =
   Printf.sprintf "%s\n-- %d events -->\n%s"
-    (Format.asprintf "%a" Invariant.pp_violation invariant)
+    (Format.asprintf "%a" Algorand_core.Verdict.pp_violation invariant)
     (List.length trace) (World.render_trace trace)

@@ -22,4 +22,4 @@ val minimize :
     the violation (1-minimal). Returns the input unchanged if it does
     not reproduce in the first place. *)
 
-val render : invariant:Invariant.violation -> World.trace_event list -> string
+val render : invariant:Algorand_core.Verdict.violation -> World.trace_event list -> string

@@ -7,11 +7,9 @@
    FoundationDB's simulation swarm.
 
    Per seed the mutator draws a *composition* of stressors, the harness
-   runs a long-horizon episode under all of them at once, and the full
-   invariant set is audited: agreement (no double-final round),
-   restarted-node convergence, bounded liveness (every node stopped at
-   quiescence), money-supply conservation, and zero decode failures
-   when the wire is bytes-mode and nothing corrupts frames.
+   runs a long-horizon episode under all of them at once, and the
+   harness's full verdict (Harness.violations: final-uniqueness,
+   conservation, convergence, liveness, decode, agreement) judges it.
 
    Coverage guidance uses the observability layer as the signal: each
    episode is fingerprinted by which registry counters fired and which
@@ -262,73 +260,18 @@ type episode = {
   events : int;  (** engine events consumed - the budget currency *)
 }
 
-let has_family (c : config) (name : string) : bool =
-  List.exists (fun s -> String.equal (family s) name) c.stressors
-
-(* The paper's guarantees assume > 2/3 of the weight honest and
-   online. Compositions that push the combined adversarial fraction
-   (equivocators + adaptively-corrupted + simultaneously-crashed) past
-   that envelope still run and still audit safety - agreement held in
-   every episode we have seen beyond it - but an unfinished node there
-   is the expected outcome, not a violation. Flooders are likewise
-   excluded from the liveness audit, and the nodes a [Flood] chose are
-   excluded from the convergence audit: peers ban them by design
-   (section 8.4 gossip limits), and a banned node can neither finish
-   nor catch up. Other banned nodes stay audited, so an honest node
-   banned by mistake still shows up. *)
-let faulty_fraction (c : config) : float =
-  List.fold_left
-    (fun acc s ->
-      match s with
-      | Equivocate f | Adaptive f -> acc +. f
-      | Churn { fraction; _ } -> acc +. fraction
-      | _ -> acc)
-    0.0 c.stressors
-
-let in_envelope (c : config) : bool = faulty_fraction c < 1.0 /. 3.0
-
-(* Run one composition to quiescence and audit the full invariant set.
-   The first violated invariant names the episode's verdict (the order
-   here fixes which invariant a shrink preserves). *)
+(* Run one composition to quiescence and audit it with the harness's
+   own verdict ({!Harness.violations}): the first violated invariant
+   names the episode (the verdict's order fixes which invariant a
+   shrink preserves). *)
 let run_episode (c : config) : episode =
   let r = Harness.run (to_harness c) in
   Harness.cleanup_stores r.harness;
   let fingerprint = Registry.fingerprint (Metrics.registry r.harness.metrics) in
-  let ints l = String.concat "," (List.map string_of_int l) in
-  let divergent =
-    List.filter (fun i -> not (List.mem i r.harness.flooders)) r.churn.divergent_restarted
-  in
   let violation, detail =
-    if r.safety.double_final <> [] then
-      (Some "agreement", Printf.sprintf "double-final rounds [%s]" (ints r.safety.double_final))
-    else if not r.txs.conservation_ok then
-      ( Some "conservation",
-        Printf.sprintf "money supply changed (%d txs committed)" r.txs.committed )
-    else if in_envelope c && divergent <> [] then
-      (Some "convergence", Printf.sprintf "divergent restarted nodes [%s]" (ints divergent))
-    else if in_envelope c && (not (has_family c "flood")) && r.churn.unfinished <> [] then
-      ( Some "liveness",
-        Printf.sprintf "unfinished at quiescence: %s"
-          (String.concat ","
-             (List.map
-                (fun i ->
-                  let n = r.harness.nodes.(i) in
-                  Printf.sprintf "n%d(status=%s round=%d tip=%d)" i
-                    Algorand_core.Node.(status_to_string (status n))
-                    (Algorand_core.Node.round n)
-                    (Algorand_ledger.Chain.tip
-                       (Algorand_core.Node.chain n))
-                      .height)
-                r.churn.unfinished)) )
-    else if
-      has_family c "bytes"
-      && (not (has_family c "flood"))
-      && (not (has_family c "corrupt"))
-      && r.wire.decode_failures > 0
-    then
-      ( Some "decode",
-        Printf.sprintf "%d decode failures on a clean bytes wire" r.wire.decode_failures )
-    else (None, "")
+    match Harness.violations r with
+    | v :: _ -> (Some v.invariant, v.detail)
+    | [] -> (None, "")
   in
   { config = c; violation; detail; fingerprint; events = r.events }
 

@@ -2,7 +2,7 @@
     composes every fault injector, attack and fuzzer - churn, loss,
     duplication, flooding, corruption, equivocation, partitions, the
     bytes wire, hostile workloads, undecidable messages, adaptive
-    corruption - per episode, audits the full invariant set, fingerprints
+    corruption - per episode, judges it by the harness's verdict, fingerprints
     coverage via the observability registry, breeds a corpus of novel
     compositions, and shrinks violations to one-line reproducers.
     Deterministic end to end: the budget is accounted in simulated
@@ -44,16 +44,17 @@ val to_harness : config -> Algorand_core.Harness.config
 type episode = {
   config : config;
   violation : string option;
-      (** first violated invariant: agreement, conservation,
-          convergence, liveness, or decode *)
+      (** the first invariant {!Algorand_core.Harness.violations}
+          reports *)
   detail : string;
   fingerprint : string list;  (** {!Algorand_obs.Registry.fingerprint} *)
   events : int;  (** engine events consumed - the budget currency *)
 }
 
 val run_episode : config -> episode
-(** Run one composition to quiescence and audit the full invariant
-    set. A pure function of the config. *)
+(** Run one composition to quiescence and judge it by
+    {!Algorand_core.Harness.violations}. A pure function of the
+    config. *)
 
 val fresh_config : Algorand_sim.Rng.t -> config
 val mutate : Algorand_sim.Rng.t -> config -> config

@@ -102,7 +102,6 @@ type wire = [ `Typed | `Bytes ]
 
 type config = {
   users : int;
-  stake_per_user : int;
   stake_distribution : [ `Equal | `Linear ];
       (** [`Equal] matches the paper's setup (it maximizes message
           count); [`Linear] gives user i stake proportional to i+1,
@@ -127,11 +126,6 @@ type config = {
           self-pay mixes, bursts) layered on [tx_rate_per_s]; [None]
           keeps the legacy uniform all-valid Poisson stream, so
           committed artifacts of profile-less runs replay unchanged *)
-  verify_tx_sigs : bool;
-      (** nodes batch-verify transaction signatures on the block
-          assembly and validation paths *)
-  txpool_retention_rounds : int;
-      (** committed-id retention before pool dedup-table eviction *)
   max_sim_time : float;
   cpu_vote_verify_s : float;
   cpu_block_verify_s : float;
@@ -144,7 +138,6 @@ type config = {
       (** root directory for per-node durable checkpoints; [None] means
           no persistence, except under [Crash_churn], which creates (and
           owns) a temporary root so restarts have something to reload *)
-  checkpoint_every : int;  (** persist every k completed rounds *)
   trace : Algorand_obs.Trace.t option;
       (** structured event trace shared by harness, nodes, gossip and
           retries; [None] builds a disabled trace internally *)
@@ -161,7 +154,6 @@ type config = {
 let default =
   {
     users = 50;
-    stake_per_user = 1_000;
     stake_distribution = `Equal;
     params = Params.paper;
     block_bytes = 1_000_000;
@@ -174,8 +166,6 @@ let default =
     attacks = [];
     tx_rate_per_s = 2.0;
     tx_profile = None;
-    verify_tx_sigs = true;
-    txpool_retention_rounds = 8;
     max_sim_time = 3_600.0;
     cpu_vote_verify_s = 0.0002;
     cpu_block_verify_s = 0.005;
@@ -185,7 +175,6 @@ let default =
     loss = 0.0;
     duplication = 0.0;
     store_root = None;
-    checkpoint_every = 1;
     trace = None;
     wire = `Typed;
     gossip_limits = None;
@@ -293,8 +282,7 @@ let build (config : config) : t =
      superposed. *)
   let attacks = config.attacks in
   let deployment =
-    Deployment.make ~crypto:config.crypto ~stake_per_user:config.stake_per_user
-      ~stake_law:config.stake_distribution ~seed:config.rng_seed ~users:config.users
+    Deployment.make ~crypto:config.crypto ~stake_law:config.stake_distribution ~seed:config.rng_seed ~users:config.users
       ~params:config.params ~block_bytes:config.block_bytes ~rounds:config.rounds ()
   in
   let identities, genesis = Deployment.roster deployment in
@@ -357,9 +345,6 @@ let build (config : config) : t =
         Option.map
           (fun root -> Filename.concat root (Printf.sprintf "node-%03d" i))
           store_root;
-      checkpoint_every = config.checkpoint_every;
-      verify_tx_sigs = config.verify_tx_sigs;
-      txpool_retention_rounds = config.txpool_retention_rounds;
       deterministic_ts = config.deterministic_ts;
     }
   in
@@ -716,97 +701,72 @@ let install_workload (t : t) : unit =
       Engine.schedule t.engine ~delay:0.5 arrival
   end
 
-(* Cross-user safety audit over the final chains. *)
-let audit_safety (t : t) : safety_report =
-  let per_round : (int, (string, bool) Hashtbl.t) Hashtbl.t = Hashtbl.create 16 in
-  Array.iter
-    (fun node ->
-      let chain = Node.chain node in
-      let tip = Chain.tip chain in
+(* Every node's chain as one column per height, the shape of the
+   shared tally: [(by_height t).(h - 1).(i)] is node [i]'s (hash, final)
+   at height [h], or [None] above its tip. *)
+let by_height (t : t) : (string * bool) option array array =
+  let paths =
+    Array.map
+      (fun node ->
+        let chain = Node.chain node in
+        Chain.ancestry chain (Chain.tip chain).hash)
+      t.nodes
+  in
+  let top =
+    Array.fold_left
+      (fun acc path -> match path with (e : Chain.entry) :: _ -> max acc e.height | [] -> acc)
+      0 paths
+  in
+  let columns = Array.init top (fun _ -> Array.make (Array.length t.nodes) None) in
+  Array.iteri
+    (fun i path ->
       List.iter
         (fun (e : Chain.entry) ->
-          if e.height > 0 then begin
-            let tbl =
-              match Hashtbl.find_opt per_round e.height with
-              | Some tbl -> tbl
-              | None ->
-                let tbl = Hashtbl.create 4 in
-                Hashtbl.replace per_round e.height tbl;
-                tbl
-            in
-            let was_final =
-              match Hashtbl.find_opt tbl e.hash with Some f -> f | None -> false
-            in
-            Hashtbl.replace tbl e.hash (was_final || e.final)
-          end)
-        (Chain.ancestry chain tip.hash))
-    t.nodes;
-  let agreement = ref 0 and forked = ref [] and double_final = ref [] in
-  Hashtbl.iter
-    (fun round tbl ->
-      let variants = Hashtbl.length tbl in
-      let finals = Hashtbl.fold (fun _ f acc -> if f then acc + 1 else acc) tbl 0 in
-      if variants <= 1 then incr agreement else forked := round :: !forked;
-      if finals > 1 then double_final := round :: !double_final)
-    per_round;
+          if e.height > 0 then columns.(e.height - 1).(i) <- Some (e.hash, e.final))
+        path)
+    paths;
+  columns
+
+(* Cross-user safety audit over the final chains. *)
+let safety_of (tallies : Verdict.tally array) : safety_report =
+  let heights p =
+    List.filter_map
+      (fun h -> if p tallies.(h - 1) then Some h else None)
+      (List.init (Array.length tallies) (fun k -> k + 1))
+  in
+  let forked_rounds = heights (fun tl -> List.length tl.hashes > 1) in
   {
-    agreement_rounds = !agreement;
-    forked_rounds = List.sort compare !forked;
-    double_final = List.sort compare !double_final;
+    agreement_rounds = Array.length tallies - List.length forked_rounds;
+    forked_rounds;
+    double_final = heights (fun tl -> List.length tl.finals > 1);
   }
+
+let audit_safety (t : t) : safety_report =
+  safety_of (Array.map Verdict.tally (by_height t))
 
 (* Churn accounting: retry/rejoin metrics plus two per-node audits -
    every restarted node's chain must match the strict-majority chain at
    every height both cover, and at quiescence no node may be left down,
    resyncing, hung, or short of the last round. *)
-let audit_churn (t : t) : churn_report =
-  let hash_at node h =
-    let chain = Node.chain node in
-    let tip = Chain.tip chain in
-    if h > tip.height then None
-    else
-      Option.map
-        (fun (e : Chain.entry) -> e.hash)
-        (Chain.ancestor_at chain ~hash:tip.hash ~height:h)
+let churn_of (t : t) (columns : (string * bool) option array array)
+    (tallies : Verdict.tally array) : churn_report =
+  let n = Array.length t.nodes in
+  let majority =
+    Array.map
+      (fun (tl : Verdict.tally) ->
+        List.find_map (fun (hash, held) -> if 2 * held > n then Some hash else None) tl.hashes)
+      tallies
   in
-  let max_h =
-    Array.fold_left
-      (fun acc n -> max acc (Chain.tip (Node.chain n)).height)
-      0 t.nodes
+  let diverges i =
+    Node.crash_count t.nodes.(i) > 0
+    && Array.exists2
+         (fun column maj ->
+           match (column.(i), maj) with
+           | Some (mine, _), Some maj -> not (String.equal mine maj)
+           | _ -> false)
+         columns majority
   in
-  let majority_at h =
-    let counts = Hashtbl.create 8 in
-    Array.iter
-      (fun n ->
-        match hash_at n h with
-        | Some hash ->
-          Hashtbl.replace counts hash
-            (1 + Option.value ~default:0 (Hashtbl.find_opt counts hash))
-        | None -> ())
-      t.nodes;
-    Hashtbl.fold
-      (fun hash c acc ->
-        if 2 * c > Array.length t.nodes then Some hash else acc)
-      counts None
-  in
-  let divergent = ref [] in
-  Array.iteri
-    (fun i n ->
-      if Node.crash_count n > 0 then begin
-        let bad = ref false in
-        for h = 1 to max_h do
-          match (hash_at n h, majority_at h) with
-          | Some mine, Some maj when not (String.equal mine maj) -> bad := true
-          | _ -> ()
-        done;
-        if !bad then divergent := i :: !divergent
-      end)
-    t.nodes;
-  let unfinished = ref [] in
-  Array.iteri
-    (fun i n ->
-      if Node.status n <> Stopped then unfinished := i :: !unfinished)
-    t.nodes;
+  let nodes p = List.filter p (List.init n Fun.id) in
   let m = t.metrics in
   let lat = Metrics.rejoin_latencies m in
   let rejoins = List.length lat in
@@ -819,8 +779,8 @@ let audit_churn (t : t) : churn_report =
        else List.fold_left ( +. ) 0.0 lat /. float_of_int rejoins);
     max_rejoin_s = List.fold_left Float.max 0.0 lat;
     retries = Metrics.retry_attempts m;
-    divergent_restarted = List.sort compare !divergent;
-    unfinished = List.sort compare !unfinished;
+    divergent_restarted = nodes diverges;
+    unfinished = nodes (fun i -> Node.status t.nodes.(i) <> Stopped);
   }
 
 (* Hostile-wire accounting: ingress drops and who got banned.
@@ -878,8 +838,8 @@ let audit_txs (t : t) : tx_report =
     conservation_ok;
   }
 
-let run (config : config) : result =
-  let t = build config in
+let drive (t : t) : result =
+  let config = t.config in
   install_workload t;
   let trace = Metrics.trace t.metrics in
   if Trace.enabled trace then
@@ -906,31 +866,102 @@ let run (config : config) : result =
       ~name:"run"
       ~detail:[ ("events", string_of_int events) ]
       ();
-  let safety = audit_safety t in
+  let columns = by_height t in
+  let tallies = Array.map Verdict.tally columns in
   let completion =
     Algorand_sim.Stats.summarize (Metrics.all_round_completion_times t.metrics)
   in
-  let final_rounds = ref 0 and tentative_rounds = ref 0 in
-  for r = 1 to config.rounds do
-    let finals =
-      Array.exists
-        (fun node ->
-          match Chain.ancestor_at (Node.chain node) ~hash:(Chain.tip (Node.chain node)).hash ~height:r with
-          | Some e -> e.final
-          | None -> false)
-        t.nodes
-    in
-    if finals then incr final_rounds else incr tentative_rounds
-  done;
+  let final_rounds =
+    List.length
+      (List.filter
+         (fun r -> r <= Array.length tallies && tallies.(r - 1).finals <> [])
+         (List.init config.rounds (fun k -> k + 1)))
+  in
   {
     harness = t;
     sim_time = Engine.now t.engine;
     events;
-    safety;
+    safety = safety_of tallies;
     completion;
-    final_rounds = !final_rounds;
-    tentative_rounds = !tentative_rounds;
-    churn = audit_churn t;
+    final_rounds;
+    tentative_rounds = config.rounds - final_rounds;
+    churn = churn_of t columns tallies;
     wire = audit_wire t;
     txs = audit_txs t;
   }
+
+let run (config : config) : result = drive (build config)
+
+(* ----------------------------- verdict ----------------------------- *)
+
+(* The paper's guarantees assume more than 2/3 of the weight honest and
+   online. [faulty_fraction] adds up what a run's own attacks take
+   away: the equivocators, the adaptively corrupted, and each crash
+   plan's victims. Runs past 1/3 still audit safety - agreement held in
+   every such run seen so far - but an unfinished node there is the
+   expected outcome, not a violation. *)
+let faulty_fraction (c : config) : float =
+  List.fold_left
+    (fun acc a ->
+      match a with
+      | Equivocate -> acc +. c.malicious_fraction
+      | Adaptive_corrupt { fraction; _ }
+      | Crash_churn (Periodic { fraction; _ } | Correlated { fraction; _ }) ->
+        acc +. fraction
+      | Crash_churn (One_shot { victims; _ }) ->
+        acc +. (float_of_int (List.length victims) /. float_of_int c.users)
+      | Partition _ | Targeted_dos _ | Delay_votes _ | Flood _ | Corrupt _
+      | Undecidable _ ->
+        acc)
+    0.0 c.attacks
+
+(* The run's invariants, in the order that fixes which one a shrink
+   preserves. Flooders are exempt from convergence and a flood from
+   liveness: peers ban a flooder by design (section 8.4 gossip limits),
+   and a banned node can neither finish nor catch up. Any other banned
+   node stays audited, so an honest node banned by mistake still shows
+   up. Forks are the expected outcome of weak synchrony (section 8.2),
+   so agreement is required only of a run with no attack and a
+   lossless network. *)
+let violations (r : result) : Verdict.violation list =
+  let t = r.harness in
+  let c = t.config in
+  let has p = List.exists p c.attacks in
+  let flood = has (function Flood _ -> true | _ -> false) in
+  let corrupt = has (function Corrupt _ -> true | _ -> false) in
+  let in_envelope = faulty_fraction c < 1.0 /. 3.0 in
+  let ints l = String.concat "," (List.map string_of_int l) in
+  let divergent =
+    List.filter (fun i -> not (List.mem i t.flooders)) r.churn.divergent_restarted
+  in
+  let node_state i =
+    let n = t.nodes.(i) in
+    Printf.sprintf "n%d(status=%s round=%d tip=%d)" i
+      (Node.status_to_string (Node.status n))
+      (Node.round n)
+      (Chain.tip (Node.chain n)).height
+  in
+  List.filter_map
+    (fun (violated, invariant, detail) ->
+      if violated then Some { Verdict.invariant; detail } else None)
+    [
+      ( r.safety.double_final <> [],
+        "final-uniqueness",
+        Printf.sprintf "double-final rounds [%s]" (ints r.safety.double_final) );
+      ( not r.txs.conservation_ok,
+        "conservation",
+        Printf.sprintf "money supply changed (%d txs committed)" r.txs.committed );
+      ( in_envelope && divergent <> [],
+        "convergence",
+        Printf.sprintf "divergent restarted nodes [%s]" (ints divergent) );
+      ( in_envelope && (not flood) && r.churn.unfinished <> [],
+        "liveness",
+        Printf.sprintf "unfinished at quiescence: %s"
+          (String.concat "," (List.map node_state r.churn.unfinished)) );
+      ( c.wire = `Bytes && (not flood) && (not corrupt) && r.wire.decode_failures > 0,
+        "decode",
+        Printf.sprintf "%d decode failures on a clean bytes wire" r.wire.decode_failures );
+      ( c.attacks = [] && c.loss = 0.0 && c.duplication = 0.0 && r.safety.forked_rounds <> [],
+        "agreement",
+        Printf.sprintf "forked rounds [%s]" (ints r.safety.forked_rounds) );
+    ]

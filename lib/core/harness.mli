@@ -75,7 +75,6 @@ type wire = [ `Typed | `Bytes ]
 
 type config = {
   users : int;
-  stake_per_user : int;
   stake_distribution : [ `Equal | `Linear ];
   params : Params.t;
   block_bytes : int;
@@ -93,11 +92,6 @@ type config = {
   tx_profile : tx_profile option;
       (** hostile workload shaping layered on [tx_rate_per_s]; [None]
           keeps the legacy uniform all-valid Poisson stream *)
-  verify_tx_sigs : bool;
-      (** nodes batch-verify transaction signatures on the block
-          assembly and validation paths *)
-  txpool_retention_rounds : int;
-      (** committed-id retention before pool dedup-table eviction *)
   max_sim_time : float;
   cpu_vote_verify_s : float;
   cpu_block_verify_s : float;
@@ -110,7 +104,6 @@ type config = {
       (** root for per-node durable checkpoints; [None] means no
           persistence, except under [Crash_churn], which creates (and
           owns) a temp root - release it with {!cleanup_stores} *)
-  checkpoint_every : int;  (** persist every k completed rounds *)
   trace : Algorand_obs.Trace.t option;
       (** structured event trace shared by harness, nodes, gossip and
           retries; [None] builds a disabled trace internally *)
@@ -216,7 +209,6 @@ val build : config -> t
 
 val install_workload : t -> unit
 val audit_safety : t -> safety_report
-val audit_churn : t -> churn_report
 val audit_wire : t -> wire_report
 val audit_txs : t -> tx_report
 
@@ -224,5 +216,23 @@ val cleanup_stores : t -> unit
 (** Remove the temp checkpoint root, when this harness created one
     (no-op for an explicit [store_root]). *)
 
+val drive : t -> result
+(** Install the workload, start every node, run to quiescence (or
+    [max_sim_time]) and audit: the rest of {!run}, for callers that
+    adjust a built deployment first (engine hooks, hand-fed
+    transactions). *)
+
 val run : config -> result
-(** Build, start every node, run to quiescence, audit. *)
+(** [drive (build config)]. *)
+
+val violations : result -> Verdict.violation list
+(** The run's verdict, [[]] when it passes: the invariants of
+    DESIGN.md's table, in the order final-uniqueness, conservation,
+    convergence, liveness, decode, agreement. Exemptions come from the
+    run's own config: liveness and convergence are held only while the
+    attacks' faulty weight (equivocators at [malicious_fraction],
+    adaptive corruption, crash victims) stays below 1/3; liveness and
+    decode are waived under a [Flood], decode under [Corrupt] and on a
+    typed wire; convergence skips the [flooders]; agreement (no fork at
+    any height) is required only of runs with no attack, loss or
+    duplication. *)

@@ -95,17 +95,7 @@ type config = {
           network is observed >= 2 rounds ahead *)
   store_dir : string option;
       (** durable checkpoint directory; [None] disables persistence *)
-  checkpoint_every : int;
-      (** checkpoint every k completed rounds (when [store_dir] is set) *)
   retry : Retry.policy;  (** backoff for block fetch and catch-up requests *)
-  verify_tx_sigs : bool;
-      (** check transaction signatures on the block paths: batch
-          verification of a proposed block's transactions during
-          validation, and a batch filter (with bisection fallback) on
-          the pool candidates during assembly *)
-  txpool_retention_rounds : int;
-      (** how many rounds committed transaction ids stay in the pool's
-          dedup table before eviction (the seen-set watermark) *)
   deterministic_ts : bool;
       (** stamp blocks with the round number instead of the clock, so
           runs on different clocks (sim vs wall time) build
@@ -127,10 +117,7 @@ let default_config =
     pipeline_final = false;
     resync_enabled = true;
     store_dir = None;
-    checkpoint_every = 1;
     retry = Retry.default_policy;
-    verify_tx_sigs = true;
-    txpool_retention_rounds = 8;
     deterministic_ts = false;
   }
 
@@ -195,6 +182,11 @@ type recovery_state = {
    ([base * attempt + fork_round]) so they can never collide with - or
    be mistaken for - regular-round traffic. *)
 let recovery_round_base = 1_000_000
+
+(* Rounds a committed transaction id stays in the pool's dedup table
+   before watermark eviction (the chain's nonce rule still rejects
+   later replays). *)
+let txpool_retention_rounds = 8
 
 (* Live catch-up after a restart (or after falling behind): request
    certified rounds from rotating peers on a retry schedule until our
@@ -420,13 +412,14 @@ let drop_round (t : t) : unit =
    checkpoint, but only as a contiguous run - a gap on disk would
    truncate what a restart can replay, so a round missing its
    certificate (e.g. adopted during fork recovery) blocks the
-   checkpoint until resync backfills it. *)
-let do_checkpoint (t : t) ~(min_new : int) : unit =
+   checkpoint until resync backfills it. Called after every completed
+   round, resync and recovery, and by a daemon on SIGTERM. *)
+let checkpoint (t : t) : unit =
   match t.config.store_dir with
   | None -> ()
   | Some dir ->
     let tip = Chain.tip t.chain in
-    if tip.height >= t.last_checkpoint + min_new then begin
+    if tip.height > t.last_checkpoint then begin
       let rec collect r acc =
         if r <= t.last_checkpoint then Some acc
         else begin
@@ -445,14 +438,6 @@ let do_checkpoint (t : t) ~(min_new : int) : unit =
         t.last_checkpoint <- tip.height
       | Some _ | None -> ()
     end
-
-let maybe_checkpoint (t : t) : unit =
-  if t.config.checkpoint_every > 0 then
-    do_checkpoint t ~min_new:t.config.checkpoint_every
-
-(* Forced checkpoint, cadence ignored: what a daemon does on SIGTERM
-   so a drained process leaves its full certified prefix on disk. *)
-let checkpoint_now (t : t) : unit = do_checkpoint t ~min_new:1
 
 (* ------------------------------------------------------------------ *)
 (* Round context (seeds and look-back weights, sections 5.2-5.3).      *)
@@ -872,7 +857,7 @@ and complete_round (t : t) (rs : round_state) (block : Block.t) : unit =
      the retention watermark (the chain's nonce rule still rejects
      late replays) and drop queued transactions whose nonce the chain
      has already consumed - they can never apply. *)
-  Txpool.expire t.txpool ~before_round:(rs.round - t.config.txpool_retention_rounds);
+  Txpool.expire t.txpool ~before_round:(rs.round - txpool_retention_rounds);
   (let committed = (Chain.tip t.chain).balances_after in
    ignore
      (Txpool.prune t.txpool ~stale:(fun _ tx ->
@@ -884,7 +869,7 @@ and complete_round (t : t) (rs : round_state) (block : Block.t) : unit =
   (match t.on_round_complete with
   | Some f -> f t ~round:rs.round ~final:rs.decided_final
   | None -> ());
-  maybe_checkpoint t;
+  checkpoint t;
   if rs.round >= t.config.max_round then begin
     transition t Stopped;
     t.current <- None
@@ -910,18 +895,15 @@ and build_block (t : t) (rs : round_state) ~(prio : Proposal.priority_msg) ~(var
      so the proposed block always passes other nodes' signature
      check. *)
   let candidates =
-    if t.config.verify_tx_sigs then begin
-      let valid, rejected =
-        Transaction.filter_valid_batch ~sig_pk_of:Identity.sig_pk
-          ~scheme:t.config.sig_scheme candidates
-      in
-      if rejected <> [] then begin
-        let bad = List.map Transaction.id rejected in
-        ignore (Txpool.prune t.txpool ~stale:(fun id _ -> List.mem id bad))
-      end;
-      valid
-    end
-    else candidates
+    let valid, rejected =
+      Transaction.filter_valid_batch ~sig_pk_of:Identity.sig_pk
+        ~scheme:t.config.sig_scheme candidates
+    in
+    if rejected <> [] then begin
+      let bad = List.map Transaction.id rejected in
+      ignore (Txpool.prune t.txpool ~stale:(fun id _ -> List.mem id bad))
+    end;
+    valid
   in
   (* Keep only transactions that apply cleanly in order, so the block
      always passes validation (racing nonces are simply left out). *)
@@ -1081,9 +1063,8 @@ and validate_block (t : t) (rs : round_state) (b : Block.t) : bool =
   && (match Algorand_ledger.Balances.apply_block tip.balances_after b.txs with
      | Ok _ -> true
      | Error _ -> false)
-  && (not t.config.verify_tx_sigs
-     || Transaction.verify_batch ~sig_pk_of:Identity.sig_pk ~scheme:t.config.sig_scheme
-          b.txs)
+  && Transaction.verify_batch ~sig_pk_of:Identity.sig_pk ~scheme:t.config.sig_scheme
+       b.txs
   && Proposal.verify_next_seed ~vrf_scheme:t.config.vrf_scheme
        ~vrf_pk:(Identity.vrf_pk b.header.proposer_pk) ~current_seed:tip.seed
        ~round:rs.round ~seed:b.header.seed ~proof:b.header.seed_proof
@@ -1371,7 +1352,7 @@ and finish_resync (t : t) (st : resync_state) : unit =
       ~ts:(Engine.now t.engine) ~cat:"node" ~name:"resync"
       ~detail:[ ("requests", string_of_int st.requests_sent) ]
       ();
-  maybe_checkpoint t;
+  checkpoint t;
   Log.debug (fun m ->
       m "node %d resynced to round %d in %.2fs (%d requests)" t.index
         (Chain.tip t.chain).height latency st.requests_sent)
@@ -1623,7 +1604,7 @@ and finish_recovery (t : t) (rs : recovery_state) ~(value : string) : unit =
     Log.debug (fun m ->
         m "node %d recovered to round %d at %.1fs" t.index rs.fork_round
           (Engine.now t.engine));
-    maybe_checkpoint t;
+    checkpoint t;
     rejoin t
   end
 

@@ -43,18 +43,8 @@ type config = {
           MaxSteps, or when the network is observed >= 2 rounds ahead *)
   store_dir : string option;
       (** durable checkpoint directory; [None] disables persistence *)
-  checkpoint_every : int;
-      (** checkpoint every k completed rounds (when [store_dir] is set) *)
   retry : Retry.policy;
       (** backoff for block-fetch and catch-up requests *)
-  verify_tx_sigs : bool;
-      (** check transaction signatures on the block paths: batch
-          verification of a proposed block's transactions during
-          validation, and a batch filter (bisection fallback) over pool
-          candidates during assembly *)
-  txpool_retention_rounds : int;
-      (** rounds a committed transaction id stays in the pool's dedup
-          table before watermark eviction *)
   deterministic_ts : bool;
       (** stamp blocks with the round number instead of the engine
           clock (and validate them as such), making block hashes
@@ -200,9 +190,10 @@ val deliver : t -> src:int -> Message.t -> unit
 val submit_tx : t -> Transaction.t -> unit
 (** Submit a transaction at this node, as a wallet would. *)
 
-val checkpoint_now : t -> unit
-(** Persist the certified prefix to [store_dir] immediately, ignoring
-    the [checkpoint_every] cadence - the daemon's SIGTERM drain. *)
+val checkpoint : t -> unit
+(** Persist the certified prefix above the last checkpoint to
+    [store_dir]. A node does this after every completed round; the
+    daemon also calls it on SIGTERM. *)
 
 val set_on_round_complete : t -> (t -> round:int -> final:bool -> unit) -> unit
 

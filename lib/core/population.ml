@@ -357,16 +357,16 @@ let run (config : config) : result =
     let all_stopped = Array.for_all (fun (_, node) -> Node.status node = Stopped) roster in
     (* Audit: every materialized node must have certified the same
        block at this height. *)
-    let hashes =
+    let entries =
       Array.map
         (fun (_, node) ->
           let chain = Node.chain node in
-          match
-            Chain.ancestor_at chain ~hash:(Chain.tip chain).hash ~height:round
-          with
-          | Some e -> Some (e.hash, e)
-          | None -> None)
+          Chain.ancestor_at chain ~hash:(Chain.tip chain).hash ~height:round)
         roster
+    in
+    let tally =
+      Verdict.tally
+        (Array.map (Option.map (fun (e : Chain.entry) -> (e.hash, e.final))) entries)
     in
     let max_bin_steps =
       List.fold_left
@@ -374,16 +374,7 @@ let run (config : config) : result =
           if rec_.round = round then max acc rec_.steps_taken else acc)
         0 (Metrics.records metrics)
     in
-    let round_ok =
-      all_stopped
-      && Array.length hashes > 0
-      && Array.for_all Option.is_some hashes
-      &&
-      match hashes.(0) with
-      | Some (h0, _) ->
-        Array.for_all (function Some (h, _) -> String.equal h h0 | None -> false) hashes
-      | None -> false
-    in
+    let round_ok = all_stopped && tally.missing = 0 && List.length tally.hashes = 1 in
     if not round_ok then begin
       (* Say why on stderr: a failed audit at 500k users is otherwise
          undebuggable. *)
@@ -392,23 +383,17 @@ let run (config : config) : result =
           (fun acc (_, node) -> if Node.status node = Stopped then acc else acc + 1)
           0 roster
       in
-      let missing = Array.fold_left (fun acc h -> if h = None then acc + 1 else acc) 0 hashes in
-      let distinct =
-        Array.fold_left
-          (fun acc -> function Some (h, _) -> if List.mem h acc then acc else h :: acc | None -> acc)
-          [] hashes
-        |> List.length
-      in
       Printf.eprintf
         "population: round %d audit failed: %d/%d nodes unstopped, %d missing height-%d \
          entries, %d distinct hashes, %d pending events, max bin steps %d\n%!"
-        round unstopped (Array.length roster) missing round distinct
+        round unstopped (Array.length roster) tally.missing round
+        (List.length tally.hashes)
         (Engine.pending engine) max_bin_steps;
       agreement := false;
       ok := false
     end
     else begin
-      let _, entry = Option.get hashes.(0) in
+      let entry = Option.get entries.(0) in
       let final =
         Array.exists
           (fun (_, node) -> Node.final_certificate node ~round <> None)

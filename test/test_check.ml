@@ -119,7 +119,7 @@ let replay_is_deterministic () =
     let violations =
       List.map
         (fun (r : Schedule.report) ->
-          Format.asprintf "%a" Invariant.pp_violation r.violation)
+          Format.asprintf "%a" Algorand_core.Verdict.pp_violation r.violation)
         o.violations
     in
     (violations, World.render_trace (World.trace w))

@@ -47,13 +47,6 @@ let base ~seed ~users ~rounds ~attacks ~loss =
     loss;
   }
 
-let check_churn_safety ~(ctx : string) (r : Harness.result) =
-  Alcotest.(check (list int)) (ctx ^ ": no double finals") [] r.safety.double_final;
-  Alcotest.(check (list int))
-    (ctx ^ ": restarted nodes converged")
-    [] r.churn.divergent_restarted;
-  Alcotest.(check (list int)) (ctx ^ ": all nodes finished") [] r.churn.unfinished
-
 (* Every node's tip hash equals node 0's. *)
 let check_converged (r : Harness.result) =
   let tip0 = (Chain.tip (Node.chain r.harness.nodes.(0))).hash in
@@ -109,7 +102,7 @@ let one_shot_rejoin () =
         (Printf.sprintf "rejoin latency bounded (%.1fs)" r.churn.max_rejoin_s)
         true
         (r.churn.max_rejoin_s > 0.0 && r.churn.max_rejoin_s <= 300.0);
-      check_churn_safety ~ctx:"one-shot" r;
+      Expect.no_violations ~ctx:"one-shot" r;
       check_converged r;
       check_no_tmp_files r.harness)
 
@@ -133,7 +126,7 @@ let correlated_outage () =
         true
         (r.churn.crashes >= 3);
       Alcotest.(check int) "every crash restarted" r.churn.crashes r.churn.restarts;
-      check_churn_safety ~ctx:"correlated" r;
+      Expect.no_violations ~ctx:"correlated" r;
       check_converged r)
 
 let periodic_churn_under_loss () =
@@ -165,7 +158,7 @@ let periodic_churn_under_loss () =
       Alcotest.(check bool)
         (Printf.sprintf "retries under loss (%d)" r.churn.retries)
         true (r.churn.retries >= 0);
-      check_churn_safety ~ctx:"periodic" r;
+      Expect.no_violations ~ctx:"periodic" r;
       check_converged r;
       check_no_tmp_files r.harness)
 
@@ -459,21 +452,9 @@ let torture ~(seeds : int) ~(loss : float) () =
     Fun.protect
       ~finally:(fun () -> Harness.cleanup_stores r.harness)
       (fun () ->
-        if r.safety.double_final <> [] then
-          Alcotest.failf "seed %d: double final in rounds %s" seed
-            (String.concat "," (List.map string_of_int r.safety.double_final));
-        if r.churn.divergent_restarted <> [] then
-          Alcotest.failf "seed %d: restarted nodes %s diverged from majority" seed
-            (String.concat ","
-               (List.map string_of_int r.churn.divergent_restarted));
-        if r.churn.unfinished <> [] then
-          Alcotest.failf "seed %d: nodes %s never finished (down/resync/hung)" seed
-            (String.concat "," (List.map string_of_int r.churn.unfinished));
-        (* Nothing corrupts the wire here: every frame honest nodes
-           produce must decode at every hop. *)
-        if r.wire.decode_failures > 0 then
-          Alcotest.failf "seed %d: %d decode failures on a clean wire" seed
-            r.wire.decode_failures)
+        (* Nothing corrupts the wire here, so the verdict also holds
+           every frame honest nodes produce to decoding at every hop. *)
+        Expect.no_violations ~ctx:(Printf.sprintf "seed %d" seed) r)
   done
 
 let suite =

@@ -26,13 +26,9 @@ let base_config =
     rng_seed = 1;
   }
 
-let check_safety (r : Harness.result) =
-  Alcotest.(check (list int)) "no double finals" [] r.safety.double_final
-
 let happy_network () =
   let r = Harness.run base_config in
-  check_safety r;
-  Alcotest.(check (list int)) "no forks at all" [] r.safety.forked_rounds;
+  Expect.no_violations r;
   Alcotest.(check int) "both rounds final" 2 r.final_rounds;
   (* All users completed both rounds. *)
   Alcotest.(check int) "completions" (16 * 2) r.completion.count;
@@ -43,7 +39,7 @@ let happy_network () =
 
 let transactions_confirm () =
   let r = Harness.run { base_config with tx_rate_per_s = 5.0; rounds = 3 } in
-  check_safety r;
+  Expect.no_violations r;
   (* Some submitted transactions must have landed in blocks and moved
      money on every node's chain identically. *)
   let committed (node : Node.t) =
@@ -64,7 +60,7 @@ let transactions_confirm () =
     r.harness.nodes;
   (* Total stake is conserved on the final balances. *)
   let tip = Chain.tip (Node.chain r.harness.nodes.(0)) in
-  Alcotest.(check int) "conservation" (16 * base_config.stake_per_user)
+  Alcotest.(check int) "conservation" (Balances.total r.harness.genesis.balances)
     (Balances.total tip.balances_after)
 
 let equivocation_attack_safe () =
@@ -81,7 +77,7 @@ let equivocation_attack_safe () =
         rng_seed = 3;
       }
   in
-  check_safety r;
+  Expect.no_violations r;
   Alcotest.(check bool) "all users completed" true
     (r.completion.count = 16 * 2)
 
@@ -97,7 +93,26 @@ let targeted_dos_safe () =
         rng_seed = 4;
       }
   in
-  check_safety r
+  Expect.no_violations r
+
+(* The verdict's liveness rule: a run cut short by [max_sim_time]
+   leaves every node unfinished and reports liveness, unless its own
+   attacks put the faulty weight at 1/3 or more - there the paper
+   promises no progress, so only safety is held. *)
+let liveness_envelope () =
+  let cut = { base_config with rounds = 2; max_sim_time = 5.0 } in
+  let names config =
+    List.map
+      (fun (v : Algorand_core.Verdict.violation) -> v.invariant)
+      (Harness.violations (Harness.run config))
+  in
+  Alcotest.(check (list string)) "cut short" [ "liveness" ] (names cut);
+  let equivocate fraction =
+    { cut with malicious_fraction = fraction; attacks = [ Harness.Equivocate ] }
+  in
+  Alcotest.(check (list string)) "below 1/3 equivocating" [ "liveness" ]
+    (names (equivocate 0.3));
+  Alcotest.(check (list string)) "1/3 equivocating" [] (names (equivocate (1.0 /. 3.0)))
 
 let deterministic_runs () =
   let r1 = Harness.run { base_config with rounds = 1 } in
@@ -137,7 +152,7 @@ let deterministic_bit_identical () =
 
 let all_chains_converge () =
   let r = Harness.run { base_config with rounds = 3; rng_seed = 5 } in
-  check_safety r;
+  Expect.no_violations r;
   let tip_hash n = (Chain.tip (Node.chain n)).hash in
   let h0 = tip_hash r.harness.nodes.(0) in
   Array.iter
@@ -188,7 +203,7 @@ let partition_recovery () =
         rng_seed = 8;
       }
   in
-  check_safety r;
+  Expect.no_violations r;
   let recoveries =
     Array.fold_left (fun acc n -> acc + Node.recoveries_completed n) 0 r.harness.nodes
   in
@@ -243,7 +258,7 @@ let real_crypto_end_to_end () =
         rng_seed = 6;
       }
   in
-  check_safety r;
+  Expect.no_violations r;
   Alcotest.(check int) "everyone completed" 5 r.completion.count;
   Alcotest.(check bool) "round reached consensus" true
     (r.final_rounds + r.tentative_rounds >= 1)
@@ -256,8 +271,8 @@ let pipelining_works_and_helps () =
     Harness.run { base_config with rounds = 4; pipeline_final; rng_seed = 17 }
   in
   let plain = run false and piped = run true in
-  check_safety plain;
-  check_safety piped;
+  Expect.no_violations plain;
+  Expect.no_violations piped;
   Alcotest.(check int) "piped all rounds final" 4 piped.final_rounds;
   (* Cadence: last completion timestamp across users. *)
   let last_done (r : Harness.result) =
@@ -303,7 +318,7 @@ let vote_scheduling_attack () =
         rng_seed = 23;
       }
   in
-  check_safety r;
+  Expect.no_violations r;
   (* Everyone still finished both rounds... *)
   Alcotest.(check int) "all completed" (16 * 2) r.completion.count;
   (* ...and the delayed half needed more than one BinaryBA* step. *)
@@ -323,7 +338,7 @@ let unequal_stakes () =
     Harness.run
       { base_config with stake_distribution = `Linear; rounds = 2; rng_seed = 18 }
   in
-  check_safety r;
+  Expect.no_violations r;
   Alcotest.(check int) "all completed" (16 * 2) r.completion.count;
   (* Heavier users get selected (and thus vote) more: check the biggest
      staker produced at least one committee appearance via completion of
@@ -339,7 +354,7 @@ let per_round_seed_refresh () =
      round reads the previous block's VRF-derived seed). *)
   let params = { Algorand_ba.Params.paper with seed_refresh_interval = 1 } in
   let r = Harness.run { base_config with params; rounds = 3; rng_seed = 19 } in
-  check_safety r;
+  Expect.no_violations r;
   Alcotest.(check int) "all three rounds final" 3 r.final_rounds;
   (* The per-round seeds must actually differ (they are VRF outputs
      chained through the blocks). *)
@@ -408,7 +423,7 @@ let suite =
               { Algorand_ba.Params.paper with ba_variant = Algorand_ba.Params.Look_back }
             in
             let r = Harness.run { base_config with params; rng_seed = 25 } in
-            check_safety r;
+            Expect.no_violations r;
             Alcotest.(check int) "all rounds final" 2 r.final_rounds);
         ts "vote scheduling attack (common coin)" vote_scheduling_attack;
         ts "unequal stakes" unequal_stakes;
@@ -418,6 +433,7 @@ let suite =
         ts "transactions confirm consistently" transactions_confirm;
         ts "equivocation attack preserves safety" equivocation_attack_safe;
         ts "targeted DoS preserves safety" targeted_dos_safe;
+        ts "verdict: liveness only inside the 1/3 envelope" liveness_envelope;
         ts "deterministic runs" deterministic_runs;
         ts "deterministic runs are bit-identical" deterministic_bit_identical;
         ts "all chains converge + certificates" all_chains_converge;

@@ -178,7 +178,7 @@ let light_client_end_to_end () =
     }
   in
   let r = Harness.run config in
-  Alcotest.(check (list int)) "safe" [] r.safety.double_final;
+  Expect.no_violations r;
   (* Find a round whose block carries transactions and a certificate. *)
   let node = r.harness.nodes.(0) in
   let chain = Node.chain node in

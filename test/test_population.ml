@@ -57,9 +57,7 @@ let test_equivalence_audit () =
      population engine materializing only the selected minority. *)
   for seed = 101 to 120 do
     let h = Harness.run (harness_config ~seed) in
-    Alcotest.(check (list int))
-      (Printf.sprintf "seed %d: harness forks" seed)
-      [] h.safety.forked_rounds;
+    Expect.no_violations ~ctx:(Printf.sprintf "seed %d: harness" seed) h;
     let p = Population.run (population_config ~seed) in
     Alcotest.(check bool)
       (Printf.sprintf "seed %d: population agreement" seed)

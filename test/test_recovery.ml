@@ -39,7 +39,7 @@ let healthy_checkpoint () =
         rng_seed = 13;
       }
   in
-  Alcotest.(check (list int)) "no double finals" [] r.safety.double_final;
+  Expect.no_violations r;
   let recoveries =
     Array.fold_left (fun a n -> a + Node.recoveries_completed n) 0 r.harness.nodes
   in
@@ -81,7 +81,7 @@ let dos_then_recovery () =
         rng_seed = 14;
       }
   in
-  Alcotest.(check (list int)) "no double finals" [] r.safety.double_final;
+  Expect.no_violations r;
   let tip_heights =
     Array.to_list (Array.map (fun n -> (Chain.tip (Node.chain n)).height) r.harness.nodes)
   in
@@ -114,7 +114,7 @@ let recovery_preserves_finality () =
         rng_seed = 15;
       }
   in
-  Alcotest.(check (list int)) "no double finals" [] r.safety.double_final;
+  Expect.no_violations r;
   (* Collect every block any node marked final; each must be an
      ancestor of every node's tip. *)
   Array.iter
@@ -171,7 +171,7 @@ let dropped_round_timers_silent () =
         attacks = [ Harness.Partition { from_ = 4.0; until = 40.0 } ];
       }
   in
-  Alcotest.(check (list int)) "no double finals" [] r.safety.double_final;
+  Expect.no_violations r;
   Alcotest.(check bool)
     (Printf.sprintf "ticks dropped running rounds (%d)" !from_running)
     true (!from_running > 0);

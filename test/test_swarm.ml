@@ -6,6 +6,8 @@
    does not fail the convergence audit. *)
 
 module Swarm = Algorand_check.Swarm
+module World = Algorand_check.World
+module Schedule = Algorand_check.Schedule
 module Gallery = Algorand_check.Gallery
 module Balances = Algorand_ledger.Balances
 module Harness = Algorand_core.Harness
@@ -170,8 +172,47 @@ let flooder_exempt_from_convergence () =
   Harness.cleanup_stores r.harness;
   Alcotest.(check bool) "node 5 is a flooder" true (List.mem 5 r.harness.flooders);
   Alcotest.(check bool) "node 5 diverged" true (List.mem 5 r.churn.divergent_restarted);
+  Alcotest.(check int) "the verdict exempts it" 0 (List.length (Harness.violations r));
   let ep = Swarm.run_episode c in
   Alcotest.(check (option string)) "verdict ok" None ep.violation
+
+(* ------------------------- one vocabulary -------------------------- *)
+
+(* The model checker's world and the harness name an invariant the
+   same way: a walk of the negative-control world (split inputs, both
+   thresholds at 0.2) that ends with two FINAL values, and a harness
+   result carrying a double-final round, both report final-uniqueness;
+   a world fork and a fork in an attack-free harness run both report
+   agreement. *)
+let shared_invariant_names () =
+  let config =
+    {
+      World.default_config with
+      nodes = 4;
+      scenario = World.Split;
+      params = { World.default_config.params with t_step = 0.2; t_final = 0.2 };
+    }
+  in
+  let base = Rng.create 0x5eed in
+  let world_names =
+    List.concat_map
+      (fun k ->
+        let w = World.create config in
+        World.start w;
+        let o = Schedule.run_fuzz ~rng:(Rng.split base (Printf.sprintf "walk-%d" k)) w in
+        List.map (fun (r : Schedule.report) -> r.violation.invariant) o.violations)
+      (List.init 20 (fun k -> k + 1))
+  in
+  let r = Harness.run { Harness.default with users = 4; rounds = 1; rng_seed = 5 } in
+  let first (r : Harness.result) =
+    match Harness.violations r with v :: _ -> v.invariant | [] -> "none"
+  in
+  let double_final = first { r with safety = { r.safety with double_final = [ 1 ] } } in
+  let forked = first { r with safety = { r.safety with forked_rounds = [ 1 ] } } in
+  Alcotest.(check string) "harness double final" "final-uniqueness" double_final;
+  Alcotest.(check string) "harness fork" "agreement" forked;
+  Alcotest.(check bool) "world double final" true (List.mem double_final world_names);
+  Alcotest.(check bool) "world fork" true (List.mem forked world_names)
 
 let suite =
   [
@@ -186,5 +227,6 @@ let suite =
         t "gallery: adaptive corruption safe under erasure" gallery_adaptive_erasure_safe;
         t "six stressor families compose" six_families_compose;
         t "flooders exempt from convergence" flooder_exempt_from_convergence;
+        t "world and harness share invariant names" shared_invariant_names;
       ] );
   ]

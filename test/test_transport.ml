@@ -365,7 +365,7 @@ let consensus_over_loopback () =
         deterministic_ts = true;
       }
   in
-  Alcotest.(check int) "no forks in sim" 0 (List.length sim.Harness.safety.Harness.forked_rounds);
+  Expect.no_violations ~ctx:"sim" sim;
   let sim_hashes = hashes_of sim.Harness.harness.Harness.nodes.(0) ~rounds in
   Alcotest.(check bool) "sim and wire ledgers identical" true (sim_hashes = wire_hashes);
   let gossip_names reg =

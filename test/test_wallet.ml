@@ -20,7 +20,10 @@ let wallet_flow () =
   let h = Harness.build config in
   let alice = Wallet.create ~identity:h.identities.(0) ~node:h.nodes.(0) in
   let bob = Wallet.create ~identity:h.identities.(1) ~node:h.nodes.(1) in
-  Alcotest.(check int) "initial balance" config.stake_per_user (Wallet.balance alice);
+  let stake =
+    Algorand_ledger.Balances.balance h.genesis.balances (Wallet.address alice)
+  in
+  Alcotest.(check int) "initial balance" stake (Wallet.balance alice);
   (* Submit two sequential payments shortly after start. *)
   let txs = ref [] in
   Algorand_sim.Engine.schedule h.engine ~delay:0.5 (fun () ->
@@ -28,13 +31,10 @@ let wallet_flow () =
       let t1 = Wallet.pay alice ~to_:(Wallet.address bob) ~amount:100 in
       let t2 = Wallet.pay alice ~to_:(Wallet.address bob) ~amount:50 in
       txs := [ t1; t2 ]);
-  Array.iter Node.start h.nodes;
-  ignore (Algorand_sim.Engine.run h.engine ~until:config.max_sim_time ());
-  let safety = Harness.audit_safety h in
-  Alcotest.(check (list int)) "safe" [] safety.double_final;
+  Expect.no_violations (Harness.drive h);
   (* Both payments confirmed and balances settled on both wallets' nodes. *)
-  Alcotest.(check int) "alice balance" (config.stake_per_user - 150) (Wallet.balance alice);
-  Alcotest.(check int) "bob balance" (config.stake_per_user + 150) (Wallet.balance bob);
+  Alcotest.(check int) "alice balance" (stake - 150) (Wallet.balance alice);
+  Alcotest.(check int) "bob balance" (stake + 150) (Wallet.balance bob);
   List.iter
     (fun tx ->
       match Wallet.status alice tx with

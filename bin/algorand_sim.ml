@@ -310,7 +310,7 @@ let run_cmd =
       with
       | None -> Printf.printf "no node holds certificates for every round; nothing saved\n"
       | Some node ->
-        let items = Algorand_core.Catchup.collect node ~up_to_round:rounds in
+        let items = Algorand_core.Node.history node ~up_to_round:rounds in
         Algorand_core.Disk_store.save dir items;
         Printf.printf "saved %d certified blocks to %s (%d KB)\n" (List.length items)
           dir

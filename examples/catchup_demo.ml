@@ -7,7 +7,7 @@
 
 module Harness = Algorand_core.Harness
 module Node = Algorand_core.Node
-module Catchup = Algorand_core.Catchup
+module History = Algorand_core.History
 module Certificate = Algorand_core.Certificate
 module Chain = Algorand_ledger.Chain
 open Algorand_crypto
@@ -32,10 +32,10 @@ let () =
     |> List.find (fun n ->
            List.for_all (fun round -> Node.certificate n ~round <> None) [ 1; 2; 3 ])
   in
-  let history = Catchup.collect server ~up_to_round:3 in
+  let history = Node.history server ~up_to_round:3 in
   let bytes =
     List.fold_left
-      (fun acc (i : Catchup.item) ->
+      (fun acc (i : History.item) ->
         acc
         + Algorand_ledger.Block.size_bytes i.block
         + Certificate.size_bytes i.certificate)
@@ -48,10 +48,12 @@ let () =
   | Some fc -> Printf.printf "final certificate for round 3: %d votes\n" (List.length fc.votes)
   | None -> Printf.printf "no final certificate available\n");
   match
-    Catchup.replay ~params:config.params ~sig_scheme:Signature_scheme.sim
+    History.replay ~params:config.params ~sig_scheme:Signature_scheme.sim
       ~vrf_scheme:Vrf.sim ~genesis:r.harness.genesis ?final_certificate history
   with
-  | Error e -> Format.printf "catch-up failed: %a@." Catchup.pp_error e
+  | Error e ->
+    Format.printf "catch-up failed: %a@." History.pp_error e;
+    exit 1
   | Ok chain ->
     let tip = Chain.tip chain in
     Printf.printf "new user caught up to round %d, tip %s%s\n" tip.height
@@ -78,15 +80,15 @@ let () =
       let proof = Option.get (Block.prove_tx entry.block ~tx_id) in
       let certificate =
         List.find
-          (fun (i : Catchup.item) -> Algorand_ledger.Block.round i.block = entry.height)
+          (fun (i : History.item) -> Algorand_ledger.Block.round i.block = entry.height)
           history
       in
+      (* The client verified the prefix, so it holds the block's parent. *)
       let ctx =
-        Catchup.validation_ctx ~params:config.params
-          ~sig_scheme:Signature_scheme.sim ~vrf_scheme:Vrf.sim ~chain
-          ~round:entry.height
+        History.context ~params:config.params ~sig_scheme:Signature_scheme.sim
+          ~vrf_scheme:Vrf.sim chain
+          ~parent:(Option.get (Chain.find chain entry.parent))
       in
-      let ctx = { ctx with last_block_hash = entry.parent } in
       match
         Lightclient.verify_payment ~params:config.params ~ctx ~summary
           ~certificate:certificate.certificate ~tx_id ~proof
@@ -97,4 +99,6 @@ let () =
           (Hex.of_string (String.sub tx_id 0 6))
           v.round Lightclient.summary_size_bytes
           (Algorand_crypto.Merkle.proof_size_bytes proof)
-      | Error e -> Format.printf "light verification failed: %a@." Lightclient.pp_error e))
+      | Error e ->
+        Format.printf "light verification failed: %a@." Lightclient.pp_error e;
+        exit 1))

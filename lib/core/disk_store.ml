@@ -43,7 +43,7 @@ let rec mkdir_p (dir : string) : unit =
     try Sys.mkdir dir 0o755 with Sys_error _ -> ()
   end
 
-(* Persist a catch-up history (from Catchup.collect / collect_from, or
+(* Persist a certified history (from Node.history / history_from, or
    a node's periodic checkpoint). The certificate is written before the
    block, so a round whose block file exists is complete. *)
 let save (dir : string) (items : History.item list) : unit =

@@ -127,8 +127,6 @@ type config = {
           keeps the legacy uniform all-valid Poisson stream, so
           committed artifacts of profile-less runs replay unchanged *)
   max_sim_time : float;
-  cpu_vote_verify_s : float;
-  cpu_block_verify_s : float;
   recovery_enabled : bool;  (** run the section 8.2 recovery protocol on clock ticks *)
   storage_shards : int;  (** section 8.3 sharded block/certificate serving *)
   pipeline_final : bool;  (** overlap final-step classification with the next round *)
@@ -167,8 +165,6 @@ let default =
     tx_rate_per_s = 2.0;
     tx_profile = None;
     max_sim_time = 3_600.0;
-    cpu_vote_verify_s = 0.0002;
-    cpu_block_verify_s = 0.005;
     recovery_enabled = false;
     storage_shards = 1;
     pipeline_final = false;
@@ -193,6 +189,8 @@ type t = {
   store_root : string option;  (** resolved checkpoint root, if any *)
   owns_store : bool;  (** the root is a temp dir this harness created *)
   flooders : int list;  (** nodes a [Flood] attack turned flooder, sorted *)
+  dos_targets : (int list * float) list;
+      (** each [Targeted_dos] window's targets and the time it closes *)
   mutable workload : Workload.t option;
       (** the profile-driven generator, when [tx_profile] is set *)
   mutable legacy_submitted : int;
@@ -336,8 +334,6 @@ let build (config : config) : t =
         (if Hashtbl.mem malicious i && List.mem Equivocate attacks then
            Some { Node.equivocate_proposal = true; double_vote = true }
          else None);
-      cpu_vote_verify_s = config.cpu_vote_verify_s;
-      cpu_block_verify_s = config.cpu_block_verify_s;
       recovery_enabled = config.recovery_enabled;
       storage_shards = config.storage_shards;
       pipeline_final = config.pipeline_final;
@@ -422,6 +418,7 @@ let build (config : config) : t =
      (derived from parent state + label), so the extra splits never
      perturb any existing stream. *)
   let lbl idx base = if idx = 0 then base else Printf.sprintf "%s-%d" base idx in
+  let dos_targets = ref [] in
   let adversary_of idx (a : attack) :
       Message.t Gossip.packet Network.adversary option =
     match a with
@@ -449,10 +446,10 @@ let build (config : config) : t =
           else Network.Deliver)
     | Targeted_dos { fraction; from_; until } ->
       let k = int_of_float (fraction *. float_of_int config.users) in
+      let chosen = Rng.sample_indices (Rng.split rng (lbl idx "dos")) ~n:config.users ~k in
+      dos_targets := (chosen, until) :: !dos_targets;
       let targets = Hashtbl.create 16 in
-      List.iter
-        (fun i -> Hashtbl.replace targets i ())
-        (Rng.sample_indices (Rng.split rng (lbl idx "dos")) ~n:config.users ~k);
+      List.iter (fun i -> Hashtbl.replace targets i ()) chosen;
       Some
         (Adversary.target_nodes
            ~targeted:(fun i -> Hashtbl.mem targets i)
@@ -623,6 +620,7 @@ let build (config : config) : t =
     store_root;
     owns_store;
     flooders;
+    dos_targets = List.rev !dos_targets;
     workload = None;
     legacy_submitted = 0;
   }
@@ -920,9 +918,10 @@ let faulty_fraction (c : config) : float =
    liveness: peers ban a flooder by design (section 8.4 gossip limits),
    and a banned node can neither finish nor catch up. Any other banned
    node stays audited, so an honest node banned by mistake still shows
-   up. Forks are the expected outcome of weak synchrony (section 8.2),
-   so agreement is required only of a run with no attack and a
-   lossless network. *)
+   up. A [Targeted_dos] target is held to liveness only if its window
+   closed before the run ended. Forks are the expected outcome of weak
+   synchrony (section 8.2), so agreement is required only of a run with
+   no attack and a lossless network. *)
 let violations (r : result) : Verdict.violation list =
   let t = r.harness in
   let c = t.config in
@@ -933,6 +932,15 @@ let violations (r : result) : Verdict.violation list =
   let ints l = String.concat "," (List.map string_of_int l) in
   let divergent =
     List.filter (fun i -> not (List.mem i t.flooders)) r.churn.divergent_restarted
+  in
+  let unfinished =
+    List.filter
+      (fun i ->
+        not
+          (List.exists
+             (fun (targets, until) -> until >= r.sim_time && List.mem i targets)
+             t.dos_targets))
+      r.churn.unfinished
   in
   let node_state i =
     let n = t.nodes.(i) in
@@ -954,10 +962,10 @@ let violations (r : result) : Verdict.violation list =
       ( in_envelope && divergent <> [],
         "convergence",
         Printf.sprintf "divergent restarted nodes [%s]" (ints divergent) );
-      ( in_envelope && (not flood) && r.churn.unfinished <> [],
+      ( in_envelope && (not flood) && unfinished <> [],
         "liveness",
         Printf.sprintf "unfinished at quiescence: %s"
-          (String.concat "," (List.map node_state r.churn.unfinished)) );
+          (String.concat "," (List.map node_state unfinished)) );
       ( c.wire = `Bytes && (not flood) && (not corrupt) && r.wire.decode_failures > 0,
         "decode",
         Printf.sprintf "%d decode failures on a clean bytes wire" r.wire.decode_failures );

@@ -93,8 +93,6 @@ type config = {
       (** hostile workload shaping layered on [tx_rate_per_s]; [None]
           keeps the legacy uniform all-valid Poisson stream *)
   max_sim_time : float;
-  cpu_vote_verify_s : float;
-  cpu_block_verify_s : float;
   recovery_enabled : bool;
   storage_shards : int;
   pipeline_final : bool;
@@ -136,6 +134,8 @@ type t = {
   store_root : string option;  (** resolved checkpoint root, if any *)
   owns_store : bool;  (** the root is a temp dir this harness created *)
   flooders : int list;  (** nodes a [Flood] attack turned flooder, sorted *)
+  dos_targets : (int list * float) list;
+      (** each [Targeted_dos] window's targets and the time it closes *)
   mutable workload : Algorand_ledger.Workload.t option;
       (** the profile-driven generator, when [tx_profile] is set
           (populated by {!install_workload}) *)
@@ -233,6 +233,7 @@ val violations : result -> Verdict.violation list
     attacks' faulty weight (equivocators at [malicious_fraction],
     adaptive corruption, crash victims) stays below 1/3; liveness and
     decode are waived under a [Flood], decode under [Corrupt] and on a
-    typed wire; convergence skips the [flooders]; agreement (no fork at
+    typed wire; liveness skips the [dos_targets] of a window still open
+    when the run ended; convergence skips the [flooders]; agreement (no fork at
     any height) is required only of runs with no attack, loss or
     duplication. *)

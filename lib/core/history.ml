@@ -1,12 +1,19 @@
-(* Certified chain histories (section 8.3): the (block, certificate)
-   pairs a bootstrapping or restarting user downloads and re-validates
-   in round order - validating in order is what lets it know the
-   correct weights for checking sortition proofs at every round.
+(* Certified history (sections 5.2-5.3 and 8.3). Two rules of the
+   paper live here and nowhere else:
 
-   This is the node-independent core shared by Catchup (which harvests
-   histories from running nodes), Disk_store (which persists them), and
-   Node.restart (which replays its own checkpoint and then validates
-   live Round_reply items incrementally). *)
+   - the round context: round r's committees are drawn with the seed
+     at height r - 1 - (r mod R) and the weights of the last block
+     created b seconds before that seed block, on the chain that ends
+     at round r's parent;
+   - the certified-history step: a (block, certificate) pair is checked
+     in the context of the block's parent and only then added to the
+     chain, so a user validating in round order from genesis always
+     knows the weights that every sortition proof needs.
+
+   Node draws its rounds' committees through [context], the population
+   engine its seeds, and Node's live catch-up and restart, Disk_store's
+   readers and the light client take their contexts and grafts from
+   here. *)
 
 module Block = Algorand_ledger.Block
 module Chain = Algorand_ledger.Chain
@@ -30,15 +37,27 @@ let pp_error fmt = function
   | `Final_certificate e ->
     Format.fprintf fmt "final certificate: %a" Certificate.pp_error e
 
-(* The validation context a new user derives for [round] from the chain
-   prefix it has verified so far. Mirrors Node.make_round_state. *)
-let validation_ctx ~(params : Params.t) ~(sig_scheme : Algorand_crypto.Signature_scheme.scheme)
-    ~(vrf_scheme : Algorand_crypto.Vrf.scheme) ~(chain : Chain.t) ~(round : int) :
-    Vote.validation_ctx =
-  let tip = Chain.tip chain in
+let make_context ~(params : Params.t) ~(sig_scheme : Algorand_crypto.Signature_scheme.scheme)
+    ~(vrf_scheme : Algorand_crypto.Vrf.scheme) ~(seed : string) ~(weights : Balances.t)
+    ~(prev_hash : string) : Vote.validation_ctx =
+  {
+    sig_scheme;
+    vrf_scheme;
+    sig_pk_of = Identity.sig_pk;
+    vrf_pk_of = Identity.vrf_pk;
+    seed;
+    total_weight = Balances.total weights;
+    weight_of = Balances.balance weights;
+    last_block_hash = prev_hash;
+    tau_of_step = (function Vote.Final -> params.tau_final | _ -> params.tau_step);
+  }
+
+let context ~(params : Params.t) ~sig_scheme ~vrf_scheme (chain : Chain.t)
+    ~(parent : Chain.entry) : Vote.validation_ctx =
+  let round = parent.height + 1 in
   let seed_height = max 0 (round - 1 - (round mod params.seed_refresh_interval)) in
   let seed_entry =
-    match Chain.ancestor_at chain ~hash:tip.hash ~height:seed_height with
+    match Chain.ancestor_at chain ~hash:parent.hash ~height:seed_height with
     | Some e -> e
     | None -> Chain.genesis_entry chain
   in
@@ -47,65 +66,55 @@ let validation_ctx ~(params : Params.t) ~(sig_scheme : Algorand_crypto.Signature
     if e.height = 0 || e.block.header.timestamp <= cutoff then e
     else match Chain.find chain e.parent with None -> e | Some p -> back p
   in
-  let weights = (back seed_entry).balances_after in
-  {
-    sig_scheme;
-    vrf_scheme;
-    sig_pk_of = Identity.sig_pk;
-    vrf_pk_of = Identity.vrf_pk;
-    seed = seed_entry.seed;
-    total_weight = Balances.total weights;
-    weight_of = Balances.balance weights;
-    last_block_hash = tip.hash;
-    tau_of_step = (function Vote.Final -> params.tau_final | _ -> params.tau_step);
-  }
+  make_context ~params ~sig_scheme ~vrf_scheme ~seed:seed_entry.seed
+    ~weights:(back seed_entry).balances_after ~prev_hash:parent.hash
 
-(* Replay a downloaded history. Returns the reconstructed chain, with
-   every certified block applied and the tip advanced. *)
-let replay ~(params : Params.t) ~(sig_scheme : Algorand_crypto.Signature_scheme.scheme)
-    ~(vrf_scheme : Algorand_crypto.Vrf.scheme) ~(genesis : Genesis.t)
+let graft ~(params : Params.t) ~sig_scheme ~vrf_scheme (chain : Chain.t)
+    ~(parent : Chain.entry) ({ block; certificate } : item) : (Chain.entry, error) result =
+  let round = Block.round block in
+  if not (String.equal certificate.block_hash (Block.hash block)) then
+    Error (`Hash_mismatch round)
+  else begin
+    let ctx = context ~params ~sig_scheme ~vrf_scheme chain ~parent in
+    match Certificate.validate ~params ~ctx certificate with
+    | Error e -> Error (`Round (round, e))
+    | Ok () -> Result.map_error (fun e -> `Chain (round, e)) (Chain.add chain block)
+  end
+
+let extend ~params ~sig_scheme ~vrf_scheme ?(on_graft = ignore) (chain : Chain.t)
+    (items : item list) : (unit, error) result =
+  let rec go = function
+    | [] -> Ok ()
+    | item :: rest -> (
+      match graft ~params ~sig_scheme ~vrf_scheme chain ~parent:(Chain.tip chain) item with
+      | Error e -> Error e
+      | Ok entry ->
+        Chain.set_tip chain entry.hash;
+        on_graft item;
+        go rest)
+  in
+  go items
+
+let replay ~(params : Params.t) ~sig_scheme ~vrf_scheme ~(genesis : Genesis.t)
     ?(final_certificate : Certificate.t option) (items : item list) :
     (Chain.t, error) result =
   let chain = Chain.create genesis in
-  let rec go = function
-    | [] -> Ok ()
-    | { block; certificate } :: rest ->
-      let round = Block.round block in
-      if not (String.equal certificate.block_hash (Block.hash block)) then
-        Error (`Hash_mismatch round)
-      else begin
-        let ctx = validation_ctx ~params ~sig_scheme ~vrf_scheme ~chain ~round in
-        match Certificate.validate ~params ~ctx certificate with
-        | Error e -> Error (`Round (round, e))
-        | Ok () -> (
-          match Chain.add chain block with
-          | Error e -> Error (`Chain (round, e))
-          | Ok entry ->
-            Chain.set_tip chain entry.hash;
-            go rest)
-      end
-  in
-  match go items with
+  match extend ~params ~sig_scheme ~vrf_scheme chain items with
   | Error e -> Error e
   | Ok () -> (
-    (* Optionally prove safety of the newest block: a valid final
-       certificate makes it (and transitively its prefix) final. *)
+    (* A valid final certificate makes the newest block (and so its
+       whole prefix) final. Final votes bind to the block's parent, so
+       it is checked in the parent's context like any certificate. *)
     match final_certificate with
     | None -> Ok chain
     | Some fc -> (
       let tip = Chain.tip chain in
-      if not (String.equal fc.block_hash tip.hash) then
-        Error (`Final_certificate `Wrong_value)
-      else begin
-        let ctx =
-          validation_ctx ~params ~sig_scheme ~vrf_scheme ~chain ~round:tip.height
-        in
-        (* Final votes bind to the previous block, i.e. the tip's
-           parent, so validate against that context. *)
-        let ctx = { ctx with last_block_hash = tip.parent } in
+      match Chain.find chain tip.parent with
+      | Some parent when String.equal fc.block_hash tip.hash -> (
+        let ctx = context ~params ~sig_scheme ~vrf_scheme chain ~parent in
         match Certificate.validate ~params ~ctx fc with
         | Ok () ->
           Chain.mark_final chain tip.hash;
           Ok chain
-        | Error e -> Error (`Final_certificate e)
-      end))
+        | Error e -> Error (`Final_certificate e))
+      | _ -> Error (`Final_certificate `Wrong_value)))

@@ -8,9 +8,9 @@
      2. a Merkle inclusion proof ties the payment's id to the
         summary's transaction root.
 
-   The validation context comes from the weights/seed of the client's
-   verified prefix (Catchup.validation_ctx) or from a trusted
-   checkpoint. *)
+   The validation context is the one the block's round was drawn with:
+   History.context of the block's parent, on the client's verified
+   prefix or from a trusted checkpoint. *)
 
 module Block = Algorand_ledger.Block
 module Merkle = Algorand_crypto.Merkle

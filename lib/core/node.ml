@@ -125,11 +125,8 @@ type round_state = {
   round : int;
   record : Metrics.round_record;
   prev_hash : string;
-  seed : string;
-  total_weight : int;
-  weights : Balances.t;  (** the look-back weight snapshot (section 5.3) *)
+  vctx : Vote.validation_ctx;  (** the round context: seed, look-back weights (section 5.3) *)
   empty_hash : string;
-  vctx : Vote.validation_ctx;
   proposed_blocks : (string, Block.t) Hashtbl.t;  (** block hash -> block *)
   blocks_by_proposer : (string, string) Hashtbl.t;  (** proposer pk -> block hash *)
   equivocators : (string, unit) Hashtbl.t;
@@ -377,11 +374,49 @@ let certificate (t : t) ~(round : int) : Certificate.t option =
 let final_certificate (t : t) ~(round : int) : Certificate.t option =
   Hashtbl.find_opt t.final_certificates round
 
+(* The certified block at [round] on the tip's ancestry: the walk that
+   checkpoints, catch-up replies and harvested histories share. *)
+let certified (t : t) ~(round : int) : History.item option =
+  match
+    ( Chain.ancestor_at t.chain ~hash:(Chain.tip t.chain).hash ~height:round,
+      Hashtbl.find_opt t.certificates round )
+  with
+  | Some e, Some c when String.equal c.Certificate.block_hash e.hash ->
+    Some { History.block = e.block; certificate = c }
+  | _ -> None
+
 (* Storage sharding (section 8.3): does this node serve round [round]'s
    block and certificate to others? *)
 let serves_round (t : t) ~(round : int) : bool =
   Algorand_ledger.Storage.stores ~shards:t.config.storage_shards ~pk:t.identity.pk
     ~round
+
+(* Bootstrapping a new user (section 8.3): the certified history a
+   server hands out, from round 1 up to [up_to_round]. With sharded
+   storage a node serves only its own rounds; [history_from] assembles
+   the full history round by round from any node whose shard covers it
+   ("for N shards, users store blocks/certificates whose round number
+   equals their public key modulo N"), or None if some round is served
+   by no one. *)
+let history ?(respect_shards = false) (t : t) ~(up_to_round : int) : History.item list =
+  List.filter_map
+    (fun round ->
+      if respect_shards && not (serves_round t ~round) then None else certified t ~round)
+    (List.init (max 0 (min up_to_round (Chain.tip t.chain).height)) (fun k -> k + 1))
+
+let history_from (nodes : t list) ~(up_to_round : int) : History.item list option =
+  let rec per_round round acc =
+    if round > up_to_round then Some (List.rev acc)
+    else
+      match
+        List.find_map
+          (fun n -> if serves_round n ~round then certified n ~round else None)
+          nodes
+      with
+      | None -> None
+      | Some item -> per_round (round + 1) (item :: acc)
+  in
+  per_round 1 []
 
 let broadcast (t : t) (msg : Message.t) : unit = (net t).net_broadcast msg
 
@@ -422,15 +457,9 @@ let checkpoint (t : t) : unit =
     if tip.height > t.last_checkpoint then begin
       let rec collect r acc =
         if r <= t.last_checkpoint then Some acc
-        else begin
-          match
-            ( Chain.ancestor_at t.chain ~hash:tip.hash ~height:r,
-              Hashtbl.find_opt t.certificates r )
-          with
-          | Some e, Some c when String.equal c.Certificate.block_hash e.hash ->
-            collect (r - 1) ({ History.block = e.block; certificate = c } :: acc)
-          | _ -> None
-        end
+        else match certified t ~round:r with
+          | Some item -> collect (r - 1) (item :: acc)
+          | None -> None
       in
       match collect tip.height [] with
       | Some items when items <> [] ->
@@ -439,62 +468,16 @@ let checkpoint (t : t) : unit =
       | Some _ | None -> ()
     end
 
-(* ------------------------------------------------------------------ *)
-(* Round context (seeds and look-back weights, sections 5.2-5.3).      *)
-(* ------------------------------------------------------------------ *)
-
-(* The chain entry whose established seed selects committees for
-   round [r]: height max(0, r - 1 - (r mod R)). *)
-let seed_entry_for_round (t : t) ~(tip : Chain.entry) ~(r : int) : Chain.entry =
-  let height = max 0 (r - 1 - (r mod t.config.params.seed_refresh_interval)) in
-  match Chain.ancestor_at t.chain ~hash:tip.hash ~height with
-  | Some e -> e
-  | None -> Chain.genesis_entry t.chain
-
-(* Weights come from the last block created lookback_b before the seed
-   block (the "nothing at stake" look-back of section 5.3). *)
-let weight_entry (t : t) ~(seed_entry : Chain.entry) : Chain.entry =
-  let cutoff = seed_entry.block.header.timestamp -. t.config.params.lookback_b in
-  let rec back (e : Chain.entry) =
-    if e.height = 0 || e.block.header.timestamp <= cutoff then e
-    else begin
-      match Chain.find t.chain e.parent with None -> e | Some p -> back p
-    end
-  in
-  back seed_entry
-
-let tau_of_step (p : Params.t) : Vote.step -> float = function
-  | Vote.Final -> p.tau_final
-  | _ -> p.tau_step
-
-(* Vote validation and signing against one committee draw: [seed] and
-   look-back [weights] (section 5.3) on top of [prev_hash]. Regular
-   rounds and recovery attempts differ only in these inputs. *)
-let vote_ctx (t : t) ~seed ~(weights : Balances.t) ~total_weight ~prev_hash :
-    Vote.validation_ctx =
-  {
-    sig_scheme = t.config.sig_scheme;
-    vrf_scheme = t.config.vrf_scheme;
-    sig_pk_of = Identity.sig_pk;
-    vrf_pk_of = Identity.vrf_pk;
-    seed;
-    total_weight;
-    weight_of = Balances.balance weights;
-    last_block_hash = prev_hash;
-    tau_of_step = tau_of_step t.config.params;
-  }
-
 (* A vote this node makes enters its context's verdict table with the
    count its own sortition just selected: exactly the count
    [Vote.validate] would give it (see [Vote.make_weighted]), so a node
    never verifies its own signature and proof. *)
-let sign_vote (t : t) ~(verdicts : int Vote_tbl.t) ~seed ~(weights : Balances.t)
-    ~total_weight ~round ~prev_hash ~(step : Vote.step) ~(value : string) : Vote.t option =
+let sign_vote (t : t) ~(verdicts : int Vote_tbl.t) ~(ctx : Vote.validation_ctx) ~round
+    ~(step : Vote.step) ~(value : string) : Vote.t option =
   match
     Vote.make_weighted ~signer:t.identity.signer ~prover:t.identity.prover ~pk:t.identity.pk
-      ~seed ~tau:(tau_of_step t.config.params step)
-      ~w:(Balances.balance weights t.identity.pk)
-      ~total_weight ~round ~step ~prev_hash ~value
+      ~seed:ctx.seed ~tau:(ctx.tau_of_step step) ~w:(ctx.weight_of t.identity.pk)
+      ~total_weight:ctx.total_weight ~round ~step ~prev_hash:ctx.last_block_hash ~value
   with
   | None -> None
   | Some (v, j) ->
@@ -514,26 +497,23 @@ let cached_weight (verdicts : int Vote_tbl.t) (vctx : Vote.validation_ctx) (v : 
 let make_round_state (t : t) ~(r : int) : round_state =
   let tip = Chain.tip t.chain in
   assert (tip.height = r - 1);
-  let seed_entry = seed_entry_for_round t ~tip ~r in
-  let weights = (weight_entry t ~seed_entry).balances_after in
-  let total_weight = Balances.total weights in
+  let vctx =
+    History.context ~params:t.config.params ~sig_scheme:t.config.sig_scheme
+      ~vrf_scheme:t.config.vrf_scheme t.chain ~parent:tip
+  in
   let prev_hash = tip.hash in
-  let vctx = vote_ctx t ~seed:seed_entry.seed ~weights ~total_weight ~prev_hash in
   {
     round = r;
     record = Metrics.start_round t.metrics ~user:t.index ~round:r ~now:(Engine.now t.engine);
     prev_hash;
-    seed = seed_entry.seed;
-    total_weight;
-    weights;
-    empty_hash = Proposal.empty_hash ~round:r ~prev_hash;
     vctx;
+    empty_hash = Proposal.empty_hash ~round:r ~prev_hash;
     proposed_blocks = Hashtbl.create 8;
     blocks_by_proposer = Hashtbl.create 8;
     equivocators = Hashtbl.create 4;
     vote_weight_cache =
       (match t.verdicts with
-      | Some shared -> context_verdicts shared ~prev_hash ~seed:seed_entry.seed
+      | Some shared -> context_verdicts shared ~prev_hash ~seed:vctx.seed
       | None -> Vote_tbl.create ~random:true 256);
     proposer_credentials = Hashtbl.create ~random:true 8;
     best_priority = None;
@@ -555,8 +535,7 @@ let make_round_state (t : t) ~(r : int) : round_state =
 
 let make_vote (t : t) (rs : round_state) ~(step : Vote.step) ~(value : string) :
     Vote.t option =
-  sign_vote t ~verdicts:rs.vote_weight_cache ~seed:rs.seed ~weights:rs.weights
-    ~total_weight:rs.total_weight ~round:rs.round ~prev_hash:rs.prev_hash ~step ~value
+  sign_vote t ~verdicts:rs.vote_weight_cache ~ctx:rs.vctx ~round:rs.round ~step ~value
 
 (* An alternative value for double-voting: some other proposed block,
    or the empty block if the primary vote already names a block. *)
@@ -613,8 +592,8 @@ let proposer_credential (t : t) (rs : round_state) ~(pk : string) ~(vrf_hash : s
   | None ->
     let j =
       Proposal.verify_credential ~vrf_scheme:t.config.vrf_scheme ~vrf_pk_of:Identity.vrf_pk
-        ~seed:rs.seed ~tau:t.config.params.tau_proposer
-        ~weight_of:(Balances.balance rs.weights) ~total_weight:rs.total_weight
+        ~seed:rs.vctx.seed ~tau:t.config.params.tau_proposer
+        ~weight_of:rs.vctx.weight_of ~total_weight:rs.vctx.total_weight
         ~round:rs.round ~pk ~vrf_hash ~vrf_proof
     in
     Hashtbl.replace rs.proposer_credentials key j;
@@ -961,9 +940,9 @@ and record_proposed_block (rs : round_state) (b : Block.t) : unit =
 
 and try_propose (t : t) (rs : round_state) : unit =
   match
-    Proposal.try_propose ~prover:t.identity.prover ~pk:t.identity.pk ~seed:rs.seed
+    Proposal.try_propose ~prover:t.identity.prover ~pk:t.identity.pk ~seed:rs.vctx.seed
       ~tau:t.config.params.tau_proposer ~round:rs.round ~prev_hash:rs.prev_hash
-      ~w:(Balances.balance rs.weights t.identity.pk) ~total_weight:rs.total_weight
+      ~w:(rs.vctx.weight_of t.identity.pk) ~total_weight:rs.vctx.total_weight
   with
   | None -> ()
   | Some prio ->
@@ -1258,15 +1237,9 @@ and serve_round_request (t : t) ~(from_round : int) ~(requester : int) : unit =
     let upto = min tip.height (from_round + 7) in
     let rec collect r acc =
       if r > upto then List.rev acc
-      else begin
-        match
-          ( Chain.ancestor_at t.chain ~hash:tip.hash ~height:r,
-            Hashtbl.find_opt t.certificates r )
-        with
-        | Some e, Some c when String.equal c.Certificate.block_hash e.hash ->
-          collect (r + 1) ((e.block, c) :: acc)
-        | _ -> List.rev acc (* stop at the first gap: replies are contiguous *)
-      end
+      else match certified t ~round:r with
+        | Some { block; certificate } -> collect (r + 1) ((block, certificate) :: acc)
+        | None -> List.rev acc (* stop at the first gap: replies are contiguous *)
     in
     let items = if from_round < 1 then [] else collect from_round [] in
     let current_round =
@@ -1295,39 +1268,24 @@ and process_round_reply (t : t) (st : resync_state) ~(current_round : int)
     st.backtrack <- min tip.height (max 1 (2 * st.backtrack))
 
 (* Validate and adopt one (block, certificate) pair from a reply. The
-   certificate is checked in the context derived from the block's own
-   parent (temporarily re-tipping the chain, since contexts are built
-   at the tip), so replies can also heal a fork: a certified sibling
-   of a block we hold tentatively replaces it as tip. *)
+   certificate is checked in the context of the block's own parent, so
+   replies can also heal a fork: a certified sibling of a block we hold
+   tentatively replaces it as tip. *)
 and graft_certified (t : t) (b : Block.t) (c : Certificate.t) : unit =
-  let round = Block.round b in
-  if String.equal c.Certificate.block_hash (Block.hash b) then begin
-    match Chain.find t.chain (Block.prev_hash b) with
-    | Some parent when parent.height = round - 1 ->
-      let saved = (Chain.tip t.chain).hash in
-      Chain.set_tip t.chain parent.hash;
-      let ctx =
-        History.validation_ctx ~params:t.config.params
-          ~sig_scheme:t.config.sig_scheme ~vrf_scheme:t.config.vrf_scheme
-          ~chain:t.chain ~round
-      in
-      let restore () = Chain.set_tip t.chain saved in
-      (match Certificate.validate ~params:t.config.params ~ctx c with
-      | Error _ -> restore ()
-      | Ok () -> (
-        match Chain.add t.chain b with
-        | Ok e ->
-          Chain.set_tip t.chain e.hash;
-          Hashtbl.replace t.certificates round c
-        | Error `Duplicate -> (
-          match Chain.find t.chain (Block.hash b) with
-          | Some e ->
-            Chain.set_tip t.chain e.hash;
-            Hashtbl.replace t.certificates round c
-          | None -> restore ())
-        | Error (`Unknown_parent | `Wrong_round _ | `Invalid_tx _) -> restore ()))
-    | _ -> () (* unknown parent: backtracking will find the fork point *)
-  end
+  match Chain.find t.chain (Block.prev_hash b) with
+  | Some parent when parent.height = Block.round b - 1 -> (
+    let adopt (e : Chain.entry) =
+      Chain.set_tip t.chain e.hash;
+      Hashtbl.replace t.certificates e.height c
+    in
+    match
+      History.graft ~params:t.config.params ~sig_scheme:t.config.sig_scheme
+        ~vrf_scheme:t.config.vrf_scheme t.chain ~parent { History.block = b; certificate = c }
+    with
+    | Ok e -> adopt e
+    | Error (`Chain (_, `Duplicate)) -> Option.iter adopt (Chain.find t.chain (Block.hash b))
+    | Error _ -> ())
+  | _ -> () (* unknown parent: backtracking will find the fork point *)
 
 (* Back from a catch-up or a recovery attempt: stop if the tip already
    reaches [max_round], else start the round after it once the current
@@ -1537,8 +1495,9 @@ and adopt_fork (t : t) (rs : recovery_state) : unit =
       rs.rvote_round <- (recovery_round_base * rs.attempt) + rs.fork_round;
       rs.rtip_hash <- tip.hash;
       rs.rempty_hash <- Proposal.empty_hash ~round:rs.fork_round ~prev_hash:tip.hash;
-      let vctx =
-        vote_ctx t ~seed:rs.rseed ~weights:rs.rweights ~total_weight:rs.rtotal_weight
+      let rctx =
+        History.make_context ~params:t.config.params ~sig_scheme:t.config.sig_scheme
+          ~vrf_scheme:t.config.vrf_scheme ~seed:rs.rseed ~weights:rs.rweights
           ~prev_hash:tip.hash
       in
       let ctx : Ba_star.ctx =
@@ -1549,10 +1508,9 @@ and adopt_fork (t : t) (rs : recovery_state) : unit =
           my_votes =
             (fun ~step ~value ->
               Option.to_list
-                (sign_vote t ~verdicts:rs.rverdicts ~seed:rs.rseed ~weights:rs.rweights
-                   ~total_weight:rs.rtotal_weight ~round:rs.rvote_round
-                   ~prev_hash:rs.rtip_hash ~step ~value));
-          validate = cached_weight rs.rverdicts vctx;
+                (sign_vote t ~verdicts:rs.rverdicts ~ctx:rctx ~round:rs.rvote_round ~step
+                   ~value));
+          validate = cached_weight rs.rverdicts rctx;
         }
       in
       let ba = Ba_star.create ctx in
@@ -1821,7 +1779,7 @@ let crash (t : t) : unit =
     Log.debug (fun m -> m "node %d crashed at %.2fs" t.index (Engine.now t.engine))
 
 (* Restart: reload the durable checkpoint (never trusted - every
-   certificate is re-validated by History.replay, and a corrupt or
+   certificate is re-validated in round order, and a corrupt or
    truncated tail costs only the tail), then rejoin through live
    catch-up. *)
 let restart (t : t) : unit =
@@ -1840,37 +1798,18 @@ let restart (t : t) : unit =
         Log.debug (fun m ->
             m "node %d: store truncated: %a" t.index Disk_store.pp_load_error e)
       | None -> ());
-      (* Replay what validates; on a failure, retry with the prefix
-         below the offending round so a bad tail costs only the tail. *)
-      let rec replay_prefix items =
-        if items = [] then ()
-        else begin
-          match
-            History.replay ~params:t.config.params ~sig_scheme:t.config.sig_scheme
-              ~vrf_scheme:t.config.vrf_scheme ~genesis:t.genesis items
-          with
-          | Ok chain ->
-            t.chain <- chain;
-            List.iter
-              (fun ({ block; certificate } : History.item) ->
-                Hashtbl.replace t.certificates (Block.round block) certificate)
-              items;
-            t.last_checkpoint <- (Chain.tip chain).height
-          | Error e ->
-            Log.warn (fun m ->
-                m "node %d: checkpoint replay: %a" t.index History.pp_error e);
-            let bad =
-              match e with
-              | `Round (r, _) | `Chain (r, _) | `Hash_mismatch r -> r
-              | `Final_certificate _ -> 0
-            in
-            replay_prefix
-              (List.filter
-                 (fun ({ block; _ } : History.item) -> Block.round block < bad)
-                 items)
-        end
-      in
-      replay_prefix items);
+      (* The crash left a genesis-only chain: keep the longest prefix
+         that validates. *)
+      (match
+         History.extend ~params:t.config.params ~sig_scheme:t.config.sig_scheme
+           ~vrf_scheme:t.config.vrf_scheme t.chain items
+           ~on_graft:(fun { block; certificate } ->
+             Hashtbl.replace t.certificates (Block.round block) certificate)
+       with
+      | Ok () -> ()
+      | Error e ->
+        Log.warn (fun m -> m "node %d: checkpoint replay: %a" t.index History.pp_error e));
+      t.last_checkpoint <- (Chain.tip t.chain).height);
     Log.debug (fun m ->
         m "node %d restarted at %.2fs with %d durable rounds" t.index
           (Engine.now t.engine)

@@ -176,9 +176,18 @@ val certificate : t -> round:int -> Certificate.t option
 
 val final_certificate : t -> round:int -> Certificate.t option
 
-val serves_round : t -> round:int -> bool
-(** Storage sharding (section 8.3): whether this node serves the given
-    round's block and certificate to catch-up clients. *)
+val certified : t -> round:int -> History.item option
+(** The block at [round] on the tip's ancestry with its certificate,
+    when this node holds the certificate for that very block. *)
+
+val history : ?respect_shards:bool -> t -> up_to_round:int -> History.item list
+(** The certified rounds 1..[up_to_round] this node can hand a
+    bootstrapping user; [respect_shards] keeps only the rounds its
+    storage shard covers (section 8.3). *)
+
+val history_from : t list -> up_to_round:int -> History.item list option
+(** A full history from sharded servers, one round at a time; [None]
+    when some round is served by no one. *)
 
 val gossip_validate : t -> Message.t -> bool
 (** Relay gating (section 8.4), including the priority-based block

@@ -249,12 +249,21 @@ let run (config : config) : result =
     let round = !r in
     let tip = Chain.tip canonical in
     assert (tip.height = round - 1);
-    let seed_height = max 0 (round - 1 - (round mod p.seed_refresh_interval)) in
-    let seed =
-      match Chain.ancestor_at canonical ~hash:tip.hash ~height:seed_height with
-      | Some e -> e.seed
-      | None -> (Chain.genesis_entry canonical).seed
+    let ncfg =
+      {
+        (Deployment.node_config deployment) with
+        max_round = round;
+        resync_enabled = false;
+        deterministic_ts = true;
+      }
     in
+    (* The round context every materialized node derives: its seed and
+       step thresholds drive the sweep. *)
+    let vctx =
+      History.context ~params:p ~sig_scheme:ncfg.sig_scheme ~vrf_scheme:ncfg.vrf_scheme
+        canonical ~parent:tip
+    in
+    let seed = vctx.seed in
     (* Weight look-back: with zero transaction traffic balances never
        move, so the genesis stakes are the weight vector at every
        height - identical to what each node reads from its own chain. *)
@@ -262,8 +271,9 @@ let run (config : config) : result =
     let proposers = sweep_role ~seed ~role:(Vote.proposer_role ~round) ~tau:p.tau_proposer in
     List.iter
       (fun step ->
-        let tau = match step with Vote.Final -> p.tau_final | _ -> p.tau_step in
-        ignore (sweep_role ~seed ~role:(Vote.committee_role ~round ~step) ~tau))
+        ignore
+          (sweep_role ~seed ~role:(Vote.committee_role ~round ~step)
+             ~tau:(vctx.tau_of_step step)))
       (window_steps config.bin_window);
     let chosen = ref [] in
     for u = n - 1 downto 0 do
@@ -274,14 +284,6 @@ let run (config : config) : result =
     max_materialized := max !max_materialized eligible;
     (* Materialize: full Node.t state machines for the selected users,
        each on a structure-sharing clone of the canonical prefix. *)
-    let ncfg =
-      {
-        (Deployment.node_config deployment) with
-        max_round = round;
-        resync_enabled = false;
-        deterministic_ts = true;
-      }
-    in
     let verdicts = Node.verdicts () in
     let roster =
       Array.of_list

@@ -2,7 +2,7 @@
 
 module Harness = Algorand_core.Harness
 module Node = Algorand_core.Node
-module Catchup = Algorand_core.Catchup
+module History = Algorand_core.History
 module Certificate = Algorand_core.Certificate
 module Chain = Algorand_ledger.Chain
 module Balances = Algorand_ledger.Balances
@@ -34,17 +34,17 @@ let run_and_collect () =
   in
   match source with
   | None -> Alcotest.fail "no node assembled certificates for all rounds"
-  | Some node -> (r, node, Catchup.collect node ~up_to_round:3)
+  | Some node -> (r, node, Node.history node ~up_to_round:3)
 
 let replay items ?final_certificate (r : Harness.result) =
-  Catchup.replay ~params:config.params ~sig_scheme:Signature_scheme.sim
+  History.replay ~params:config.params ~sig_scheme:Signature_scheme.sim
     ~vrf_scheme:Vrf.sim ~genesis:r.harness.genesis ?final_certificate items
 
 let successful_catchup () =
   let r, node, items = run_and_collect () in
   Alcotest.(check int) "three certified blocks" 3 (List.length items);
   match replay items r with
-  | Error e -> Alcotest.failf "replay failed: %a" Catchup.pp_error e
+  | Error e -> Alcotest.failf "replay failed: %a" History.pp_error e
   | Ok chain ->
     let tip = Chain.tip chain in
     Alcotest.(check int) "caught up to round 3" 3 tip.height;
@@ -62,7 +62,7 @@ let final_certificate_proves_safety () =
   | None -> Alcotest.fail "no final certificate for round 3"
   | Some fc -> (
     match replay items ~final_certificate:fc r with
-    | Error e -> Alcotest.failf "replay failed: %a" Catchup.pp_error e
+    | Error e -> Alcotest.failf "replay failed: %a" History.pp_error e
     | Ok chain ->
       Alcotest.(check bool) "tip marked final" true (Chain.tip chain).final)
 
@@ -71,7 +71,7 @@ let tampered_history_rejected () =
   (* Swap one certificate's block for the empty block: hash mismatch. *)
   let tampered =
     List.mapi
-      (fun i (item : Catchup.item) ->
+      (fun i (item : History.item) ->
         if i = 1 then
           {
             item with
@@ -85,12 +85,12 @@ let tampered_history_rejected () =
   in
   (match replay tampered r with
   | Error (`Hash_mismatch 2) -> ()
-  | Error e -> Alcotest.failf "unexpected error: %a" Catchup.pp_error e
+  | Error e -> Alcotest.failf "unexpected error: %a" History.pp_error e
   | Ok _ -> Alcotest.fail "tampered history accepted");
   (* Strip votes below quorum. *)
   let starved =
     List.map
-      (fun (item : Catchup.item) ->
+      (fun (item : History.item) ->
         let c = item.certificate in
         {
           item with
@@ -102,7 +102,7 @@ let tampered_history_rejected () =
   in
   match replay starved r with
   | Error (`Round (1, `Insufficient_votes _)) -> ()
-  | Error e -> Alcotest.failf "unexpected error: %a" Catchup.pp_error e
+  | Error e -> Alcotest.failf "unexpected error: %a" History.pp_error e
   | Ok _ -> Alcotest.fail "starved certificates accepted"
 
 let reordered_history_rejected () =
@@ -144,21 +144,21 @@ let lookback_weights () =
       padding = 0;
     }
   in
+  (* The context comes from the given parent, not from the chain's tip
+     (still genesis here). *)
   let entry = Result.get_ok (Chain.add chain block) in
-  Chain.set_tip chain entry.hash;
   let params lookback =
     { Algorand_ba.Params.paper with seed_refresh_interval = 1; lookback_b = lookback }
   in
+  let round2 lookback =
+    History.context ~params:(params lookback) ~sig_scheme ~vrf_scheme chain ~parent:entry
+  in
   (* Zero look-back: weights from the seed block itself (post-move). *)
-  let ctx_now =
-    Catchup.validation_ctx ~params:(params 0.0) ~sig_scheme ~vrf_scheme ~chain ~round:2
-  in
+  let ctx_now = round2 0.0 in
   Alcotest.(check int) "post-move bob" 900 (ctx_now.weight_of bob.pk);
+  Alcotest.(check string) "bound to the parent" entry.hash ctx_now.last_block_hash;
   (* Large look-back: weights from genesis (pre-move). *)
-  let ctx_old =
-    Catchup.validation_ctx ~params:(params 1_000.0) ~sig_scheme ~vrf_scheme ~chain
-      ~round:2
-  in
+  let ctx_old = round2 1_000.0 in
   Alcotest.(check int) "pre-move bob" 100 (ctx_old.weight_of bob.pk);
   Alcotest.(check int) "pre-move alice" 900 (ctx_old.weight_of alice.pk);
   (* Totals agree either way (stake is conserved). *)
@@ -174,19 +174,19 @@ let sharded_storage () =
   (* Some node misses some round under sharding. *)
   let someone_incomplete =
     List.exists
-      (fun n -> List.length (Catchup.collect ~respect_shards:true n ~up_to_round:3) < 3)
+      (fun n -> List.length (Node.history ~respect_shards:true n ~up_to_round:3) < 3)
       nodes
   in
   Alcotest.(check bool) "single nodes are incomplete" true someone_incomplete;
   (* But collectively the history is complete and replays. *)
-  match Catchup.collect_from nodes ~up_to_round:3 with
+  match Node.history_from nodes ~up_to_round:3 with
   | None -> Alcotest.fail "union of shards incomplete"
   | Some items ->
     Alcotest.(check int) "three rounds" 3 (List.length items);
     (match replay items r with
     | Ok chain ->
       Alcotest.(check int) "caught up" 3 (Algorand_ledger.Chain.tip chain).height
-    | Error e -> Alcotest.failf "replay failed: %a" Catchup.pp_error e)
+    | Error e -> Alcotest.failf "replay failed: %a" History.pp_error e)
 
 let suite =
   [

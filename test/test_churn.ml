@@ -11,6 +11,9 @@
 
 module Harness = Algorand_core.Harness
 module Node = Algorand_core.Node
+module History = Algorand_core.History
+module Certificate = Algorand_core.Certificate
+module Disk_store = Algorand_core.Disk_store
 module Params = Algorand_ba.Params
 module Chain = Algorand_ledger.Chain
 module Engine = Algorand_sim.Engine
@@ -279,6 +282,43 @@ let truncated_store_recovered () =
       Alcotest.(check bool) "re-converged" true
         (String.equal tip0 (Chain.tip (Node.chain victim)).hash))
 
+let invalid_certificate_keeps_prefix () =
+  (* A stored round-2 certificate that decodes but fails validation
+     (re-made with one vote): the reload keeps round 1, drops rounds 2
+     and 3, and live catch-up backfills them. *)
+  with_store_root (fun root ->
+      let t =
+        Harness.build
+          (base ~seed:606 ~users:8 ~rounds:3 ~attacks:[] ~loss:0.0
+          |> fun c -> { c with store_root = Some root })
+      in
+      Array.iter Node.start t.nodes;
+      ignore (Engine.run t.engine ());
+      let victim = t.nodes.(4) in
+      let items = Node.history victim ~up_to_round:3 in
+      Alcotest.(check int) "three certified rounds" 3 (List.length items);
+      Node.crash victim;
+      let starved (i : History.item) =
+        let c = i.certificate in
+        if c.round <> 2 then i
+        else
+          {
+            i with
+            certificate =
+              Certificate.make ~round:c.round ~step:c.step ~block_hash:c.block_hash
+                ~votes:[ List.hd c.votes ];
+          }
+      in
+      Disk_store.save (Filename.concat root "node-004") (List.map starved items);
+      Node.restart victim;
+      Alcotest.(check int) "valid prefix kept" 1 (Chain.tip (Node.chain victim)).height;
+      Alcotest.(check bool) "round 1 certified" true (Node.certificate victim ~round:1 <> None);
+      Alcotest.(check bool) "round 2 dropped" true (Node.certificate victim ~round:2 = None);
+      ignore (Engine.run t.engine ());
+      Alcotest.(check string) "caught up" "stopped" (status victim);
+      Alcotest.(check bool) "round 2 backfilled" true
+        (Node.certificate victim ~round:2 <> None))
+
 (* --------------------------- lifecycle ---------------------------- *)
 
 let adopt_chain_only_when_idle () =
@@ -467,6 +507,7 @@ let suite =
         ts "deterministic per seed" deterministic_per_seed;
         ts "incarnation guards stale timers" incarnation_guards_timers;
         ts "truncated checkpoint recovered" truncated_store_recovered;
+        ts "invalid stored certificate keeps the prefix" invalid_certificate_keeps_prefix;
         Alcotest.test_case "adopt_chain only when idle" `Quick adopt_chain_only_when_idle;
         ts "lifecycle trace legal and deterministic" lifecycle_trace_deterministic;
         (* A straggler whose peers all stopped never gets a recovery

@@ -95,6 +95,38 @@ let targeted_dos_safe () =
   in
   Expect.no_violations r
 
+(* A DoS window that outlasts the run keeps its targets offline to the
+   end: they are not held to liveness, while every other node still
+   is, and so are the targets once their window has closed. *)
+let dos_outlasting_run () =
+  let r =
+    Harness.run
+      {
+        base_config with
+        users = 10;
+        attacks = [ Harness.Targeted_dos { fraction = 0.2; from_ = 0.0; until = 1e9 } ];
+        max_sim_time = 600.0;
+        rng_seed = 4;
+      }
+  in
+  let targets = List.sort compare (List.concat_map fst r.harness.dos_targets) in
+  Alcotest.(check int) "two targets" 2 (List.length targets);
+  Alcotest.(check (list int)) "only targets unfinished" targets r.churn.unfinished;
+  Expect.no_violations r;
+  let names r =
+    List.map (fun (v : Algorand_core.Verdict.violation) -> v.invariant) (Harness.violations r)
+  in
+  let other = List.find (fun i -> not (List.mem i targets)) [ 0; 1; 2; 3 ] in
+  Alcotest.(check (list string)) "a stuck non-target" [ "liveness" ]
+    (names { r with churn = { r.churn with unfinished = other :: r.churn.unfinished } });
+  Alcotest.(check (list string)) "window closed in time" [ "liveness" ]
+    (names
+       {
+         r with
+         harness =
+           { r.harness with dos_targets = [ (targets, r.sim_time -. 1.0) ] };
+       })
+
 (* The verdict's liveness rule: a run cut short by [max_sim_time]
    leaves every node unfinished and reports liveness, unless its own
    attacks put the faulty weight at 1/3 or more - there the paper
@@ -253,8 +285,6 @@ let real_crypto_end_to_end () =
         crypto = Harness.Real_crypto;
         block_bytes = 5_000;
         tx_rate_per_s = 1.0;
-        cpu_vote_verify_s = 0.0;
-        cpu_block_verify_s = 0.0;
         rng_seed = 6;
       }
   in
@@ -433,6 +463,7 @@ let suite =
         ts "transactions confirm consistently" transactions_confirm;
         ts "equivocation attack preserves safety" equivocation_attack_safe;
         ts "targeted DoS preserves safety" targeted_dos_safe;
+        ts "verdict: DoS outlasting the run" dos_outlasting_run;
         ts "verdict: liveness only inside the 1/3 envelope" liveness_envelope;
         ts "deterministic runs" deterministic_runs;
         ts "deterministic runs are bit-identical" deterministic_bit_identical;

@@ -6,7 +6,7 @@ module Block = Algorand_ledger.Block
 module Transaction = Algorand_ledger.Transaction
 module Harness = Algorand_core.Harness
 module Node = Algorand_core.Node
-module Catchup = Algorand_core.Catchup
+module History = Algorand_core.History
 module Lightclient = Algorand_core.Lightclient
 module Chain = Algorand_ledger.Chain
 
@@ -199,13 +199,12 @@ let light_client_end_to_end () =
   let tx_id = Transaction.id tx in
   let summary = Block.summarize entry.block in
   let proof = Option.get (Block.prove_tx entry.block ~tx_id) in
+  (* The context is the one the block's own round was drawn with. *)
   let ctx =
-    Catchup.validation_ctx ~params:config.params
-      ~sig_scheme:Algorand_crypto.Signature_scheme.sim ~vrf_scheme:Algorand_crypto.Vrf.sim
-      ~chain ~round:entry.height
+    History.context ~params:config.params ~sig_scheme:Algorand_crypto.Signature_scheme.sim
+      ~vrf_scheme:Algorand_crypto.Vrf.sim chain
+      ~parent:(Option.get (Chain.find chain entry.parent))
   in
-  (* The context must see the chain as it was before this block. *)
-  let ctx = { ctx with last_block_hash = entry.parent } in
   (match
      Lightclient.verify_payment ~params:config.params ~ctx ~summary ~certificate ~tx_id
        ~proof

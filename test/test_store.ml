@@ -3,7 +3,7 @@
 open Algorand_crypto
 module Harness = Algorand_core.Harness
 module Node = Algorand_core.Node
-module Catchup = Algorand_core.Catchup
+module History = Algorand_core.History
 module Disk_store = Algorand_core.Disk_store
 module Chain = Algorand_ledger.Chain
 
@@ -74,7 +74,7 @@ let save_load_replay () =
         |> List.find (fun n ->
                List.for_all (fun round -> Node.certificate n ~round <> None) [ 1; 2; 3 ])
       in
-      let items = Catchup.collect node ~up_to_round:3 in
+      let items = Node.history node ~up_to_round:3 in
       Disk_store.save dir items;
       Alcotest.(check (list int)) "stored rounds" [ 1; 2; 3 ] (Disk_store.stored_rounds dir);
       Alcotest.(check bool) "nonzero size" true (Disk_store.size_bytes dir > 1000);
@@ -82,10 +82,10 @@ let save_load_replay () =
       | _, Some e -> Alcotest.failf "load: %a" Disk_store.pp_load_error e
       | loaded, None -> (
         match
-          Catchup.replay ~params:config.params ~sig_scheme:Signature_scheme.sim
+          History.replay ~params:config.params ~sig_scheme:Signature_scheme.sim
             ~vrf_scheme:Vrf.sim ~genesis:r.harness.genesis loaded
         with
-        | Error e -> Alcotest.failf "replay: %a" Catchup.pp_error e
+        | Error e -> Alcotest.failf "replay: %a" History.pp_error e
         | Ok chain ->
           Alcotest.(check string) "same tip"
             (Hex.of_string (Chain.tip (Node.chain node)).hash)
@@ -99,7 +99,7 @@ let corrupt_store_rejected () =
         |> List.find (fun n ->
                List.for_all (fun round -> Node.certificate n ~round <> None) [ 1; 2; 3 ])
       in
-      Disk_store.save dir (Catchup.collect node ~up_to_round:3);
+      Disk_store.save dir (Node.history node ~up_to_round:3);
       (* Truncate one block file: load keeps the valid prefix (round 1)
          and reports where and why the scan stopped. *)
       let victim = Filename.concat dir "000002.block" in
@@ -110,7 +110,7 @@ let corrupt_store_rejected () =
       | prefix, Some (`Corrupt 2) ->
         Alcotest.(check (list int)) "prefix before corruption" [ 1 ]
           (List.map
-             (fun (i : Algorand_core.History.item) ->
+             (fun (i : History.item) ->
                Algorand_ledger.Block.round i.block)
              prefix)
       | _, Some e -> Alcotest.failf "unexpected: %a" Disk_store.pp_load_error e

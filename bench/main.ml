@@ -15,7 +15,8 @@
    schema of [Bench_snapshot]: each row is the median of [k] runs, with
    their spread. `check`, the one gate, asserts what the committed
    snapshots must show and re-measures a few rows with the functions
-   that recorded them: a timing row fails past 2x, a count unless equal.
+   that recorded them, as the median of [k] runs: a timing row fails
+   past 2x, a count unless equal.
 
    The x-axes are scaled down from the paper's 1,000-VM deployment (see
    DESIGN.md section 2 and EXPERIMENTS.md): committee parameters stay at
@@ -206,13 +207,15 @@ let ecvrf_verify_cold_row =
           if Vrf.ecvrf.verify ~pk ~input:(input i) ~proof:proofs.(i) = None then
             failwith "proof must verify"))
 
-(* Which SHA-256 kernel this host runs: SHA-NI and the OCaml kernel
-   differ several-fold, and every crypto row hashes. *)
-let print_sha256_kernel () = Printf.printf "  SHA-256 kernel: %s\n%!" Sha256.kernel
+(* Which SHA-256 and field kernels this host runs: each pair differs
+   several-fold, every crypto row hashes, and every curve operation
+   multiplies field elements. *)
+let print_kernels () =
+  Printf.printf "  SHA-256 kernel: %s\n  field kernel: %s\n%!" Sha256.kernel Fe25519.kernel
 
 let micro () =
   header "Microbenchmarks: crypto + sortition primitives";
-  print_sha256_kernel ();
+  print_kernels ();
   let kb = String.make 1024 'x' in
   let ed = Ed25519.generate ~seed:"bench" in
   let ecvrf_prover, ecvrf_pk = Vrf.ecvrf.generate ~seed:"bench" in
@@ -541,7 +544,8 @@ let costs () =
        ~prev_hash:(String.make 32 'p') ~value:"v"
    with
   | Some v ->
-    Printf.printf "  CPU: one vote validation (ed25519 + ECVRF, pure OCaml): %.1f ms\n"
+    Printf.printf "  CPU: one vote validation (ed25519 + ECVRF, field kernel %s): %.2f ms\n"
+      Fe25519.kernel
       (manual_ns ~warmup:0 ~iters:5 (fun () -> Algorand_ba.Vote.validate vctx v) /. 1e6)
   | None -> ())
 
@@ -1024,7 +1028,8 @@ let ledger () =
 (* ------------------------------------------------------------------ *)
 
 (* What a committed snapshot must show, and the rows [check]
-   re-measures, each with the function that recorded it. *)
+   re-measures, each with the function that recorded it and, like the
+   recording, as the median of [k] runs. *)
 type gate =
   | At_least of string * float
   | Positive of string
@@ -1043,7 +1048,7 @@ let gates : (string * gate list) list =
         Positive "sim_users_500000_rounds_per_s";
         Positive "sim_users_500000_materialized";
         Positive "sim_users_100000_latency_s";
-        (* The Figure 5 point at 100k users, once: 2x on rounds/s, and
+        (* The Figure 5 point at 100k users: 2x on rounds/s, and
            its event, peak-event and materialized counts exactly, so a
            change that reorders the population's events fails here
            unless BENCH_sim.json is re-recorded with it. *)
@@ -1063,7 +1068,7 @@ let gates : (string * gate list) list =
 
 let check () =
   header "Bench check: committed snapshots and re-measured rows";
-  print_sha256_kernel ();
+  print_kernels ();
   let failures = ref 0 in
   let verdict ok fmt =
     Printf.ksprintf
@@ -1097,7 +1102,7 @@ let check () =
                     let c = row m.name in
                     verdict (Snap.holds ~committed:c m) "%s: committed %s, measured %s %s" m.name
                       (Snap.number c.value) (Snap.number m.value) m.unit)
-                  (measure ())
+                  (record measure)
             with Failure e | Invalid_argument e -> verdict false "%s" e)
           gates)
     gates;

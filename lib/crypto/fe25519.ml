@@ -6,6 +6,10 @@
    alias either operand. The generic Nat-based field in Ed25519.Fp
    remains the oracle the tests compare against.
 
+   Multiply and square have two kernels: the OCaml one below
+   ([ocaml_mul_into], [ocaml_sqr_into]) and a C one over 128-bit
+   columns (fe25519_stubs.c), used wherever the C compiler has them.
+
    Values are kept *weakly* reduced. The invariant every operation
    takes and returns:
 
@@ -128,7 +132,7 @@ let reduce_store (dst : t) c0 c1 c2 c3 c4 c5 c6 c7 c8 c9 c10 c11 c12 c13 c14 c15
   carry_store dst (r0 land mask) (r1 land mask) (r2 land mask) (r3 land mask) (r4 land mask)
     (r5 land mask) (r6 land mask) (r7 land mask) (r8 land mask) r9
 
-let mul_into (dst : t) (a : t) (b : t) : unit =
+let ocaml_mul_into (dst : t) (a : t) (b : t) : unit =
   let a0 = get a 0 and a1 = get a 1 and a2 = get a 2 and a3 = get a 3 and a4 = get a 4 in
   let a5 = get a 5 and a6 = get a 6 and a7 = get a 7 and a8 = get a 8 and a9 = get a 9 in
   let b0 = get b 0 and b1 = get b 1 and b2 = get b 2 and b3 = get b 3 and b4 = get b 4 in
@@ -161,7 +165,7 @@ let mul_into (dst : t) (a : t) (b : t) : unit =
 (* Squaring computes the symmetric half of the product once, against
    doubled limbs (55 limb products instead of 100). A column holds at
    most five terms below 2^27 * 2^26 and one square, so below 2^56. *)
-let sqr_into (dst : t) (a : t) : unit =
+let ocaml_sqr_into (dst : t) (a : t) : unit =
   let a0 = get a 0 and a1 = get a 1 and a2 = get a 2 and a3 = get a 3 and a4 = get a 4 in
   let a5 = get a 5 and a6 = get a 6 and a7 = get a 7 and a8 = get a 8 and a9 = get a 9 in
   let d0 = 2 * a0 and d1 = 2 * a1 and d2 = 2 * a2 and d3 = 2 * a3 and d4 = 2 * a4 in
@@ -183,6 +187,26 @@ let sqr_into (dst : t) (a : t) : unit =
     ((d6 * a9) + (d7 * a8))
     ((d7 * a9) + (a8 * a8))
     (d8 * a9) (a9 * a9)
+
+(* The C kernel (fe25519_stubs.c): the same two operations over five
+   52-bit words and 128-bit columns, one [@@noalloc] call each. Its
+   results meet the invariant above but may be the other representative
+   of the same element, so only canonical observers can tell the two
+   kernels apart, and they see the same value. It is used wherever the
+   C compiler has [unsigned __int128]; [c_available] reports that, once,
+   at module initialisation. *)
+external c_available : unit -> bool = "algorand_fe25519_available" [@@noalloc]
+external c_mul_into : t -> t -> t -> unit = "algorand_fe25519_mul" [@@noalloc]
+external c_sqr_into : t -> t -> unit = "algorand_fe25519_sqr" [@@noalloc]
+
+let c_kernel = c_available ()
+let kernel = if c_kernel then "c" else "ocaml"
+
+let mul_into (dst : t) (a : t) (b : t) : unit =
+  if c_kernel then c_mul_into dst a b else ocaml_mul_into dst a b
+
+let sqr_into (dst : t) (a : t) : unit =
+  if c_kernel then c_sqr_into dst a else ocaml_sqr_into dst a
 
 (* Functional forms: one fresh destination each. *)
 let add a b = let r = zero () in add_into r a b; r

@@ -2,6 +2,13 @@
     native ints, computed in place. The test suite cross-checks every
     operation against the generic [Nat] field ([Ed25519.Fp]).
 
+    Multiply and square have two kernels that compute the same field
+    elements. Where the C compiler has [unsigned __int128], each is one
+    C call ([fe25519_stubs.c]); every other host runs a pure-OCaml
+    kernel. The choice is made once, at module initialisation, from
+    what the build observed and nothing else: there is no flag,
+    setting or environment variable for it.
+
     Values are weakly reduced: limbs 0..8 lie in \[0, 2{^26}), limb 9
     in \[0, 2{^21} + 8), so a value is below 2{^255} + 2{^237} < 2p and
     one field element may have two representatives. Every operation
@@ -51,6 +58,17 @@ val sub : t -> t -> t
 val neg : t -> t
 val mul : t -> t -> t
 val sqr : t -> t
+
+val kernel : string
+(** The kernel [mul_into] and [sqr_into] run on this host: ["c"] or
+    ["ocaml"]. *)
+
+val ocaml_mul_into : t -> t -> t -> unit
+val ocaml_sqr_into : t -> t -> unit
+(** The pure-OCaml kernel, callable on every host: what [mul_into] and
+    [sqr_into] are where the C kernel is missing, and what tests compare
+    the C kernel against. Its result may be the other weakly reduced
+    representative of the same element. *)
 
 val pow : t -> Nat.t -> t
 (** Square-and-multiply exponentiation (the generic oracle path). *)

@@ -206,11 +206,140 @@ let weak_forms_above_p () =
   | Some x -> eq_nat "bit 255 ignored" (Nat.sub p Nat.one) (Fe25519.to_nat x)
   | None -> Alcotest.fail "p-1 with bit 255 set must decode")
 
+(* Kernel agreement. [mul_into]/[sqr_into] run the kernel this host
+   selected ([Fe25519.kernel]); [ocaml_mul_into]/[ocaml_sqr_into] are the
+   OCaml kernel. Both must give the Nat oracle's value, compared
+   canonically, and return the limb invariant. The cases are raw limb
+   arrays, so they reach weak forms no public operation returns
+   directly. *)
+
+(* [Fe25519.t] is an int array of limbs; the interface keeps it
+   abstract, so only these tests see through it. *)
+let of_limbs (l : int array) : Fe25519.t = Obj.magic (Array.copy l)
+let limbs_of (x : Fe25519.t) : int array = Array.copy (Obj.magic x : int array)
+
+let limb_max i = if i = 9 then (1 lsl 21) + 7 else (1 lsl 26) - 1
+let show_limbs l = String.concat ";" (Array.to_list (Array.map string_of_int l))
+
+let check_invariant what (x : Fe25519.t) =
+  Array.iteri
+    (fun i v ->
+      if v < 0 || v > limb_max i then
+        Alcotest.failf "%s: limb %d = %d breaks the invariant [%s]" what i v
+          (show_limbs (limbs_of x)))
+    (limbs_of x)
+
+(* Hand-picked representatives: the largest weak form (2^255 + 2^237 - 1,
+   every limb at its bound), zero, p - 1, p (the weak zero), p + 18
+   (2^255 - 1) and p + 19 (2^255, limb 9 alone at 2^21). *)
+let extremes =
+  let m26 = (1 lsl 26) - 1 and m21 = (1 lsl 21) - 1 in
+  let with0 l0 l9 = Array.init 10 (fun i -> if i = 0 then l0 else if i = 9 then l9 else m26) in
+  [
+    ("max weak form", Array.init 10 limb_max);
+    ("zero", Array.make 10 0);
+    ("p-1", with0 (m26 - 19) m21);
+    ("p", with0 (m26 - 18) m21);
+    ("p+18", with0 m26 m21);
+    ("p+19", Array.init 10 (fun i -> if i = 9 then 1 lsl 21 else 0));
+  ]
+
+(* Random limbs within the invariant; each limb sits at 0 or at its
+   bound one time in eight, so carries ripple the whole way. *)
+let gen_limbs : int array QCheck2.Gen.t =
+  QCheck2.Gen.(
+    array_size (return 10) (pair (int_bound 7) (int_bound max_int))
+    >|= Array.mapi (fun i (edge, r) ->
+            match edge with
+            | 0 -> 0
+            | 1 -> limb_max i
+            | _ -> r mod (limb_max i + 1)))
+
+(* One operation through the selected kernel and the OCaml kernel, each
+   into a fresh destination, against the oracle's value. *)
+let agree what (expect : Nat.t) (kernel : Fe25519.t -> unit) (ocaml : Fe25519.t -> unit) =
+  let expect = Hex.of_string (Nat.to_bytes_le expect ~len:32) in
+  List.iter
+    (fun (name, run) ->
+      let dst = Fe25519.zero () in
+      run dst;
+      let what = Printf.sprintf "%s (%s kernel)" what name in
+      check_invariant what dst;
+      Alcotest.(check string) (what ^ " = oracle") expect
+        (Hex.of_string (Bytes.to_string (Fe25519.to_bytes dst))))
+    [ (Fe25519.kernel, kernel); ("ocaml", ocaml) ];
+  true
+
+let mul_agrees what a b =
+  let a = of_limbs a and b = of_limbs b in
+  agree what
+    (Ed25519.Fp.mul (Fe25519.to_nat a) (Fe25519.to_nat b))
+    (fun d -> Fe25519.mul_into d a b)
+    (fun d -> Fe25519.ocaml_mul_into d a b)
+
+let sqr_agrees what a =
+  let a = of_limbs a in
+  agree what
+    (Ed25519.Fp.sqr (Fe25519.to_nat a))
+    (fun d -> Fe25519.sqr_into d a)
+    (fun d -> Fe25519.ocaml_sqr_into d a)
+
+let kernels_at_extremes () =
+  List.iter
+    (fun (na, a) ->
+      ignore (sqr_agrees (Printf.sprintf "sqr %s" na) a);
+      List.iter
+        (fun (nb, b) -> ignore (mul_agrees (Printf.sprintf "%s * %s" na nb) a b))
+        extremes)
+    extremes
+
+(* The destination may be either operand, or both: each aliased call
+   must store the very limbs a call into a fresh destination stores. *)
+let kernels_alias () =
+  let cases =
+    List.map snd extremes @ [ limbs_of (Fe25519.of_int 121665); limbs_of Fe25519.sqrt_m1 ]
+  in
+  let into_fresh f =
+    let d = Fe25519.zero () in
+    f d;
+    d
+  in
+  let same what ~expect x =
+    check_invariant what x;
+    Alcotest.(check string) what (show_limbs (limbs_of expect)) (show_limbs (limbs_of x))
+  in
+  List.iter
+    (fun a ->
+      List.iter
+        (fun b ->
+          let expect = into_fresh (fun d -> Fe25519.mul_into d (of_limbs a) (of_limbs b)) in
+          let x = of_limbs a in
+          Fe25519.mul_into x x (of_limbs b);
+          same "dst == a" ~expect x;
+          let y = of_limbs b in
+          Fe25519.mul_into y (of_limbs a) y;
+          same "dst == b" ~expect y)
+        cases;
+      let x = of_limbs a in
+      Fe25519.mul_into x x x;
+      same "a == b == dst"
+        ~expect:(into_fresh (fun d -> Fe25519.mul_into d (of_limbs a) (of_limbs a)))
+        x;
+      let x = of_limbs a in
+      Fe25519.sqr_into x x;
+      same "sqr dst == a" ~expect:(into_fresh (fun d -> Fe25519.sqr_into d (of_limbs a))) x)
+    cases
+
 let suite =
   [
     ( "fe25519",
       [
         t "10,000-op chains vs oracle" long_chains;
+        t "kernels agree at the extremes" kernels_at_extremes;
+        t "kernels are alias-safe" kernels_alias;
+        qt ~count:1000 "mul: kernels agree with the oracle" QCheck2.Gen.(pair gen_limbs gen_limbs)
+          (fun (a, b) -> mul_agrees "mul" a b);
+        qt ~count:1000 "sqr: kernels agree with the oracle" gen_limbs (fun a -> sqr_agrees "sqr" a);
         t "weak forms at and above p" weak_forms_above_p;
         t "nat roundtrip" roundtrip;
         t "sqrt_m1 and parity" sqrt_m1_and_parity;

@@ -99,6 +99,71 @@ let ecvrf_known_answers () =
   Alcotest.(check (option string)) "verifies to the output" (Some output)
     (Vrf.ecvrf.verify ~pk ~input:"kat-input" ~proof)
 
+(* Byte-identity pins over three seeds and two inputs, recorded while
+   multiply and square ran only in OCaml: the field kernel must leave
+   every public key, output and proof unchanged. *)
+let ecvrf_pins =
+  [
+    ( "pin-0",
+      "96dc123a7dc20ebf86773d31678de16b2438c28d125489cbe46a52377a1946ea",
+      [
+        ( "",
+          "75886e1d52cc1f290f7ad53604819e08c14056e264419cfecc3bbb79f654f725",
+          "5449cd5ec4147e52f83e6a483a5922c45fcfc7cbbf862a426c11f68ece9664b1\
+           064350fa139e0476f386ea6a41b36029efeeac6f77c4997f428e04bdd9061aa9\
+           4b6ce71e2269133474bf682b80b0e20e" );
+        ( "seed|round=7|role=committee",
+          "e16daccf95b36112955f78bf29641caf9bab6e14a9a979f20dae4be0760cadea",
+          "4f5801c94793c9ae12f63a5c2f1d4f4563ace6e298d15176c24347c869f8e48b\
+           b17e9365e98f018c327ecd6f5c327b9b2482b586dfe0184321a13436bfec08c2\
+           04ca6180df64e9b8bb6f41e38226d70d" );
+      ] );
+    ( "pin-1",
+      "fd28a9d0afa1e03589e0a1844a5979c7b82986b05fb954636fb624ecc11df07e",
+      [
+        ( "",
+          "1943ecb3877f7c6312e2fcf159b36714c157d734a4727472f1d27613e11fe4d2",
+          "3f7ce92cf6d3c12887fd98f5d2dcc58951999d8c9a2958da885a11b44be8cdd6\
+           ae5971b6afab5baf26fae5c9774d3084471ed97385466d537a3ddf360f2844ec\
+           b9265972689dcc7f50959ca84268dc05" );
+        ( "seed|round=7|role=committee",
+          "22dc239d09d5d7506607a5530962d5c10225d9421417517c5933b10d0870212f",
+          "bb19f5057039c33c4f792ad9fd6f0a0b0a414cdbd0e559d3097b137b8c2be815\
+           6cf5f16cea11151972503c5ea8421915e72f14fea71493360b0c2fb87ef9897d\
+           c5fc90cf67d3267af97053b823cea30c" );
+      ] );
+    ( "pin-2",
+      "cd5a8cd6f872798bb6499007993952c9326d65d05f06ed81ed0191d1f8e24670",
+      [
+        ( "",
+          "46131ba27f869f06de9f64e4ede9158b5888de417077f0e22a2c0e273b0a4aa4",
+          "43f4236d6b2575959baa2abbe0eb9152600b61ee3ebf3f78ca08b770c50bd30e\
+           eba1ff6893f75a0e3236264b6828acfeef75f63d5f3f5a16a22196af834b3e5c\
+           3d05e9da31c1baef3c96e0f046374209" );
+        ( "seed|round=7|role=committee",
+          "fadbb1cf8a103f04c9f75dac1a0afc29ac94ec057769622f696c2abab3102753",
+          "7d814e5a2881b8c066a0d46bb2b687d8652381ebcc35f1e6edb0f8b9ece048ba\
+           d7b7b2a306333502c1217883c8a23c62694473e76b4d4bbc383cd87d9bc23378\
+           7ed2ec76c412f8d5efecfa1c6c96390c" );
+      ] );
+  ]
+
+let ecvrf_pinned () =
+  List.iter
+    (fun (seed, pk_hex, cases) ->
+      let prover, pk = Vrf.ecvrf.generate ~seed in
+      Alcotest.(check string) (seed ^ " pk") pk_hex (Hex.of_string pk);
+      List.iter
+        (fun (input, output_hex, proof_hex) ->
+          let what = Printf.sprintf "%s, input %S" seed input in
+          let output, proof = prover.prove input in
+          Alcotest.(check string) (what ^ ": output") output_hex (Hex.of_string output);
+          Alcotest.(check string) (what ^ ": proof") proof_hex (Hex.of_string proof);
+          Alcotest.(check (option string)) (what ^ ": verifies") (Some output)
+            (Vrf.ecvrf.verify ~pk ~input ~proof))
+        cases)
+    ecvrf_pins
+
 (* The sim VRF's flat fraction, what [Vrf.sim_sweep] reads off a key
    word, must be bit for bit [Sortition.hash_fraction] of
    [Vrf.sim.verify]'s output for the same pk and input. *)
@@ -258,6 +323,7 @@ let suite =
     ( "vrf",
       [
         t "ecvrf known answers" ecvrf_known_answers;
+        t "ecvrf pinned keys, outputs and proofs, three seeds" ecvrf_pinned;
         ts "ecvrf roundtrip" (roundtrip Vrf.ecvrf);
         t "sim roundtrip" (roundtrip Vrf.sim);
         ts "ecvrf wrong input" (wrong_input Vrf.ecvrf);

@@ -186,6 +186,27 @@ let ed25519_verify_row =
       let public = Ed25519.public_key ed and signature = Ed25519.sign ed msg in
       bechamel_ns "ed25519/verify" (fun () -> Ed25519.verify ~public ~msg ~signature))
 
+(* Ed25519 verification under a fresh key on every call: a key's first
+   sighting, which pays [decode_checked]'s subgroup check and runs the
+   challenge off per-call odd multiples of the key. Each run signs with
+   keys no earlier run used, up front. *)
+let cold_key_runs = ref 0
+
+let ed25519_verify_cold_key_row =
+  ns_row "ed25519_verify_cold_key_ns" (fun () ->
+      let iters = 100 and msg = String.make 1024 'x' in
+      incr cold_key_runs;
+      let keys =
+        Array.init (iters + 2) (fun i ->
+            let sk = Ed25519.generate ~seed:(Printf.sprintf "cold-key-%d-%d" !cold_key_runs i) in
+            (Ed25519.public_key sk, Ed25519.sign sk msg))
+      in
+      let next = ref 0 in
+      manual_ns ~iters (fun () ->
+          let public, signature = keys.(!next) in
+          incr next;
+          if not (Ed25519.verify ~public ~msg ~signature) then failwith "signature must verify"))
+
 (* ECVRF verification against a fresh input on every call, so each
    pays hash-to-curve and the input's table build: the cost of the first
    check of a committee step's proofs. The proofs are made up front; the
@@ -240,6 +261,7 @@ let micro () =
       ns_row "ed25519_sign_ns" (fun () ->
           bechamel_ns "ed25519/sign" (fun () -> Ed25519.sign ed (fresh ())));
       ed25519_verify_row;
+      ed25519_verify_cold_key_row;
       ns_row "ed25519_verify_batch_per_sig_ns" (fun () ->
           manual_ns ~iters:10 (fun () ->
               if not (Ed25519.verify_batch batch) then failwith "batch must verify")
@@ -1038,7 +1060,12 @@ type gate =
 
 let gates : (string * gate list) list =
   [
-    (crypto_json, [ Rerun (fun () -> [ ed25519_verify_row (); ecvrf_verify_cold_row () ]) ]);
+    ( crypto_json,
+      [
+        Rerun
+          (fun () ->
+            [ ed25519_verify_row (); ed25519_verify_cold_key_row (); ecvrf_verify_cold_row () ]);
+      ] );
     ( sim_json,
       [
         At_least ("sim_max_users", 500_000.0);

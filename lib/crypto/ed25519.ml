@@ -258,13 +258,13 @@ let equal_points (p : point) (q : point) : bool =
 (* Building blocks: batched affine conversion (one shared inversion),  *)
 (* precomputed affine points with mixed addition (7M instead of 9M),   *)
 (* and signed sliding-window (w-NAF) scalar recoding. On top of these  *)
-(* sit a fixed-base comb table for B (sign, keygen, VRF nonces), w-NAF *)
-(* variable-base multiplication, Strauss-Shamir interleaved            *)
-(* double-scalar multiplication (verification), and an n-way           *)
-(* multi-scalar accumulator (batch verification). Each keeps one       *)
-(* accumulator, one [scratch] and its tables per call, and runs its    *)
-(* chain in place. The naive [scalar_mult] above stays as the          *)
-(* randomized-test oracle.                                             *)
+(* sit a fixed-base comb table for B (sign, keygen, VRF nonces) and    *)
+(* one chain evaluator, [mult], for every other product: a sum of      *)
+(* terms on one shared doubling chain (verification, batch             *)
+(* verification, the VRF, the subgroup check). Each call keeps one     *)
+(* accumulator, one [scratch] and its tables, and runs its chain in    *)
+(* place. The naive [scalar_mult] above stays as the randomized-test   *)
+(* oracle.                                                             *)
 (* ------------------------------------------------------------------ *)
 
 (* Normalize many points to z = 1 with a single field inversion
@@ -304,96 +304,55 @@ let madd_signed s r p (q : precomp) ~neg =
   Fe.add_into s.s3 p.z p.z (* D *);
   combine s r ~neg
 
-let madd_into s r p q = madd_signed s r p q ~neg:false
+(* Signed sliding-window recoding, width 5: digits are odd with
+   |d| < 16, and any 5 consecutive positions hold at most one nonzero
+   digit, so n bits cost ~n/6 additions off an 8-entry table.
+   [recode buf off k ~lo ~n] writes the w-NAF of bits [lo, lo + n) of
+   the little-endian bytes [k] into buf.(off) .. buf.(off + n): n + 1
+   digits, since a w-NAF is at most one digit longer than its scalar.
+   A negative digit borrows 2^5 from the positions above it, carried in
+   [carry]; a window whose low bit plus carry is even leaves the carry
+   to the next position. *)
+let window = 5
 
-(* Signed sliding-window recoding: digits are odd with |d| < 2^(w-1),
-   and any w consecutive positions hold at most one nonzero digit, so
-   a 253-bit scalar costs ~253/(w+1) additions. The recoding runs in
-   one array of bit_length + 1 entries (a w-NAF is at most one digit
-   longer than its scalar): below the scan position it holds digits,
-   from it up the scalar's bits plus any borrowed carry. For a scalar
-   below L that is 254 words, small enough for the minor heap. *)
-let wnaf_digits (k : Nat.t) ~(w : int) : int array =
-  let len = Nat.bit_length k + 1 in
-  let naf = Array.init len (fun i -> if Nat.testbit k i then 1 else 0) in
-  let i = ref 0 in
-  while !i < len do
-    if naf.(!i) = 0 then incr i
+let byte_at k j = if j < String.length k then Char.code (String.unsafe_get k j) else 0
+
+(* Bits [lo + i, lo + i + window) of [k], those from [lo + n] up read
+   as zero. *)
+let window_at k ~lo ~n i =
+  let b = lo + i in
+  ((byte_at k (b lsr 3) lor (byte_at k ((b lsr 3) + 1) lsl 8)) lsr (b land 7))
+  land ((1 lsl max 0 (min window (n - i))) - 1)
+
+let recode (buf : int array) (off : int) (k : string) ~(lo : int) ~(n : int) : unit =
+  Array.fill buf off (n + 1) 0;
+  let pos = ref 0 and carry = ref 0 in
+  while !pos <= n do
+    let u = !carry + window_at k ~lo ~n !pos in
+    if u land 1 = 0 then incr pos
     else begin
-      (* Odd here: take w bits as a signed digit. *)
-      let u = ref 0 in
-      for j = w - 1 downto 0 do
-        u := (!u lsl 1) lor (if !i + j < len then naf.(!i + j) else 0)
-      done;
-      let d = if !u land (1 lsl (w - 1)) <> 0 then !u - (1 lsl w) else !u in
-      naf.(!i) <- d;
-      for j = 1 to w - 1 do
-        if !i + j < len then naf.(!i + j) <- 0
-      done;
-      (* A negative digit borrows 2^w: propagate the carry upward. *)
-      if d < 0 then begin
-        let j = ref (!i + w) in
-        while !j < len && naf.(!j) = 1 do
-          naf.(!j) <- 0;
-          incr j
-        done;
-        if !j < len then naf.(!j) <- 1
-      end;
-      i := !i + w
+      let d = if u < 1 lsl (window - 1) then u else u - (1 lsl window) in
+      buf.(off + !pos) <- d;
+      carry := if d < 0 then 1 else 0;
+      pos := !pos + window
     end
-  done;
-  naf
+  done
 
-let top_nonzero (naf : int array) : int =
-  let i = ref (Array.length naf - 1) in
-  while !i >= 0 && naf.(!i) = 0 do
-    decr i
-  done;
-  !i
-
-let digit (naf : int array) (i : int) : int = if i < Array.length naf then naf.(i) else 0
-
-(* [p; 3p; 5p; ...; (2*size - 1)p] in extended coordinates. *)
-let odd_multiples s (p : point) ~(size : int) : point array =
+(* [p; 3p; ...; 15p] in extended coordinates: one entry per odd digit. *)
+let odd_multiples s (p : point) : point array =
   let p2 = fresh_point () in
   double_into s p2 p;
-  let tbl = Array.make size (copy_point p) in
-  for i = 1 to size - 1 do
+  let tbl = Array.make (1 lsl (window - 2)) (copy_point p) in
+  for i = 1 to Array.length tbl - 1 do
     let r = fresh_point () in
     add_into s r tbl.(i - 1) p2;
     tbl.(i) <- r
   done;
   tbl
 
-(* acc += digit * P, where tbl holds odd multiples of P. *)
-let apply_digit s (acc : point) (tbl : point array) (d : int) : unit =
-  if d <> 0 then add_signed s acc acc tbl.((abs d - 1) / 2) ~neg:(d < 0)
-
-let apply_digit_pre s (acc : point) (tbl : precomp array) (d : int) : unit =
-  if d <> 0 then madd_signed s acc acc tbl.((abs d - 1) / 2) ~neg:(d < 0)
-
 (* One doubling of a chain, T-less where no digit follows. *)
 let chain_double s (acc : point) ~(full : bool) : unit =
   if full then double_into s acc acc else double_nt_into s acc acc
-
-(* Variable-base w-NAF scalar multiplication. The scalar is NOT reduced
-   mod L, so this is exact on the whole group (including mixed-order
-   points), matching the naive oracle. *)
-let scalar_mult_fast (k : Nat.t) (p : point) : point =
-  let naf = wnaf_digits k ~w:5 in
-  let top = top_nonzero naf in
-  let acc = fresh_identity () in
-  if top >= 0 then begin
-    let s = scratch () in
-    let tbl = odd_multiples s p ~size:8 in
-    apply_digit s acc tbl naf.(top);
-    for i = top - 1 downto 0 do
-      let d = naf.(i) in
-      chain_double s acc ~full:(d <> 0 || i = 0);
-      apply_digit s acc tbl d
-    done
-  end;
-  acc
 
 (* ------------------------------------------------------------------ *)
 (* Point compression: 32 bytes, little-endian y with x parity on top.  *)
@@ -493,11 +452,6 @@ let comb_of_point (p : point) : comb =
 
 let comb_table : comb = comb_of_point base
 
-(* Odd multiples B, 3B, ..., 63B for the w=7 w-NAF base-point side of
-   Strauss-Shamir and batch accumulation. *)
-let base_wnaf_table : precomp array =
-  Array.map precomp_of_affine (normalize_many (odd_multiples (scratch ()) base ~size:32))
-
 (* k*P off a comb table. P has order L, so reducing k mod L first is
    exact and bounds the digit count. *)
 let scalar_mult_comb (c : comb) (k : Nat.t) : point =
@@ -506,119 +460,126 @@ let scalar_mult_comb (c : comb) (k : Nat.t) : point =
   for i = 0 to comb_positions - 1 do
     let byte = Char.code bytes.[i / 2] in
     let digit = if i land 1 = 0 then byte land 0xf else byte lsr 4 in
-    if digit <> 0 then madd_into s acc acc c.(i).(digit - 1)
+    if digit <> 0 then madd_signed s acc acc c.(i).(digit - 1) ~neg:false
   done;
   acc
 
 let scalar_mult_base (k : Nat.t) : point = scalar_mult_comb comb_table k
 
-(* Split tables for a point reused a few dozen times (the VRF's
-   per-input hash-to-curve point). A scalar below 2^256 splits exactly,
-   with no reduction, as k = k_lo + 2^128 * k_hi, so
-   k*P = k_lo*P + k_hi*P' with P' = 2^128 * P: two w=5 w-NAF digit
-   streams on one 128-step doubling chain, each off an affine table of
-   P's or P''s odd multiples. Building the pair costs 128 doublings,
-   two 8-entry odd-multiples tables and one shared inversion, about
-   150 point operations against the comb's ~1000. *)
-let split_bits = 128
+(* ------------------------------------------------------------------ *)
+(* Row tables and the chain evaluator.                                 *)
+(*                                                                     *)
+(* A table holds affine odd multiples of P and of its shifts           *)
+(* 2^s P, 2^2s P, ... (one row each), so a scalar below 2^256 runs as  *)
+(* 256/s digit streams on one (s+1)-step doubling chain instead of one *)
+(* stream on a 254-step chain. B has a static 4-row table (s = 64);    *)
+(* a VRF input's hash-to-curve point gets 2 rows (s = 128), since it   *)
+(* is used only a dozen times; a verification key gets 4 rows when a   *)
+(* single check repeats (below). Every product is one [mult] over a    *)
+(* list of terms, each a scalar's digit streams paired with a table's  *)
+(* rows or with odd multiples built per call.                          *)
+(* ------------------------------------------------------------------ *)
 
-type split = { lo : precomp array; hi : precomp array }
+type table = { shift : int; rows : precomp array array }
 
-let split_of_point (p : point) : split =
-  let s = scratch () in
-  let p' = copy_point p in
-  for i = 1 to split_bits do
-    chain_double s p' ~full:(i = split_bits)
+(* 256 - s doublings, 8 * parts additions and one shared inversion. *)
+let table_of_point ~(parts : int) (p : point) : table =
+  if parts < 1 || 256 mod parts <> 0 then invalid_arg "Ed25519.table_of_point";
+  let shift = 256 / parts and s = scratch () and pj = copy_point p in
+  let width = 1 lsl (window - 2) in
+  let ext = Array.make (parts * width) identity in
+  for j = 0 to parts - 1 do
+    if j > 0 then
+      for i = 1 to shift do
+        chain_double s pj ~full:(i = shift)
+      done;
+    Array.blit (odd_multiples s pj) 0 ext (j * width) width
   done;
-  let tbl =
-    normalize_many (Array.append (odd_multiples s p ~size:8) (odd_multiples s p' ~size:8))
-  in
-  let pre i = precomp_of_affine tbl.(i) in
-  { lo = Array.init 8 pre; hi = Array.init 8 (fun i -> pre (8 + i)) }
+  let affine = Array.map precomp_of_affine (normalize_many ext) in
+  { shift; rows = Array.init parts (fun j -> Array.sub affine (j * width) width) }
 
-(* k*P - c*Q on one shared doubling chain: k off the split tables, c
-   (unreduced, so exact for Q of any order) off a per-call table of Q's
-   odd multiples, its digits negated. With c = 0 this is k*P. *)
-let split_mult_sub (t : split) (k : Nat.t) (c : Nat.t) (q : point) : point =
-  let lnaf = wnaf_digits (Nat.low_bits k split_bits) ~w:5 in
-  let hnaf = wnaf_digits (Nat.shift_right k split_bits) ~w:5 in
-  let cnaf = wnaf_digits c ~w:5 in
-  let s = scratch () in
-  let qtbl = if Nat.is_zero c then [||] else odd_multiples s q ~size:8 in
-  let acc = fresh_identity () in
-  let top = max (top_nonzero lnaf) (max (top_nonzero hnaf) (top_nonzero cnaf)) in
-  for i = top downto 0 do
-    let dl = digit lnaf i and dh = digit hnaf i and dc = digit cnaf i in
-    chain_double s acc ~full:(dl <> 0 || dh <> 0 || dc <> 0 || i = 0);
-    apply_digit_pre s acc t.lo dl;
-    apply_digit_pre s acc t.hi dh;
-    apply_digit s acc qtbl (-dc)
-  done;
-  acc
+let base_table = table_of_point ~parts:4 base
 
-let split_mult (t : split) (k : Nat.t) : point = split_mult_sub t k Nat.zero identity
+type source = Rows of table | Odd of point
+type term = { k : string; neg : bool; src : source }
 
-(* Strauss-Shamir interleaving: a*B + b*Q in one shared doubling chain,
-   the base-point digits off the precomputed w=7 table. b is used
-   unreduced so the result is exact for Q of any order. *)
-let double_scalar_mult_base (a : Nat.t) (b : Nat.t) (q : point) : point =
-  let anaf = wnaf_digits (mod_order a) ~w:7 in
-  let bnaf = wnaf_digits b ~w:5 in
-  let s = scratch () in
-  let qtbl = odd_multiples s q ~size:8 in
-  let acc = fresh_identity () in
-  for i = max (top_nonzero anaf) (top_nonzero bnaf) downto 0 do
-    let da = digit anaf i and db = digit bnaf i in
-    chain_double s acc ~full:(da <> 0 || db <> 0 || i = 0);
-    apply_digit_pre s acc base_wnaf_table da;
-    apply_digit s acc qtbl db
-  done;
-  acc
+let term ?(neg = false) k p = { k; neg; src = Odd p }
 
-(* a*P + b*Q for two variable points, one shared doubling chain. *)
-let double_scalar_mult (a : Nat.t) (p : point) (b : Nat.t) (q : point) : point =
-  let anaf = wnaf_digits a ~w:5 in
-  let bnaf = wnaf_digits b ~w:5 in
-  let s = scratch () in
-  let ptbl = odd_multiples s p ~size:8 in
-  let qtbl = odd_multiples s q ~size:8 in
-  let acc = fresh_identity () in
-  for i = max (top_nonzero anaf) (top_nonzero bnaf) downto 0 do
-    let da = digit anaf i and db = digit bnaf i in
-    chain_double s acc ~full:(da <> 0 || db <> 0 || i = 0);
-    apply_digit s acc ptbl da;
-    apply_digit s acc qtbl db
-  done;
-  acc
+let table_term ?(neg = false) k t =
+  if String.length k > 32 then invalid_arg "Ed25519.table_term: scalar above 2^256";
+  { k; neg; src = Rows t }
 
-(* kb*B + sum_i k_i*P_i: the n-way interleaved accumulator behind batch
-   verification. One doubling chain total; each point pays only its own
-   w-NAF additions and an 8-entry odd-multiples table. *)
-let multi_scalar_mult_base ~(base_scalar : Nat.t) (pairs : (Nat.t * point) list) : point =
-  let bnaf = wnaf_digits (mod_order base_scalar) ~w:7 in
-  let s = scratch () in
-  let nafs = Array.of_list (List.map (fun (k, _) -> wnaf_digits k ~w:5) pairs) in
-  let tbls = Array.of_list (List.map (fun (_, p) -> odd_multiples s p ~size:8) pairs) in
-  let top = Array.fold_left (fun m naf -> max m (top_nonzero naf)) (top_nonzero bnaf) nafs in
-  let acc = fresh_identity () in
-  for i = top downto 0 do
-    let db = digit bnaf i in
-    let live = ref (db <> 0 || i = 0) in
-    for j = 0 to Array.length nafs - 1 do
-      if digit nafs.(j) i <> 0 then live := true
+(* One digit stream: its digits at buf.(off) .. buf.(off + top), top
+   nonzero, and the affine row or the per-call odd multiples they
+   index. *)
+type row = Pre of precomp array | Ext of point array
+type stream = { off : int; top : int; row : row }
+
+let rec any_digit buf i = function
+  | [] -> false
+  | d :: rest -> (i <= d.top && buf.(d.off + i) <> 0) || any_digit buf i rest
+
+let rec add_digits s acc buf i = function
+  | [] -> ()
+  | d :: rest ->
+    let x = if i <= d.top then buf.(d.off + i) else 0 in
+    if x <> 0 then begin
+      let j = (abs x - 1) / 2 and neg = x < 0 in
+      match d.row with
+      | Pre t -> madd_signed s acc acc t.(j) ~neg
+      | Ext t -> add_signed s acc acc t.(j) ~neg
+    end;
+    add_digits s acc buf i rest
+
+(* The digits of one call, in a buffer reused while it is big enough. *)
+let digit_buf = Array.make 1024 0
+
+let stream_digits t =
+  match t.src with
+  | Rows r -> Array.length r.rows * (r.shift + 1)
+  | Odd _ -> (8 * String.length t.k) + 1
+
+(* The sum of the terms, on one doubling chain as long as the longest
+   stream. Nothing here runs [mult] again, so one shared buffer serves
+   every call. *)
+let mult (terms : term list) : point =
+  let s = scratch () and acc = fresh_identity () in
+  let need = List.fold_left (fun n t -> n + stream_digits t) 0 terms in
+  let buf = if need <= Array.length digit_buf then digit_buf else Array.make need 0 in
+  let off = ref 0 and streams = ref [] in
+  let stream t ~lo ~n row =
+    let o = !off in
+    off := o + n + 1;
+    recode buf o t.k ~lo ~n;
+    let top = ref n in
+    while !top >= 0 && buf.(o + !top) = 0 do
+      decr top
     done;
-    chain_double s acc ~full:!live;
-    apply_digit_pre s acc base_wnaf_table db;
-    for j = 0 to Array.length nafs - 1 do
-      apply_digit s acc tbls.(j) (digit nafs.(j) i)
-    done
+    if t.neg then
+      for i = o to o + !top do
+        buf.(i) <- -buf.(i)
+      done;
+    if !top >= 0 then streams := { off = o; top = !top; row = row () } :: !streams
+  in
+  List.iter
+    (fun t ->
+      match t.src with
+      | Rows r ->
+        Array.iteri (fun j pre -> stream t ~lo:(j * r.shift) ~n:r.shift (fun () -> Pre pre)) r.rows
+      | Odd p -> stream t ~lo:0 ~n:(8 * String.length t.k) (fun () -> Ext (odd_multiples s p)))
+    terms;
+  let streams = !streams in
+  for i = List.fold_left (fun m d -> max m d.top) (-1) streams downto 0 do
+    chain_double s acc ~full:(i = 0 || any_digit buf i streams);
+    add_digits s acc buf i streams
   done;
   acc
+
+let order_bytes = Nat.to_bytes_le order ~len:32
 
 (* Membership in the prime-order subgroup: [L]P = O. Curve points have
    order dividing 8L, so this rejects any small-order component. *)
-let in_prime_subgroup (p : point) : bool =
-  equal_points (scalar_mult_fast order p) identity
+let in_prime_subgroup (p : point) : bool = equal_points (mult [ term order_bytes p ]) identity
 
 (* Decode a key that must lie in the prime subgroup, memoized: the
    subgroup check is a full scalar multiplication, and verification
@@ -641,17 +602,73 @@ let decode_checked (s : string) : point option =
     Hashtbl.add checked_cache s r;
     r
 
+(* Keys in two generations: a hit in the old one moves the entry to the
+   young one, and a full young generation becomes the old one, dropping
+   the old. So the [key_tables / 2] most recently used keys always
+   stay, and at most twice that many are held. *)
+type 'a generations = { mutable young : (string, 'a) Hashtbl.t; mutable old : (string, 'a) Hashtbl.t }
+
+let key_tables = 512
+let generations () = { young = Hashtbl.create 16; old = Hashtbl.create 1 }
+
+let remember g pk v =
+  if Hashtbl.length g.young >= key_tables / 2 then begin
+    g.old <- g.young;
+    g.young <- Hashtbl.create 16
+  end;
+  Hashtbl.replace g.young pk v
+
+let recall g pk =
+  match Hashtbl.find_opt g.young pk with
+  | Some _ as hit -> hit
+  | None -> (
+    match Hashtbl.find_opt g.old pk with
+    | Some v as hit ->
+      Hashtbl.remove g.old pk;
+      remember g pk v;
+      hit
+    | None -> None)
+
+(* Key tables (~10 KB each), and the keys of recent single checks. *)
+let tables : table generations = generations ()
+let sighted : unit generations = generations ()
+let has_table pk = Hashtbl.mem tables.young pk || Hashtbl.mem tables.old pk
+
+(* A key's table if it has one, else its point. A single check
+   ([~single:true]) builds the table when the key was checked while its
+   last single check is still among the recent ones: a table costs
+   about one verify to build and saves about half of each later one, so
+   a key checked once never pays for it, and neither does a stream of
+   more distinct keys than the cache holds. A batch only reads tables. *)
+let key_source ~(single : bool) (pk : string) : source option =
+  match recall tables pk with
+  | Some t -> Some (Rows t)
+  | None -> (
+    match decode_checked pk with
+    | Some p when single && recall sighted pk <> None ->
+      let t = table_of_point ~parts:4 p in
+      remember tables pk t;
+      Some (Rows t)
+    | Some p ->
+      if single then remember sighted pk ();
+      Some (Odd p)
+    | None -> None)
+
+let key_term ?(neg = false) k pk =
+  Option.map (fun src -> { k; neg; src }) (key_source ~single:true pk)
+
 let () =
   (* Cross-check every table-driven path against the naive oracle once
      at startup, so a table-construction bug cannot go unnoticed. *)
   let k = Nat.rem (Nat.of_bytes_le (Sha256.digest "ed25519-selfcheck")) order in
+  let kb = Nat.to_bytes_le k ~len:32 in
   let expect = scalar_mult k base in
   assert (equal_points (scalar_mult_base k) expect);
-  assert (equal_points (scalar_mult_fast k base) expect);
-  assert (equal_points (split_mult (split_of_point base) k) expect);
+  assert (equal_points (mult [ term kb base ]) expect);
+  assert (equal_points (mult [ table_term kb (table_of_point ~parts:2 base) ]) expect);
   assert (
     equal_points
-      (double_scalar_mult_base k k (double base))
+      (mult [ table_term kb base_table; term kb (double base) ])
       (scalar_mult_base (Nat.mul k (Nat.of_int 3))));
   assert (in_prime_subgroup base)
 
@@ -685,7 +702,9 @@ let sign (sk : secret) (msg : string) : string =
   let s = mod_order (Nat.add k (Nat.mul e sk.scalar)) in
   r_enc ^ Nat.to_bytes_le s ~len:32
 
-(* Verification checks s*B - e*A = R with one Strauss-Shamir chain.
+(* Verification checks s*B - e*A = R on one chain: 65 steps off B's
+   table and A's, or, until A has a table, 254 steps with e off per-call
+   odd multiples of A.
 
    The public key must decode into the prime subgroup ([decode_checked]):
    a key A' = A + D with D of small order would otherwise validate
@@ -694,18 +713,19 @@ let sign (sk : secret) (msg : string) : string =
    subgroup, s*B - e*A is too, and the *exact* (non-cofactored) point
    equality then forces R to match it exactly - an R with a small-order
    component can never satisfy the equation. *)
+
+let below_order (s : string) : bool = Nat.compare (Nat.of_bytes_le s) order < 0
+
 let verify ~(public : public) ~(msg : string) ~(signature : string) : bool =
   String.length signature = signature_length
   &&
-  let r_enc = String.sub signature 0 32 in
-  let s = Nat.of_bytes_le (String.sub signature 32 32) in
-  Nat.compare s order < 0
+  let r_enc = String.sub signature 0 32 and s = String.sub signature 32 32 in
+  below_order s
   &&
-  match (decode r_enc, decode_checked public) with
+  match (decode r_enc, key_source ~single:true public) with
   | Some r, Some a ->
-    let e = challenge ~r_enc ~public ~msg in
-    (* s*B - e*A = R *)
-    equal_points (double_scalar_mult_base s e (neg a)) r
+    let e = Nat.to_bytes_le (challenge ~r_enc ~public ~msg) ~len:32 in
+    equal_points (mult [ table_term s base_table; { k = e; neg = true; src = a } ]) r
   | _ -> false
 
 (* The pre-engine verifier, kept verbatim as the randomized-test
@@ -756,14 +776,13 @@ let verify_batch (items : (public * string * string) list) : bool =
         (fun (pk, msg, signature) ->
           if String.length signature <> signature_length then None
           else begin
-            let r_enc = String.sub signature 0 32 in
-            let s = Nat.of_bytes_le (String.sub signature 32 32) in
-            if Nat.compare s order >= 0 then None
+            let r_enc = String.sub signature 0 32 and s = String.sub signature 32 32 in
+            if not (below_order s) then None
             else begin
-              match (decode r_enc, decode_checked pk) with
+              match (decode r_enc, key_source ~single:false pk) with
               | Some r, Some a ->
                 let e = challenge ~r_enc ~public:pk ~msg in
-                Some (pk, r_enc, signature, s, e, r, a)
+                Some (pk, signature, Nat.of_bytes_le s, e, r, a)
               | _ -> None
             end
           end)
@@ -775,29 +794,31 @@ let verify_batch (items : (public * string * string) list) : bool =
     let seed =
       Sha256.digest_concat
         ("ed25519-batch"
-        :: List.concat_map
-             (fun (pk, _, signature, _, _, _, _) -> [ pk; signature ])
-             parsed)
+        :: List.concat_map (fun (pk, signature, _, _, _, _) -> [ pk; signature ]) parsed)
     in
     let drbg = Drbg.create ~seed in
     let terms =
-      List.map
-        (fun (_, _, _, s, e, r, a) -> (Drbg.random_nat drbg ~bytes:16, s, e, r, a))
-        parsed
+      List.map (fun (_, _, s, e, r, a) -> (Drbg.random_nat drbg ~bytes:16, s, e, r, a)) parsed
     in
     (* A_i lies in the prime subgroup, so z_i*e_i reduces mod L
-       exactly, from ~381 to 253 bits, and the shared doubling chain
-       stays 253 long. The summed base scalar is reduced inside
-       [multi_scalar_mult_base]. *)
+       exactly, from ~381 to 253 bits: 65 steps off A_i's table where
+       it has one. R_i's 128-bit z_i runs off per-call odd multiples,
+       so the shared chain is 129 steps long once every key has a
+       table, and 254 while any has none. *)
+    let scalar x = Nat.to_bytes_le x ~len:32 in
     let combined_s =
       List.fold_left (fun acc (z, s, _, _, _) -> Nat.add acc (Nat.mul z s)) Nat.zero terms
     in
-    let pairs =
+    let points =
       List.concat_map
-        (fun (z, _, e, r, a) -> [ (z, neg r); (mod_order (Nat.mul z e), neg a) ])
+        (fun (z, _, e, r, a) ->
+          [
+            term ~neg:true (Nat.to_bytes_le z ~len:16) r;
+            { k = scalar (mod_order (Nat.mul z e)); neg = true; src = a };
+          ])
         terms
     in
-    equal_points (multi_scalar_mult_base ~base_scalar:combined_s pairs) identity
+    equal_points (mult (table_term (scalar (mod_order combined_s)) base_table :: points)) identity
   in
   let rec chunks = function
     | [] -> true

@@ -70,50 +70,46 @@ val scalar_mult_base : Nat.t -> point
     (64 positions x 15 odd multiples): ~64 mixed additions, no
     doublings. The scalar is reduced mod [order]. *)
 
-type split
-(** Tables for a point [P] multiplied a few dozen times (the VRF's
-    per-input hash-to-curve point): affine odd multiples of [P] and of
-    [P' = 2{^128}P]. *)
+type table
+(** Affine odd multiples [P, 3P, ..., 15P] of [P] and of its shifts
+    [2{^s}P, 2{^2s}P, ...], one row each: a scalar below 2{^256} runs
+    as [256/s] digit streams on one [s + 1]-step doubling chain. *)
 
-val split_of_point : point -> split
-(** Build [P]'s split tables: 128 doublings, two 8-entry tables and one
-    shared inversion, about 150 point operations. *)
+val table_of_point : parts:int -> point -> table
+(** [parts] rows ([s = 256 / parts]): [256 - s] doublings, [8 * parts]
+    additions and one inversion. *)
 
-val split_mult : split -> Nat.t -> point
-(** [k*P] for [k = k_lo + 2{^128}k_hi], unreduced and so exact for any
-    [P]: two w-NAF digit streams on one doubling chain, 128 steps for
-    [k] below 2{^256}. *)
+val base_table : table
+(** [B]'s 4-row table. *)
 
-val split_mult_sub : split -> Nat.t -> Nat.t -> point -> point
-(** [split_mult_sub t k c Q = k*P - c*Q] on one shared doubling chain;
-    [c] runs unreduced off a per-call table, so the result is exact for
-    [Q] of any order. *)
+type term
+(** A scalar (little-endian bytes) times a point, exact for a point of
+    any order: [~neg:true] negates it. *)
 
-val scalar_mult_fast : Nat.t -> point -> point
-(** Variable-base width-5 w-NAF with an 8-entry odd-multiples table.
-    The scalar is {e not} reduced mod [order], so the result is exact
-    on the whole curve group including small-order and mixed-order
-    points (this is what makes it usable as the subgroup test). *)
+val term : ?neg:bool -> string -> point -> term
+(** Off odd multiples of the point built per call; any scalar length. *)
 
-val double_scalar_mult_base : Nat.t -> Nat.t -> point -> point
-(** [double_scalar_mult_base a b Q = a*B + b*Q] with one shared
-    doubling chain (Strauss-Shamir); [a] runs width-7 off the base
-    w-NAF table, [b] width-5 off a per-call table. *)
+val table_term : ?neg:bool -> string -> table -> term
+(** Off the point's table; at most 32 scalar bytes. *)
 
-val double_scalar_mult : Nat.t -> point -> Nat.t -> point -> point
-(** [double_scalar_mult a P b Q = a*P + b*Q], both variable-base. *)
-
-val multi_scalar_mult_base : base_scalar:Nat.t -> (Nat.t * point) list -> point
-(** [base_scalar*B + sum k_i*P_i] in a single interleaved chain; the
-    workhorse of batch verification. *)
-
-val in_prime_subgroup : point -> bool
-(** [L]P = O — membership in the prime-order subgroup. *)
+val mult : term list -> point
+(** The sum of the terms, on one doubling chain. *)
 
 val decode_checked : string -> point option
 (** [decode] restricted to canonical encodings of prime-subgroup
     points. Memoized in a bounded cache: committee public keys repeat
     across votes, so the subgroup check amortizes to a hash lookup. *)
+
+val key_term : ?neg:bool -> string -> string -> term option
+(** A term for the key [pk] if it passes [decode_checked]: off its
+    4-row table, built when its single checks ([key_term], [verify])
+    repeat within the last [key_tables] keys; else off per-call odd
+    multiples. At most [key_tables] tables are held. *)
+
+val key_tables : int
+
+val has_table : string -> bool
+(** Whether the key holds a table now. *)
 
 (** {1 Schnorr signatures} *)
 
@@ -135,9 +131,9 @@ val signature_length : int
 val sign : secret -> string -> string
 
 val verify : public:public -> msg:string -> signature:string -> bool
-(** Checks [s*B - e*A = R] with one Strauss-Shamir chain. Rejects
-    public keys outside the prime subgroup (small-order-component
-    forgeries) and non-canonical encodings. *)
+(** Checks [s*B - e*A = R] on one chain, 65 steps once [A] has a
+    table. Rejects public keys outside the prime subgroup
+    (small-order-component forgeries) and non-canonical encodings. *)
 
 val verify_ref : public:public -> msg:string -> signature:string -> bool
 (** The pre-engine naive verifier, kept as a behavioral oracle for the
@@ -149,5 +145,6 @@ val verify_batch : (public * string * string) list -> bool
     at once via a random linear combination with 128-bit coefficients
     drawn from a deterministic DRBG seeded by the batch contents; a
     batch with any invalid signature is rejected except with
-    probability ~2{^-128}. Several times cheaper per signature than
-    [verify]. The empty batch is valid. *)
+    probability ~2{^-128}. Cheaper per signature than [verify] under
+    keys without tables. It reads key tables but never builds one. The
+    empty batch is valid. *)

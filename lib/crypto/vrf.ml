@@ -49,25 +49,27 @@ let hash_to_curve_uncached (input : string) : Ed25519.point =
 (* Sortition hashes the same (seed, role) input for every member of a
    committee step, so one try-and-increment run serves a whole step's
    worth of proofs and verifications. Cached alongside the point: its
-   encoding (a field inversion) and its split tables, which put every
-   s*H / a*H / k*H below on a 128-step doubling chain instead of a
-   253-step one. With a handful of nodes an input is proved and
-   verified only a dozen or so times per process, so the tables are
+   encoding (a field inversion) and its 2-row table, which puts every
+   s*H / a*H / k*H below on a 129-step doubling chain instead of a
+   254-step one. With a handful of nodes an input is proved and
+   verified only a dozen or so times per process, so the table is
    sized to repay at once: about 150 point operations to build (0.17 ms
    on a 2-vCPU x86-64 VM, against 3.9 ms for a radix-16 comb), built on
-   first use by prover and verifier alike. An entry is a few KB;
-   bounded, reset on overflow. *)
-let h2c_cache : (string, Ed25519.point * string * Ed25519.split) Hashtbl.t =
+   first use by prover and verifier alike. A 4-row table would shorten
+   the chain to 65 steps but cost 64 more doublings and twice the
+   memory for every cached input. An entry is a few KB; bounded, reset
+   on overflow. *)
+let h2c_cache : (string, Ed25519.point * string * Ed25519.table) Hashtbl.t =
   Hashtbl.create 64
 
 let h2c_cache_limit = 64
 
-let hash_to_curve_full (input : string) : Ed25519.point * string * Ed25519.split =
+let hash_to_curve_full (input : string) : Ed25519.point * string * Ed25519.table =
   match Hashtbl.find_opt h2c_cache input with
   | Some entry -> entry
   | None ->
     let p = hash_to_curve_uncached input in
-    let entry = (p, Ed25519.encode p, Ed25519.split_of_point p) in
+    let entry = (p, Ed25519.encode p, Ed25519.table_of_point ~parts:2 p) in
     if Hashtbl.length h2c_cache >= h2c_cache_limit then Hashtbl.reset h2c_cache;
     Hashtbl.add h2c_cache input entry;
     entry
@@ -76,11 +78,9 @@ let hash_to_curve (input : string) : Ed25519.point =
   let p, _, _ = hash_to_curve_full input in
   p
 
-let challenge ~h_enc ~gamma_enc ~u_enc ~v_enc : Nat.t =
-  (* 128-bit Fiat-Shamir challenge. *)
-  Nat.low_bits
-    (Nat.of_bytes_le (Sha256.digest_concat [ "vrf-chal"; h_enc; gamma_enc; u_enc; v_enc ]))
-    128
+(* 128-bit Fiat-Shamir challenge, as its 16 little-endian bytes. *)
+let challenge ~h_enc ~gamma_enc ~u_enc ~v_enc : string =
+  String.sub (Sha256.digest_concat [ "vrf-chal"; h_enc; gamma_enc; u_enc; v_enc ]) 0 16
 
 (* The output hashes 8*Gamma, not Gamma. This is what makes the output
    unique per (pk, input): a malicious prover who knows its own key can
@@ -100,7 +100,8 @@ let ecvrf : scheme =
     let a = Ed25519.secret_scalar sk in
     let prove input =
       let _, h_enc, htbl = hash_to_curve_full input in
-      let gamma = Ed25519.split_mult htbl a in
+      let on_h k = Ed25519.mult [ Ed25519.table_term (Nat.to_bytes_le k ~len:32) htbl ] in
+      let gamma = on_h a in
       let k =
         Ed25519.scalar_of_hash
           (Sha256.digest_concat [ "vrf-nonce"; Ed25519.secret_seed sk; input ])
@@ -111,14 +112,14 @@ let ecvrf : scheme =
           [|
             gamma;
             Ed25519.scalar_mult_base k;
-            Ed25519.split_mult htbl k;
+            on_h k;
             cofactor_clear gamma;
           |]
       in
       let gamma_enc = encs.(0) and u_enc = encs.(1) and v_enc = encs.(2) in
       let c = challenge ~h_enc ~gamma_enc ~u_enc ~v_enc in
-      let s = Ed25519.mod_order (Nat.add k (Nat.mul c a)) in
-      let proof = gamma_enc ^ Nat.to_bytes_le c ~len:16 ^ Nat.to_bytes_le s ~len:32 in
+      let s = Ed25519.mod_order (Nat.add k (Nat.mul (Nat.of_bytes_le c) a)) in
+      let proof = gamma_enc ^ c ^ Nat.to_bytes_le s ~len:32 in
       (output_of_gamma8_enc encs.(3), proof)
     in
     ({ prove }, pk)
@@ -127,26 +128,22 @@ let ecvrf : scheme =
     if String.length proof <> proof_length then None
     else begin
       let gamma_enc = String.sub proof 0 32 in
-      let c = Nat.of_bytes_le (String.sub proof 32 16) in
-      let s = Nat.of_bytes_le (String.sub proof 48 32) in
-      if Nat.compare s Ed25519.order >= 0 then None
+      let c = String.sub proof 32 16 and s = String.sub proof 48 32 in
+      if Nat.compare (Nat.of_bytes_le s) Ed25519.order >= 0 then None
       else begin
-        match (Ed25519.decode gamma_enc, Ed25519.decode_checked pk) with
-        | Some gamma, Some a_pt ->
+        match (Ed25519.decode gamma_enc, Ed25519.key_term ~neg:true c pk) with
+        | Some gamma, Some cy ->
           let _, h_enc, htbl = hash_to_curve_full input in
-          (* U = s*B - c*A off B's static comb and a 128-step chain for
-             the 128-bit challenge; V = s*H - c*Gamma as one 128-step
-             chain over s's two halves (H's split tables) and c. *)
-          let u =
-            Ed25519.add (Ed25519.scalar_mult_base s)
-              (Ed25519.scalar_mult_fast c (Ed25519.neg a_pt))
-          in
-          let v = Ed25519.split_mult_sub htbl s c gamma in
+          (* U = s*B - c*Y: 65 steps off B's table and Y's, or 129 until
+             Y has one; V = s*H - c*Gamma: 129 steps over H's two rows
+             and c off per-call odd multiples of Gamma. *)
+          let u = Ed25519.mult [ Ed25519.table_term s Ed25519.base_table; cy ] in
+          let v = Ed25519.mult [ Ed25519.table_term s htbl; Ed25519.term ~neg:true c gamma ] in
           (* One shared inversion for the two commitment encodings plus
              the cofactor-cleared output point. *)
           let encs = Ed25519.encode_many [| u; v; cofactor_clear gamma |] in
           let c' = challenge ~h_enc ~gamma_enc ~u_enc:encs.(0) ~v_enc:encs.(1) in
-          if Nat.equal c c' then Some (output_of_gamma8_enc encs.(2)) else None
+          if String.equal c c' then Some (output_of_gamma8_enc encs.(2)) else None
         | _ -> None
       end
     end

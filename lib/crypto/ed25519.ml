@@ -602,17 +602,20 @@ let decode_checked (s : string) : point option =
     Hashtbl.add checked_cache s r;
     r
 
-(* Keys in two generations: a hit in the old one moves the entry to the
-   young one, and a full young generation becomes the old one, dropping
-   the old. So the [key_tables / 2] most recently used keys always
-   stay, and at most twice that many are held. *)
-type 'a generations = { mutable young : (string, 'a) Hashtbl.t; mutable old : (string, 'a) Hashtbl.t }
+(* Keys in two generations of [size]: a hit in the old one moves the
+   entry to the young one, and a full young generation becomes the old
+   one, dropping the old. So an entry stays through any [size] later
+   insertions, and at most [2 * size] are held. *)
+type 'a generations = {
+  size : int;
+  mutable young : (string, 'a) Hashtbl.t;
+  mutable old : (string, 'a) Hashtbl.t;
+}
 
-let key_tables = 512
-let generations () = { young = Hashtbl.create 16; old = Hashtbl.create 1 }
+let generations size = { size; young = Hashtbl.create 16; old = Hashtbl.create 1 }
 
 let remember g pk v =
-  if Hashtbl.length g.young >= key_tables / 2 then begin
+  if Hashtbl.length g.young >= g.size then begin
     g.old <- g.young;
     g.young <- Hashtbl.create 16
   end;
@@ -629,17 +632,22 @@ let recall g pk =
       hit
     | None -> None)
 
-(* Key tables (~10 KB each), and the keys of recent single checks. *)
-let tables : table generations = generations ()
-let sighted : unit generations = generations ()
+(* Key tables (~10 KB each; at most 1,024), and the keys of recent
+   single checks without a table. A sighting lasts through fewer than
+   512 later sightings and a table through at least 512 later tables:
+   a key checked again after 512 other untabled keys builds no table,
+   and a key that builds one keeps it while its checks come at most 512
+   distinct keys apart. *)
+let tables : table generations = generations 512
+let sighted : unit generations = generations 256
 let has_table pk = Hashtbl.mem tables.young pk || Hashtbl.mem tables.old pk
 
 (* A key's table if it has one, else its point. A single check
-   ([~single:true]) builds the table when the key was checked while its
-   last single check is still among the recent ones: a table costs
-   about one verify to build and saves about half of each later one, so
-   a key checked once never pays for it, and neither does a stream of
-   more distinct keys than the cache holds. A batch only reads tables. *)
+   ([~single:true]) builds the table when the key's last single check
+   is still sighted: a table costs about one verify to build and saves
+   about half of each later one, so a key checked once never pays for
+   it, and neither does a cycle of more keys than the tables keep. A
+   batch only reads tables. *)
 let key_source ~(single : bool) (pk : string) : source option =
   match recall tables pk with
   | Some t -> Some (Rows t)
@@ -655,6 +663,7 @@ let key_source ~(single : bool) (pk : string) : source option =
     | None -> None)
 
 let key_term ?(neg = false) k pk =
+  if String.length k > 32 then invalid_arg "Ed25519.key_term: scalar above 2^256";
   Option.map (fun src -> { k; neg; src }) (key_source ~single:true pk)
 
 let () =

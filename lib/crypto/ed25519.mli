@@ -101,15 +101,14 @@ val decode_checked : string -> point option
     across votes, so the subgroup check amortizes to a hash lookup. *)
 
 val key_term : ?neg:bool -> string -> string -> term option
-(** A term for the key [pk] if it passes [decode_checked]: off its
-    4-row table, built when its single checks ([key_term], [verify])
-    repeat within the last [key_tables] keys; else off per-call odd
-    multiples. At most [key_tables] tables are held. *)
-
-val key_tables : int
+(** A term for the scalar [k] (at most 32 bytes) times the key [pk], if
+    [pk] passes [decode_checked]: off the key's 4-row table, which a
+    single check ([key_term], [verify]) builds when the key's previous
+    single check came fewer than 512 untabled keys before; else off
+    per-call odd multiples. At most 1,024 tables are held. *)
 
 val has_table : string -> bool
-(** Whether the key holds a table now. *)
+(** Whether the key holds a table now: a probe for tests. *)
 
 (** {1 Schnorr signatures} *)
 

@@ -430,12 +430,12 @@ let small_order_keys_untabled () =
       Alcotest.(check bool) (what ^ " has no table") false (Ed25519.has_table public))
     [ ("small-order", tor); ("mixed-order", Ed25519.add a tor) ]
 
-(* More keys than the table cache holds, each checked twice in a row
-   (which builds its table), then every signature checked again after
-   the early keys' tables were evicted: the verdicts must not change.
-   One signature in five is corrupted. *)
+(* More keys than the table cache holds (1,024), each checked twice in a
+   row (which builds its table), then every signature checked again
+   after the early keys' tables were evicted: the verdicts must not
+   change. One signature in five is corrupted. *)
 let key_table_churn () =
-  let n = Ed25519.key_tables + 40 in
+  let n = 1_064 in
   let items =
     Array.init n (fun i ->
         let sk = Ed25519.generate ~seed:(Printf.sprintf "churn-%d" i) in
@@ -545,51 +545,139 @@ let fold_reduction_matches_rem () =
     check x
   done
 
+(* Calls of [f], after [warm] more, per call: minor words, and words
+   allocated directly in the major heap (blocks over 256 words, which
+   the minor count never sees). *)
+let per_call ?(warm = 3) ~n f =
+  for _ = 1 to warm do
+    ignore (Sys.opaque_identity (f ()))
+  done;
+  let minor0 = Gc.minor_words () and _, promoted0, major0 = Gc.counters () in
+  for _ = 1 to n do
+    ignore (Sys.opaque_identity (f ()))
+  done;
+  let minor1 = Gc.minor_words () and _, promoted1, major1 = Gc.counters () in
+  let per x = x /. float_of_int n in
+  (per (minor1 -. minor0), per (major1 -. major0 -. (promoted1 -. promoted0)))
+
+let bounded what ~bound (minor, major) =
+  if minor > bound then Alcotest.failf "%s allocates %.0f minor words (bound %.0f)" what minor bound;
+  if major > 0. then Alcotest.failf "%s allocates %.0f words directly in the major heap" what major
+
 (* Allocation gates: deterministic on any host, unlike the timing gates.
    After a warm-up (the pk's subgroup check and table, the VRF input's
    table), one [Ed25519.verify] and one ECVRF verify must each stay
    under about 1.2x the minor words measured when the chain evaluator
    landed: 599 and 1,736 words for these keys, where the per-call
    w-NAF arrays and odd multiples made 1,451 and 2,829, and the
-   allocating field 227,711 and 296,941. Neither may allocate directly
-   in the major heap (blocks over 256 words): the old w-NAF recoding put
-   1,066 words a verify there, out of sight of the minor count. *)
+   allocating field 227,711 and 296,941. A batch of one, which never
+   builds a table, runs its key off per-call odd multiples: 1,918
+   words, bound 2,300. None may allocate directly in the major heap:
+   the old w-NAF recoding put 1,066 words a verify there. *)
 let verify_allocation_bounded () =
-  let per_call f =
-    for _ = 1 to 3 do
-      ignore (Sys.opaque_identity (f ()))
-    done;
-    let n = 20 in
-    let minor0 = Gc.minor_words () and _, promoted0, major0 = Gc.counters () in
-    for _ = 1 to n do
-      ignore (Sys.opaque_identity (f ()))
-    done;
-    let minor1 = Gc.minor_words () and _, promoted1, major1 = Gc.counters () in
-    let per x = x /. float_of_int n in
-    (per (minor1 -. minor0), per (major1 -. major0 -. (promoted1 -. promoted0)))
-  in
   let sk = Ed25519.generate ~seed:"alloc" in
   let public = Ed25519.public_key sk in
   let signature = Ed25519.sign sk "msg" in
-  let verify_words, verify_major =
-    per_call (fun () ->
-        if not (Ed25519.verify ~public ~msg:"msg" ~signature) then
-          Alcotest.fail "signature must verify")
-  in
+  bounded "Ed25519.verify" ~bound:700.
+    (per_call ~n:20 (fun () ->
+         if not (Ed25519.verify ~public ~msg:"msg" ~signature) then
+           Alcotest.fail "signature must verify"));
   let prover, pk = Vrf.ecvrf.generate ~seed:"alloc" in
   let _, proof = prover.prove "alloc-input" in
-  let vrf_words, vrf_major =
-    per_call (fun () ->
-        if Vrf.ecvrf.verify ~pk ~input:"alloc-input" ~proof = None then
-          Alcotest.fail "proof must verify")
+  bounded "ECVRF verify" ~bound:2_100.
+    (per_call ~n:20 (fun () ->
+         if Vrf.ecvrf.verify ~pk ~input:"alloc-input" ~proof = None then
+           Alcotest.fail "proof must verify"));
+  let sk = Ed25519.generate ~seed:"alloc-batch" in
+  let item = (Ed25519.public_key sk, "msg", Ed25519.sign sk "msg") in
+  bounded "a batch of one" ~bound:2_300.
+    (per_call ~n:20 (fun () ->
+         if not (Ed25519.verify_batch [ item ]) then Alcotest.fail "batch must verify"));
+  let public, _, _ = item in
+  Alcotest.(check bool) "the batch built no table" false (Ed25519.has_table public)
+
+(* Keys checked in turn, more than 512 apart, build no table: each
+   check runs the key off per-call odd multiples, as every key's first
+   check does. Two passes over 600 Ed25519 keys and 600 VRF keys (the
+   first runs each key's subgroup check), then one measured pass, which
+   must build nothing and stay under about 1.2x the minor words a check
+   measured when the bounds were set: 1,008 a verify and 2,165 an
+   ECVRF verify (1,451 and 2,829 before key tables). *)
+let cycling_keys_build_no_table () =
+  let n = 600 in
+  let sigs =
+    Array.init n (fun i ->
+        let sk = Ed25519.generate ~seed:(Printf.sprintf "cycle-%d" i) in
+        (Ed25519.public_key sk, Ed25519.sign sk "m"))
   in
-  if verify_words > 700. then
-    Alcotest.failf "Ed25519.verify allocates %.0f minor words (bound 700)" verify_words;
-  if vrf_words > 2_100. then
-    Alcotest.failf "ECVRF verify allocates %.0f minor words (bound 2,100)" vrf_words;
-  if verify_major > 0. || vrf_major > 0. then
-    Alcotest.failf "direct major-heap words per call: verify %.0f, ECVRF verify %.0f"
-      verify_major vrf_major
+  let vrfs =
+    Array.init n (fun i ->
+        let prover, pk = Vrf.ecvrf.generate ~seed:(Printf.sprintf "cycle-%d" i) in
+        (pk, snd (prover.prove "cycle-input")))
+  in
+  let next = ref 0 in
+  let cycle f () =
+    f (!next mod n);
+    incr next
+  in
+  let verify i =
+    let public, signature = sigs.(i) in
+    if not (Ed25519.verify ~public ~msg:"m" ~signature) then Alcotest.fail "must verify"
+  in
+  let vrf_verify i =
+    let pk, proof = vrfs.(i) in
+    if Vrf.ecvrf.verify ~pk ~input:"cycle-input" ~proof = None then Alcotest.fail "must verify"
+  in
+  let r1 = per_call ~warm:(2 * n) ~n (cycle verify) in
+  let r2 = per_call ~warm:(2 * n) ~n (cycle vrf_verify) in
+  bounded "Ed25519.verify without a table" ~bound:1_200. r1;
+  bounded "ECVRF verify without a table" ~bound:2_600. r2;
+  Array.iter
+    (fun (public, _) -> Alcotest.(check bool) "no Ed25519 key table" false (Ed25519.has_table public))
+    sigs;
+  Array.iter (fun (pk, _) -> Alcotest.(check bool) "no VRF key table" false (Ed25519.has_table pk)) vrfs
+
+(* Keys checked in turn at most 512 apart keep the tables they build:
+   over 300 keys, four passes give every key one (a key builds it at
+   its first check that finds its previous one still sighted), and in
+   the next two every check finds its key's table. *)
+let cycling_keys_keep_tables () =
+  let n = 300 in
+  let sigs =
+    Array.init n (fun i ->
+        let sk = Ed25519.generate ~seed:(Printf.sprintf "keep-%d" i) in
+        (Ed25519.public_key sk, Ed25519.sign sk "m"))
+  in
+  let pass () =
+    Array.fold_left
+      (fun found (public, signature) ->
+        let had = Ed25519.has_table public in
+        if not (Ed25519.verify ~public ~msg:"m" ~signature) then Alcotest.fail "must verify";
+        if had then found + 1 else found)
+      0 sigs
+  in
+  for _ = 1 to 4 do
+    ignore (pass ())
+  done;
+  Alcotest.(check (list int)) "checks that found a table" [ n; n ] [ pass (); pass () ]
+
+(* A scalar above 2^256 is refused off a table, and off a key whether
+   or not the key holds a table yet: a table reads 256 bits. *)
+let long_scalar_refused () =
+  let sk = Ed25519.generate ~seed:"long-scalar" in
+  let public = Ed25519.public_key sk and long = String.make 33 '\001' in
+  let refused what f =
+    Alcotest.check_raises what (Invalid_argument "Ed25519.key_term: scalar above 2^256") (fun () ->
+        ignore (f ()))
+  in
+  refused "before a table" (fun () -> Ed25519.key_term long public);
+  for _ = 1 to 2 do
+    ignore (Ed25519.verify ~public ~msg:"m" ~signature:(Ed25519.sign sk "m"))
+  done;
+  Alcotest.(check bool) "the key has a table" true (Ed25519.has_table public);
+  refused "after it" (fun () -> Ed25519.key_term long public);
+  Alcotest.check_raises "off a table" (Invalid_argument "Ed25519.table_term: scalar above 2^256")
+    (fun () -> ignore (Ed25519.table_term long Ed25519.base_table))
 
 let suite =
   [
@@ -597,6 +685,9 @@ let suite =
       [
         t "fold reduction mod L and L-1 vs Nat.rem" fold_reduction_matches_rem;
         t "verify allocation bounded" verify_allocation_bounded;
+        ts "keys cycling past the tables build none" cycling_keys_build_no_table;
+        ts "keys cycling within the tables keep them" cycling_keys_keep_tables;
+        t "scalars above 2^256 refused off tables" long_scalar_refused;
         ts "fixed-base comb vs oracle" fixed_base_oracle;
         ts "split table vs oracle" table_oracle;
         ts "variable-base w-NAF vs oracle" wnaf_oracle;

@@ -194,6 +194,12 @@ let early_votes_count () =
      votes arrive before machine 0's Start. It must still decide
      immediately from buffered counters. *)
   let c = make_cluster () in
+  (* Hold back machine 0's deliveries, to hand them over by hand. *)
+  let early = ref [] in
+  (c.drop :=
+     fun ~src:_ ~dst v ->
+       if dst = 0 then early := v :: !early;
+       dst = 0);
   (* Start machines 1..n-1 first. *)
   Array.iteri
     (fun i m ->
@@ -203,7 +209,17 @@ let early_votes_count () =
       end)
     c.machines;
   settle c;
-  (* Now start machine 0; votes were delivered to it during settle. *)
+  (c.drop := fun ~src:_ ~dst:_ _ -> false);
+  Alcotest.(check bool) "votes arrived early" true (!early <> []);
+  (* An idle machine counts a delivered vote and acts on nothing: a
+     node can hand it votes before its proposal phase ends. *)
+  List.iter
+    (fun v ->
+      Alcotest.(check int) "no action while idle" 0
+        (List.length (Ba_star.handle c.machines.(0) (Ba_star.Deliver v))))
+    (List.rev !early);
+  Alcotest.(check bool) "still idle" true (Ba_star.phase c.machines.(0) = Ba_star.Idle);
+  (* Now start machine 0; the counted votes let it go straight on. *)
   let actions = Ba_star.handle c.machines.(0) (Ba_star.Start block_hash) in
   c.queue <- c.queue @ List.map (fun a -> (0, a)) actions;
   settle c;

@@ -441,11 +441,108 @@ let deployment_pinned () =
      fbe992a699db9d3621ee8c2f0ecc3df43273cca05c607222fad4e7b514d4c4a8"
     (Hex.of_string (Deployment.identity real 0).pk)
 
+(* Three small runs pinned bit for bit, covering the node paths the
+   FIG7 golden never reaches: section 8.2 recovery after a partition,
+   the pipelined final step, and crash churn under packet loss (live
+   catch-up with retries). The digest covers every node's chain
+   (hash and finality of each block), its completed recoveries, the
+   event count, the simulated time and the whole metrics registry. A
+   refactor of the node must leave these digests unchanged; a change
+   that moves event order on purpose re-records them and says so. *)
+let run_digest (config : Harness.config) ~(reached : Harness.result -> bool) : string =
+  let r = Harness.run config in
+  Fun.protect
+    ~finally:(fun () -> Harness.cleanup_stores r.harness)
+    (fun () ->
+      Expect.no_violations r;
+      Alcotest.(check bool) "the pinned path ran" true (reached r);
+      let buf = Buffer.create 4096 in
+      Array.iteri
+        (fun i n ->
+          let chain = Node.chain n in
+          Printf.bprintf buf "node %d recoveries %d\n" i (Node.recoveries_completed n);
+          List.iter
+            (fun (e : Chain.entry) ->
+              Printf.bprintf buf "%d:%s:%b\n" e.height (Hex.of_string e.hash) e.final)
+            (Chain.ancestry chain (Chain.tip chain).hash))
+        r.harness.nodes;
+      Printf.bprintf buf "events %d time %h\n" r.events r.sim_time;
+      Buffer.add_string buf (Algorand_obs.Registry.to_json (Metrics.registry r.harness.metrics));
+      Algorand_crypto.Sha256.digest_hex (Buffer.contents buf))
+
+let node_paths_pinned () =
+  let fast =
+    {
+      Algorand_ba.Params.paper with
+      lambda_priority = 1.0;
+      lambda_stepvar = 1.0;
+      lambda_block = 10.0;
+      lambda_step = 5.0;
+    }
+  in
+  let recovery =
+    {
+      base_config with
+      users = 10;
+      rounds = 3;
+      params = { fast with max_steps = 6; recovery_interval = 150.0 };
+      block_bytes = 20_000;
+      tx_rate_per_s = 0.0;
+      attacks = [ Harness.Partition { from_ = 4.0; until = 100.0 } ];
+      recovery_enabled = true;
+      max_sim_time = 600.0;
+      rng_seed = 8;
+    }
+  in
+  let pipelined =
+    { base_config with users = 10; rounds = 3; pipeline_final = true; rng_seed = 17 }
+  in
+  let churn =
+    {
+      base_config with
+      users = 10;
+      rounds = 3;
+      params = { fast with max_steps = 8 };
+      block_bytes = 10_000;
+      tx_rate_per_s = 0.0;
+      max_sim_time = 2_000.0;
+      rng_seed = 303;
+      loss = 0.05;
+      attacks =
+        [
+          Harness.Crash_churn
+            (Harness.Periodic
+               { start = 5.0; period = 12.0; fraction = 0.3; down_for = 8.0; until = 80.0 });
+        ];
+    }
+  in
+  let recovered (r : Harness.result) =
+    Array.exists (fun n -> Node.recoveries_completed n > 0) r.harness.nodes
+  in
+  List.iter
+    (fun (name, config, reached, expected) ->
+      Alcotest.(check string) (name ^ " digest") expected (run_digest config ~reached))
+    [
+      ( "partition + recovery",
+        recovery,
+        recovered,
+        "792a2d7ce2b13b76d4b124914b5b56f9bdfd09fa73a320a9136c9fef39d9c39d" );
+      ( "pipelined final step",
+        pipelined,
+        (fun r -> r.final_rounds = 3),
+        "208b9de018fb1c2052cfa830d3873ac857a670e4523bf60b5de8b471cbbe7224" );
+      ( "crash churn under loss",
+        churn,
+        (fun r -> r.churn.crashes > 0 && r.churn.retries > 0),
+        "c2111b8dd294058387ab50858a657c3068065058c696dfd7ef8e824cfe640132" );
+    ]
+
 let suite =
   [
     ( "harness",
       [
         Alcotest.test_case "deployment derivation pinned" `Quick deployment_pinned;
+        ts "node paths pinned: recovery, pipelining, churn" node_paths_pinned;
         ts "real crypto end-to-end" real_crypto_end_to_end;
         ts "final-step pipelining" pipelining_works_and_helps;
         ts "look-back variant end-to-end" (fun () ->

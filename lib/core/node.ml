@@ -121,31 +121,47 @@ let default_config =
     deterministic_ts = false;
   }
 
+(* One BA* run (section 7): a regular round's agreement on its block,
+   or section 8.2's agreement on the empty block that extends an
+   adopted fork. [agreement] builds both. The machine exists before its
+   [Start]: while idle it counts the votes it is handed and acts on
+   none of them. *)
+type agreement = {
+  vote_round : int;  (** the round its votes carry *)
+  empty_hash : string;
+  vctx : Vote.validation_ctx;  (** seed, look-back weights (section 5.3) *)
+  verdicts : int Vote_tbl.t;
+      (** vote content -> weighted votes; for a regular round, the
+          shared context table when the node was given [verdicts] *)
+  ba : Ba_star.t;
+}
+
+(* What a round agreed on. [final] is [None] while the final-step
+   classification is pending (the pipelined path), else whether the
+   round is final. *)
+type decision = { value : string; final : bool option }
+
+type outcome =
+  | Undecided
+  | Agreed of decision  (** the block is still being fetched *)
+  | Appended of decision  (** block appended, next round scheduled *)
+
 type round_state = {
   round : int;
   record : Metrics.round_record;
   prev_hash : string;
-  vctx : Vote.validation_ctx;  (** the round context: seed, look-back weights (section 5.3) *)
-  empty_hash : string;
+  ag : agreement;
   proposed_blocks : (string, Block.t) Hashtbl.t;  (** block hash -> block *)
   blocks_by_proposer : (string, string) Hashtbl.t;  (** proposer pk -> block hash *)
   equivocators : (string, unit) Hashtbl.t;
-  vote_weight_cache : int Vote_tbl.t;
-      (** vote content -> weighted votes; the shared context table when
-          the node was given [verdicts] *)
   proposer_credentials : (string * string * string, int) Hashtbl.t;
       (** (pk, vrf_hash, proof) -> verified proposer sub-users: priority
           handling and block validation check a claim once *)
   mutable best_priority : Proposal.priority_msg option;
   mutable first_priority_at : float option;
-  mutable ba : Ba_star.t option;
   mutable waiting_for_block : bool;
   mutable last_step_started : float;
-  mutable decided_value : string option;  (** set while fetching a missing block *)
-  mutable decided_final : bool;
-  mutable completed : bool;  (** block appended, next round scheduled *)
-  mutable classified : bool;  (** final/tentative classification arrived *)
-  mutable buffered_votes : Vote.t list;  (** votes that arrived before BA started *)
+  mutable outcome : outcome;
   mutable fetch : Retry.t option;
       (** retry schedule for an outstanding BlockOfHash fetch *)
 }
@@ -163,21 +179,18 @@ type recovery_state = {
   rweights : Balances.t;
   rtotal_weight : int;
   mutable best_fork : Message.fork_proposal option;
-  mutable fork_round : int;  (** round of the recovery empty block, once adopted *)
-  mutable rvote_round : int;
-      (** vote-round namespace for this attempt: distinct from the
-          stalled regular round so recovery votes are not swallowed by
-          the gossip relay's one-message-per-(round,step,pk) rule *)
-  mutable rempty_hash : string;
-  mutable rtip_hash : string;  (** adopted fork tip *)
-  mutable rba : Ba_star.t option;
-  rverdicts : int Vote_tbl.t;  (** vote content -> weighted votes, this attempt *)
+  mutable adopted : (Chain.entry * agreement) option;
+      (** the adopted fork's tip, and the agreement on the empty block
+          that extends it *)
   mutable rbuffered : Vote.t list;
+      (** votes that arrive before adoption: their round is the
+          agreement's, which adoption fixes *)
 }
 
 (* Recovery BA* votes are tagged with synthetic rounds above this base
    ([base * attempt + fork_round]) so they can never collide with - or
-   be mistaken for - regular-round traffic. *)
+   be mistaken for - regular-round traffic: the gossip relay passes one
+   message per (round, step, pk). *)
 let recovery_round_base = 1_000_000
 
 (* Rounds a committed transaction id stays in the pool's dedup table
@@ -249,10 +262,10 @@ type net = {
       (** suppress our own relay of a message id (equivocation sends) *)
 }
 
-(* One vote's weight as read against one round state. A round state's
-   weight for a vote never changes once read, so a verdict keyed on the
-   physical round state and vote can stand in for a table lookup. *)
-type verdict = { v_rs : round_state; v_vote : Vote.t; v_weight : int }
+(* One vote's weight as read from an agreement's verdict table. A
+   table's weight for a vote never changes once read, so a verdict
+   keyed on the physical table and vote can stand in for a lookup. *)
+type verdict = { v_verdicts : int Vote_tbl.t; v_vote : Vote.t; v_weight : int }
 
 type t = {
   index : int;
@@ -485,14 +498,43 @@ let sign_vote (t : t) ~(verdicts : int Vote_tbl.t) ~(ctx : Vote.validation_ctx) 
     Some v
 
 (* A vote's weight through its context's verdict table: Algorithm 6
-   runs once per vote content. *)
-let cached_weight (verdicts : int Vote_tbl.t) (vctx : Vote.validation_ctx) (v : Vote.t) : int =
-  match Vote_tbl.find_opt verdicts v with
-  | Some w -> w
-  | None ->
-    let w = Vote.validate vctx v in
-    Vote_tbl.replace verdicts v w;
+   runs once per vote content. The cache key is the full vote content,
+   not just the gossip id (round, step, voter): a corrupted variant
+   sharing an id with an honest vote must not poison the cache with
+   weight 0 and suppress the honest copy when it arrives later. *)
+let vote_weight (t : t) ~(verdicts : int Vote_tbl.t) ~(vctx : Vote.validation_ctx)
+    (v : Vote.t) : int =
+  match t.last_verdict with
+  | Some { v_verdicts; v_vote; v_weight } when v_verdicts == verdicts && v_vote == v ->
+    v_weight
+  | _ ->
+    let w =
+      match Vote_tbl.find_opt verdicts v with
+      | Some w -> w
+      | None ->
+        let w = Vote.validate vctx v in
+        Vote_tbl.replace verdicts v w;
+        w
+    in
+    t.last_verdict <- Some { v_verdicts = verdicts; v_vote = v; v_weight = w };
     w
+
+(* The one constructor of a BA* run, for a regular round and for a
+   recovery attempt alike. *)
+let agreement (t : t) ~(vote_round : int) ~(empty_hash : string)
+    ~(vctx : Vote.validation_ctx) ~(verdicts : int Vote_tbl.t) : agreement =
+  let ctx : Ba_star.ctx =
+    {
+      params = t.config.params;
+      round = vote_round;
+      empty_hash;
+      my_votes =
+        (fun ~step ~value ->
+          Option.to_list (sign_vote t ~verdicts ~ctx:vctx ~round:vote_round ~step ~value));
+      validate = vote_weight t ~verdicts ~vctx;
+    }
+  in
+  { vote_round; empty_hash; vctx; verdicts; ba = Ba_star.create ctx }
 
 let make_round_state (t : t) ~(r : int) : round_state =
   let tip = Chain.tip t.chain in
@@ -506,41 +548,35 @@ let make_round_state (t : t) ~(r : int) : round_state =
     round = r;
     record = Metrics.start_round t.metrics ~user:t.index ~round:r ~now:(Engine.now t.engine);
     prev_hash;
-    vctx;
-    empty_hash = Proposal.empty_hash ~round:r ~prev_hash;
+    ag =
+      agreement t ~vote_round:r ~empty_hash:(Proposal.empty_hash ~round:r ~prev_hash) ~vctx
+        ~verdicts:
+          (match t.verdicts with
+          | Some shared -> context_verdicts shared ~prev_hash ~seed:vctx.seed
+          | None -> Vote_tbl.create ~random:true 256);
     proposed_blocks = Hashtbl.create 8;
     blocks_by_proposer = Hashtbl.create 8;
     equivocators = Hashtbl.create 4;
-    vote_weight_cache =
-      (match t.verdicts with
-      | Some shared -> context_verdicts shared ~prev_hash ~seed:vctx.seed
-      | None -> Vote_tbl.create ~random:true 256);
     proposer_credentials = Hashtbl.create ~random:true 8;
     best_priority = None;
     first_priority_at = None;
-    ba = None;
     waiting_for_block = false;
     last_step_started = Engine.now t.engine;
-    decided_value = None;
-    decided_final = false;
-    completed = false;
-    classified = false;
-    buffered_votes = [];
+    outcome = Undecided;
     fetch = None;
   }
+
+(* Has the round's BA* begun? Its machine is idle until [start_ba]. *)
+let ba_started (rs : round_state) : bool = Ba_star.phase rs.ag.ba <> Ba_star.Idle
 
 (* ------------------------------------------------------------------ *)
 (* Vote creation and (byzantine) equivocation.                         *)
 (* ------------------------------------------------------------------ *)
 
-let make_vote (t : t) (rs : round_state) ~(step : Vote.step) ~(value : string) :
-    Vote.t option =
-  sign_vote t ~verdicts:rs.vote_weight_cache ~ctx:rs.vctx ~round:rs.round ~step ~value
-
 (* An alternative value for double-voting: some other proposed block,
    or the empty block if the primary vote already names a block. *)
 let alternative_value (rs : round_state) ~(value : string) : string option =
-  if not (String.equal value rs.empty_hash) then Some rs.empty_hash
+  if not (String.equal value rs.ag.empty_hash) then Some rs.ag.empty_hash
   else
     Hashtbl.fold
       (fun h _ acc -> if String.equal h value then acc else Some h)
@@ -553,7 +589,10 @@ let send_vote (t : t) (rs : round_state) (v : Vote.t) : unit =
     match alternative_value rs ~value:v.value with
     | None -> ()
     | Some alt -> (
-      match make_vote t rs ~step:v.step ~value:alt with
+      match
+        sign_vote t ~verdicts:rs.ag.verdicts ~ctx:rs.ag.vctx ~round:rs.ag.vote_round
+          ~step:v.step ~value:alt
+      with
       | None -> ()
       | Some v' ->
         (* Show the conflicting vote to half of our peers directly; the
@@ -569,18 +608,6 @@ let send_vote (t : t) (rs : round_state) (v : Vote.t) : unit =
 (* BA* wiring.                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let vote_weight (t : t) (rs : round_state) (v : Vote.t) : int =
-  match t.last_verdict with
-  | Some { v_rs; v_vote; v_weight } when v_rs == rs && v_vote == v -> v_weight
-  | _ ->
-    (* The cache key is the full vote content, not just the gossip id
-       (round, step, voter): a corrupted variant sharing an id with an
-       honest vote must not poison the cache with weight 0 and
-       suppress the honest copy when it arrives later. *)
-    let w = cached_weight rs.vote_weight_cache rs.vctx v in
-    t.last_verdict <- Some { v_rs = rs; v_vote = v; v_weight = w };
-    w
-
 (* A proposer credential of this round, verified once per claim: the
    key is the whole claim, so a block whose proof differs from an
    already verified priority's still gets the full check. *)
@@ -592,14 +619,17 @@ let proposer_credential (t : t) (rs : round_state) ~(pk : string) ~(vrf_hash : s
   | None ->
     let j =
       Proposal.verify_credential ~vrf_scheme:t.config.vrf_scheme ~vrf_pk_of:Identity.vrf_pk
-        ~seed:rs.vctx.seed ~tau:t.config.params.tau_proposer
-        ~weight_of:rs.vctx.weight_of ~total_weight:rs.vctx.total_weight
+        ~seed:rs.ag.vctx.seed ~tau:t.config.params.tau_proposer
+        ~weight_of:rs.ag.vctx.weight_of ~total_weight:rs.ag.vctx.total_weight
         ~round:rs.round ~pk ~vrf_hash ~vrf_proof
     in
     Hashtbl.replace rs.proposer_credentials key j;
     j
 
-let rec apply_ba_actions (t : t) (rs : round_state) (actions : Ba_star.action list) : unit =
+(* Feed one event to the round's machine and carry out its actions.
+   Before [start_ba] the machine is idle: a delivered vote is counted
+   and returns no action. *)
+let rec ba_event (t : t) (rs : round_state) (event : Ba_star.event) : unit =
   let now = Engine.now t.engine in
   List.iter
     (fun action ->
@@ -607,7 +637,7 @@ let rec apply_ba_actions (t : t) (rs : round_state) (actions : Ba_star.action li
       | Ba_star.Broadcast v ->
         send_vote t rs v;
         (* Count our own vote locally (we do not gossip to ourselves). *)
-        deliver_to_ba t rs v
+        ba_event t rs (Ba_star.Deliver v)
       | Ba_star.Set_timer { token; delay } ->
         Metrics.record_step_duration t.metrics (now -. rs.last_step_started);
         let tr = tracer t in
@@ -619,10 +649,7 @@ let rec apply_ba_actions (t : t) (rs : round_state) (actions : Ba_star.action li
         (* The closure captures this round's machine; stale tokens are
            filtered inside it, so a pipelined previous round still gets
            its final-classification timeout after [t.current] moves on. *)
-        sched t ~delay (fun () ->
-            match rs.ba with
-            | Some ba -> apply_ba_actions t rs (Ba_star.handle ba (Ba_star.Timer token))
-            | None -> ())
+        sched t ~delay (fun () -> ba_event t rs (Ba_star.Timer token))
       | Ba_star.Bin_decided { value; bin_steps } ->
         rs.record.ba_done <- now;
         rs.record.steps_taken <- bin_steps;
@@ -656,17 +683,11 @@ let rec apply_ba_actions (t : t) (rs : round_state) (actions : Ba_star.action li
           transition t Hung;
           Log.warn (fun m -> m "node %d hung in round %d (MaxSteps)" t.index rs.round)
         end)
-    actions
-
-and deliver_to_ba (t : t) (rs : round_state) (v : Vote.t) : unit =
-  match rs.ba with
-  | Some ba -> apply_ba_actions t rs (Ba_star.handle ba (Ba_star.Deliver v))
-  | None -> rs.buffered_votes <- v :: rs.buffered_votes
+    (Ba_star.handle rs.ag.ba event)
 
 (* Start BA* once the proposal phase settles on an initial block hash. *)
 and start_ba (t : t) (rs : round_state) ~(hblock : string) : unit =
-  if rs.ba <> None then ()
-  else begin
+  if not (ba_started rs) then begin
     rs.record.proposal_done <- Engine.now t.engine;
     let tr = tracer t in
     if Trace.enabled tr then
@@ -674,43 +695,31 @@ and start_ba (t : t) (rs : round_state) ~(hblock : string) : unit =
         ~start_ts:rs.record.started ~ts:rs.record.proposal_done ~cat:"phase"
         ~name:"proposal" ();
     rs.waiting_for_block <- false;
-    let ctx : Ba_star.ctx =
-      {
-        params = t.config.params;
-        round = rs.round;
-        empty_hash = rs.empty_hash;
-        my_votes = (fun ~step ~value -> Option.to_list (make_vote t rs ~step ~value));
-        validate = (fun v -> vote_weight t rs v);
-      }
-    in
-    let ba = Ba_star.create ctx in
-    rs.ba <- Some ba;
     rs.last_step_started <- Engine.now t.engine;
-    let buffered = List.rev rs.buffered_votes in
-    rs.buffered_votes <- [];
-    List.iter (fun v -> apply_ba_actions t rs (Ba_star.handle ba (Ba_star.Deliver v))) buffered;
-    apply_ba_actions t rs (Ba_star.handle ba (Ba_star.Start hblock))
+    ba_event t rs (Ba_star.Start hblock)
   end
 
 (* ------------------------------------------------------------------ *)
 (* Round completion.                                                   *)
 (* ------------------------------------------------------------------ *)
 
-(* Resolve the agreed hash to a block and complete; shared by the
-   normal (post-classification) and pipelined (post-BinaryBA) paths. *)
-and resolve_and_complete (t : t) (rs : round_state) ~(value : string) : unit =
-  if String.equal value rs.empty_hash then
-    complete_round t rs (Block.empty ~round:rs.round ~prev_hash:rs.prev_hash)
+(* Record the agreement, resolve the agreed hash to a block and
+   complete; shared by the normal (post-classification) and pipelined
+   (post-BinaryBA) paths. *)
+and agree (t : t) (rs : round_state) (d : decision) : unit =
+  rs.outcome <- Agreed d;
+  if String.equal d.value rs.ag.empty_hash then
+    complete_round t rs d (Block.empty ~round:rs.round ~prev_hash:rs.prev_hash)
   else begin
-    match Hashtbl.find_opt rs.proposed_blocks value with
-    | Some b -> complete_round t rs b
+    match Hashtbl.find_opt rs.proposed_blocks d.value with
+    | Some b -> complete_round t rs d b
     | None ->
       (* BlockOfHash (Algorithm 3): we agreed on a hash whose pre-image
          we never received; fetch it from peers, re-asking on the
          backoff schedule (rotating the peer) until the reply lands -
          under message loss a single fire-and-forget request can vanish
          and strand the round forever. *)
-      start_block_fetch t rs ~value
+      start_block_fetch t rs ~value:d.value
   end
 
 and start_block_fetch (t : t) (rs : round_state) ~(value : string) : unit =
@@ -724,7 +733,8 @@ and start_block_fetch (t : t) (rs : round_state) ~(value : string) : unit =
       Some
         (Retry.start ~engine:t.engine ~rng:t.rng ~policy:t.config.retry
            ~attempt:(fun n ->
-             if t.incarnation = inc && not rs.completed then
+             if t.incarnation = inc && (match rs.outcome with Appended _ -> false | _ -> true)
+             then
                if n = 0 then broadcast t (request n)
                else begin
                  Metrics.record_retry t.metrics;
@@ -743,53 +753,41 @@ and start_block_fetch (t : t) (rs : round_state) ~(value : string) : unit =
    the next round now; the final/tentative classification lands later
    through [decide]. *)
 and eager_complete (t : t) (rs : round_state) ~(value : string) : unit =
-  if not (rs.completed || rs.decided_value <> None) then begin
-    rs.decided_value <- Some value;
-    rs.decided_final <- false;
-    resolve_and_complete t rs ~value
-  end
+  if rs.outcome = Undecided then agree t rs { value; final = None }
 
 and decide (t : t) (rs : round_state) ~(value : string) ~(final : bool) : unit =
-  if rs.completed then begin
+  match rs.outcome with
+  | Appended d ->
     (* Pipelined round: the chain already moved on; record the
        classification and upgrade finality. *)
-    rs.classified <- true;
+    rs.outcome <- Appended { d with final = Some final };
     rs.record.final <- final;
     if final then begin
-      (match rs.decided_value with
-      | Some v ->
-        (match Chain.find t.chain v with
-        | Some e -> Chain.mark_final t.chain e.hash
-        | None -> ());
-        (match rs.ba with
-        | Some ba ->
-          let fvotes = Ba_star.final_certificate_votes ba in
-          if fvotes <> [] then
-            Hashtbl.replace t.final_certificates rs.round
-              (Certificate.make ~round:rs.round ~step:Vote.Final ~block_hash:v
-                 ~votes:fvotes)
-        | None -> ())
-      | None -> ())
+      (match Chain.find t.chain d.value with
+      | Some e -> Chain.mark_final t.chain e.hash
+      | None -> ());
+      store_final_certificate t rs ~block_hash:d.value
     end;
-    match t.previous with
+    (match t.previous with
     | Some p when p.round = rs.round -> t.previous <- None
-    | _ -> ()
-  end
-  else begin
-    rs.classified <- true;
-    rs.decided_value <- Some value;
-    rs.decided_final <- final;
-    resolve_and_complete t rs ~value
-  end
+    | _ -> ())
+  | Undecided | Agreed _ -> agree t rs { value; final = Some final }
 
-and complete_round (t : t) (rs : round_state) (block : Block.t) : unit =
-  if rs.completed then ()
-  else begin
-  rs.completed <- true;
+(* The final-step votes for the decided block prove it final. *)
+and store_final_certificate (t : t) (rs : round_state) ~(block_hash : string) : unit =
+  match Ba_star.final_certificate_votes rs.ag.ba with
+  | [] -> ()
+  | votes ->
+    Hashtbl.replace t.final_certificates rs.round
+      (Certificate.make ~round:rs.round ~step:Vote.Final ~block_hash ~votes)
+
+and complete_round (t : t) (rs : round_state) (d : decision) (block : Block.t) : unit =
+  rs.outcome <- Appended d;
   cancel_fetch rs;
+  let final = d.final = Some true in
   let now = Engine.now t.engine in
   rs.record.final_done <- now;
-  rs.record.final <- rs.decided_final;
+  rs.record.final <- final;
   let tr = tracer t in
   if Trace.enabled tr then begin
     if not (Float.is_nan rs.record.ba_done) then
@@ -799,38 +797,32 @@ and complete_round (t : t) (rs : round_state) (block : Block.t) : unit =
       ~start_ts:rs.record.started ~ts:now ~cat:"round" ~name:"round"
       ~detail:
         [
-          ("final", string_of_bool rs.decided_final);
+          ("final", string_of_bool final);
           ("steps", string_of_int rs.record.steps_taken);
         ]
       ()
   end;
-  if not rs.classified then t.previous <- Some rs;
+  if d.final = None then t.previous <- Some rs;
   (match Chain.add t.chain block with
   | Ok _ | Error `Duplicate -> (
     match Chain.find t.chain (Block.hash block) with
     | Some entry ->
       Chain.set_tip t.chain entry.hash;
-      if rs.decided_final then Chain.mark_final t.chain entry.hash
+      if final then Chain.mark_final t.chain entry.hash
     | None -> assert false)
   | Error (`Unknown_parent | `Wrong_round _ | `Invalid_tx _) as e ->
     Log.err (fun m ->
         m "node %d: agreed block rejected by chain: %a" t.index Chain.pp_add_error
           (match e with Error err -> err | Ok _ -> assert false)));
   (* Store certificates (section 8.3). *)
-  (match rs.ba with
-  | Some ba ->
-    let votes = Ba_star.certificate_votes ba in
-    if votes <> [] then
-      Hashtbl.replace t.certificates rs.round
-        (Certificate.make ~round:rs.round
-           ~step:(Vote.Bin (Ba_star.bin_steps ba))
-           ~block_hash:(Block.hash block) ~votes);
-    let fvotes = Ba_star.final_certificate_votes ba in
-    if rs.decided_final && fvotes <> [] then
-      Hashtbl.replace t.final_certificates rs.round
-        (Certificate.make ~round:rs.round ~step:Vote.Final ~block_hash:(Block.hash block)
-           ~votes:fvotes)
-  | None -> ());
+  (match Ba_star.certificate_votes rs.ag.ba with
+  | [] -> ()
+  | votes ->
+    Hashtbl.replace t.certificates rs.round
+      (Certificate.make ~round:rs.round
+         ~step:(Vote.Bin (Ba_star.bin_steps rs.ag.ba))
+         ~block_hash:(Block.hash block) ~votes));
+  if final then store_final_certificate t rs ~block_hash:(Block.hash block);
   Txpool.remove_committed t.txpool ~round:rs.round block.txs;
   (* Bound the pool under sustained traffic: evict committed ids past
      the retention watermark (the chain's nonce rule still rejects
@@ -843,10 +835,10 @@ and complete_round (t : t) (rs : round_state) (block : Block.t) : unit =
           tx.Transaction.nonce < Balances.nonce committed tx.Transaction.sender)));
   Log.debug (fun m ->
       m "node %d completed round %d (%s, %d bin steps) at %.2fs" t.index rs.round
-        (if rs.decided_final then "final" else "tentative")
+        (if final then "final" else "tentative")
         rs.record.steps_taken now);
   (match t.on_round_complete with
-  | Some f -> f t ~round:rs.round ~final:rs.decided_final
+  | Some f -> f t ~round:rs.round ~final
   | None -> ());
   checkpoint t;
   if rs.round >= t.config.max_round then begin
@@ -854,7 +846,6 @@ and complete_round (t : t) (rs : round_state) (block : Block.t) : unit =
     t.current <- None
   end
   else sched t ~delay:0.0 (fun () -> start_round t ~r:(rs.round + 1))
-  end
 
 (* ------------------------------------------------------------------ *)
 (* Block proposal (section 6).                                         *)
@@ -940,9 +931,9 @@ and record_proposed_block (rs : round_state) (b : Block.t) : unit =
 
 and try_propose (t : t) (rs : round_state) : unit =
   match
-    Proposal.try_propose ~prover:t.identity.prover ~pk:t.identity.pk ~seed:rs.vctx.seed
+    Proposal.try_propose ~prover:t.identity.prover ~pk:t.identity.pk ~seed:rs.ag.vctx.seed
       ~tau:t.config.params.tau_proposer ~round:rs.round ~prev_hash:rs.prev_hash
-      ~w:(rs.vctx.weight_of t.identity.pk) ~total_weight:rs.vctx.total_weight
+      ~w:(rs.ag.vctx.weight_of t.identity.pk) ~total_weight:rs.ag.vctx.total_weight
   with
   | None -> ()
   | Some prio ->
@@ -985,13 +976,12 @@ and note_remote_priority (t : t) (rs : round_state) : unit =
    the previous round) + lambda_priority (for the best priority to
    gossip), then wait up to lambda_block for the block itself. *)
 and on_proposal_window_closed (t : t) (rs : round_state) : unit =
-  if rs.ba <> None then ()
-  else begin
+  if not (ba_started rs) then begin
     match rs.best_priority with
-    | None -> start_ba t rs ~hblock:rs.empty_hash
+    | None -> start_ba t rs ~hblock:rs.ag.empty_hash
     | Some best ->
       if Hashtbl.mem rs.equivocators best.proposer_pk then
-        start_ba t rs ~hblock:rs.empty_hash
+        start_ba t rs ~hblock:rs.ag.empty_hash
       else begin
         match Hashtbl.find_opt rs.blocks_by_proposer best.proposer_pk with
         | Some h -> start_ba t rs ~hblock:h
@@ -999,8 +989,8 @@ and on_proposal_window_closed (t : t) (rs : round_state) : unit =
           rs.waiting_for_block <- true;
           sched t ~delay:t.config.params.lambda_block (fun () ->
               match t.current with
-              | Some rs' when rs'.round = rs.round && rs.ba = None ->
-                start_ba t rs ~hblock:rs.empty_hash
+              | Some rs' when rs'.round = rs.round && not (ba_started rs) ->
+                start_ba t rs ~hblock:rs.ag.empty_hash
               | _ -> ())
       end
   end
@@ -1117,14 +1107,14 @@ and process_normal_message (t : t) (rs : round_state) (msg : Message.t) : unit =
           let h = Block.hash b in
           (* A node blocked on the proposal, or one that already agreed
              on this hash, can now make progress. *)
-          (match rs.decided_value with
-          | Some v when String.equal v h -> complete_round t rs b
+          (match rs.outcome with
+          | Agreed d when String.equal d.value h -> complete_round t rs d b
           | _ -> ());
-          if rs.waiting_for_block && rs.ba = None then begin
+          if rs.waiting_for_block && not (ba_started rs) then begin
             match rs.best_priority with
             | Some best when String.equal best.proposer_pk b.header.proposer_pk ->
               if Hashtbl.mem rs.equivocators best.proposer_pk then
-                start_ba t rs ~hblock:rs.empty_hash
+                start_ba t rs ~hblock:rs.ag.empty_hash
               else start_ba t rs ~hblock:h
             | _ -> ()
           end
@@ -1146,7 +1136,7 @@ and process_normal_message (t : t) (rs : round_state) (msg : Message.t) : unit =
           begin_resync t
         end
       end
-      else if v.round = rs.round then deliver_to_ba t rs v
+      else if v.round = rs.round then ba_event t rs (Ba_star.Deliver v)
       else deliver_to_previous t v
     | Message.Block_request _ | Message.Round_request _ | Message.Round_reply _
     | Message.Fork_proposal _ ->
@@ -1160,11 +1150,11 @@ and process_normal_message (t : t) (rs : round_state) (msg : Message.t) : unit =
    until it is classified - also once the node has stopped. *)
 and open_previous (t : t) ~(round : int) : round_state option =
   match t.previous with
-  | Some p when p.round = round && not p.classified -> Some p
+  | Some ({ outcome = Appended { final = None; _ }; _ } as p) when p.round = round -> Some p
   | _ -> None
 
 and deliver_to_previous (t : t) (v : Vote.t) : unit =
-  Option.iter (fun p -> deliver_to_ba t p v) (open_previous t ~round:v.round)
+  Option.iter (fun p -> ba_event t p (Ba_star.Deliver v)) (open_previous t ~round:v.round)
 
 and buffer (t : t) (round : int) (msg : Message.t) : unit =
   match Hashtbl.find_opt t.pending round with
@@ -1387,12 +1377,7 @@ and engage_recovery (t : t) ~(attempt : int) : unit =
       rweights;
       rtotal_weight = Balances.total rweights;
       best_fork = None;
-      fork_round = -1;
-      rvote_round = -1;
-      rempty_hash = "";
-      rtip_hash = "";
-      rba = None;
-      rverdicts = Vote_tbl.create ~random:true 64;
+      adopted = None;
       rbuffered = [];
     }
   in
@@ -1491,80 +1476,63 @@ and adopt_fork (t : t) (rs : recovery_state) : unit =
     if (not grafted) || not (Chain.mem t.chain f.tip_hash) then abandon_recovery t rs
     else begin
       let tip = Option.get (Chain.find t.chain f.tip_hash) in
-      rs.fork_round <- tip.height + 1;
-      rs.rvote_round <- (recovery_round_base * rs.attempt) + rs.fork_round;
-      rs.rtip_hash <- tip.hash;
-      rs.rempty_hash <- Proposal.empty_hash ~round:rs.fork_round ~prev_hash:tip.hash;
-      let rctx =
-        History.make_context ~params:t.config.params ~sig_scheme:t.config.sig_scheme
-          ~vrf_scheme:t.config.vrf_scheme ~seed:rs.rseed ~weights:rs.rweights
-          ~prev_hash:tip.hash
+      let fork_round = tip.height + 1 in
+      let ag =
+        agreement t
+          ~vote_round:((recovery_round_base * rs.attempt) + fork_round)
+          ~empty_hash:(Proposal.empty_hash ~round:fork_round ~prev_hash:tip.hash)
+          ~vctx:
+            (History.make_context ~params:t.config.params ~sig_scheme:t.config.sig_scheme
+               ~vrf_scheme:t.config.vrf_scheme ~seed:rs.rseed ~weights:rs.rweights
+               ~prev_hash:tip.hash)
+          ~verdicts:(Vote_tbl.create ~random:true 64)
       in
-      let ctx : Ba_star.ctx =
-        {
-          params = t.config.params;
-          round = rs.rvote_round;
-          empty_hash = rs.rempty_hash;
-          my_votes =
-            (fun ~step ~value ->
-              Option.to_list
-                (sign_vote t ~verdicts:rs.rverdicts ~ctx:rctx ~round:rs.rvote_round ~step
-                   ~value));
-          validate = cached_weight rs.rverdicts rctx;
-        }
-      in
-      let ba = Ba_star.create ctx in
-      rs.rba <- Some ba;
+      rs.adopted <- Some (tip, ag);
       let buffered = List.rev rs.rbuffered in
       rs.rbuffered <- [];
-      List.iter
-        (fun v -> apply_recovery_actions t rs (Ba_star.handle ba (Ba_star.Deliver v)))
-        buffered;
-      apply_recovery_actions t rs (Ba_star.handle ba (Ba_star.Start rs.rempty_hash))
+      List.iter (fun v -> recovery_event t rs tip ag (Ba_star.Deliver v)) buffered;
+      recovery_event t rs tip ag (Ba_star.Start ag.empty_hash)
     end
 
-and apply_recovery_actions (t : t) (rs : recovery_state) (actions : Ba_star.action list) :
-    unit =
+(* Recovery's own action interpreter: its votes, timers and decision
+   serve the attempt [rs], not a round. *)
+and recovery_event (t : t) (rs : recovery_state) (tip : Chain.entry) (ag : agreement)
+    (event : Ba_star.event) : unit =
   List.iter
     (fun action ->
       match action with
       | Ba_star.Broadcast v ->
         broadcast t (Message.Ba_vote v);
-        deliver_to_recovery_ba t rs v
+        recovery_event t rs tip ag (Ba_star.Deliver v)
       | Ba_star.Set_timer { token; delay } ->
         sched t ~delay (fun () ->
-            match (t.phase, rs.rba) with
-            | Recovering rs', Some ba when rs'.generation = rs.generation ->
-              apply_recovery_actions t rs (Ba_star.handle ba (Ba_star.Timer token))
+            match t.phase with
+            | Recovering rs' when rs'.generation = rs.generation ->
+              recovery_event t rs tip ag (Ba_star.Timer token)
             | _ -> ())
       | Ba_star.Bin_decided _ -> ()
       | Ba_star.Decided { value; final = _; bin_steps = _ } ->
-        finish_recovery t rs ~value
+        if String.equal value ag.empty_hash then finish_recovery t tip
+        else abandon_recovery t rs
       | Ba_star.Hang -> abandon_recovery t rs)
-    actions
+    (Ba_star.handle ag.ba event)
 
-and deliver_to_recovery_ba (t : t) (rs : recovery_state) (v : Vote.t) : unit =
-  match rs.rba with
-  | Some ba -> apply_recovery_actions t rs (Ba_star.handle ba (Ba_star.Deliver v))
-  | None -> rs.rbuffered <- v :: rs.rbuffered
-
-and finish_recovery (t : t) (rs : recovery_state) ~(value : string) : unit =
-  if not (String.equal value rs.rempty_hash) then abandon_recovery t rs
-  else begin
-    let b = Block.empty ~round:rs.fork_round ~prev_hash:rs.rtip_hash in
-    (match Chain.add t.chain b with
-    | Ok _ | Error `Duplicate -> ()
-    | Error (`Unknown_parent | `Wrong_round _ | `Invalid_tx _) -> ());
-    (match Chain.find t.chain (Block.hash b) with
-    | Some e -> Chain.set_tip t.chain e.hash
-    | None -> ());
-    t.recoveries_completed <- t.recoveries_completed + 1;
-    Log.debug (fun m ->
-        m "node %d recovered to round %d at %.1fs" t.index rs.fork_round
-          (Engine.now t.engine));
-    checkpoint t;
-    rejoin t
-  end
+(* The empty block that extends the adopted fork's [tip] is agreed:
+   append it and rejoin regular rounds. *)
+and finish_recovery (t : t) (tip : Chain.entry) : unit =
+  let b = Block.empty ~round:(tip.height + 1) ~prev_hash:tip.hash in
+  (match Chain.add t.chain b with
+  | Ok _ | Error `Duplicate -> ()
+  | Error (`Unknown_parent | `Wrong_round _ | `Invalid_tx _) -> ());
+  (match Chain.find t.chain (Block.hash b) with
+  | Some e -> Chain.set_tip t.chain e.hash
+  | None -> ());
+  t.recoveries_completed <- t.recoveries_completed + 1;
+  Log.debug (fun m ->
+      m "node %d recovered to round %d at %.1fs" t.index (tip.height + 1)
+        (Engine.now t.engine));
+  checkpoint t;
+  rejoin t
 
 and abandon_recovery (t : t) (rs : recovery_state) : unit =
   match t.phase with
@@ -1592,8 +1560,10 @@ and process_recovery_message (t : t) (rs : recovery_state) (msg : Message.t) : u
   | Message.Tx tx -> ignore (Txpool.add t.txpool tx)
   | Message.Fork_proposal f ->
     if validate_fork_proposal t rs f then consider_fork rs f
-  | Message.Ba_vote v ->
-    if rs.rba = None || v.round = rs.rvote_round then deliver_to_recovery_ba t rs v
+  | Message.Ba_vote v -> (
+    match rs.adopted with
+    | None -> rs.rbuffered <- v :: rs.rbuffered
+    | Some (tip, ag) -> if v.round = ag.vote_round then recovery_event t rs tip ag (Ba_star.Deliver v))
   | Message.Priority _ | Message.Block_gossip _ | Message.Block_reply _
   | Message.Block_request _ | Message.Round_request _ | Message.Round_reply _ ->
     ()
@@ -1609,8 +1579,12 @@ let vote_plausible (t : t) (v : Vote.t) : bool =
     ~pk:(Identity.sig_pk v.voter_pk)
     ~msg:(Vote.signed_body v) ~signature:v.signature
 
+(* A vote's weight in a regular round's agreement. *)
+let round_weight (t : t) (rs : round_state) (v : Vote.t) : int =
+  vote_weight t ~verdicts:rs.ag.verdicts ~vctx:rs.ag.vctx v
+
 let previous_vote_valid (t : t) (v : Vote.t) : bool =
-  match open_previous t ~round:v.round with Some p -> vote_weight t p v > 0 | None -> false
+  match open_previous t ~round:v.round with Some p -> round_weight t p v > 0 | None -> false
 
 (* Gossip relay gating (section 8.4): validate what can be validated at
    our current round; relay plausible near-future messages so laggards
@@ -1658,7 +1632,7 @@ let gossip_validate (t : t) (msg : Message.t) : bool =
             | Some best -> String.equal b.header.proposer_pk best.proposer_pk)
     | Message.Ba_vote v ->
       if v.round > rs.round then vote_plausible t v
-      else if v.round = rs.round then vote_weight t rs v > 0
+      else if v.round = rs.round then round_weight t rs v > 0
       else previous_vote_valid t v
     | Message.Block_request _ | Message.Block_reply _ | Message.Fork_proposal _
     | Message.Round_request _ | Message.Round_reply _ ->

@@ -54,7 +54,11 @@ module Fp = struct
     let r = ref zero in
     f
       ~mul:(fun r a b -> r := mul !a !b)
-      ~sqr:(fun r a -> r := sqr !a)
+      ~sqr_n:(fun r a n ->
+        r := sqr !a;
+        for _ = 2 to n do
+          r := sqr !r
+        done)
       ~fresh:(fun () -> ref zero)
       r (ref a);
     !r
@@ -122,17 +126,24 @@ let scalar_of_hash (h : string) : Nat.t =
 (* ------------------------------------------------------------------ *)
 (* Points in extended homogeneous coordinates (X : Y : Z : T).         *)
 (*                                                                     *)
-(* Coordinates live in the fixed-limb field (Fe25519), and the point   *)
-(* formulas write into a destination point through four field          *)
-(* registers ([scratch]); the generic Nat arithmetic remains the       *)
-(* reference oracle in the Fp module above and in the test suite. A    *)
-(* point handed out by this module is never written again: only the    *)
-(* fresh accumulators and tables of one call are destinations.         *)
+(* Coordinates live in the fixed-limb field (Fe25519). The point       *)
+(* formulas exist twice: in OCaml below, writing into a destination   *)
+(* point through four field registers, and in C (ed25519_stubs.c),    *)
+(* one call per formula. The engine runs on the C formulas wherever   *)
+(* the field kernel is C; the public [add], [double] and the naive    *)
+(* [scalar_mult] always run the OCaml ones, so the oracle the tests   *)
+(* hold the engine against shares no point code with it. The generic *)
+(* Nat arithmetic remains the field oracle (Fp above). A point handed  *)
+(* out by this module is never written again: only the fresh          *)
+(* accumulators and tables of one call are destinations.              *)
 (* ------------------------------------------------------------------ *)
 
 module Fe = Fe25519
 
 type point = { x : Fe.t; y : Fe.t; z : Fe.t; t : Fe.t }
+
+(* Precomputed affine form (y+x, y-x, 2d*x*y), z = 1 implicit. *)
+type precomp = { yplusx : Fe.t; yminusx : Fe.t; xy2d : Fe.t }
 
 let two_d_fe = Fe.of_nat two_d
 let d_fe = Fe.of_nat d
@@ -154,54 +165,67 @@ let on_curve (pt : point) : bool =
   let rhs = Fp.add Fp.one (Fp.mul d (Fp.mul x2 y2)) in
   Nat.equal lhs rhs
 
-(* The field registers the formulas below work in. *)
-type scratch = { s0 : Fe.t; s1 : Fe.t; s2 : Fe.t; s3 : Fe.t }
-
-let scratch () = { s0 = Fe.zero (); s1 = Fe.zero (); s2 = Fe.zero (); s3 = Fe.zero () }
+(* The field registers the OCaml formulas work in. A formula runs no
+   other formula while it holds them, so one set serves every call. *)
+let s0 = Fe.zero ()
+let s1 = Fe.zero ()
+let s2 = Fe.zero ()
+let s3 = Fe.zero ()
 
 (* Every formula reads its operands completely before it writes its
    destination [r], so [r] may alias an operand. The shared tail: with
    E in r.x, H in r.t, F in s0 and G in s1, set X = EF, Y = GH,
    T = EH and Z = FG. *)
-let output s r ~with_t =
-  Fe.mul_into r.z s.s0 s.s1;
-  Fe.mul_into r.y s.s1 r.t;
+let output r ~with_t =
+  Fe.mul_into r.z s0 s1;
+  Fe.mul_into r.y s1 r.t;
   if with_t then Fe.mul_into r.t r.x r.t;
-  Fe.mul_into r.x r.x s.s0
+  Fe.mul_into r.x r.x s0
 
 (* The addition tail: from A in s0, B in s1, C in s2 and D in s3,
    E = B - A, H = B + A, F = D - C and G = D + C. Negating the addend
    negates C, which swaps F and G. *)
-let combine s r ~neg =
-  Fe.sub_into r.x s.s1 s.s0;
-  Fe.add_into r.t s.s1 s.s0;
+let combine r ~neg =
+  Fe.sub_into r.x s1 s0;
+  Fe.add_into r.t s1 s0;
   if neg then begin
-    Fe.add_into s.s0 s.s3 s.s2;
-    Fe.sub_into s.s1 s.s3 s.s2
+    Fe.add_into s0 s3 s2;
+    Fe.sub_into s1 s3 s2
   end
   else begin
-    Fe.sub_into s.s0 s.s3 s.s2;
-    Fe.add_into s.s1 s.s3 s.s2
+    Fe.sub_into s0 s3 s2;
+    Fe.add_into s1 s3 s2
   end;
-  output s r ~with_t:true
+  output r ~with_t:true
 
 (* RFC 8032 extended-coordinate addition (a = -1, complete formulas),
    r = p + q, or r = p - q with [~neg]: negating q = (X : Y : Z : T)
    gives (-X : Y : Z : -T), which swaps Y + X and Y - X and negates C. *)
-let add_signed s r p q ~neg =
-  Fe.sub_into s.s0 p.y p.x;
-  if neg then Fe.add_into s.s1 q.y q.x else Fe.sub_into s.s1 q.y q.x;
-  Fe.mul_into s.s0 s.s0 s.s1 (* A *);
-  Fe.add_into s.s1 p.y p.x;
-  if neg then Fe.sub_into s.s2 q.y q.x else Fe.add_into s.s2 q.y q.x;
-  Fe.mul_into s.s1 s.s1 s.s2 (* B *);
-  Fe.mul_into s.s2 p.t two_d_fe;
-  Fe.mul_into s.s2 s.s2 q.t (* C *);
-  Fe.add_into s.s3 p.z p.z;
-  Fe.mul_into s.s3 s.s3 q.z (* D *);
-  combine s r ~neg
+let ocaml_add r p q ~neg =
+  Fe.sub_into s0 p.y p.x;
+  if neg then Fe.add_into s1 q.y q.x else Fe.sub_into s1 q.y q.x;
+  Fe.mul_into s0 s0 s1 (* A *);
+  Fe.add_into s1 p.y p.x;
+  if neg then Fe.sub_into s2 q.y q.x else Fe.add_into s2 q.y q.x;
+  Fe.mul_into s1 s1 s2 (* B *);
+  Fe.mul_into s2 p.t two_d_fe;
+  Fe.mul_into s2 s2 q.t (* C *);
+  Fe.add_into s3 p.z p.z;
+  Fe.mul_into s3 s3 q.z (* D *);
+  combine r ~neg
 
-let add_into s r p q = add_signed s r p q ~neg:false
+(* Mixed addition r = p + q (or p - q with [~neg]) with q precomputed
+   affine: the general addition with Z2 = 1 folded in, 7
+   multiplications instead of 9. Negating an affine point swaps
+   (y+x, y-x) and negates xy2d. *)
+let ocaml_madd r p (q : precomp) ~neg =
+  Fe.sub_into s0 p.y p.x;
+  Fe.mul_into s0 s0 (if neg then q.yplusx else q.yminusx) (* A *);
+  Fe.add_into s1 p.y p.x;
+  Fe.mul_into s1 s1 (if neg then q.yminusx else q.yplusx) (* B *);
+  Fe.mul_into s2 q.xy2d p.t (* C *);
+  Fe.add_into s3 p.z p.z (* D *);
+  combine r ~neg
 
 (* Doubling never reads [p.t]. With [~with_t:false] it also skips the
    T = EH multiplication, leaving garbage in r.t, which only a
@@ -211,39 +235,36 @@ let add_into s r p q = add_signed s r p q ~neg:false
    doubling at positions with a nonzero digit and at position 0, so
    every point that escapes a chain carries a valid extended
    coordinate. *)
-let double_gen s r p ~with_t =
-  Fe.sqr_into s.s0 p.x (* A *);
-  Fe.sqr_into s.s1 p.y (* B *);
-  Fe.sqr_into s.s2 p.z;
-  Fe.add_into s.s2 s.s2 s.s2 (* C = 2Z^2 *);
-  Fe.add_into s.s3 p.x p.y;
-  Fe.sqr_into s.s3 s.s3 (* (X + Y)^2 *);
-  Fe.add_into r.t s.s0 s.s1 (* H = A + B *);
-  Fe.sub_into r.x r.t s.s3 (* E = H - (X + Y)^2 *);
-  Fe.sub_into s.s1 s.s0 s.s1 (* G = A - B *);
-  Fe.add_into s.s0 s.s2 s.s1 (* F = C + G *);
-  output s r ~with_t
-
-let double_into s r p = double_gen s r p ~with_t:true
-let double_nt_into s r p = double_gen s r p ~with_t:false
+let ocaml_double r p ~with_t =
+  Fe.sqr_into s0 p.x (* A *);
+  Fe.sqr_into s1 p.y (* B *);
+  Fe.sqr_into s2 p.z;
+  Fe.add_into s2 s2 s2 (* C = 2Z^2 *);
+  Fe.add_into s3 p.x p.y;
+  Fe.sqr_into s3 s3 (* (X + Y)^2 *);
+  Fe.add_into r.t s0 s1 (* H = A + B *);
+  Fe.sub_into r.x r.t s3 (* E = H - (X + Y)^2 *);
+  Fe.sub_into s1 s0 s1 (* G = A - B *);
+  Fe.add_into s0 s2 s1 (* F = C + G *);
+  output r ~with_t
 
 let add (p : point) (q : point) : point =
   let r = fresh_point () in
-  add_into (scratch ()) r p q;
+  ocaml_add r p q ~neg:false;
   r
 
 let double (p : point) : point =
   let r = fresh_point () in
-  double_into (scratch ()) r p;
+  ocaml_double r p ~with_t:true;
   r
 
 let neg (p : point) : point = { x = Fe.neg p.x; y = Fe.copy p.y; z = Fe.copy p.z; t = Fe.neg p.t }
 
 let scalar_mult (k : Nat.t) (p : point) : point =
-  let s = scratch () and acc = fresh_identity () in
+  let acc = fresh_identity () in
   for i = Nat.bit_length k - 1 downto 0 do
-    double_into s acc acc;
-    if Nat.testbit k i then add_into s acc acc p
+    ocaml_double acc acc ~with_t:true;
+    if Nat.testbit k i then ocaml_add acc acc p ~neg:false
   done;
   acc
 
@@ -252,19 +273,47 @@ let equal_points (p : point) (q : point) : bool =
   Fe.equal (Fe.mul p.x q.z) (Fe.mul q.x p.z)
   && Fe.equal (Fe.mul p.y q.z) (Fe.mul q.y p.z)
 
+(* The engine's formulas: one [@@noalloc] C call each (ed25519_stubs.c),
+   which loads its points into 52-bit words once, runs the whole
+   formula there and stores once, against about 14 calls into the field
+   kernel for an OCaml formula; a run of n doublings is one call too.
+   Both need the compiler's [unsigned __int128], so the C formulas run
+   wherever the field kernel is C, a choice made once, at module
+   initialisation. The C addition takes 2d from here, so no curve
+   constant is transcribed there. *)
+external c_double_n : point -> point -> int -> unit = "algorand_ed25519_double_n" [@@noalloc]
+external c_add : point -> point -> point -> bool -> Fe.t -> unit = "algorand_ed25519_add" [@@noalloc]
+external c_madd : point -> point -> precomp -> bool -> unit = "algorand_ed25519_madd" [@@noalloc]
+
+let c_kernel = String.equal Fe.kernel "c"
+
+(* r := 2^n p, n >= 1, T only after the last doubling. *)
+let double_n_into r p n =
+  if c_kernel then c_double_n r p n
+  else begin
+    ocaml_double r p ~with_t:(n = 1);
+    for i = 2 to n do
+      ocaml_double r r ~with_t:(i = n)
+    done
+  end
+
+let double_into r p = double_n_into r p 1
+let add_into r p q ~neg = if c_kernel then c_add r p q neg two_d_fe else ocaml_add r p q ~neg
+let madd_into r p q ~neg = if c_kernel then c_madd r p q neg else ocaml_madd r p q ~neg
+
 (* ------------------------------------------------------------------ *)
 (* The fast scalar-multiplication engine.                              *)
 (*                                                                     *)
 (* Building blocks: batched affine conversion (one shared inversion),  *)
-(* precomputed affine points with mixed addition (7M instead of 9M),   *)
-(* and signed sliding-window (w-NAF) scalar recoding. On top of these  *)
-(* sit a fixed-base comb table for B (sign, keygen, VRF nonces) and    *)
-(* one chain evaluator, [mult], for every other product: a sum of      *)
-(* terms on one shared doubling chain (verification, batch             *)
-(* verification, the VRF, the subgroup check). Each call keeps one     *)
-(* accumulator, one [scratch] and its tables, and runs its chain in    *)
-(* place. The naive [scalar_mult] above stays as the randomized-test   *)
-(* oracle.                                                             *)
+(* precomputed affine points with mixed addition, and signed sliding- *)
+(* window (w-NAF) scalar recoding. On top of these sit a fixed-base    *)
+(* comb table for B (sign, keygen, VRF nonces) and one chain           *)
+(* evaluator, [mult], for every other product: a sum of terms on one   *)
+(* shared doubling chain (verification, batch verification, the VRF,  *)
+(* the subgroup check). A chain runs in one C call where the kernel is *)
+(* C, else in the OCaml loop, which also stays as the tests' reference *)
+(* ([ocaml_mult]); the naive [scalar_mult] above is the oracle both    *)
+(* are held against.                                                   *)
 (* ------------------------------------------------------------------ *)
 
 (* Normalize many points to z = 1 with a single field inversion
@@ -280,9 +329,6 @@ let normalize_many (ps : point array) : point array =
 let to_affine_many (ps : point array) : (Nat.t * Nat.t) array =
   Array.map (fun p -> (Fe.to_nat p.x, Fe.to_nat p.y)) (normalize_many ps)
 
-(* Precomputed affine form (y+x, y-x, 2d*x*y), z = 1 implicit. *)
-type precomp = { yplusx : Fe.t; yminusx : Fe.t; xy2d : Fe.t }
-
 (* Requires p.z = 1 (see [normalize_many]). *)
 let precomp_of_affine (p : point) : precomp =
   {
@@ -290,19 +336,6 @@ let precomp_of_affine (p : point) : precomp =
     yminusx = Fe.sub p.y p.x;
     xy2d = Fe.mul (Fe.mul p.x p.y) two_d_fe;
   }
-
-(* Mixed addition r = p + q (or p - q with [~neg]) with q precomputed
-   affine: the general addition with Z2 = 1 folded in, 7
-   multiplications instead of 9. Negating an affine point swaps
-   (y+x, y-x) and negates xy2d. *)
-let madd_signed s r p (q : precomp) ~neg =
-  Fe.sub_into s.s0 p.y p.x;
-  Fe.mul_into s.s0 s.s0 (if neg then q.yplusx else q.yminusx) (* A *);
-  Fe.add_into s.s1 p.y p.x;
-  Fe.mul_into s.s1 s.s1 (if neg then q.yminusx else q.yplusx) (* B *);
-  Fe.mul_into s.s2 q.xy2d p.t (* C *);
-  Fe.add_into s.s3 p.z p.z (* D *);
-  combine s r ~neg
 
 (* Signed sliding-window recoding, width 5: digits are odd with
    |d| < 16, and any 5 consecutive positions hold at most one nonzero
@@ -338,21 +371,18 @@ let recode (buf : int array) (off : int) (k : string) ~(lo : int) ~(n : int) : u
     end
   done
 
-(* [p; 3p; ...; 15p] in extended coordinates: one entry per odd digit. *)
-let odd_multiples s (p : point) : point array =
+(* [p; 3p; ...; 15p] in extended coordinates, one entry per odd digit,
+   by the formulas [double] and [add] of one kernel. *)
+let odd_multiples ~double ~add (p : point) : point array =
   let p2 = fresh_point () in
-  double_into s p2 p;
+  double p2 p;
   let tbl = Array.make (1 lsl (window - 2)) (copy_point p) in
   for i = 1 to Array.length tbl - 1 do
     let r = fresh_point () in
-    add_into s r tbl.(i - 1) p2;
+    add r tbl.(i - 1) p2 ~neg:false;
     tbl.(i) <- r
   done;
   tbl
-
-(* One doubling of a chain, T-less where no digit follows. *)
-let chain_double s (acc : point) ~(full : bool) : unit =
-  if full then double_into s acc acc else double_nt_into s acc acc
 
 (* ------------------------------------------------------------------ *)
 (* Point compression: 32 bytes, little-endian y with x parity on top.  *)
@@ -431,7 +461,6 @@ type comb = precomp array array
    the prime-order subgroup, because [scalar_mult_comb] reduces scalars
    mod L before taking digits. *)
 let comb_of_point (p : point) : comb =
-  let s = scratch () in
   let buf = Array.make (comb_positions * comb_row) identity in
   let pos = copy_point p (* 16^i * P *) in
   for i = 0 to comb_positions - 1 do
@@ -439,12 +468,10 @@ let comb_of_point (p : point) : comb =
     buf.(row) <- copy_point pos;
     for j = 1 to comb_row - 1 do
       let r = fresh_point () in
-      add_into s r buf.(row + j - 1) pos;
+      add_into r buf.(row + j - 1) pos ~neg:false;
       buf.(row + j) <- r
     done;
-    for _ = 1 to 4 do
-      double_into s pos pos
-    done
+    double_n_into pos pos 4
   done;
   let affine = normalize_many buf in
   Array.init comb_positions (fun i ->
@@ -456,11 +483,11 @@ let comb_table : comb = comb_of_point base
    exact and bounds the digit count. *)
 let scalar_mult_comb (c : comb) (k : Nat.t) : point =
   let bytes = Nat.to_bytes_le (mod_order k) ~len:32 in
-  let s = scratch () and acc = fresh_identity () in
+  let acc = fresh_identity () in
   for i = 0 to comb_positions - 1 do
     let byte = Char.code bytes.[i / 2] in
     let digit = if i land 1 = 0 then byte land 0xf else byte lsr 4 in
-    if digit <> 0 then madd_signed s acc acc c.(i).(digit - 1) ~neg:false
+    if digit <> 0 then madd_into acc acc c.(i).(digit - 1) ~neg:false
   done;
   acc
 
@@ -477,7 +504,14 @@ let scalar_mult_base (k : Nat.t) : point = scalar_mult_comb comb_table k
 (* is used only a dozen times; a verification key gets 4 rows when a   *)
 (* single check repeats (below). Every product is one [mult] over a    *)
 (* list of terms, each a scalar's digit streams paired with a table's  *)
-(* rows or with odd multiples built per call.                          *)
+(* rows or with odd multiples of a point, built by each chain.         *)
+(*                                                                     *)
+(* The C chain (ed25519_stubs.c) takes the digits and the streams as   *)
+(* they are, builds the odd multiples in words, keeps the accumulator  *)
+(* in words from the first doubling to the last, reads table rows      *)
+(* straight from their limb arrays and stores once: a 65-step verify   *)
+(* chain is one call, where the OCaml chain makes about 14 field       *)
+(* calls per point formula.                                            *)
 (* ------------------------------------------------------------------ *)
 
 type table = { shift : int; rows : precomp array array }
@@ -485,15 +519,12 @@ type table = { shift : int; rows : precomp array array }
 (* 256 - s doublings, 8 * parts additions and one shared inversion. *)
 let table_of_point ~(parts : int) (p : point) : table =
   if parts < 1 || 256 mod parts <> 0 then invalid_arg "Ed25519.table_of_point";
-  let shift = 256 / parts and s = scratch () and pj = copy_point p in
+  let shift = 256 / parts and pj = copy_point p in
   let width = 1 lsl (window - 2) in
   let ext = Array.make (parts * width) identity in
   for j = 0 to parts - 1 do
-    if j > 0 then
-      for i = 1 to shift do
-        chain_double s pj ~full:(i = shift)
-      done;
-    Array.blit (odd_multiples s pj) 0 ext (j * width) width
+    if j > 0 then double_n_into pj pj shift;
+    Array.blit (odd_multiples ~double:double_into ~add:add_into pj) 0 ext (j * width) width
   done;
   let affine = Array.map precomp_of_affine (normalize_many ext) in
   { shift; rows = Array.init parts (fun j -> Array.sub affine (j * width) width) }
@@ -510,26 +541,59 @@ let table_term ?(neg = false) k t =
   { k; neg; src = Rows t }
 
 (* One digit stream: its digits at buf.(off) .. buf.(off + top), top
-   nonzero, and the affine row or the per-call odd multiples they
-   index. *)
-type row = Pre of precomp array | Ext of point array
+   nonzero, and the affine table row they index, or the point (with a
+   valid T) whose odd multiples they index. The C chain reads these
+   records as they are (ed25519_stubs.c names the layout). *)
+type row = Pre of precomp array | Ext of point
 type stream = { off : int; top : int; row : row }
 
 let rec any_digit buf i = function
   | [] -> false
-  | d :: rest -> (i <= d.top && buf.(d.off + i) <> 0) || any_digit buf i rest
+  | (d, _) :: rest -> (i <= d.top && buf.(d.off + i) <> 0) || any_digit buf i rest
 
-let rec add_digits s acc buf i = function
+(* What the OCaml chain adds for a stream's digits: the table row, or
+   the odd multiples it builds of the stream's point. *)
+type addends = Affine of precomp array | Extended of point array
+
+let rec add_digits acc buf i = function
   | [] -> ()
-  | d :: rest ->
+  | (d, addends) :: rest ->
     let x = if i <= d.top then buf.(d.off + i) else 0 in
     if x <> 0 then begin
       let j = (abs x - 1) / 2 and neg = x < 0 in
-      match d.row with
-      | Pre t -> madd_signed s acc acc t.(j) ~neg
-      | Ext t -> add_signed s acc acc t.(j) ~neg
+      match addends with
+      | Affine t -> ocaml_madd acc acc t.(j) ~neg
+      | Extended t -> ocaml_add acc acc t.(j) ~neg
     end;
-    add_digits s acc buf i rest
+    add_digits acc buf i rest
+
+(* The OCaml chain: the OCaml formulas only, odd multiples built per
+   call. *)
+let ocaml_chain (buf : int array) (streams : stream list) : point =
+  let acc = fresh_identity () in
+  let streams =
+    List.map
+      (fun d ->
+        match d.row with
+        | Pre t -> (d, Affine t)
+        | Ext p -> (d, Extended (odd_multiples ~double:(ocaml_double ~with_t:true) ~add:ocaml_add p)))
+      streams
+  in
+  for i = List.fold_left (fun m (d, _) -> max m d.top) (-1) streams downto 0 do
+    ocaml_double acc acc ~with_t:(i = 0 || any_digit buf i streams);
+    add_digits acc buf i streams
+  done;
+  acc
+
+(* The C chain: false only when a chain too long for its stack space
+   cannot get the memory it needs. *)
+external c_chain : point -> int array -> stream list -> Fe.t -> bool = "algorand_ed25519_chain"
+[@@noalloc]
+
+let c_chain_run (buf : int array) (streams : stream list) : point =
+  let acc = fresh_point () in
+  if not (c_chain acc buf streams two_d_fe) then raise Out_of_memory;
+  acc
 
 (* The digits of one call, in a buffer reused while it is big enough. *)
 let digit_buf = Array.make 1024 0
@@ -539,11 +603,10 @@ let stream_digits t =
   | Rows r -> Array.length r.rows * (r.shift + 1)
   | Odd _ -> (8 * String.length t.k) + 1
 
-(* The sum of the terms, on one doubling chain as long as the longest
-   stream. Nothing here runs [mult] again, so one shared buffer serves
-   every call. *)
-let mult (terms : term list) : point =
-  let s = scratch () and acc = fresh_identity () in
+(* The sum of the terms on [chain], one doubling chain as long as the
+   longest stream. Nothing here runs a chain again, so one shared
+   buffer serves every call. *)
+let mult_on chain (terms : term list) : point =
   let need = List.fold_left (fun n t -> n + stream_digits t) 0 terms in
   let buf = if need <= Array.length digit_buf then digit_buf else Array.make need 0 in
   let off = ref 0 and streams = ref [] in
@@ -559,21 +622,18 @@ let mult (terms : term list) : point =
       for i = o to o + !top do
         buf.(i) <- -buf.(i)
       done;
-    if !top >= 0 then streams := { off = o; top = !top; row = row () } :: !streams
+    if !top >= 0 then streams := { off = o; top = !top; row } :: !streams
   in
   List.iter
     (fun t ->
       match t.src with
-      | Rows r ->
-        Array.iteri (fun j pre -> stream t ~lo:(j * r.shift) ~n:r.shift (fun () -> Pre pre)) r.rows
-      | Odd p -> stream t ~lo:0 ~n:(8 * String.length t.k) (fun () -> Ext (odd_multiples s p)))
+      | Rows r -> Array.iteri (fun j pre -> stream t ~lo:(j * r.shift) ~n:r.shift (Pre pre)) r.rows
+      | Odd p -> stream t ~lo:0 ~n:(8 * String.length t.k) (Ext p))
     terms;
-  let streams = !streams in
-  for i = List.fold_left (fun m d -> max m d.top) (-1) streams downto 0 do
-    chain_double s acc ~full:(i = 0 || any_digit buf i streams);
-    add_digits s acc buf i streams
-  done;
-  acc
+  chain buf !streams
+
+let mult terms = mult_on (if c_kernel then c_chain_run else ocaml_chain) terms
+let ocaml_mult terms = mult_on ocaml_chain terms
 
 let order_bytes = Nat.to_bytes_le order ~len:32
 

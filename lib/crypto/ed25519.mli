@@ -41,7 +41,9 @@ val double : point -> point
 val neg : point -> point
 val scalar_mult : Nat.t -> point -> point
 (** Naive double-and-add. Kept as the randomized-test oracle for the
-    fast paths below; production code uses the engine. *)
+    fast paths below; production code uses the engine. It, [add] and
+    [double] run the OCaml point formulas on every host, so they share
+    no point code with the engine's C kernel. *)
 
 val equal_points : point -> point -> bool
 val on_curve : point -> bool
@@ -93,7 +95,12 @@ val table_term : ?neg:bool -> string -> table -> term
 (** Off the point's table; at most 32 scalar bytes. *)
 
 val mult : term list -> point
-(** The sum of the terms, on one doubling chain. *)
+(** The sum of the terms, on one doubling chain: one C call where the
+    field kernel is C ([Fe25519.kernel]), else the OCaml chain. *)
+
+val ocaml_mult : term list -> point
+(** [mult] on the OCaml chain and point formulas on every host: a probe
+    for the tests, which hold the C chain against it. *)
 
 val decode_checked : string -> point option
 (** [decode] restricted to canonical encodings of prime-subgroup

@@ -6,9 +6,11 @@
    alias either operand. The generic Nat-based field in Ed25519.Fp
    remains the oracle the tests compare against.
 
-   Multiply and square have two kernels: the OCaml one below
-   ([ocaml_mul_into], [ocaml_sqr_into]) and a C one over 128-bit
-   columns (fe25519_stubs.c), used wherever the C compiler has them.
+   Multiply, square and n-fold square have two kernels: the OCaml one
+   below ([ocaml_mul_into], [ocaml_sqr_into]) and a C one over 128-bit
+   columns (fe25519_stubs.c, over the word arithmetic of fe25519.h that
+   Ed25519's point kernel shares), used wherever the C compiler has
+   them.
 
    Values are kept *weakly* reduced. The invariant every operation
    takes and returns:
@@ -188,8 +190,10 @@ let ocaml_sqr_into (dst : t) (a : t) : unit =
     ((d7 * a9) + (a8 * a8))
     (d8 * a9) (a9 * a9)
 
-(* The C kernel (fe25519_stubs.c): the same two operations over five
-   52-bit words and 128-bit columns, one [@@noalloc] call each. Its
+(* The C kernel (fe25519_stubs.c): the same operations over five
+   52-bit words and 128-bit columns, one [@@noalloc] call each; an
+   n-fold squaring keeps its element in words from the first squaring
+   to the last. Its
    results meet the invariant above but may be the other representative
    of the same element, so only canonical observers can tell the two
    kernels apart, and they see the same value. It is used wherever the
@@ -198,6 +202,7 @@ let ocaml_sqr_into (dst : t) (a : t) : unit =
 external c_available : unit -> bool = "algorand_fe25519_available" [@@noalloc]
 external c_mul_into : t -> t -> t -> unit = "algorand_fe25519_mul" [@@noalloc]
 external c_sqr_into : t -> t -> unit = "algorand_fe25519_sqr" [@@noalloc]
+external c_sqr_n_into : t -> t -> int -> unit = "algorand_fe25519_sqr_n" [@@noalloc]
 
 let c_kernel = c_available ()
 let kernel = if c_kernel then "c" else "ocaml"
@@ -207,6 +212,16 @@ let mul_into (dst : t) (a : t) (b : t) : unit =
 
 let sqr_into (dst : t) (a : t) : unit =
   if c_kernel then c_sqr_into dst a else ocaml_sqr_into dst a
+
+(* dst := a^(2^n), n >= 1. *)
+let sqr_n_into (dst : t) (a : t) (n : int) : unit =
+  if c_kernel then c_sqr_n_into dst a n
+  else begin
+    ocaml_sqr_into dst a;
+    for _ = 2 to n do
+      ocaml_sqr_into dst dst
+    done
+  end
 
 (* Functional forms: one fresh destination each. *)
 let add a b = let r = zero () in add_into r a b; r
@@ -314,10 +329,11 @@ let pow (base : t) (e : Nat.t) : t =
 
 let chain f a =
   let r = zero () in
-  f ~mul:mul_into ~sqr:sqr_into ~fresh:zero r a;
+  f ~mul:mul_into ~sqr_n:sqr_n_into ~fresh:zero r a;
   r
 
-(* Fermat inversion by addition chain: 254 squarings + 11 multiplies. *)
+(* Fermat inversion by addition chain: 254 squarings in 11 runs + 11
+   multiplies. *)
 let inv (a : t) : t = chain Addchain.pow_p_minus_2 a
 
 (* ------------------------------------------------------------------ *)

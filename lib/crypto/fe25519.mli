@@ -4,10 +4,11 @@
 
     Multiply and square have two kernels that compute the same field
     elements. Where the C compiler has [unsigned __int128], each is one
-    C call ([fe25519_stubs.c]); every other host runs a pure-OCaml
-    kernel. The choice is made once, at module initialisation, from
-    what the build observed and nothing else: there is no flag,
-    setting or environment variable for it.
+    C call ([fe25519_stubs.c]), and so is each run of squarings in
+    [inv] and [sqrt_ratio]; every other host runs a pure-OCaml kernel.
+    The choice is made once, at module initialisation, from what the
+    build observed and nothing else: there is no flag, setting or
+    environment variable for it.
 
     Values are weakly reduced: limbs 0..8 lie in \[0, 2{^26}), limb 9
     in \[0, 2{^21} + 8), so a value is below 2{^255} + 2{^237} < 2p and
@@ -61,7 +62,8 @@ val sqr : t -> t
 
 val kernel : string
 (** The kernel [mul_into] and [sqr_into] run on this host: ["c"] or
-    ["ocaml"]. *)
+    ["ocaml"]. [Ed25519]'s point formulas and chains run in C exactly
+    where this is ["c"]. *)
 
 val ocaml_mul_into : t -> t -> t -> unit
 val ocaml_sqr_into : t -> t -> unit
@@ -74,8 +76,8 @@ val pow : t -> Nat.t -> t
 (** Square-and-multiply exponentiation (the generic oracle path). *)
 
 val inv : t -> t
-(** Multiplicative inverse: Fermat by addition chain (254 squarings +
-    11 multiplies). *)
+(** Multiplicative inverse: Fermat by addition chain (254 squarings in
+    11 runs + 11 multiplies). *)
 
 val inv_many : t array -> t array
 (** All inverses with one field inversion (Montgomery's trick). Zero

@@ -53,9 +53,10 @@ let hash_to_curve_uncached (input : string) : Ed25519.point =
    s*H / a*H / k*H below on a 129-step doubling chain instead of a
    254-step one. With a handful of nodes an input is proved and
    verified only a dozen or so times per process, so the table is
-   sized to repay at once: about 150 point operations to build (0.17 ms
-   on a 2-vCPU x86-64 VM, against 3.9 ms for a radix-16 comb), built on
-   first use by prover and verifier alike. A 4-row table would shorten
+   sized to repay at once: about 150 point operations to build (0.03 to
+   0.06 ms on a shared 2-vCPU x86-64 VM with the C point kernel, against
+   2.3 to 2.6 ms for a radix-16 comb), built on first use by prover and
+   verifier alike. A 4-row table would shorten
    the chain to 65 steps but cost 64 more doublings and twice the
    memory for every cached input. An entry is a few KB; bounded, reset
    on overflow. *)

@@ -537,12 +537,51 @@ let node_paths_pinned () =
         "c2111b8dd294058387ab50858a657c3068065058c696dfd7ef8e824cfe640132" );
     ]
 
+(* BlockOfHash (Algorithm 3): every round-1 block gossiped to node 0 is
+   dropped, so when the committee agrees on a block node 0 holds only
+   its hash and must fetch the block from its peers. A short
+   lambda_block lets node 0 start BA* (on the empty block) while the
+   others still vote in round 1, so it agrees on the hash itself rather
+   than catching up later from certified history. It must end with the
+   others' chain, the fetch must have run, and no node may have needed
+   live catch-up. *)
+let block_of_hash_fetch () =
+  let victim = 0 in
+  let params = { Algorand_ba.Params.paper with lambda_block = 2.0 } in
+  let h = Harness.build { base_config with users = 10; rounds = 3; params; rng_seed = 41 } in
+  Algorand_netsim.Network.set_adversary h.network (fun ~now:_ ~src:_ ~dst packet ->
+      match packet with
+      | Algorand_netsim.Gossip.Plain (Algorand_core.Message.Block_gossip b)
+        when dst = victim && b.header.round = 1 ->
+        Algorand_netsim.Network.Drop
+      | _ -> Algorand_netsim.Network.Deliver);
+  let r = Harness.drive h in
+  Fun.protect
+    ~finally:(fun () -> Harness.cleanup_stores h)
+    (fun () ->
+      Expect.no_violations r;
+      let chain n =
+        let c = Node.chain n in
+        List.map (fun (e : Chain.entry) -> Hex.of_string e.hash) (Chain.ancestry c (Chain.tip c).hash)
+      in
+      Alcotest.(check int) "three rounds on the victim's chain" 4 (List.length (chain h.nodes.(victim)));
+      Array.iter
+        (fun n -> Alcotest.(check (list string)) "the victim's chain" (chain n) (chain h.nodes.(victim)))
+        h.nodes;
+      let registered name =
+        Algorand_obs.Registry.counter_value (Metrics.registry h.metrics) name <> None
+      in
+      Alcotest.(check bool) "the block fetch ran" true (registered "retry.block_fetch.attempts");
+      Alcotest.(check bool) "no node fell back on live catch-up" false
+        (registered "retry.resync.attempts"))
+
 let suite =
   [
     ( "harness",
       [
         Alcotest.test_case "deployment derivation pinned" `Quick deployment_pinned;
         ts "node paths pinned: recovery, pipelining, churn" node_paths_pinned;
+        ts "BlockOfHash fetches a block gossip never delivered" block_of_hash_fetch;
         ts "real crypto end-to-end" real_crypto_end_to_end;
         ts "final-step pipelining" pipelining_works_and_helps;
         ts "look-back variant end-to-end" (fun () ->

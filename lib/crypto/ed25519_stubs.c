@@ -201,8 +201,9 @@ struct stream {
 };
 
 /* Room on the C stack for a chain's descriptors and odd multiples:
-   a verification or a proof's chain (at most six streams, two with
-   odd multiples) fits many times over; a batch's may not. */
+   twelve streams with odd multiples. A verification or a proof needs
+   at most six streams, two with odd multiples; a batch may need more,
+   and gets them from malloc. */
 #define CHAIN_STACK_BYTES 16384
 
 /* acc := the sum of the streams (an OCaml [stream list]) over the

@@ -665,12 +665,12 @@ let bounded what ~bound (minor, major) =
    (which never builds a table, so it runs its key off odd multiples)
    must each stay under about 1.2x the minor words they measured when
    their chains moved into one C call each: 518, 998 and 942 words,
-   bounds 620, 1,200 and 1,130. The C chain allocates nothing; the
-   OCaml chain, which runs where the field kernel is OCaml, allocates
-   its odd multiples and point registers per call and keeps the bounds
-   set when it landed (599, 1,736 and 1,918 words measured, bounds
-   700, 2,100 and 2,300). None may allocate directly in the major
-   heap: the old w-NAF recoding put 1,066 words a verify there. *)
+   bounds 620, 1,200 and 1,130. The C chain allocates only its result;
+   the OCaml chain, which runs where the field kernel is OCaml, also
+   allocates its odd multiples per call and keeps the bounds set before
+   the C chain (it measures 582, 1,530 and 1,910 words; bounds 700,
+   2,100 and 2,300). None may allocate directly in the major heap: the
+   old w-NAF recoding put 1,066 words a verify there. *)
 let c_chain = String.equal Fe25519.kernel "c"
 let chain_bound ~c ~ocaml = if c_chain then c else ocaml
 
